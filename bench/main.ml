@@ -1,5 +1,5 @@
 (* Benchmark harness: one experiment per motivating claim of the paper
-   (DESIGN.md experiment index, ids B1-B11).
+   (DESIGN.md experiment index).
 
    The paper has no measured evaluation section — its tables and figures are
    semantic artifacts regenerated by bin/paper_artifacts.exe — so the
@@ -7,8 +7,7 @@
    set-oriented join processing beats tuple-oriented nested loops, the
    nestjoin implements grouping queries efficiently and correctly, PNHL
    beats unnest-join-nest for set-valued attribute materialization,
-   pointer-based assembly beats value joins for path expressions, and
-   compiling parameter expressions once beats interpreting them per tuple.
+   and pointer-based assembly beats value joins for path expressions.
 
    Two kinds of output per experiment:
    - a deterministic WORK table (operation counters) over a scale sweep —
@@ -33,7 +32,6 @@ module Planner = Njq_engine.Planner
 module Exec = Njq_engine.Exec
 module Plan = Njq_engine.Plan
 module Pool = Njq_engine.Pool
-module Batch = Njq_engine.Batch
 module Serve = Njq_engine.Serve
 
 let scales = ref [ 32; 64; 128; 256 ]
@@ -47,7 +45,6 @@ let bench_scale = ref 128
    counter totals plus the Gc allocation deltas of one run. *)
 type work_cell = {
   w_total : int;
-  w_snap : (string * int) list;
   w_minor : float;
   w_major : float;
 }
@@ -78,7 +75,6 @@ let work f =
   let snap = Counters.snapshot () in
   let total = List.fold_left (fun acc (_, v) -> acc + v) 0 snap in
   ( { w_total = total;
-      w_snap = snap;
       w_minor = Float.min (minor1 -. minor0) (minor3 -. minor2);
       w_major = Float.min (major1 -. major0) (major3 -. major2) },
     result )
@@ -102,26 +98,20 @@ let print_work_table ~id ~title ~variants rows =
       Fmt.pr "@.")
     rows
 
-(* Variants named "group:mode" (b13's "chain:mat" vs "chain:pipe") agree
-   within their group; variants named "group|mode" (b14's "point|scan" vs
-   "point|idx") must return the same result but are allowed different
-   counters — a different counter MIX is that experiment's point;
-   uncoloned, unpiped variants (every other experiment) all share one
-   group, preserving the original all-variants-agree check.  (The strict
-   separator is ':' because several existing names contain '/', e.g.
-   b10's "grace(n/4)".) *)
+(* Variants named "group|mode" (b14's "point|scan" vs "point|idx") must
+   return the same result within their group (their counter mixes may
+   differ — that is those experiments' point); unpiped variants (every
+   other experiment) all share one group.  (The separator is '|' because
+   several names contain '/', e.g. b10's "grace(n/4)".) *)
 let variant_group name =
-  match String.index_opt name ':' with
+  match String.index_opt name '|' with
   | Some i -> String.sub name 0 i
-  | None ->
-    (match String.index_opt name '|' with
-     | Some i -> String.sub name 0 i
-     | None -> "")
+  | None -> ""
 
 (* A work-table experiment: per scale, produce one counter total per
-   variant, checking that all variants of a group return the same result —
-   and, for slash-grouped variants, tick identical counters.  Returns the
-   variant names and the (scale, cells) rows for the JSON report. *)
+   variant, checking that all variants of a group return the same result.
+   Returns the variant names and the (scale, cells) rows for the JSON
+   report. *)
 let sweep ~id ~title ~make =
   let rows =
     List.map
@@ -130,16 +120,13 @@ let sweep ~id ~title ~make =
         let outcomes = List.map (fun (name, f) -> (name, work f)) fns in
         let groups = Hashtbl.create 8 in
         List.iter
-          (fun (name, (cell, v)) ->
+          (fun (name, (_, v)) ->
             match Hashtbl.find_opt groups (variant_group name) with
-            | None -> Hashtbl.add groups (variant_group name) (name, cell, v)
-            | Some (name0, cell0, v0) ->
+            | None -> Hashtbl.add groups (variant_group name) (name, v)
+            | Some (name0, v0) ->
               if not (Value.equal v0 v) then
                 Fmt.failwith "[%s] %s disagrees with %s at scale %d" id name
-                  name0 n;
-              if String.contains name ':' && cell.w_snap <> cell0.w_snap then
-                Fmt.failwith "[%s] %s counters differ from %s at scale %d" id
-                  name name0 n)
+                  name0 n)
           outcomes;
         (n, List.map (fun (_, (cell, _)) -> cell) outcomes))
       !scales
@@ -327,35 +314,6 @@ let b10 n =
     ("grace(n/4)", plan_thunk cat (grace (max 1 (n / 4))));
     ("grace(n/16)", plan_thunk cat (grace (max 1 (n / 16)))) ]
 
-(* B11 — compiled vs interpreted parameter expressions: identical plans
-   run with Exec.compile_params on and off.  The suite mixes a
-   scalar-heavy filter (pure per-tuple dispatch cost), a filter whose
-   predicate contains a closed subquery (which the compiler folds to a
-   constant once), and the optimized EQ5/EQ6 plans. *)
-let b11 n =
-  let cat = Gen.catalog (clean n) in
-  let scalar_pred =
-    gt (add (mul (var "p" $. "price") (int 2)) (int 1)) (int 21)
-    &&& (eq (var "p" $. "color") (str "red")
-         ||| eq (var "p" $. "color") (str "blue"))
-  in
-  let closed_pred =
-    gt (var "p" $. "price") (int 5)
-    &&& forall "d" (table "DELIVERY")
-          (ge (count (var "d" $. "supply")) (int 0))
-  in
-  let filter_plan pred = Plan.Filter { var = "p"; pred; input = Plan.Scan "PART" } in
-  let eq_plan id = Planner.plan (Strategy.optimize cat (Queries.to_adl (Queries.find id))) in
-  let plans =
-    [ filter_plan scalar_pred; filter_plan closed_pred; eq_plan "EQ5"; eq_plan "EQ6" ]
-  in
-  let run_all () = Value.set (List.map (Exec.run cat) plans) in
-  let with_mode flag () =
-    Exec.compile_params := flag;
-    Fun.protect ~finally:(fun () -> Exec.compile_params := true) run_all
-  in
-  [ ("interpreted", with_mode false); ("compiled", with_mode true) ]
-
 (* B12 — parallel scaling: the same fixed partitioned plans (a partitioned
    parallel join and a parallel PNHL) run with the domain pool sized to
    1/2/4/8 domains.  The partition counts live in the plan, not the pool,
@@ -393,112 +351,6 @@ let b12 n =
   List.map
     (fun k -> (Printf.sprintf "domains=%d" k, with_domains k run_both))
     par_scaling_domains
-
-(* B13 — materializing vs pipelined execution: identical plans run with
-   Exec.pipeline_exec off and on.  Every plan has at least two fused
-   interior operators, so the pipelined run kills at least two
-   intermediate lists per chain while the single [gather] at the root is
-   the only materialization left; counter totals and results are
-   mode-invariant by construction (sweep checks both, per "group:" pair).
-   The minor-words column is the experiment's point: "<group>:pipe" must
-   allocate strictly fewer minor words than "<group>:mat".  Batch mode is
-   forced off in both variants so the pair isolates pipelining alone —
-   b15 isolates batching on top of the pipelined baseline. *)
-let with_exec ~pipeline ~batch f () =
-  let prev_p = !Exec.pipeline_exec and prev_b = !Exec.batch_exec in
-  Exec.pipeline_exec := pipeline;
-  Exec.batch_exec := batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Exec.pipeline_exec := prev_p;
-      Exec.batch_exec := prev_b)
-    f
-
-let with_batch_size n f () =
-  let prev = !Batch.size in
-  Batch.set_size n;
-  Fun.protect ~finally:(fun () -> Batch.size := prev) f
-
-let b13 n =
-  let cat = Gen.catalog (clean n) in
-  (* Scan -> Filter -> Map -> Project: three fused unary operators. *)
-  let chain =
-    Plan.ProjectOp
-      ( [ "oid"; "pp" ],
-        Plan.MapOp
-          { var = "p";
-            body =
-              tuple
-                [ ("oid", var "p" $. "oid");
-                  ("pp", mul (var "p" $. "price") (int 2));
-                  ("color", var "p" $. "color") ];
-            input =
-              Plan.Filter
-                { var = "p"; pred = gt (var "p" $. "price") (int 5);
-                  input = Plan.Scan "PART" } } )
-  in
-  (* Hash join with both sides fused: the probe side streams through a
-     filter, the build side streams through a map straight into the hash
-     table (the map renames oid -> soid, as b6 does, so the concatenated
-     rows have no field collision). *)
-  let probe =
-    Plan.JoinOp
-      { algo = Plan.Hash; kind = Expr.Inner; xvar = "d"; yvar = "s";
-        keys = [ (var "d" $. "supplier", var "s" $. "soid") ];
-        residual = Expr.true_;
-        left =
-          Plan.Filter
-            { var = "d"; pred = ge (count (var "d" $. "supply")) (int 0);
-              input = Plan.Scan "DELIVERY" };
-        right =
-          Plan.MapOp
-            { var = "s";
-              body =
-                tuple
-                  [ ("soid", var "s" $. "oid"); ("sname", var "s" $. "sname") ];
-              input = Plan.Scan "SUPPLIER" } }
-  in
-  (* Both union branches push into one dedup sink. *)
-  let union_plan =
-    Plan.UnionOp
-      ( Plan.Filter
-          { var = "p"; pred = eq (var "p" $. "color") (str "red");
-            input = Plan.Scan "PART" },
-        Plan.Filter
-          { var = "p"; pred = gt (var "p" $. "price") (int 10);
-            input = Plan.Scan "PART" } )
-  in
-  (* Scan -> Filter -> Map -> Flatten over a set-valued attribute. *)
-  let flatten_plan =
-    Plan.FlattenOp
-      (Plan.MapOp
-         { var = "s"; body = var "s" $. "parts_supplied";
-           input =
-             Plan.Filter
-               { var = "s";
-                 pred = ge (count (var "s" $. "parts_supplied")) (int 1);
-                 input = Plan.Scan "SUPPLIER" } })
-  in
-  (* Parallel interop: the chunked parallel filter's per-chunk outputs
-     stream into the map's dedup sink without the concatenated list. *)
-  let par_plan =
-    Plan.MapOp
-      { var = "p";
-        body =
-          tuple
-            [ ("oid", var "p" $. "oid"); ("pp", mul (var "p" $. "price") (int 2)) ];
-        input =
-          Plan.ParFilter
-            { var = "p"; pred = gt (var "p" $. "price") (int 5);
-              input = Plan.Scan "PART" } }
-  in
-  List.concat_map
-    (fun (group, plan) ->
-      let t = plan_thunk cat plan in
-      [ (group ^ ":mat", with_exec ~pipeline:false ~batch:false t);
-        (group ^ ":pipe", with_exec ~pipeline:true ~batch:false t) ])
-    [ ("chain", chain); ("probe", probe); ("union", union_plan);
-      ("flatten", flatten_plan); ("par", par_plan) ]
 
 (* B14 — access paths and plan caching.  Three "group|mode" pairs compare
    an index access path against the full-scan plan for the same logical
@@ -590,103 +442,6 @@ let b14 n =
        Njq_engine.Plancache.clear ();
        Exec.run cat (prepared ()));
     ("cache|hit", fun () -> Exec.run cat (prepared ())) ]
-
-(* B15 — row-at-a-time vs batched pipelines: identical plans run with
-   Exec.batch_exec off and on (pipelining on in both, so the pair
-   isolates batching on top of the b13 baseline).  Every "<group>:batch"
-   variant must allocate strictly fewer minor words than its
-   "<group>:row" twin with identical counter totals and rows (sweep
-   checks the pair; json_check --bench enforces the allocation gap):
-   scans cut zero-copy windows over the catalog row array, vectorized
-   filters drop the per-row boxed VBool, selection vectors replace
-   survivor copies, and the single-key hash joins drop the per-row key
-   arrays on both sides.  The chain:/probe: groups also sweep batch
-   sizes 64/256/1024 (same group, so rows and counters must again be
-   identical) — the sweep behind the {!Batch.default_size} choice. *)
-let b15 n =
-  let cat = Gen.catalog (clean n) in
-  let catxy = Gen.xy_catalog ~seed:11 n in
-  (* Scan -> vectorized Filter -> Map (rowmaker) -> Project (sorted). *)
-  let chain =
-    Plan.ProjectOp
-      ( [ "oid"; "pp" ],
-        Plan.MapOp
-          { var = "p";
-            body =
-              tuple
-                [ ("oid", var "p" $. "oid");
-                  ("pp", mul (var "p" $. "price") (int 2));
-                  ("color", var "p" $. "color") ];
-            input =
-              Plan.Filter
-                { var = "p"; pred = gt (var "p" $. "price") (int 5);
-                  input = Plan.Scan "PART" } } )
-  in
-  (* Single-key hash inner join, both sides fused (b13's probe shape):
-     batch mode hashes the key value itself instead of one-element key
-     arrays on both the build and probe rows. *)
-  let probe =
-    Plan.JoinOp
-      { algo = Plan.Hash; kind = Expr.Inner; xvar = "d"; yvar = "s";
-        keys = [ (var "d" $. "supplier", var "s" $. "soid") ];
-        residual = Expr.true_;
-        left =
-          Plan.Filter
-            { var = "d"; pred = ge (count (var "d" $. "supply")) (int 0);
-              input = Plan.Scan "DELIVERY" };
-        right =
-          Plan.MapOp
-            { var = "s";
-              body =
-                tuple
-                  [ ("soid", var "s" $. "oid"); ("sname", var "s" $. "sname") ];
-              input = Plan.Scan "SUPPLIER" } }
-  in
-  (* Hash semi join over int keys: the probe side narrows its selection
-     vector in place — survivors are never copied. *)
-  let semi =
-    Plan.JoinOp
-      { algo = Plan.Hash; kind = Expr.Semi; xvar = "x"; yvar = "y";
-        keys = [ (var "x" $. "a", var "y" $. "d") ];
-        residual = Expr.true_;
-        left =
-          Plan.Filter
-            { var = "x"; pred = ge (var "x" $. "a") (int 1);
-              input = Plan.Scan "X" };
-        right = Plan.Scan "Y" }
-  in
-  (* Morsel-over-batch: one pool task per buffered batch, sharing one
-     vectorized kernel. *)
-  let par =
-    Plan.MapOp
-      { var = "p";
-        body =
-          tuple
-            [ ("oid", var "p" $. "oid"); ("pp", mul (var "p" $. "price") (int 2)) ];
-        input =
-          Plan.ParFilter
-            { var = "p"; pred = gt (var "p" $. "price") (int 5);
-              input = Plan.Scan "PART" } }
-  in
-  let groups =
-    [ ("chain", cat, chain); ("probe", cat, probe); ("semi", catxy, semi);
-      ("par", cat, par) ]
-  in
-  let modes (group, c, plan) =
-    let t = plan_thunk c plan in
-    [ (group ^ ":row", with_exec ~pipeline:true ~batch:false t);
-      (group ^ ":batch", with_exec ~pipeline:true ~batch:true t) ]
-  in
-  let sizes (group, c, plan) =
-    let t = plan_thunk c plan in
-    List.map
-      (fun bs ->
-        ( Printf.sprintf "%s:b%d" group bs,
-          with_batch_size bs (with_exec ~pipeline:true ~batch:true t) ))
-      [ 64; 256; 1024 ]
-  in
-  List.concat_map modes groups
-  @ List.concat_map sizes [ ("chain", cat, chain); ("probe", cat, probe) ]
 
 (* B16 — prepared-query serving: K=16 invocations of one prepared
    template executed one-at-a-time ("serve|one": bind constants into the
@@ -1070,11 +825,8 @@ let experiments =
     ("b8", "grouping alternatives: nestjoin vs outerjoin (fig 2)", b8);
     ("b9", "universal quantification: antijoin vs division (sec 5.2.1)", b9);
     ("b10", "grace partitioned hash join vs in-memory hash", b10);
-    ("b11", "compiled vs interpreted parameter expressions", b11);
     ("b12", "parallel scaling: fixed partitioned plans, 1/2/4/8 domains", b12);
-    ("b13", "materializing vs pipelined execution (same plans)", b13);
     ("b14", "access paths: index scans, index join, plan cache", b14);
-    ("b15", "row-at-a-time vs batched pipelines (same plans)", b15);
     ("b16", "prepared-query serving: one-at-a-time vs parameter batch", b16);
     ("b17", "join-order enumeration vs rewriter order (chain/star)", b17);
     ("b18", "larger-than-memory: spilling operators + binary catalog", b18) ]
@@ -1416,20 +1168,12 @@ let () =
          scales := [ n ]
        | _ -> Fmt.epr "--scale expects a positive integer@."; exit 1);
       parse picked rest
-    | "--batch-size" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n > 0 -> Batch.set_size n
-       | _ -> Fmt.epr "--batch-size expects a positive integer@."; exit 1);
-      parse picked rest
     | a :: rest -> parse (a :: picked) rest
   in
   let args = parse [] args in
   let work_only = List.mem "--work-only" args in
   let time_only = List.mem "--time-only" args in
   let json = List.mem "--json" args in
-  (* Smoke-test hook: run everything in materializing mode (b13's per-
-     variant flips still restore to this baseline afterwards). *)
-  if List.mem "--no-pipeline" args then Exec.pipeline_exec := false;
   let picked =
     List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
   in

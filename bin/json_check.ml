@@ -8,15 +8,11 @@
    (an empty array is data that silently went missing — the harness omits
    the key instead); every experiment must carry a non-empty "latency"
    section whose variants match the experiment's and whose percentiles are
-   ordered (p50 <= p90 <= p99 <= max); the b13 mode-contrast experiment
-   must show, for every "group:mat"/"group:pipe" variant pair at every
-   scale, identical counter totals and strictly fewer minor words
-   pipelined; the b15 batching experiment must show the same shape for
-   every "group:row"/"group:batch" pair (identical totals, strictly fewer
-   minor words batched); and the b14 access-path experiment must show, for
-   every "group|scan"/"group|idx" variant pair at every scale, a strictly
-   lower work total on the index side, its "cache|hit" span summary must
-   carry none of the derivation spans (translate/rewrite/plan) that
+   ordered (p50 <= p90 <= p99 <= max); the b14 access-path experiment
+   must show, for every "group|scan"/"group|idx" variant pair at every
+   scale, a strictly lower work total on the index side, its "cache|hit"
+   span summary must carry none of the derivation spans
+   (translate/rewrite/plan) that
    "cache|cold" pays, and the cache hit must be faster than the cold
    derivation — on bechamel wall-clock rows when "time" is present, on
    latency p50 otherwise.  The b16 serving experiment must show the
@@ -185,9 +181,7 @@ let check_bench file =
     (fun k -> if Json.member k doc = None then fail "%s: missing top-level key %S" file k)
     [ "bench_scale"; "scales"; "experiments" ];
   let experiments = as_list "experiments" (get "document" "experiments" doc) in
-  let b13_rows = ref 0 in
   let b14_rows = ref 0 in
-  let b15_rows = ref 0 in
   let b16_rows = ref 0 in
   let b17_rows = ref 0 in
   let b18_rows = ref 0 in
@@ -240,52 +234,6 @@ let check_bench file =
           List.iter
             (fun w -> if w < 0.0 then fail "%s: %s: negative allocation" file ctx)
             (minor @ major);
-          if String.equal id "b13" then begin
-            incr b13_rows;
-            List.iteri
-              (fun i v ->
-                match String.index_opt v ':' with
-                | Some c when String.equal (String.sub v c (String.length v - c)) ":mat"
-                  ->
-                  let group = String.sub v 0 c in
-                  (match index_of (group ^ ":pipe") with
-                   | None -> fail "%s: %s: %s has no :pipe twin" file ctx v
-                   | Some j ->
-                     if List.nth totals i <> List.nth totals j then
-                       fail "%s: %s: %s work total differs between modes" file
-                         ctx group;
-                     if not (List.nth minor j < List.nth minor i) then
-                       fail
-                         "%s: %s: %s:pipe minor words (%.0f) not strictly below \
-                          %s:mat (%.0f)"
-                         file ctx group (List.nth minor j) group
-                         (List.nth minor i))
-                | _ -> ())
-              variants
-          end;
-          if String.equal id "b15" then begin
-            incr b15_rows;
-            List.iteri
-              (fun i v ->
-                match String.index_opt v ':' with
-                | Some c when String.equal (String.sub v c (String.length v - c)) ":row"
-                  ->
-                  let group = String.sub v 0 c in
-                  (match index_of (group ^ ":batch") with
-                   | None -> fail "%s: %s: %s has no :batch twin" file ctx v
-                   | Some j ->
-                     if List.nth totals i <> List.nth totals j then
-                       fail "%s: %s: %s work total differs between modes" file
-                         ctx group;
-                     if not (List.nth minor j < List.nth minor i) then
-                       fail
-                         "%s: %s: %s:batch minor words (%.0f) not strictly below \
-                          %s:row (%.0f)"
-                         file ctx group (List.nth minor j) group
-                         (List.nth minor i))
-                | _ -> ())
-              variants
-          end;
           if String.equal id "b16" then begin
             incr b16_rows;
             (* One batched execution of the K merged invocations must do
@@ -543,12 +491,8 @@ let check_bench file =
         | _ -> ()
       end)
     experiments;
-  if !b13_rows = 0 then
-    fail "%s: no b13 work rows (mode-contrast experiment missing or empty)" file;
   if !b14_rows = 0 then
     fail "%s: no b14 work rows (access-path experiment missing or empty)" file;
-  if !b15_rows = 0 then
-    fail "%s: no b15 work rows (batching experiment missing or empty)" file;
   if !b16_rows = 0 then
     fail "%s: no b16 work rows (serving experiment missing or empty)" file;
   if !b17_rows = 0 then

@@ -76,17 +76,6 @@ let domains_arg =
 
 let apply_domains k = if k > 0 then Njq_engine.Pool.set_domains k
 
-let batch_size_arg =
-  let doc =
-    "Rows per batch in the batched executor (defaults to the NJQ_BATCH \
-     environment variable, else 256).  0 (the default) keeps the current \
-     setting; 1 degenerates to single-row batches.  Results are \
-     identical at every size."
-  in
-  Arg.(value & opt int 0 & info [ "batch-size" ] ~docv:"N" ~doc)
-
-let apply_batch n = if n > 0 then Njq_engine.Batch.set_size n
-
 let mem_budget_arg =
   let doc =
     "Engine memory budget in build-side rows, with an optional k or m \
@@ -108,13 +97,6 @@ let apply_mem_budget = function
        Fmt.epr "--mem-budget: expected a positive row count like 4096 or \
                 1k, got %S@." s;
        exit 1)
-
-(* The active batch size for EXPLAIN's pipeline rendering, [None] when
-   the batched executor cannot engage (either flag off). *)
-let explain_batch () =
-  if !Njq_engine.Exec.pipeline_exec && !Njq_engine.Exec.batch_exec then
-    Some !Njq_engine.Batch.size
-  else None
 
 let counters_arg =
   let doc = "Print work counters after execution." in
@@ -430,10 +412,9 @@ let pp_enumeration ppf regions =
 
 let explain_cmd =
   let run q scale seed dangling empty mode analyze cost json trace_out domains
-      batch_size indexes raw_adl no_reorder mem_budget =
+      indexes raw_adl no_reorder mem_budget =
     or_die (fun () ->
         apply_domains domains;
-        apply_batch batch_size;
         apply_mem_budget mem_budget;
         let tracing = json || Option.is_some trace_out in
         if tracing then Span.start_tracing ();
@@ -520,9 +501,7 @@ let explain_cmd =
                  ("plan", Json.Str (Fmt.str "%a" Njq_engine.Plan.pp plan));
                  ("pipelines",
                   Json.Str
-                    (Fmt.str "%a"
-                       (Njq_engine.Plan.pp_pipelines ?batch:(explain_batch ()))
-                       plan));
+                    (Fmt.str "%a" Njq_engine.Plan.pp_pipelines plan));
                  ("enumeration", enumeration_json regions);
                  ("derivation", Njq_obs.Export.spans_to_json spans) ]
               @
@@ -551,8 +530,7 @@ let explain_cmd =
               !Njq_engine.Memory.budget
               (Njq_engine.Rowcodec.temp_dir ());
           Fmt.pr "@.pipelines (~> fused edge, => materialized edge):@.%a"
-            (Njq_engine.Plan.pp_pipelines ?batch:(explain_batch ()))
-            plan;
+            Njq_engine.Plan.pp_pipelines plan;
           if not no_reorder then Fmt.pr "@.%a" pp_enumeration regions;
           match analysis with
           | None -> ()
@@ -570,7 +548,7 @@ let explain_cmd =
     Term.(
       const run $ query_arg $ scale_arg $ seed_arg $ dangling_arg $ empty_arg
       $ mode_arg $ analyze_arg $ cost_arg $ json_arg $ trace_out_arg
-      $ domains_arg $ batch_size_arg $ index_arg $ adl_flag_arg
+      $ domains_arg $ index_arg $ adl_flag_arg
       $ no_reorder_arg $ mem_budget_arg)
 
 let refresh_arg =
@@ -634,10 +612,9 @@ let format_arg =
 
 let run_cmd =
   let run q scale seed dangling empty mode no_opt counters db save_db format
-      schema_file domains batch_size indexes qlog slow_ms mem_budget =
+      schema_file domains indexes qlog slow_ms mem_budget =
     or_die (fun () ->
         apply_domains domains;
-        apply_batch batch_size;
         apply_mem_budget mem_budget;
         let cat = make_catalog ?db ?save_db ?schema_file scale seed dangling empty in
         apply_indexes cat indexes;
@@ -692,7 +669,7 @@ let run_cmd =
     Term.(
       const run $ query_arg $ scale_arg $ seed_arg $ dangling_arg $ empty_arg
       $ mode_arg $ no_opt_arg $ counters_arg $ db_arg $ save_db_arg
-      $ format_arg $ schema_arg $ domains_arg $ batch_size_arg $ index_arg
+      $ format_arg $ schema_arg $ domains_arg $ index_arg
       $ qlog_arg $ slow_ms_arg $ mem_budget_arg)
 
 let adl_cmd =
@@ -941,11 +918,10 @@ let parse_param_value s =
 
 let serve_cmd =
   let run q scale seed dangling empty mode no_opt db schema_file domains
-      batch_size indexes clients requests burst window no_batching params
+      indexes clients requests burst window no_batching params
       json qlog slow_ms mem_budget =
     or_die (fun () ->
         apply_domains domains;
-        apply_batch batch_size;
         apply_mem_budget mem_budget;
         let cat = make_catalog ?db ?schema_file scale seed dangling empty in
         apply_indexes cat indexes;
@@ -1084,7 +1060,7 @@ let serve_cmd =
     Term.(
       const run $ template_arg $ scale_arg $ seed_arg $ dangling_arg
       $ empty_arg $ mode_arg $ no_opt_arg $ db_arg $ schema_arg $ domains_arg
-      $ batch_size_arg $ index_arg $ clients_arg $ requests_arg $ burst_arg
+      $ index_arg $ clients_arg $ requests_arg $ burst_arg
       $ window_arg $ no_batching_arg $ params_arg $ json_arg $ qlog_arg
       $ slow_ms_arg $ mem_budget_arg)
 

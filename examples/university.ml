@@ -54,9 +54,9 @@ let () =
   let report = Njq_core.Strategy.rewrite cat adl in
   Fmt.pr "Rewritten: %a@.@." Pretty.pp report.Njq_core.Strategy.output;
   let plan = Njq_engine.Planner.plan report.Njq_core.Strategy.output in
-  let result, node_reports = Njq_engine.Instrument.run cat plan in
+  let result, profile = Njq_engine.Profile.run cat plan in
   Fmt.pr "Result: %a@.@." Value.pp result;
-  Fmt.pr "Execution profile:@.%a@." Njq_engine.Instrument.pp_report node_reports;
+  Fmt.pr "Execution profile:@.%a@." Njq_engine.Profile.pp profile;
   assert (Value.equal result (Eval.run cat adl));
 
   (* 3. Grouping: per student, the enrolled course titles — a nestjoin. *)

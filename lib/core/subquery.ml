@@ -44,37 +44,44 @@ let is_candidate x (sq : t) =
   && Analysis.is_free x sq.occurrence
 
 (* Find the outermost correlated base-table subquery of [x] within predicate
-   or body [p], skipping subtrees in which [x] is shadowed by a binder. *)
+   or body [p], skipping subtrees in which [x] is shadowed by a binder.
+   [bound] holds the binders passed on the way down: a candidate that
+   mentions one of them cannot be moved out of that binder's scope. *)
 let find x (p : Expr.t) : t option =
   let exception Found of t in
-  let rec go e =
+  let rec go bound e =
     (match recognize e with
-     | Some sq when is_candidate x sq -> raise (Found sq)
+     | Some sq
+       when is_candidate x sq
+            && not (List.exists (fun v -> Analysis.is_free v sq.occurrence) bound)
+       ->
+       raise (Found sq)
      | _ -> ());
     match e with
     | Quant (_, v, range, pred) ->
-      go range;
-      if not (String.equal v x) then go pred
+      go bound range;
+      if not (String.equal v x) then go (v :: bound) pred
     | Map { var; body; src } ->
-      go src;
-      if not (String.equal var x) then go body
+      go bound src;
+      if not (String.equal var x) then go (var :: bound) body
     | Select { var; pred; src } ->
-      go src;
-      if not (String.equal var x) then go pred
+      go bound src;
+      if not (String.equal var x) then go (var :: bound) pred
     | Join { xvar; yvar; pred; left; right; _ } ->
-      go left;
-      go right;
-      if not (String.equal xvar x || String.equal yvar x) then go pred
+      go bound left;
+      go bound right;
+      if not (String.equal xvar x || String.equal yvar x) then
+        go (xvar :: yvar :: bound) pred
     | Nestjoin { xvar; yvar; pred; body; left; right; _ } ->
-      go left;
-      go right;
+      go bound left;
+      go bound right;
       if not (String.equal xvar x || String.equal yvar x) then begin
-        go pred;
-        go body
+        go (xvar :: yvar :: bound) pred;
+        go (xvar :: yvar :: bound) body
       end
-    | _ -> ignore (Expr.fold_children (fun () c -> go c) () e)
+    | _ -> ignore (Expr.fold_children (fun () c -> go bound c) () e)
   in
-  match go p with () -> None | exception Found sq -> Some sq
+  match go [] p with () -> None | exception Found sq -> Some sq
 
 (* Schema of a closed table expression, via type inference. *)
 let schema_of cat (e : Expr.t) : string list option =

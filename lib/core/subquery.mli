@@ -23,7 +23,8 @@ val recognize : Expr.t -> t option
 val is_candidate : string -> t -> bool
 
 (** Outermost correlated base-table subquery of [x] within a parameter
-    expression, skipping subtrees where [x] is shadowed. *)
+    expression, skipping subtrees where [x] is shadowed and candidates
+    that mention a variable bound between [x] and the occurrence. *)
 val find : string -> Expr.t -> t option
 
 (** Schema (attribute names) of a closed table expression, via type

@@ -1,9 +1,9 @@
 (* Column batches with selection vectors for the push-based executor.
 
-   The row-at-a-time pipelines of [Exec.push_node] pay per-row taxes that
-   have nothing to do with the query: a boxed [Value.VBool] per compiled
-   predicate evaluation, a [List.sort] inside [Value.tuple] per mapped row,
-   an assoc scan per projected attribute.  A batch amortizes those taxes
+   Pushing one row at a time pays per-row taxes that have nothing to do
+   with the query: a boxed [Value.VBool] per compiled predicate
+   evaluation, a [List.sort] inside [Value.tuple] per mapped row, an
+   assoc scan per projected attribute.  A batch amortizes those taxes
    over N rows:
 
    - the physical rows stay [Value.t] (the reference semantics — batches
@@ -22,8 +22,8 @@
 
    Decoding is per batch and failure-safe: if extracting an attribute
    raises (missing field, non-tuple row), the kernel falls back to per-row
-   evaluation so the exception surfaces on exactly the row where the
-   row-at-a-time executor would raise it.  Comparisons themselves are pure
+   evaluation so the exception surfaces on exactly the row where [Eval]
+   would raise it.  Comparisons themselves are pure
    ([Value.compare] is total), so a successful decode cannot change
    results, only their cost. *)
 
@@ -33,19 +33,11 @@ open Njq_adl
 (* Batch size                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let default_size = 256
-
-(* Rows per batch.  256 is the measured sweet spot of the b15 sweep
-   (64/256/1024, see EXPERIMENTS.md); [NJQ_BATCH] and [--batch-size]
-   override it. *)
-let size =
-  ref
-    (match Sys.getenv_opt "NJQ_BATCH" with
-     | Some s ->
-       (try max 1 (int_of_string (String.trim s)) with _ -> default_size)
-     | None -> default_size)
-
-let set_size n = size := max 1 n
+(* Rows per batch.  256 is the measured sweet spot of the sweep over
+   batch sizes 64/256/1024 (EXPERIMENTS.md B15).  Results do not depend
+   on it; only the tests set it, to exercise singleton and ragged
+   batches. *)
+let size = ref 256
 
 (* ------------------------------------------------------------------ *)
 (* The batch record                                                    *)
@@ -228,7 +220,7 @@ let rec kernel b (vp : Compile.vpred) : int -> bool =
     (match column b attr with
      | None ->
        (* Extraction fails somewhere: evaluate per row so the error
-          surfaces on exactly the row the row-at-a-time path raises on. *)
+          surfaces on exactly the row [Eval] raises on. *)
        fun j -> Eval.eval_cmp op (Value.field (get b j) attr) c
      | Some (CInt arr) ->
        (match c with

@@ -13,14 +13,10 @@ open Njq_adl
 
 (** {1 Batch size} *)
 
-val default_size : int
-
-(** Rows per batch.  Initialized from [NJQ_BATCH] when set (else
-    {!default_size}); [--batch-size] overrides via {!set_size}. *)
+(** Rows per batch, 256.  Rows, their order and counter totals do not
+    depend on it; tests set it (to at least 1) to exercise singleton and
+    ragged batches. *)
 val size : int ref
-
-(** Clamped to at least 1. *)
-val set_size : int -> unit
 
 (** {1 Batches}
 
@@ -114,7 +110,6 @@ module Vec : sig
   type t
 
   val create : int -> t
-  val push : t -> Value.t -> unit
 
   (** Append all surviving rows of a batch. *)
   val push_batch : t -> batch -> unit

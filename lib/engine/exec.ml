@@ -8,26 +8,26 @@
    Parameter expressions (join keys, filter predicates, residuals, map and
    nestjoin bodies) are compiled once per operator into closures
    ([Njq_adl.Compile]) before iterating, so no per-tuple AST dispatch or
-   environment allocation remains in the loops; flipping [compile_params]
-   reverts to per-tuple reference evaluation for measurement.  Set results
-   are deduplicated with a hash set over the memoized [Value.hash] instead
-   of a full sort.
+   environment allocation remains in the loops.  Set results are
+   deduplicated with a hash set over the memoized [Value.hash] instead of
+   a full sort.
 
-   Execution is push-based and pipelined by default: every operator that
-   can stream ([Plan.streams_output]) compiles to an emitter that pushes
-   rows into its consumer's callback, so a Scan -> Filter -> Map -> probe
-   chain runs as one fused loop with no intermediate lists.  Pipeline
-   breakers materialize only where semantics demand it: hash build sides
-   (straight into the table, no build list), sort-merge inputs, NestOp
-   grouping, division, PNHL/Grace partitioning and the parallel operators'
-   partition buffers.  Flipping [pipeline_exec] reverts to
-   materialize-every-edge execution; both modes produce identical row
-   lists (same rows, same order) and identical counter totals, which the
-   bench harness and the agreement test suite assert.
+   One executor, batched push.  Every operator that can stream
+   ([Plan.streams_output]) pushes [Batch.t] column batches into its
+   consumer, so a Scan -> Filter -> Map -> probe chain runs as one fused
+   loop with no intermediate lists: scans cut zero-copy windows out of the
+   catalog's row array, filters narrow selection vectors, and comparison
+   predicates run over decoded typed columns.  Operators without a batched
+   form (index joins, nested-loop joins, member joins, unnest, assembly)
+   are row emitters feeding a batch builder.  Pipeline breakers
+   materialize only where semantics demand it: hash build sides (straight
+   into the table, no build list), sort-merge inputs, NestOp grouping,
+   division, PNHL/Grace partitioning and the parallel operators' partition
+   buffers.  Each [Plan.t] operator has exactly one implementation here.
 
-   Work counters tick exactly once per logical event in either mode, so
-   counter totals are mode-invariant and remain pool-size-invariant (see
-   DESIGN.md sections 7 and 8).
+   Work counters tick exactly once per logical event, so counter totals
+   depend on neither the batch size nor the pool size (see DESIGN.md
+   sections 7 and 8).
 
    Larger-than-memory execution: when a Grace/PNHL partition count exceeds
    one, partitions are real spill files ([Rowcodec]) processed one resident
@@ -79,87 +79,32 @@ end
 
 module KTbl = Hashtbl.Make (Key)
 
-(* Parameter-expression mode: [true] (default) compiles each operator's
-   parameter expressions once into closures; [false] falls back to
-   per-tuple reference evaluation.  The bench harness flips the flag to
-   measure the compiled layer's win on identical plans. *)
-let compile_params = ref true
-
-(* Execution mode: [true] (default) pushes rows through fused operator
-   chains; [false] materializes every operator boundary as a full list,
-   as the engine did before the pipelined executor existed.  Results and
-   counter totals are identical either way — the flag exists so the bench
-   harness can contrast the two modes on identical plans (b13). *)
-let pipeline_exec = ref true
-
-(* Batch mode: [true] (default) moves rows through fused chains as
-   [Batch.t] column batches — scans cut zero-copy windows out of the
-   catalog's row array, filters mark survivors in selection vectors, and
-   comparison predicates run over decoded typed columns.  Only reachable
-   under [pipeline_exec]; rows, order and counter totals are identical to
-   the row-at-a-time pipelines (the b15 contract), so the flag exists for
-   the bench harness and as an escape hatch. *)
-let batch_exec = ref true
-
-let param1 cat ~var e =
-  if !compile_params then Compile.expr1 cat ~var e
-  else fun v -> Eval.eval cat [ (var, v) ] e
-
-let pred1 cat ~var e =
-  if !compile_params then Compile.pred1 cat ~var e
-  else fun v -> Eval.run_pred cat [ (var, v) ] e
-
-let param2 cat ~vars:((a, b) as vars) e =
-  if !compile_params then Compile.expr2 cat ~vars e
-  else fun va vb -> Eval.eval cat [ (a, va); (b, vb) ] e
-
-let pred2 cat ~vars:((a, b) as vars) e =
-  if !compile_params then Compile.pred2 cat ~vars e
-  else fun va vb -> Eval.run_pred cat [ (a, va); (b, vb) ] e
-
-(* Spawner variants for the parallel operators: compiled closures carry a
-   per-instance slot buffer, so a partition task running on a pool domain
-   must mint its own instance ([Compile]'s spawners share the compiled
-   code, which is immutable).  The interpreted fallback is stateless and
-   spawns itself. *)
-
-let param1_spawner cat ~var e =
-  if !compile_params then Compile.expr1_spawner cat ~var e
-  else fun () v -> Eval.eval cat [ (var, v) ] e
-
-let pred1_spawner cat ~var e =
-  if !compile_params then Compile.pred1_spawner cat ~var e
-  else fun () v -> Eval.run_pred cat [ (var, v) ] e
-
-let param2_spawner cat ~vars:((a, b) as vars) e =
-  if !compile_params then Compile.expr2_spawner cat ~vars e
-  else fun () va vb -> Eval.eval cat [ (a, va); (b, vb) ] e
-
-let pred2_spawner cat ~vars:((a, b) as vars) e =
-  if !compile_params then Compile.pred2_spawner cat ~vars e
-  else fun () va vb -> Eval.run_pred cat [ (a, va); (b, vb) ] e
-
 (* Compiled extractor for one side of the equi-join keys. *)
 let key_fns cat var side keys =
   let fns =
     Array.of_list
       (List.map
          (fun (kx, ky) ->
-           param1 cat ~var (match side with `Left -> kx | `Right -> ky))
+           Compile.expr1 cat ~var (match side with `Left -> kx | `Right -> ky))
          keys)
   in
   fun row -> Array.map (fun f -> f row) fns
 
 let residual_fn cat xvar yvar residual =
   if Expr.is_true residual then fun _ _ -> true
-  else pred2 cat ~vars:(xvar, yvar) residual
+  else Compile.pred2 cat ~vars:(xvar, yvar) residual
 
+(* Spawner variants for the parallel operators: compiled closures carry a
+   per-instance slot buffer, so a partition task running on a pool domain
+   must mint its own instance ([Compile]'s spawners share the compiled
+   code, which is immutable). *)
 let key_fns_spawner cat var side keys =
   let spawners =
     Array.of_list
       (List.map
          (fun (kx, ky) ->
-           param1_spawner cat ~var (match side with `Left -> kx | `Right -> ky))
+           Compile.expr1_spawner cat ~var
+             (match side with `Left -> kx | `Right -> ky))
          keys)
   in
   fun () ->
@@ -168,7 +113,7 @@ let key_fns_spawner cat var side keys =
 
 let residual_spawner cat xvar yvar residual =
   if Expr.is_true residual then fun () _ _ -> true
-  else pred2_spawner cat ~vars:(xvar, yvar) residual
+  else Compile.pred2_spawner cat ~vars:(xvar, yvar) residual
 
 (* Resolve the catalog index an access-path node refers to.  The planner
    only emits nodes for indexes it found in the catalog, so a miss means
@@ -257,18 +202,6 @@ let par_task name task i =
 (* Non-negative partition index from a value hash ([Value.hash] can go
    negative through multiplicative overflow). *)
 let bucket_of_hash h partitions = (h land max_int) mod partitions
-
-(* Contiguous chunk boundaries for the parallel scan-shaped operators: the
-   chunk count adapts to the pool (it cannot affect results — chunks are
-   re-concatenated in order — only load balance). *)
-let par_chunks n =
-  let d = Pool.domains () in
-  if n <= 1 || d <= 1 then [| (0, n) |]
-  else begin
-    let k = min n (d * 4) in
-    let size = (n + k - 1) / k in
-    Array.init k (fun i -> (i * size, min n ((i + 1) * size)))
-  end
 
 (* Initial hash-table size for a build side, from the planner's cardinality
    estimate instead of an extra O(n) [List.length] pass over the already
@@ -402,8 +335,8 @@ let alloc_words () =
 (* executes unchanged, so row counts, counter totals and algorithmic      *)
 (* behaviour are exactly those of an unprofiled run.  Children charge     *)
 (* their inclusive totals to the parent frame, so exclusive (self) time,  *)
-(* work and allocation fall out by subtraction.  Under pipelined          *)
-(* execution a fused chain runs as one loop: the node that owns the loop  *)
+(* work and allocation fall out by subtraction.  A fused chain runs as   *)
+(* one loop: the node that owns the loop                                  *)
 (* (the one [rows] was called on) gets the bracketed sample, and every    *)
 (* operator fused into it still records a sample with its exact output    *)
 (* row count but zero time/work/allocation — the owner's exclusive        *)
@@ -464,129 +397,51 @@ let merge_work op a b =
 let add_work = merge_work ( + )
 let sub_work = merge_work ( - )
 
+(* Materialize [p]'s full row list.  Leaves return their list directly;
+   breakers run list-at-a-time over materialized inputs; every streaming
+   node ([Plan.streams_output]) runs as one fused batched loop collected
+   by [gather]. *)
 let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
   match p with
   | Plan.Scan name ->
     let rs = Catalog.rows cat name in
     M.incr ~n:(List.length rs) c_scan_row;
     rs
-  | Plan.Filter { var; pred; input } ->
-    let pred = pred1 cat ~var pred in
-    List.filter
-      (fun row ->
-        M.incr c_filter_eval;
-        pred row)
-      (rows cat input)
   | Plan.IndexScan { index; var; lookup; residual; rename; _ } ->
     let ren = renamer rename in
     let matched = List.map ren (index_fetch cat (find_index cat index) lookup) in
     if Expr.is_true residual then matched
     else begin
-      let pred = pred1 cat ~var residual in
+      let pred = Compile.pred1 cat ~var residual in
       List.filter
         (fun row ->
           M.incr c_filter_eval;
           pred row)
         matched
     end
-  | Plan.IndexJoin { kind; xvar; yvar; index; keys; residual; rename; left; _ }
-    ->
-    let idx = find_index cat index in
-    let ren = renamer rename in
-    let xkey = key_fns cat xvar `Left (List.map (fun e -> (e, e)) keys) in
-    let residual = residual_fn cat xvar yvar residual in
-    let probe x = List.map ren (Catalog.index_lookup_eq cat idx (xkey x)) in
-    let matches x = List.filter (residual x) (probe x) in
-    let has_match x = List.exists (residual x) (probe x) in
-    let xs = rows cat left in
-    (match kind with
-     | Expr.Inner ->
-       dedup
-         (List.concat_map (fun x -> List.map (Value.concat x) (matches x)) xs)
-     | Expr.Semi -> List.filter has_match xs
-     | Expr.Anti -> List.filter (fun x -> not (has_match x)) xs
-     | Expr.LeftOuter _ -> exec_error "index join does not support outer joins")
-  | Plan.MapOp { var; body; input } ->
-    let body = param1 cat ~var body in
-    dedup (List.map body (rows cat input))
-  | Plan.ProjectOp (attrs, input) ->
-    dedup (List.map (fun row -> Value.project row attrs) (rows cat input))
-  | Plan.FlattenOp input ->
-    dedup (List.concat_map Value.as_set (rows cat input))
-  | Plan.UnionOp (a, b) ->
-    (* Both sides feed one dedup sink: the former [rows a @ rows b]
-       re-consed the entire left result just to glue the lists before a
-       separate dedup pass. *)
-    let seen = VTbl.create 64 in
-    let acc = ref [] in
-    let add v =
-      if not (VTbl.mem seen v) then begin
-        VTbl.add seen v ();
-        acc := v :: !acc
-      end
-    in
-    push cat a add;
-    push cat b add;
-    List.rev !acc
-  | Plan.InterOp (a, b) ->
-    let tbl = VTbl.create (tbl_size cat b) in
-    List.iter (fun v -> VTbl.replace tbl v ()) (rows cat b);
-    List.filter (VTbl.mem tbl) (rows cat a)
-  | Plan.DiffOp (a, b) ->
-    let tbl = VTbl.create (tbl_size cat b) in
-    List.iter (fun v -> VTbl.replace tbl v ()) (rows cat b);
-    List.filter (fun v -> not (VTbl.mem tbl v)) (rows cat a)
-  | Plan.ProductOp (a, b) ->
-    let ys = rows cat b in
-    dedup
-      (List.concat_map
-         (fun x -> List.map (fun y -> Value.concat x y) ys)
-         (rows cat a))
-  | Plan.JoinOp { algo; kind; xvar; yvar; keys; residual; left; right } ->
-    exec_join cat algo kind xvar yvar keys residual left right
-  | Plan.NestjoinOp { algo; xvar; yvar; keys; residual; body; attr; left; right } ->
-    exec_nestjoin cat algo xvar yvar keys residual body attr left right
-  | Plan.MemberJoin { kind; xvar; yvar; xset; elem_var; elem_key; ykey; left; right }
+  | Plan.EvalOp e -> Value.as_set (Eval.run cat e)
+  | Plan.Materialized rows -> rows
+  | Plan.JoinOp
+      { algo = Plan.Sort_merge; kind; xvar; yvar; keys; residual; left; right }
     ->
     let xs = rows cat left and ys = rows cat right in
-    let ykey = param1 cat ~var:yvar ykey in
-    let xset = param1 cat ~var:xvar xset in
-    let elem_key = param2 cat ~vars:(elem_var, xvar) elem_key in
-    let tbl = VTbl.create (tbl_size cat right) in
-    List.iter
-      (fun y ->
-        M.incr c_hash_build;
-        VTbl.add tbl (ykey y) y)
-      ys;
-    let matches x =
-      List.concat_map
-        (fun e ->
-          M.incr c_hash_probe;
-          VTbl.find_all tbl (elem_key e x))
-        (Value.as_set (xset x))
-    in
-    (* Semi/anti probes stop at the first matching element instead of
-       materializing every match; only the probes performed are ticked. *)
-    let has_match x =
-      List.exists
-        (fun e ->
-          M.incr c_hash_probe;
-          VTbl.mem tbl (elem_key e x))
-        (Value.as_set (xset x))
-    in
-    (match kind with
-     | Plan.MSemi -> List.filter has_match xs
-     | Plan.MAnti -> List.filter (fun x -> not (has_match x)) xs
-     | Plan.MInner ->
-       dedup (List.concat_map (fun x -> List.map (Value.concat x) (matches x)) xs)
-     | Plan.MNest { body; attr } ->
-       let body = param2 cat ~vars:(xvar, yvar) body in
-       List.map
-         (fun x ->
-           let ms = dedup (matches x) in
-           let projected = List.map (fun y -> body x y) ms in
-           Value.concat x (Value.tuple [ (attr, Value.set projected) ]))
-         xs)
+    (match keys, kind with
+     | [], _ -> exec_error "hash/sort-merge join without equi keys"
+     | k :: _, Expr.Inner -> sort_merge_join cat xvar yvar k residual keys xs ys
+     | _ :: _, _ -> exec_error "sort-merge supports only inner joins")
+  | Plan.NestjoinOp
+      {
+        algo = Plan.Sort_merge;
+        xvar;
+        yvar;
+        keys;
+        residual;
+        body;
+        attr;
+        left;
+        right;
+      } ->
+    sort_merge_nestjoin cat xvar yvar keys residual body attr left right
   | Plan.GraceJoin { kind; xvar; yvar; keys; residual; mem_budget; left; right }
     ->
     if mem_budget <= 0 then exec_error "grace join: memory budget must be positive";
@@ -599,7 +454,8 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
       | k :: _ -> k
       | [] -> exec_error "grace join without equi keys"
     in
-    let kx0 = param1 cat ~var:xvar kx0 and ky0 = param1 cat ~var:yvar ky0 in
+    let kx0 = Compile.expr1 cat ~var:xvar kx0
+    and ky0 = Compile.expr1 cat ~var:yvar ky0 in
     (* Compile keys and residual once; every partition pair reuses them. *)
     let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
     let residual = residual_fn cat xvar yvar residual in
@@ -609,31 +465,6 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
     grace_partitioned kind ~kx0 ~ky0 ~xkey ~ykey ~residual ~build_hint
       ~mem_budget ~depth:0 xs ys (List.length ys) out;
     dedup !out
-  | Plan.RenameOp (pairs, input) ->
-    List.map
-      (fun row ->
-        Value.tuple
-          (List.map
-             (fun (n, v) ->
-               match List.assoc_opt n pairs with
-               | Some n' -> (n', v)
-               | None -> (n, v))
-             (Value.as_tuple row)))
-      (rows cat input)
-  | Plan.UnnestOp (a, input) ->
-    let as_row inner =
-      match inner with
-      | Value.VTuple _ -> inner
-      | atom -> Value.tuple [ (a, atom) ]
-    in
-    dedup
-      (List.concat_map
-         (fun row ->
-           let rest = Value.project_away row [ a ] in
-           List.map
-             (fun inner -> Value.concat (as_row inner) rest)
-             (Value.as_set (Value.field row a)))
-         (rows cat input))
   | Plan.NestOp { attrs; into; input } ->
     (* Grouping is a breaker (all input must arrive before any group is
        complete), but the input still streams straight into the group
@@ -689,12 +520,6 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
          candidates)
   | Plan.Pnhl { attr; elem_key; row_key; into; mem_budget; left; right } ->
     exec_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right
-  | Plan.Assembly { cls; ref_attr; into; input } ->
-    List.map
-      (fun row ->
-        let obj = Catalog.deref cat cls (Value.field row ref_attr) in
-        Value.except row [ (into, obj) ])
-      (rows cat input)
   | Plan.ParJoinOp { kind; xvar; yvar; keys; residual; partitions; left; right }
     ->
     let kx0, ky0 =
@@ -703,7 +528,8 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
       | [] -> exec_error "parallel join without equi keys"
     in
     let partitions = max 1 partitions in
-    let kx0 = param1 cat ~var:xvar kx0 and ky0 = param1 cat ~var:yvar ky0 in
+    let kx0 = Compile.expr1 cat ~var:xvar kx0
+    and ky0 = Compile.expr1 cat ~var:yvar ky0 in
     let xparts = partition_push cat kx0 partitions left
     and yparts = partition_push cat ky0 partitions right in
     let xkey_s = key_fns_spawner cat xvar `Left keys
@@ -725,13 +551,14 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
       | [] -> exec_error "parallel nestjoin without equi keys"
     in
     let partitions = max 1 partitions in
-    let kx0 = param1 cat ~var:xvar kx0 and ky0 = param1 cat ~var:yvar ky0 in
+    let kx0 = Compile.expr1 cat ~var:xvar kx0
+    and ky0 = Compile.expr1 cat ~var:yvar ky0 in
     let xparts = partition_push cat kx0 partitions left
     and yparts = partition_push cat ky0 partitions right in
     let xkey_s = key_fns_spawner cat xvar `Left keys
     and ykey_s = key_fns_spawner cat yvar `Right keys in
     let residual_s = residual_spawner cat xvar yvar residual in
-    let body_s = param2_spawner cat ~vars:(xvar, yvar) body in
+    let body_s = Compile.expr2_spawner cat ~vars:(xvar, yvar) body in
     let build_hint = max 16 (tbl_size cat right / partitions) in
     (* Every left row is in exactly one partition, and all right rows with
        its key are in the same one, so its match group is complete there. *)
@@ -762,94 +589,41 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
     List.concat (Array.to_list parts_out)
   | Plan.ParPnhl { attr; elem_key; row_key; into; mem_budget; left; right } ->
     exec_par_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right
-  | Plan.ParFilter { var; pred; input } ->
-    let xs = Array.of_list (rows cat input) in
-    let pred_s = pred1_spawner cat ~var pred in
-    let chunks = par_chunks (Array.length xs) in
-    let outs =
-      Pool.run (Array.length chunks)
-        (par_task "task:par_filter" (fun c ->
-             let pred = pred_s () in
-             let lo, hi = chunks.(c) in
-             let acc = ref [] in
-             for i = hi - 1 downto lo do
-               let row = xs.(i) in
-               M.incr c_filter_eval;
-               if pred row then acc := row :: !acc
-             done;
-             !acc))
-    in
-    List.concat (Array.to_list outs)
-  | Plan.ParMapOp { var; body; input } ->
-    let xs = Array.of_list (rows cat input) in
-    let body_s = param1_spawner cat ~var body in
-    let chunks = par_chunks (Array.length xs) in
-    let outs =
-      Pool.run (Array.length chunks)
-        (par_task "task:par_map" (fun c ->
-             let body = body_s () in
-             let lo, hi = chunks.(c) in
-             let acc = ref [] in
-             for i = hi - 1 downto lo do
-               acc := body xs.(i) :: !acc
-             done;
-             !acc))
-    in
-    dedup (List.concat (Array.to_list outs))
-  | Plan.EvalOp e -> Value.as_set (Eval.run cat e)
-  | Plan.Materialized rows -> rows
+  | Plan.Filter _ | Plan.MapOp _ | Plan.ProjectOp _ | Plan.FlattenOp _
+  | Plan.UnionOp _ | Plan.InterOp _ | Plan.DiffOp _ | Plan.ProductOp _
+  | Plan.MemberJoin _ | Plan.RenameOp _ | Plan.UnnestOp _ | Plan.Assembly _
+  | Plan.ParFilter _ | Plan.ParMapOp _ | Plan.IndexJoin _
+  | Plan.JoinOp { algo = Plan.Hash | Plan.Nested_loop; _ }
+  | Plan.NestjoinOp { algo = Plan.Hash | Plan.Nested_loop; _ } ->
+    gather cat p
 
 (* Dispatch through the collector when one is installed; the common case
    costs one flag-and-deref test per node, and nothing per tuple. *)
 and rows cat p =
-  match !collector with None -> execute cat p | Some c -> profiled c cat p
-
-(* Mode dispatch for a node whose full row list is required.  Leaf-shaped
-   nodes return an existing list for free from [exec_node]; collecting
-   them through a push loop would only copy it.  Streamable non-leaf
-   nodes run as one fused push loop ([gather]); breakers and
-   materializing mode use the list-at-a-time implementations. *)
-and execute cat p =
-  if !pipeline_exec then
-    match p with
-    | Plan.Scan _ | Plan.EvalOp _ | Plan.Materialized _ | Plan.IndexScan _ ->
-      exec_node cat p
-    | _ when Plan.streams_output p -> gather cat p
-    | _ -> exec_node cat p
-  else exec_node cat p
+  match !collector with None -> exec_node cat p | Some c -> profiled c cat p
 
 (* Collect a fused chain's output into a list (the only materialization
    the chain performs).  The sink is a row vector pre-sized from the
    planner's cardinality estimate and listed once at the end — not a
-   cons-accumulator reversed afterwards.  Calls [push_node]/[bpush_node]
-   directly rather than [push]: the root node's profile sample comes from
-   the [profiled] bracket around this call, not a streamed record. *)
+   cons-accumulator reversed afterwards.  Calls [bpush_node] directly
+   rather than [bpush]: the root node's profile sample comes from the
+   [profiled] bracket around this call, not a streamed record. *)
 and gather cat p =
   let vec = Batch.Vec.create (tbl_size cat p) in
-  if !batch_exec then bpush_node cat p (Batch.Vec.push_batch vec)
-  else push_node cat p (Batch.Vec.push vec);
+  bpush_node cat p (Batch.Vec.push_batch vec);
   Batch.Vec.to_list vec
 
-(* Feed [p]'s rows to [sink], fusing when the node can stream.  A fused
-   node inside a collected run still records its output row count — with
-   zero time/work/allocation, since the loop owner's exclusive figures
-   cover the whole fused chain (see [Profile]). *)
+(* Feed [p]'s rows to a row sink: fused edges stream batches and unpack
+   them; breaker inputs materialize as a list.  A fused node inside a
+   collected run still records its output row count — with zero
+   time/work/allocation, since the loop owner's exclusive figures cover
+   the whole fused chain (see [Profile]). *)
 and push cat p sink =
-  if !pipeline_exec && Plan.streams_output p then
-    if !batch_exec then bpush_stream cat p (Batch.iter sink)
-    else (
-      match !collector with
-      | None -> push_node cat p sink
-      | Some c ->
-        let n = ref 0 in
-        push_node cat p (fun v ->
-            incr n;
-            sink v);
-        record_streamed c p !n)
+  if Plan.streams_output p then bpush_stream cat p (Batch.iter sink)
   else List.iter sink (rows cat p)
 
-(* Batched counterpart of [push] for a streamable node: run [bpush_node],
-   recording the streamed row count when a collector is installed. *)
+(* Run [bpush_node] on a streamable node, recording the streamed row
+   count when a collector is installed. *)
 and bpush_stream cat p bsink =
   match !collector with
   | None -> bpush_node cat p bsink
@@ -861,11 +635,9 @@ and bpush_stream cat p bsink =
     record_streamed c p !n
 
 (* Feed [p]'s rows to a batch sink: fused edges stream batches straight
-   through; breaker inputs materialize as a list and re-pack.  Only
-   reached from batched pipelines (batch mode implies pipeline mode). *)
+   through; breaker inputs materialize as a list and re-pack. *)
 and bpush cat p bsink =
-  if !pipeline_exec && !batch_exec && Plan.streams_output p then
-    bpush_stream cat p bsink
+  if Plan.streams_output p then bpush_stream cat p bsink
   else begin
     let bld = Batch.builder bsink in
     List.iter (Batch.add bld) (rows cat p);
@@ -909,34 +681,11 @@ and partition_push cat keyf partitions plan =
   M.incr ~n:partitions c_par_partition;
   Array.map List.rev parts
 
-(* Streaming implementations.  Each case must emit exactly the rows (and
-   tick exactly the counters, in the same per-row pattern) of the
-   corresponding [exec_node] case — the agreement suite in
-   test/test_pipeline.ml holds both modes to that contract.  Only called
-   on nodes for which [Plan.streams_output] is true. *)
+(* Row emitters for the streaming operators without a batched form; only
+   reached through [bpush_node]'s fallback, which feeds [sink] into a batch
+   builder.  Their fused inputs still stream batches ([push]). *)
 and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
   match p with
-  | Plan.Scan name ->
-    let rs = Catalog.rows cat name in
-    M.incr ~n:(List.length rs) c_scan_row;
-    List.iter sink rs
-  | Plan.Filter { var; pred; input } ->
-    let pred = pred1 cat ~var pred in
-    push cat input (fun row ->
-        M.incr c_filter_eval;
-        if pred row then sink row)
-  | Plan.IndexScan { index; var; lookup; residual; rename; _ } ->
-    let ren = renamer rename in
-    let matched = List.map ren (index_fetch cat (find_index cat index) lookup) in
-    if Expr.is_true residual then List.iter sink matched
-    else begin
-      let pred = pred1 cat ~var residual in
-      List.iter
-        (fun row ->
-          M.incr c_filter_eval;
-          if pred row then sink row)
-        matched
-    end
   | Plan.IndexJoin { kind; xvar; yvar; index; keys; residual; rename; left; _ }
     ->
     let idx = find_index cat index in
@@ -954,66 +703,6 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
      | Expr.Semi -> push cat left (fun x -> if has_match x then sink x)
      | Expr.Anti -> push cat left (fun x -> if not (has_match x) then sink x)
      | Expr.LeftOuter _ -> exec_error "index join does not support outer joins")
-  | Plan.MapOp { var; body; input } ->
-    let body = param1 cat ~var body in
-    let sink = dedup_sink sink in
-    push cat input (fun row -> sink (body row))
-  | Plan.ProjectOp (attrs, input) ->
-    let sink = dedup_sink sink in
-    push cat input (fun row -> sink (Value.project row attrs))
-  | Plan.FlattenOp input ->
-    let sink = dedup_sink sink in
-    push cat input (fun row -> List.iter sink (Value.as_set row))
-  | Plan.UnionOp (a, b) ->
-    let sink = dedup_sink sink in
-    push cat a sink;
-    push cat b sink
-  | Plan.InterOp (a, b) ->
-    let tbl = VTbl.create (tbl_size cat b) in
-    push cat b (fun v -> VTbl.replace tbl v ());
-    push cat a (fun v -> if VTbl.mem tbl v then sink v)
-  | Plan.DiffOp (a, b) ->
-    let tbl = VTbl.create (tbl_size cat b) in
-    push cat b (fun v -> VTbl.replace tbl v ());
-    push cat a (fun v -> if not (VTbl.mem tbl v) then sink v)
-  | Plan.ProductOp (a, b) ->
-    let ys = rows cat b in
-    let sink = dedup_sink sink in
-    push cat a (fun x -> List.iter (fun y -> sink (Value.concat x y)) ys)
-  | Plan.JoinOp { algo = Plan.Hash; kind; xvar; yvar; keys; residual; left; right }
-    ->
-    (match keys with
-     | [] -> exec_error "hash/sort-merge join without equi keys"
-     | _ :: _ -> ());
-    let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-    let residual = residual_fn cat xvar yvar residual in
-    (* Build rows go straight into the table — no build-side list. *)
-    let tbl = KTbl.create (tbl_size cat right) in
-    push cat right (fun y ->
-        M.incr c_hash_build;
-        KTbl.add tbl (ykey y) y);
-    let matches x =
-      M.incr c_hash_probe;
-      List.filter (residual x) (KTbl.find_all tbl (xkey x))
-    in
-    let has_match x =
-      M.incr c_hash_probe;
-      List.exists (residual x) (KTbl.find_all tbl (xkey x))
-    in
-    (match kind with
-     | Expr.Inner ->
-       let sink = dedup_sink sink in
-       push cat left (fun x ->
-           List.iter (fun y -> sink (Value.concat x y)) (matches x))
-     | Expr.Semi -> push cat left (fun x -> if has_match x then sink x)
-     | Expr.Anti -> push cat left (fun x -> if not (has_match x) then sink x)
-     | Expr.LeftOuter pad ->
-       let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-       let sink = dedup_sink sink in
-       push cat left (fun x ->
-           match matches x with
-           | [] -> sink (Value.concat x null_row)
-           | ms -> List.iter (fun y -> sink (Value.concat x y)) ms))
   | Plan.JoinOp
       { algo = Plan.Nested_loop; kind; xvar; yvar; keys; residual; left; right }
     ->
@@ -1043,53 +732,30 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
            | [] -> sink (Value.concat x null_row)
            | ms -> List.iter (fun y -> sink (Value.concat x y)) ms))
   | Plan.NestjoinOp
-      {
-        algo = (Plan.Hash | Plan.Nested_loop) as algo;
-        xvar;
-        yvar;
-        keys;
-        residual;
-        body;
-        attr;
-        left;
-        right;
-      } ->
-    let body = param2 cat ~vars:(xvar, yvar) body in
+      { algo = Plan.Hash | Plan.Nested_loop; xvar; yvar; keys; residual; body;
+        attr; left; right } ->
+    (* Nested loops; a hash nestjoin reaches here only without equi keys
+       (a keyed one is batched). *)
+    let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
     let residual = residual_fn cat xvar yvar residual in
-    let attach x ms =
-      let projected = List.map (fun y -> body x y) ms in
-      Value.concat x (Value.tuple [ (attr, Value.set projected) ])
-    in
     let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-    (match algo, keys with
-     | Plan.Hash, _ :: _ ->
-       let tbl = KTbl.create (tbl_size cat right) in
-       push cat right (fun y ->
-           M.incr c_hash_build;
-           KTbl.add tbl (ykey y) y);
-       push cat left (fun x ->
-           M.incr c_hash_probe;
-           let ms = List.filter (residual x) (KTbl.find_all tbl (xkey x)) in
-           sink (attach x ms))
-     | _ ->
-       (* Hash without equi keys degrades to nested loops, exactly as the
-          materializing implementation does. *)
-       let ys = rows cat right in
-       push cat left (fun x ->
-           let kx = xkey x in
-           let ms =
-             List.filter
-               (fun y ->
-                 M.incr c_nl_pair;
-                 Key.equal kx (ykey y) && residual x y)
-               ys
-           in
-           sink (attach x ms)))
+    let ys = rows cat right in
+    push cat left (fun x ->
+        let kx = xkey x in
+        let ms =
+          List.filter
+            (fun y ->
+              M.incr c_nl_pair;
+              Key.equal kx (ykey y) && residual x y)
+            ys
+        in
+        let projected = List.map (fun y -> body x y) ms in
+        sink (Value.concat x (Value.tuple [ (attr, Value.set projected) ])))
   | Plan.MemberJoin { kind; xvar; yvar; xset; elem_var; elem_key; ykey; left; right }
     ->
-    let ykey = param1 cat ~var:yvar ykey in
-    let xset = param1 cat ~var:xvar xset in
-    let elem_key = param2 cat ~vars:(elem_var, xvar) elem_key in
+    let ykey = Compile.expr1 cat ~var:yvar ykey in
+    let xset = Compile.expr1 cat ~var:xvar xset in
+    let elem_key = Compile.expr2 cat ~vars:(elem_var, xvar) elem_key in
     let tbl = VTbl.create (tbl_size cat right) in
     push cat right (fun y ->
         M.incr c_hash_build;
@@ -1115,21 +781,11 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
        let sink = dedup_sink sink in
        push cat left (fun x -> List.iter (fun y -> sink (Value.concat x y)) (matches x))
      | Plan.MNest { body; attr } ->
-       let body = param2 cat ~vars:(xvar, yvar) body in
+       let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
        push cat left (fun x ->
            let ms = dedup (matches x) in
            let projected = List.map (fun y -> body x y) ms in
            sink (Value.concat x (Value.tuple [ (attr, Value.set projected) ]))))
-  | Plan.RenameOp (pairs, input) ->
-    push cat input (fun row ->
-        sink
-          (Value.tuple
-             (List.map
-                (fun (n, v) ->
-                  match List.assoc_opt n pairs with
-                  | Some n' -> (n', v)
-                  | None -> (n, v))
-                (Value.as_tuple row))))
   | Plan.UnnestOp (a, input) ->
     let as_row inner =
       match inner with
@@ -1146,62 +802,18 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
     push cat input (fun row ->
         let obj = Catalog.deref cat cls (Value.field row ref_attr) in
         sink (Value.except row [ (into, obj) ]))
-  | Plan.ParFilter { var; pred; input } ->
-    (* The input buffers into a chunk array (a pipeline breaker by
-       necessity — chunks are claimed concurrently), but the chunk outputs
-       stream to the consumer in order with no concatenated result list. *)
-    let xs = Array.of_list (rows cat input) in
-    let pred_s = pred1_spawner cat ~var pred in
-    let chunks = par_chunks (Array.length xs) in
-    let outs =
-      Pool.run (Array.length chunks)
-        (par_task "task:par_filter" (fun c ->
-             let pred = pred_s () in
-             let lo, hi = chunks.(c) in
-             let acc = ref [] in
-             for i = hi - 1 downto lo do
-               let row = xs.(i) in
-               M.incr c_filter_eval;
-               if pred row then acc := row :: !acc
-             done;
-             !acc))
-    in
-    Array.iter (fun out -> List.iter sink out) outs
-  | Plan.ParMapOp { var; body; input } ->
-    let xs = Array.of_list (rows cat input) in
-    let body_s = param1_spawner cat ~var body in
-    let chunks = par_chunks (Array.length xs) in
-    let outs =
-      Pool.run (Array.length chunks)
-        (par_task "task:par_map" (fun c ->
-             let body = body_s () in
-             let lo, hi = chunks.(c) in
-             let acc = ref [] in
-             for i = hi - 1 downto lo do
-               acc := body xs.(i) :: !acc
-             done;
-             !acc))
-    in
-    let sink = dedup_sink sink in
-    Array.iter (fun out -> List.iter sink out) outs
-  | Plan.EvalOp e -> List.iter sink (Value.as_set (Eval.run cat e))
-  | Plan.Materialized rs -> List.iter sink rs
   | p ->
-    (* Pipeline breakers never reach here ([push] checks
-       [Plan.streams_output] first); materialize defensively. *)
-    List.iter sink (rows cat p)
+    (* Leaves emit their materialized list (Scan is batched natively). *)
+    List.iter sink (exec_node cat p)
 
-(* Batched streaming implementations.  The contract is the same as
-   [push_node]'s — emit exactly the rows, in exactly the order, ticking
-   exactly the counter totals of the corresponding [exec_node] case — plus
-   one batched refinement: filters and semi/anti probes narrow the
-   incoming batch's selection vector instead of copying survivors, and
-   producing operators build owned batches through [Batch.builder].
-   Counters tick per batch ([M.incr ~n] is k single ticks), so totals
-   match even though the tick pattern is coarser; on a mid-batch exception
-   a batch-granular tick may overcount relative to row mode — error paths
-   only, documented in DESIGN.md.  Only called on streamable nodes while
-   [batch_exec] is on. *)
+(* Batched streaming implementations.  Each case emits its rows in the
+   canonical pipeline order, ticking counters per batch ([M.incr ~n] is k
+   single ticks, so totals do not depend on the batch size).  Filters and
+   semi/anti probes narrow the incoming batch's selection vector instead
+   of copying survivors, and producing operators build owned batches
+   through [Batch.builder].  On a mid-batch exception a batch-granular
+   tick may count rows past the failing one — error paths only,
+   documented in DESIGN.md.  Only called on streamable nodes. *)
 and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
   (* Batched counterpart of [dedup_sink] feeding an owned-batch builder:
      returns the per-row emitter and the final flush. *)
@@ -1233,25 +845,16 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
       off := !off + len
     done
   | Plan.Filter { var; pred; input } ->
-    if !compile_params then begin
-      let vp = Compile.vectorize_pred cat ~var pred in
-      bpush cat input (fun b ->
-          M.incr ~n:(Batch.live b) c_filter_eval;
-          Batch.keep_vpred vp b;
-          emit_live b)
-    end
-    else
-      bpush cat input (fun b ->
-          M.incr ~n:(Batch.live b) c_filter_eval;
-          Batch.keep_rows b (fun row -> Eval.run_pred cat [ (var, row) ] pred);
-          emit_live b)
+    let vp = Compile.vectorize_pred cat ~var pred in
+    bpush cat input (fun b ->
+        M.incr ~n:(Batch.live b) c_filter_eval;
+        Batch.keep_vpred vp b;
+        emit_live b)
   | Plan.MapOp { var; body; input } ->
     let body =
-      if !compile_params then (
-        match Compile.expr1_rowmaker cat ~var body with
-        | Some f -> f
-        | None -> Compile.expr1 cat ~var body)
-      else fun v -> Eval.eval cat [ (var, v) ] body
+      match Compile.expr1_rowmaker cat ~var body with
+      | Some f -> f
+      | None -> Compile.expr1 cat ~var body
     in
     let emit, flush = dedup_builder () in
     bpush cat input (Batch.iter (fun row -> emit (body row)));
@@ -1260,8 +863,8 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
     let sorted = List.sort_uniq String.compare attrs in
     let proj =
       if List.length sorted = List.length attrs then fun row ->
-        (* Sorted-merge projection; on a missing attribute re-project the
-           row-mode way so the error message names the same field. *)
+        (* Sorted-merge projection; on a missing attribute re-project
+           with [Value.project] so the error message names the field. *)
         (try Value.project_sorted row sorted
          with Value.Type_error _ -> Value.project row attrs)
       else fun row -> Value.project row attrs
@@ -1319,7 +922,8 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
            key array per row on either side.  [find_all] order (reverse
            insertion) is key-equality driven, so match lists are identical
            to the keyed-table path. *)
-        let xkey = param1 cat ~var:xvar kx and ykey = param1 cat ~var:yvar ky in
+        let xkey = Compile.expr1 cat ~var:xvar kx
+        and ykey = Compile.expr1 cat ~var:yvar ky in
         let tbl = VTbl.create (tbl_size cat right) in
         push cat right (fun y ->
             M.incr c_hash_build;
@@ -1380,7 +984,7 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
         left;
         right;
       } ->
-    let body = param2 cat ~vars:(xvar, yvar) body in
+    let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
     let residual = residual_fn cat xvar yvar residual in
     let attach x ms =
       let projected = List.map (fun y -> body x y) ms in
@@ -1389,7 +993,8 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
     let matches =
       match keys with
       | [ (kx, ky) ] ->
-        let xkey = param1 cat ~var:xvar kx and ykey = param1 cat ~var:yvar ky in
+        let xkey = Compile.expr1 cat ~var:xvar kx
+        and ykey = Compile.expr1 cat ~var:yvar ky in
         let tbl = VTbl.create (tbl_size cat right) in
         push cat right (fun y ->
             M.incr c_hash_build;
@@ -1412,15 +1017,7 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
     bpush cat left (Batch.iter (fun x -> Batch.add bld (attach x (matches x))));
     Batch.flush bld
   | Plan.RenameOp (pairs, input) ->
-    let ren row =
-      Value.tuple
-        (List.map
-           (fun (n, v) ->
-             match List.assoc_opt n pairs with
-             | Some n' -> (n', v)
-             | None -> (n, v))
-           (Value.as_tuple row))
-    in
+    let ren = renamer pairs in
     let bld = Batch.builder bsink in
     bpush cat input (Batch.iter (fun row -> Batch.add bld (ren row)));
     Batch.flush bld
@@ -1433,7 +1030,7 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
     let batches = Array.of_list (List.rev !buf) in
     let nb = Array.length batches in
     if nb > 0 then begin
-      if !compile_params && Compile.vectorizable ~var pred then begin
+      if Compile.vectorizable ~var pred then begin
         (* The kernel closes over no per-instance slot buffer
            ([Compile.vectorizable]), so every task shares it. *)
         let vp = Compile.vectorize_pred cat ~var pred in
@@ -1445,7 +1042,7 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
                   Batch.keep_vpred vp b)))
       end
       else begin
-        let pred_s = pred1_spawner cat ~var pred in
+        let pred_s = Compile.pred1_spawner cat ~var pred in
         ignore
           (Pool.run nb
              (par_task "task:par_filter" (fun i ->
@@ -1462,7 +1059,7 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
     let batches = Array.of_list (List.rev !buf) in
     let nb = Array.length batches in
     if nb > 0 then begin
-      let body_s = param1_spawner cat ~var body in
+      let body_s = Compile.expr1_spawner cat ~var body in
       let outs =
         Pool.run nb
           (par_task "task:par_map" (fun i ->
@@ -1482,10 +1079,7 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
       flush ()
     end
   | p ->
-    (* No native batched form (index paths, member joins, nested-loop
-       joins, unnest, assembly, leaves): run the row-at-a-time emitter
-       into a builder.  Its fused inputs still stream batches — [push]
-       re-routes through this layer while batch mode is on. *)
+    (* No batched form: run the row emitter into a builder. *)
     let bld = Batch.builder bsink in
     push_node cat p (Batch.add bld);
     Batch.flush bld
@@ -1515,7 +1109,7 @@ and profiled_run c cat p =
     | top :: rest when top == fr -> c.stack <- rest
     | other -> c.stack <- (match other with _ :: r -> r | [] -> [])
   in
-  match execute cat p with
+  match exec_node cat p with
   | exception e ->
     pop ();
     raise e
@@ -1569,58 +1163,6 @@ and dedup vs =
           true
         end)
       vs
-
-and exec_join cat algo kind xvar yvar keys residual left right =
-  let xs = rows cat left and ys = rows cat right in
-  match algo, keys with
-  | Plan.Hash, _ :: _ ->
-    hash_join cat kind xvar yvar keys residual ~build_hint:(tbl_size cat right)
-      xs ys
-  | Plan.Sort_merge, (kx, ky) :: _ ->
-    (match kind with
-     | Expr.Inner -> sort_merge_join cat xvar yvar (kx, ky) residual keys xs ys
-     | _ -> exec_error "sort-merge supports only inner joins")
-  | (Plan.Hash | Plan.Sort_merge), [] ->
-    exec_error "hash/sort-merge join without equi keys"
-  | Plan.Nested_loop, _ ->
-    nested_loop_join cat kind xvar yvar keys residual xs ys
-
-and nested_loop_join cat kind xvar yvar keys residual xs ys =
-  let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-  let residual = residual_fn cat xvar yvar residual in
-  (* The left key is extracted once per left tuple, not once per pair. *)
-  let full_pred x kx y =
-    M.incr c_nl_pair;
-    Key.equal kx (ykey y) && residual x y
-  in
-  match kind with
-  | Expr.Inner ->
-    dedup
-      (List.concat_map
-         (fun x ->
-           let kx = xkey x in
-           List.filter_map
-             (fun y -> if full_pred x kx y then Some (Value.concat x y) else None)
-             ys)
-         xs)
-  | Expr.Semi ->
-    List.filter (fun x -> List.exists (full_pred x (xkey x)) ys) xs
-  | Expr.Anti ->
-    List.filter (fun x -> not (List.exists (full_pred x (xkey x)) ys)) xs
-  | Expr.LeftOuter pad ->
-    let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-    dedup
-      (List.concat_map
-         (fun x ->
-           match List.filter (full_pred x (xkey x)) ys with
-           | [] -> [ Value.concat x null_row ]
-           | ms -> List.map (Value.concat x) ms)
-         xs)
-
-and hash_join cat kind xvar yvar keys residual ~build_hint xs ys =
-  let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-  let residual = residual_fn cat xvar yvar residual in
-  hash_join_keyed kind ~xkey ~ykey ~residual ~build_hint xs ys
 
 (* [build_hint] is a capacity estimate for the build table (from the
    planner's [Cost.rows_out], never a [List.length] pass over the build
@@ -1732,7 +1274,8 @@ and grace_partitioned kind ~kx0 ~ky0 ~xkey ~ykey ~residual ~build_hint
 and sort_merge_join cat xvar yvar (kx, ky) residual all_keys xs ys =
   (* Sort both inputs on the first key; equal-key runs are then joined,
      checking the remaining keys and residual per pair. *)
-  let kxf = param1 cat ~var:xvar kx and kyf = param1 cat ~var:yvar ky in
+  let kxf = Compile.expr1 cat ~var:xvar kx
+  and kyf = Compile.expr1 cat ~var:yvar ky in
   let rest_keys = List.tl all_keys in
   let rxkey = key_fns cat xvar `Left rest_keys
   and rykey = key_fns cat yvar `Right rest_keys in
@@ -1774,20 +1317,22 @@ and sort_merge_join cat xvar yvar (kx, ky) residual all_keys xs ys =
   in
   dedup (merge xs ys [])
 
-and exec_nestjoin cat algo xvar yvar keys residual body attr left right =
+(* Adapted sort-merge join (Section 6.1): sort both inputs on the first
+   key and pair each left run with the matching right run; dangling left
+   tuples get the empty group. *)
+and sort_merge_nestjoin cat xvar yvar keys residual body attr left right =
   let xs = rows cat left and ys = rows cat right in
-  let body = param2 cat ~vars:(xvar, yvar) body in
+  let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
   let residual = residual_fn cat xvar yvar residual in
   let attach x ms =
     let projected = List.map (fun y -> body x y) ms in
     Value.concat x (Value.tuple [ (attr, Value.set projected) ])
   in
-  match algo, keys with
-  | Plan.Sort_merge, (kx, ky) :: rest_keys ->
-    (* Adapted sort-merge join (Section 6.1): sort both inputs on the first
-       key and pair each left run with the matching right run; dangling
-       left tuples get the empty group. *)
-    let kxf = param1 cat ~var:xvar kx and kyf = param1 cat ~var:yvar ky in
+  match keys with
+  | [] -> exec_error "sort-merge nestjoin without equi keys"
+  | (kx, ky) :: rest_keys ->
+    let kxf = Compile.expr1 cat ~var:xvar kx
+    and kyf = Compile.expr1 cat ~var:yvar ky in
     let rxkey = key_fns cat xvar `Left rest_keys
     and rykey = key_fns cat yvar `Right rest_keys in
     let cmp (a, _) (b, _) =
@@ -1825,35 +1370,6 @@ and exec_nestjoin cat algo xvar yvar keys residual body attr left right =
           merge xs' ys' acc
     in
     merge xs ys []
-  | Plan.Sort_merge, [] -> exec_error "sort-merge nestjoin without equi keys"
-  | Plan.Hash, _ :: _ ->
-    let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-    let tbl = KTbl.create (tbl_size cat right) in
-    List.iter
-      (fun y ->
-        M.incr c_hash_build;
-        KTbl.add tbl (ykey y) y)
-      ys;
-    List.map
-      (fun x ->
-        M.incr c_hash_probe;
-        let ms = List.filter (residual x) (KTbl.find_all tbl (xkey x)) in
-        attach x ms)
-      xs
-  | _ ->
-    let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-    List.map
-      (fun x ->
-        let kx = xkey x in
-        let ms =
-          List.filter
-            (fun y ->
-              M.incr c_nl_pair;
-              Key.equal kx (ykey y) && residual x y)
-            ys
-        in
-        attach x ms)
-      xs
 
 (* The Partitioned Nested-Hashed-Loops algorithm of [DeLa92]: the flat base
    table (right operand) is the build table; it is split into partitions of
@@ -1866,8 +1382,8 @@ and exec_nestjoin cat algo xvar yvar keys residual body attr left right =
 and exec_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
   if mem_budget <= 0 then exec_error "pnhl: memory budget must be positive";
   let xs = rows cat left and ys = rows cat right in
-  let row_key = param1 cat ~var:"row" row_key in
-  let elem_key = param1 cat ~var:"elem" elem_key in
+  let row_key = Compile.expr1 cat ~var:"row" row_key in
+  let elem_key = Compile.expr1 cat ~var:"elem" elem_key in
   let xs = Array.of_list xs in
   let partial = Array.make (Array.length xs) [] in
   let seg_hint = tbl_size ~cap:mem_budget cat right in
@@ -1921,8 +1437,8 @@ and exec_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
 and exec_par_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
   if mem_budget <= 0 then exec_error "pnhl: memory budget must be positive";
   let xs = rows cat left and ys = rows cat right in
-  let row_key_s = param1_spawner cat ~var:"row" row_key in
-  let elem_key_s = param1_spawner cat ~var:"elem" elem_key in
+  let row_key_s = Compile.expr1_spawner cat ~var:"row" row_key in
+  let elem_key_s = Compile.expr1_spawner cat ~var:"elem" elem_key in
   let xs = Array.of_list xs in
   let seg_hint = tbl_size ~cap:mem_budget cat right in
   let run_tasks nsegs segment_of =

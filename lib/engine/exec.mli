@@ -7,21 +7,26 @@
     sort-merge alternative, PNHL with memory-budget partitioning, and
     assembly for pointer dereferencing.
 
-    Execution is push-based and pipelined by default: operators for which
-    {!Plan.streams_output} holds push rows into their consumer's callback,
-    so chains like [Scan -> Filter -> Map -> hash probe] run as single
-    fused loops with no intermediate lists; pipeline breakers (hash build
-    sides, sort-merge inputs, grouping, division, PNHL/Grace partitioning,
-    the parallel operators' partition buffers) materialize only what their
-    semantics require.  Both execution modes produce identical row lists
-    (same rows, same order) and identical counter totals.
+    There is one executor: batched push.  Operators for which
+    {!Plan.streams_output} holds push {!Batch} column batches into their
+    consumer, so chains like [Scan -> Filter -> Map -> hash probe] run as
+    single fused loops with no intermediate lists: scans emit zero-copy
+    windows over the catalog's row array, filters narrow selection
+    vectors instead of copying survivors, and constant-comparison
+    predicates run over decoded typed columns.  Streaming operators
+    without a batched form run as row emitters into a batch builder.
+    Pipeline breakers (hash build sides, sort-merge inputs, grouping,
+    division, PNHL/Grace partitioning, the parallel operators' partition
+    buffers) materialize only what their semantics require.  Rows, their
+    order and counter totals do not depend on {!Batch.size} or the pool
+    size ([test/test_batch.ml]); {!Njq_adl.Eval} is the value oracle.
 
     Larger-than-memory execution: Grace joins and PNHL spill partitions
     that exceed their [mem_budget] to {!Rowcodec} temp files and process
     them one resident partition at a time (rehashing recursively on skew),
     and the sort-merge paths switch to an external run-generation + K-way
     merge sort past {!Memory.budget}.  Results are bit-identical to the
-    fully resident run in every execution mode.
+    fully resident run.
 
     Counters ticked (see {!Njq_adl.Counters}): ["scan_row"],
     ["filter_eval"], ["hash_build"], ["hash_probe"], ["nl_pair"],
@@ -34,31 +39,6 @@ open Njq_adl
 
 exception Exec_error of string
 
-(** When [true] (the default), each operator compiles its parameter
-    expressions once with {!Njq_adl.Compile} before iterating; when
-    [false], parameters are evaluated per tuple with the reference
-    evaluator.  Results are identical either way — the flag exists so the
-    benchmark harness can compare both modes on identical plans. *)
-val compile_params : bool ref
-
-(** When [true] (the default), streamable operator chains fuse into
-    push-based loops with no intermediate lists; when [false], every
-    operator boundary materializes a full row list, as the engine did
-    before the pipelined executor existed.  Results and counter totals
-    are identical either way — the flag exists so the benchmark harness
-    can contrast the two modes on identical plans (experiment b13). *)
-val pipeline_exec : bool ref
-
-(** When [true] (the default), fused chains move rows as {!Batch} column
-    batches: scans emit zero-copy windows over the catalog's row array,
-    filters narrow selection vectors instead of copying survivors, and
-    constant-comparison predicates run over decoded typed columns.  Only
-    effective under {!pipeline_exec}.  Rows, order and counter totals are
-    identical to the row-at-a-time pipelines (experiment b15 and
-    test/test_batch.ml hold all modes to that contract); the batch size
-    is {!Batch.size}. *)
-val batch_exec : bool ref
-
 (** Execute a plan, returning its rows (not canonicalized). *)
 val rows : Catalog.t -> Plan.t -> Value.t list
 
@@ -69,13 +49,11 @@ val run : Catalog.t -> Plan.t -> Value.t
 
     One measurement per plan-node execution, taken around a normal
     {!rows} run — the plan executes unchanged, so row counts and counter
-    totals are exactly those of an unprofiled run (contrast
-    {!Instrument}, which materializes children).  Under pipelined
-    execution ({!pipeline_exec}) a fused chain runs as one loop: the
-    node that owns the loop gets the measured sample, and each operator
-    fused into it records its exact output row count with zero
-    time/work/allocation (the owner's exclusive figures cover the whole
-    chain; see {!Profile}).  See {!Profile} for the tree-shaped
+    totals are exactly those of an unprofiled run.  A fused chain runs as
+    one loop: the node that owns the loop gets the measured sample, and
+    each operator fused into it records its exact output row count with
+    zero time/work/allocation (the owner's exclusive figures cover the
+    whole chain; see {!Profile}).  See {!Profile} for the tree-shaped
     report. *)
 
 type node_sample = {

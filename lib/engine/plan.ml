@@ -70,8 +70,7 @@ type t =
       (* Index nested loops: for each left row, probe the inner table's
          index with the evaluated key expressions instead of building a
          hash table over the whole inner extent ([rename] absorbs a
-         Rename over the inner scan).  Streams per outer row in the
-         pipelined executor. *)
+         Rename over the inner scan).  Streams per outer row. *)
   | MapOp of { var : string; body : Expr.t; input : t }
   | ProjectOp of string list * t
   | FlattenOp of t
@@ -370,19 +369,19 @@ let rec iter_nodes f p =
   List.iter (iter_nodes f) (children p)
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline shape of the push-based executor (see [Exec]).  The two     *)
+(* Pipeline shape of the batched push executor (see [Exec]).  The two   *)
 (* predicates below are the single source of truth for which edges the  *)
-(* pipelined executor fuses; EXPLAIN renders them and [Exec.push]       *)
-(* consults [streams_output] to decide fusion, so the annotation cannot *)
+(* executor fuses; EXPLAIN renders them and [Exec.push]/[Exec.bpush]    *)
+(* consult [streams_output] to decide fusion, so the annotation cannot  *)
 (* drift from the execution.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Does the node stream its output rows one at a time into its consumer
-   (true), or is it a pipeline breaker that materializes its full result
-   before the consumer sees a row (false)?  Breakers are exactly the
-   operators whose semantics need the whole input: sort-merge runs,
-   grouping, division, PNHL/Grace partitioning, and the parallel
-   operators' partition buffers. *)
+(* Does the node stream its output rows, batch by batch, into its
+   consumer (true), or is it a pipeline breaker that materializes its
+   full result before the consumer sees a row (false)?  Breakers are
+   exactly the operators whose semantics need the whole input:
+   sort-merge runs, grouping, division, PNHL/Grace partitioning, and the
+   parallel operators' partition buffers. *)
 let streams_output = function
   | Scan _ | Filter _ | MapOp _ | ProjectOp _ | FlattenOp _ | UnionOp _
   | InterOp _ | DiffOp _ | ProductOp _ | MemberJoin _ | RenameOp _
@@ -398,8 +397,8 @@ let streams_output = function
   | ParNestjoinOp _ | ParPnhl _ ->
     false
 
-(* Per child edge (parallel to [children]): [true] when the pipelined
-   executor consumes that child row by row without ever forming its result
+(* Per child edge (parallel to [children]): [true] when the executor
+   consumes that child batch by batch without ever forming its result
    list (a fused edge), [false] when the child's rows are materialized
    first — into a hash build table, a sort buffer, a chunk array or a
    partition buffer. *)
@@ -420,18 +419,13 @@ let streamed_inputs = function
   | ParNestjoinOp _ ->
     [ false; false ]
 
-(* Pipeline-boundary view of a plan: one node per line, each child edge
-   marked "~>" (fused: rows flow one at a time into the parent's loop) or
-   "=>" (materialized: the parent buffers this input before producing
-   output).  Breaker nodes are suffixed with "[breaker]".  When [batch]
-   is given (the batched executor is active), a header line states the
-   batch size — fused "~>" edges then carry column batches of up to that
-   many rows instead of single rows, with the same boundaries. *)
-let pp_pipelines ?batch ppf p =
-  (match batch with
-   | Some n ->
-     Fmt.pf ppf "batched: fused edges carry up to %d rows per batch@." n
-   | None -> ());
+(* Pipeline-boundary view of a plan: a header line with the batch size,
+   then one node per line, each child edge marked "~>" (fused: column
+   batches of up to that many rows flow into the parent's loop) or "=>"
+   (materialized: the parent buffers this input before producing output).
+   Breaker nodes are suffixed with "[breaker]". *)
+let pp_pipelines ppf p =
+  Fmt.pf ppf "batched: fused edges carry up to %d rows per batch@." !Batch.size;
   let rec go depth edge p =
     let indent = String.make (2 * depth) ' ' in
     let marker =

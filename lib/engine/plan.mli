@@ -57,7 +57,7 @@ type t =
     }
       (** Index nested loops: each left row probes the inner table's index
           with its evaluated keys instead of building a hash table over the
-          whole extent.  Streams per outer row when pipelined. *)
+          whole extent.  Streams per outer row. *)
   | MapOp of { var : string; body : Expr.t; input : t }
   | ProjectOp of string list * t
   | FlattenOp of t
@@ -182,8 +182,8 @@ type t =
       (** Chunked parallel map; chunks re-concatenate in order. *)
   | EvalOp of Expr.t  (** fallback: reference (nested-loop) evaluation *)
   | Materialized of Value.t list
-      (** an already-computed intermediate result; produced by the
-          instrumented executor ({!Njq_engine.Instrument}), never by the
+      (** an already-computed row list; the serving layer splices its
+          parameter table in as one ({!Njq_engine.Serve}), never the
           planner *)
 
 val algo_name : join_algo -> string
@@ -209,28 +209,26 @@ val equal : t -> t -> bool
 (** Pre-order visit of every node in the tree. *)
 val iter_nodes : (t -> unit) -> t -> unit
 
-(** Pipeline shape of the push-based executor ({!Njq_engine.Exec}): [true]
-    when the node streams its output rows one at a time into its consumer,
-    [false] when it is a pipeline breaker that materializes its full
-    result first (sort-merge inputs, grouping, division, PNHL/Grace
+(** Pipeline shape of the batched push executor ({!Njq_engine.Exec}):
+    [true] when the node streams its output rows, batch by batch, into
+    its consumer, [false] when it is a pipeline breaker that materializes
+    its full result first (sort-merge inputs, grouping, division, PNHL/Grace
     partitioning, the parallel operators' partition buffers).  This is the
     predicate the executor consults to fuse edges, so EXPLAIN output
     rendered from it cannot drift from the execution. *)
 val streams_output : t -> bool
 
-(** Per child edge (parallel to {!children}): [true] when the pipelined
-    executor consumes the child row by row without forming its result list
+(** Per child edge (parallel to {!children}): [true] when the executor
+    consumes the child batch by batch without forming its result list
     (fused), [false] when the child's rows are buffered first (hash build
     table, sort buffer, chunk array, partition buffer). *)
 val streamed_inputs : t -> bool list
 
-(** Pipeline-boundary view: one node per line, child edges marked ["~>"]
-    (fused) or ["=>"] (materialized), breakers suffixed ["[breaker]"].
-    [?batch] (the active batch size, when the batched executor is on)
-    prepends a header line: fused edges then carry column batches of up
-    to that many rows rather than single rows, with identical
-    boundaries. *)
-val pp_pipelines : ?batch:int -> Format.formatter -> t -> unit
+(** Pipeline-boundary view: a header line with the batch size
+    ({!Batch.size}) that fused edges carry, then one node per line, child
+    edges marked ["~>"] (fused) or ["=>"] (materialized), breakers
+    suffixed ["[breaker]"]. *)
+val pp_pipelines : Format.formatter -> t -> unit
 
 (** Rebuild a node with new children; raises [Invalid_argument] on arity
     mismatch. *)

@@ -9,14 +9,12 @@
    and allocation sum, and [actual_rows] keeps the last run's cardinality
    (identical runs being deterministic).
 
-   Attribution under pipelined execution ([Exec.pipeline_exec], the
-   default): a fused chain runs as one loop owned by the node [Exec.rows]
-   was called on — that node's exclusive time/work/allocation covers the
-   whole chain, while each operator fused into it still reports its exact
-   [actual_rows] (and [calls]) with zeros elsewhere.  Pipeline breakers
-   keep per-node brackets.  Flip [Exec.pipeline_exec] off for the old
-   one-bracket-per-node attribution; row counts and total work are
-   identical in both modes. *)
+   Attribution under fusion: a fused chain runs as one loop owned by the
+   node [Exec.rows] was called on — that node's exclusive
+   time/work/allocation covers the whole chain, while each operator fused
+   into it still reports its exact [actual_rows] (and [calls]) with zeros
+   elsewhere.  Pipeline breakers keep per-node brackets.  Each node's
+   [actual_rows] equals the length of [Exec.rows] on its subtree. *)
 
 open Njq_adl
 

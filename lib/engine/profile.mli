@@ -2,12 +2,11 @@
     q-errors, work counters, wall/CPU time and heap allocation, measured
     non-perturbingly during a normal {!Exec} run (see {!Exec.collect}).
 
-    Under pipelined execution ({!Exec.pipeline_exec}, the default) a
-    fused operator chain executes as one loop: its time, work and
+    A fused operator chain executes as one loop: its time, work and
     allocation are attributed to the node that owns the loop, while the
     operators fused into it still report exact [actual_rows] (with zero
-    time/work/allocation of their own).  Row counts and summed work are
-    identical in both modes. *)
+    time/work/allocation of their own) — the length of {!Exec.rows} on
+    that node's subtree. *)
 
 open Njq_adl
 

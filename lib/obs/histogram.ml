@@ -26,9 +26,7 @@
    Merging is pointwise bucket addition; it is associative and
    commutative, and merge-of-shards equals one-histogram-over-all-samples
    *exactly* (not approximately), which is what lets per-domain shards
-   ([Metrics.observe]) flush at pool join with no loss.  The JSON and
-   binary codecs serialize sparse (index, count) pairs, so an idle
-   histogram costs a few bytes and codecs round-trip bucket-exactly. *)
+   ([Metrics.observe]) flush at pool join with no loss. *)
 
 let sub_bits = 8
 let sub_count = 1 lsl sub_bits (* 256: unit buckets below this *)
@@ -150,135 +148,6 @@ let copy t =
 let equal a b =
   a.count = b.count && a.sum = b.sum && a.vmin = b.vmin && a.vmax = b.vmax
   && a.counts = b.counts
-
-(* ------------------------------------------------------------------ *)
-(* Codecs                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let sparse t =
-  let acc = ref [] in
-  for i = nbuckets - 1 downto 0 do
-    if t.counts.(i) <> 0 then acc := (i, t.counts.(i)) :: !acc
-  done;
-  !acc
-
-let to_json t =
-  let buckets =
-    List.map (fun (i, c) -> Json.List [ Json.Int i; Json.Int c ]) (sparse t)
-  in
-  Json.Obj
-    [ ("v", Json.Int 1);
-      ("count", Json.Int t.count);
-      ("sum", Json.Int t.sum);
-      ("min", Json.Int (min_value t));
-      ("max", Json.Int (max_value t));
-      ("buckets", Json.List buckets) ]
-
-let of_json doc =
-  let int k =
-    match Json.member k doc with Some (Json.Int n) -> Some n | _ -> None
-  in
-  match (int "count", int "sum", int "min", int "max", Json.member "buckets" doc)
-  with
-  | Some count, Some sum, Some vmin, Some vmax, Some (Json.List buckets) ->
-    let t = create () in
-    let ok =
-      List.for_all
-        (function
-          | Json.List [ Json.Int i; Json.Int c ]
-            when i >= 0 && i < nbuckets && c > 0 ->
-            t.counts.(i) <- t.counts.(i) + c;
-            true
-          | _ -> false)
-        buckets
-    in
-    if not ok then None
-    else begin
-      t.count <- count;
-      t.sum <- sum;
-      if count > 0 then begin
-        t.vmin <- vmin;
-        t.vmax <- vmax
-      end;
-      Some t
-    end
-  | _ -> None
-
-(* Binary: "NJQH1", then varint count/sum/min/max/npairs and delta-coded
-   (index, count) pairs.  All fields are non-negative by construction
-   (min/max are emitted in their empty-normalized form). *)
-let magic = "NJQH1"
-
-let varint buf n =
-  let n = ref n in
-  while !n >= 0x80 do
-    Buffer.add_char buf (Char.chr (0x80 lor (!n land 0x7f)));
-    n := !n lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !n)
-
-let encode t =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf magic;
-  varint buf t.count;
-  varint buf t.sum;
-  varint buf (min_value t);
-  varint buf (max_value t);
-  let pairs = sparse t in
-  varint buf (List.length pairs);
-  let prev = ref 0 in
-  List.iter
-    (fun (i, c) ->
-      varint buf (i - !prev);
-      prev := i;
-      varint buf c)
-    pairs;
-  Buffer.contents buf
-
-exception Decode_fail
-
-let decode s =
-  let pos = ref (String.length magic) in
-  let read () =
-    let v = ref 0 and shift = ref 0 and more = ref true in
-    while !more do
-      if !pos >= String.length s || !shift > 62 then raise Decode_fail;
-      let b = Char.code s.[!pos] in
-      incr pos;
-      v := !v lor ((b land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      more := b land 0x80 <> 0
-    done;
-    !v
-  in
-  if String.length s < String.length magic
-     || not (String.equal (String.sub s 0 (String.length magic)) magic)
-  then None
-  else
-    match
-      let count = read () in
-      let sum = read () in
-      let vmin = read () in
-      let vmax = read () in
-      let npairs = read () in
-      let t = create () in
-      let idx = ref 0 in
-      for _ = 1 to npairs do
-        idx := !idx + read ();
-        if !idx >= nbuckets then raise Decode_fail;
-        t.counts.(!idx) <- t.counts.(!idx) + read ()
-      done;
-      if !pos <> String.length s then raise Decode_fail;
-      t.count <- count;
-      t.sum <- sum;
-      if count > 0 then begin
-        t.vmin <- vmin;
-        t.vmax <- vmax
-      end;
-      t
-    with
-    | t -> Some t
-    | exception Decode_fail -> None
 
 let pp ppf t =
   if t.count = 0 then Fmt.pf ppf "empty"

@@ -59,20 +59,4 @@ val equal : t -> t -> bool
     reported. *)
 val bucket_range : int -> int * int
 
-(** Non-empty buckets as [(index, count)], ascending. *)
-val sparse : t -> (int * int) list
-
-(** Sparse codec: [{"v", "count", "sum", "min", "max", "buckets"}];
-    {!of_json} returns [None] on malformed documents.  Round-trips
-    bucket-exactly. *)
-val to_json : t -> Json.t
-
-val of_json : Json.t -> t option
-
-(** Compact binary codec (["NJQH1"] magic + varints); {!decode} returns
-    [None] on malformed or truncated input.  Round-trips bucket-exactly. *)
-val encode : t -> string
-
-val decode : string -> t option
-
 val pp : Format.formatter -> t -> unit

@@ -1,14 +1,23 @@
-(* Tests for the vectorized batch executor (DESIGN.md section 10).
+(* The executor's differential suite (DESIGN.md section 8).
 
-   The contract under test: [Exec.batch_exec] selects between the
-   row-at-a-time and batched push pipelines, and the three executor modes
-   (materializing, row pipelined, batch pipelined) are observationally
-   identical — same row lists (same rows in the same order), same
-   work-counter totals — for the whole paper workload, for fixed fused
-   plans, for random plans, at batch sizes 1/3/64 (singleton batches and
-   ragged tails included) and at every pool size when the plan contains
-   parallel operators.  Only the allocation profile may differ (bench b15
-   measures that difference). *)
+   There is one executor, batched push; its only knobs are the batch size
+   ([Batch.size]) and the pool size.  An execution mode here is one
+   (batch size, domains) pair.  The contract under test:
+
+   - values: every plan's canonical result equals the reference
+     evaluator's ([Eval.run]) on the ADL it implements — the corpus
+     query, or a hand-written ADL twin of a hand-built plan;
+   - modes: rows, their order and work-counter totals at batch sizes 1,
+     3 and 64 (singleton batches and ragged tails) and at 1, 2 and 4
+     domains are exactly those of the same plan at the default size 256
+     on one domain;
+   - fusion: the fixed plans' rows, their order and counter totals are
+     exactly those of the same plan with every intermediate result
+     materialized ([Util.materialize_edges]; test_fusion.ml checks the
+     corpus and random plans the same way).
+
+   Covered: the whole paper workload, fixed fused plans over the batch
+   kernels, parallel plans, and random rewritten plans. *)
 
 open Njq_adl
 open Dsl
@@ -21,19 +30,9 @@ module Planner = Njq_engine.Planner
 module Pool = Njq_engine.Pool
 module Batch = Njq_engine.Batch
 
-let with_exec ~pipeline ~batch f =
-  let prev_p = !Exec.pipeline_exec and prev_b = !Exec.batch_exec in
-  Exec.pipeline_exec := pipeline;
-  Exec.batch_exec := batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Exec.pipeline_exec := prev_p;
-      Exec.batch_exec := prev_b)
-    f
-
 let with_batch_size n f =
   let prev = !Batch.size in
-  Batch.set_size n;
+  Batch.size := n;
   Fun.protect ~finally:(fun () -> Batch.size := prev) f
 
 let with_domains k f =
@@ -49,45 +48,47 @@ let with_par_threshold t f =
 let snapshot = Alcotest.(list (pair string int))
 let row_list = Alcotest.(list Util.value)
 
-(* The three executor modes.  The batched paths only engage under the
-   pipelined executor, so "mat" doubles as the reference semantics. *)
-let modes =
-  [ ("mat", false, false); ("row", true, false); ("batch", true, true) ]
+let run_rows cat plan =
+  Counters.reset ();
+  let rows = Exec.rows cat plan in
+  (rows, Counters.snapshot ())
 
-let run_mode ~pipeline ~batch cat plan =
-  with_exec ~pipeline ~batch (fun () ->
-      Counters.reset ();
-      let rows = Exec.rows cat plan in
-      (rows, Counters.snapshot ()))
+(* The reference mode: the default batch size on one domain. *)
+let reference cat plan =
+  with_domains 1 (fun () -> with_batch_size 256 (fun () -> run_rows cat plan))
 
-(* Check that every mode, at every given batch size, produces the
-   reference mode's rows (in order) and counter totals. *)
-let check_modes_agree ?(sizes = [ 1; 3; 64 ]) name cat plan =
-  let ref_rows, ref_counters = run_mode ~pipeline:false ~batch:false cat plan in
+(* Check that [plan]'s value is [Eval.run] of [adl], and that every mode
+   in [domains] x [sizes] reproduces the reference mode's rows (in order)
+   and counter totals. *)
+let check_plan ?(sizes = [ 1; 3; 64 ]) ?(domains = [ 1 ]) name cat ~adl plan =
+  let ref_rows, ref_counters = reference cat plan in
+  Alcotest.check Util.value (name ^ ": value = Eval") (Eval.run cat adl)
+    (Value.set ref_rows);
   List.iter
-    (fun bs ->
-      with_batch_size bs (fun () ->
+    (fun k ->
+      with_domains k (fun () ->
           List.iter
-            (fun (mode, pipeline, batch) ->
-              let rows, counters = run_mode ~pipeline ~batch cat plan in
-              let tag = Printf.sprintf "%s [%s, size %d]" name mode bs in
-              Alcotest.check row_list (tag ^ ": rows (and their order)")
-                ref_rows rows;
-              Alcotest.check snapshot (tag ^ ": counter totals") ref_counters
-                counters)
-            modes))
-    sizes
+            (fun bs ->
+              with_batch_size bs (fun () ->
+                  let rows, counters = run_rows cat plan in
+                  let tag = Printf.sprintf "%s [%d domains, size %d]" name k bs in
+                  Alcotest.check row_list (tag ^ ": rows (and their order)")
+                    ref_rows rows;
+                  Alcotest.check snapshot (tag ^ ": counter totals")
+                    ref_counters counters))
+            sizes))
+    domains
 
 (* ------------------------------------------------------------------ *)
-(* Paper workload: every corpus query, optimized and planned, agrees
-   across all three modes and batch sizes. *)
+(* Paper workload: every corpus query, optimized and planned. *)
 
 let test_workload_modes_agree () =
   let cat = Gen.catalog { (Gen.scaled ~seed:7 48) with Gen.dangling_rate = 0.0 } in
   List.iter
     (fun (q : Queries.query) ->
-      let plan = Planner.plan (Strategy.optimize cat (Queries.to_adl q)) in
-      check_modes_agree q.Queries.id cat plan)
+      let adl = Queries.to_adl q in
+      let plan = Planner.plan (Strategy.optimize cat adl) in
+      check_plan q.Queries.id cat ~adl plan)
     (Queries.all @ Queries.extended)
 
 (* ------------------------------------------------------------------ *)
@@ -95,7 +96,30 @@ let test_workload_modes_agree () =
    predicates (int/float/string constants), the single-key hash join
    specialization, semi/anti/outer joins, set ops through the shared
    dedup sink, nestjoin grouping, renames, and a breaker (sort) fed by a
-   batched input. *)
+   batched input.  Each comes with the ADL it implements. *)
+
+let price_above k p = gt (var p $. "price") (int k)
+
+let chain_adl =
+  project [ "oid"; "pp" ]
+    (map_ "p"
+       (select "p" (table "PART") (price_above 5 "p"))
+       (tuple
+          [ ("oid", var "p" $. "oid");
+            ("pp", mul (var "p" $. "price") (int 2));
+            ("color", var "p" $. "color") ]))
+
+let probe_pred = eq (var "d" $. "supplier") (var "s" $. "soid")
+let live_delivery = ge (count (var "d" $. "supply")) (int 0)
+
+let supplier_keys_body =
+  tuple [ ("soid", var "s" $. "oid"); ("sname", var "s" $. "sname") ]
+
+let probe_adl kind =
+  Expr.Join
+    { kind; xvar = "d"; yvar = "s"; pred = probe_pred;
+      left = select "d" (table "DELIVERY") live_delivery;
+      right = map_ "s" (table "SUPPLIER") supplier_keys_body }
 
 let fused_plans () =
   let chain =
@@ -110,45 +134,37 @@ let fused_plans () =
                   ("color", var "p" $. "color") ];
             input =
               Plan.Filter
-                { var = "p"; pred = gt (var "p" $. "price") (int 5);
-                  input = Plan.Scan "PART" } } )
+                { var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } } )
   in
   (* Column kernel on a string attribute plus a conjunction: exercises
      the boxed-column fallback and per-row short-circuit. *)
+  let str_pred =
+    eq (var "p" $. "color") (str "red") &&& lt (var "p" $. "price") (int 9)
+  in
   let str_filter =
-    Plan.Filter
-      { var = "p";
-        pred =
-          eq (var "p" $. "color") (str "red")
-          &&& lt (var "p" $. "price") (int 9);
-        input = Plan.Scan "PART" }
+    Plan.Filter { var = "p"; pred = str_pred; input = Plan.Scan "PART" }
   in
   (* Comparing an int column against a string constant: the kernel must
      fold the rank comparison to a constant, same as Eval would. *)
+  let rank_pred = lt (var "p" $. "price") (str "zzz") in
   let mixed_rank =
-    Plan.Filter
-      { var = "p"; pred = lt (var "p" $. "price") (str "zzz");
-        input = Plan.Scan "PART" }
+    Plan.Filter { var = "p"; pred = rank_pred; input = Plan.Scan "PART" }
   in
-  let probe kind =
+  let probe algo kind =
     Plan.JoinOp
-      { algo = Plan.Hash; kind; xvar = "d"; yvar = "s";
+      { algo; kind; xvar = "d"; yvar = "s";
         keys = [ (var "d" $. "supplier", var "s" $. "soid") ];
         residual = Expr.true_;
         left =
           Plan.Filter
-            { var = "d"; pred = ge (count (var "d" $. "supply")) (int 0);
-              input = Plan.Scan "DELIVERY" };
+            { var = "d"; pred = live_delivery; input = Plan.Scan "DELIVERY" };
         right =
           Plan.MapOp
-            { var = "s";
-              body =
-                tuple
-                  [ ("soid", var "s" $. "oid"); ("sname", var "s" $. "sname") ];
-              input = Plan.Scan "SUPPLIER" } }
+            { var = "s"; body = supplier_keys_body; input = Plan.Scan "SUPPLIER" } }
   in
   (* Multi-key join: takes the KTbl path rather than the single-key
      specialization. *)
+  let two_key_body = tuple [ ("k", var "q" $. "oid"); ("kc", var "q" $. "color") ] in
   let two_key =
     Plan.JoinOp
       { algo = Plan.Hash; kind = Expr.Inner; xvar = "a"; yvar = "b";
@@ -156,30 +172,27 @@ let fused_plans () =
           [ (var "a" $. "oid", var "b" $. "k");
             (var "a" $. "color", var "b" $. "kc") ];
         residual = Expr.true_; left = Plan.Scan "PART";
-        right =
-          Plan.MapOp
-            { var = "q";
-              body =
-                tuple
-                  [ ("k", var "q" $. "oid"); ("kc", var "q" $. "color") ];
-              input = Plan.Scan "PART" } }
+        right = Plan.MapOp { var = "q"; body = two_key_body; input = Plan.Scan "PART" } }
   in
+  let two_key_adl =
+    join ~x:"a" ~y:"b"
+      (eq (var "a" $. "oid") (var "b" $. "k")
+       &&& eq (var "a" $. "color") (var "b" $. "kc"))
+      (table "PART")
+      (map_ "q" (table "PART") two_key_body)
+  in
+  let red p = eq (var p $. "color") (str "red") in
   let union_plan =
     Plan.UnionOp
-      ( Plan.Filter
-          { var = "p"; pred = eq (var "p" $. "color") (str "red");
-            input = Plan.Scan "PART" },
-        Plan.Filter
-          { var = "p"; pred = gt (var "p" $. "price") (int 10);
-            input = Plan.Scan "PART" } )
+      ( Plan.Filter { var = "p"; pred = red "p"; input = Plan.Scan "PART" },
+        Plan.Filter { var = "p"; pred = price_above 10 "p"; input = Plan.Scan "PART" } )
   in
   let diff_plan =
     Plan.DiffOp
       ( Plan.Scan "PART",
-        Plan.Filter
-          { var = "p"; pred = gt (var "p" $. "price") (int 5);
-            input = Plan.Scan "PART" } )
+        Plan.Filter { var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } )
   in
+  let nest_pred = eq (var "s" $. "oid") (var "d" $. "supplier") in
   let nest_plan =
     Plan.NestjoinOp
       { algo = Plan.Hash; xvar = "s"; yvar = "d";
@@ -187,99 +200,116 @@ let fused_plans () =
         residual = Expr.true_; body = var "d" $. "date"; attr = "delivered";
         left = Plan.Scan "SUPPLIER"; right = Plan.Scan "DELIVERY" }
   in
+  let nest_adl =
+    nestjoin ~x:"s" ~y:"d" ~body:(var "d" $. "date") ~attr:"delivered" nest_pred
+      (table "SUPPLIER") (table "DELIVERY")
+  in
   let rename_plan =
     Plan.RenameOp
       ( [ ("pname", "part_name") ],
-        Plan.Filter
-          { var = "p"; pred = gt (var "p" $. "price") (int 3);
-            input = Plan.Scan "PART" } )
+        Plan.Filter { var = "p"; pred = price_above 3 "p"; input = Plan.Scan "PART" } )
   in
-  (* A breaker downstream of batched inputs: sort-merge buffers both
-     sides, so batches must materialize correctly at the boundary. *)
-  let sort_join =
-    Plan.JoinOp
-      { algo = Plan.Sort_merge; kind = Expr.Inner; xvar = "d"; yvar = "s";
-        keys = [ (var "d" $. "supplier", var "s" $. "soid") ];
-        residual = Expr.true_;
-        left =
-          Plan.Filter
-            { var = "d"; pred = ge (count (var "d" $. "supply")) (int 0);
-              input = Plan.Scan "DELIVERY" };
-        right =
-          Plan.MapOp
-            { var = "s";
-              body =
-                tuple
-                  [ ("soid", var "s" $. "oid"); ("sname", var "s" $. "sname") ];
-              input = Plan.Scan "SUPPLIER" } }
+  let rename_adl =
+    Expr.Rename
+      ([ ("pname", "part_name") ], select "p" (table "PART") (price_above 3 "p"))
   in
+  let has_parts = ge (count (var "s" $. "parts_supplied")) (int 1) in
   let flatten_plan =
     Plan.FlattenOp
       (Plan.MapOp
          { var = "s"; body = var "s" $. "parts_supplied";
            input =
-             Plan.Filter
-               { var = "s";
-                 pred = ge (count (var "s" $. "parts_supplied")) (int 1);
-                 input = Plan.Scan "SUPPLIER" } })
+             Plan.Filter { var = "s"; pred = has_parts; input = Plan.Scan "SUPPLIER" } })
   in
-  [ ("chain", chain); ("str_filter", str_filter); ("mixed_rank", mixed_rank);
-    ("probe_inner", probe Expr.Inner); ("probe_semi", probe Expr.Semi);
-    ("probe_anti", probe Expr.Anti);
-    ("probe_outer", probe (Expr.LeftOuter [ "soid"; "sname" ]));
-    ("two_key", two_key); ("union", union_plan); ("diff", diff_plan);
-    ("nest", nest_plan); ("rename", rename_plan); ("sort_join", sort_join);
-    ("flatten", flatten_plan) ]
+  let flatten_adl =
+    flatten
+      (map_ "s" (select "s" (table "SUPPLIER") has_parts) (var "s" $. "parts_supplied"))
+  in
+  let outer = Expr.LeftOuter [ "soid"; "sname" ] in
+  [ ("chain", chain, chain_adl);
+    ("str_filter", str_filter, select "p" (table "PART") str_pred);
+    ("mixed_rank", mixed_rank, select "p" (table "PART") rank_pred);
+    ("probe_inner", probe Plan.Hash Expr.Inner, probe_adl Expr.Inner);
+    ("probe_semi", probe Plan.Hash Expr.Semi, probe_adl Expr.Semi);
+    ("probe_anti", probe Plan.Hash Expr.Anti, probe_adl Expr.Anti);
+    ("probe_outer", probe Plan.Hash outer, probe_adl outer);
+    ("two_key", two_key, two_key_adl);
+    ( "union",
+      union_plan,
+      union
+        (select "p" (table "PART") (red "p"))
+        (select "p" (table "PART") (price_above 10 "p")) );
+    ( "diff",
+      diff_plan,
+      diff (table "PART") (select "p" (table "PART") (price_above 5 "p")) );
+    ("nest", nest_plan, nest_adl);
+    ("rename", rename_plan, rename_adl);
+    (* A breaker downstream of batched inputs: sort-merge buffers both
+       sides, so batches must materialize correctly at the boundary. *)
+    ("sort_join", probe Plan.Sort_merge Expr.Inner, probe_adl Expr.Inner);
+    ("flatten", flatten_plan, flatten_adl) ]
 
 let test_fused_plans_agree () =
   let cat = Gen.catalog { (Gen.scaled ~seed:1 64) with Gen.dangling_rate = 0.0 } in
-  List.iter (fun (name, plan) -> check_modes_agree name cat plan) (fused_plans ())
+  List.iter
+    (fun (name, plan, adl) -> check_plan name cat ~adl plan)
+    (fused_plans ())
+
+(* The same plans with their fused chains cut at every operator edge. *)
+let test_fused_chains_agree () =
+  let cat = Gen.catalog { (Gen.scaled ~seed:1 64) with Gen.dangling_rate = 0.0 } in
+  List.iter
+    (fun (name, plan, _) ->
+      let rows, counters = run_rows cat plan in
+      let m_rows, m_counters = Util.run_materialized cat plan in
+      Alcotest.check row_list (name ^ ": rows (and their order)") m_rows rows;
+      Alcotest.check snapshot (name ^ ": counter totals") m_counters counters)
+    (fused_plans ())
 
 (* ------------------------------------------------------------------ *)
 (* Parallel interop: morsel-over-batch ParFilter/ParMapOp and the
-   parallelized corpus agree across modes at 1/2/4 domains.  A single
-   batch size keeps the pool matrix affordable; size 3 guarantees ragged
-   tails inside every chunk. *)
+   parallelized corpus at 1/2/4 domains.  A single batch size keeps the
+   pool matrix affordable; size 3 guarantees ragged tails inside every
+   pool task. *)
 
 let test_parallel_modes_agree () =
   let cat = Gen.catalog { (Gen.scaled ~seed:3 48) with Gen.dangling_rate = 0.0 } in
+  let pp_body =
+    tuple [ ("oid", var "p" $. "oid"); ("pp", mul (var "p" $. "price") (int 2)) ]
+  in
   let par_chain =
     Plan.MapOp
-      { var = "p";
-        body =
-          tuple
-            [ ("oid", var "p" $. "oid"); ("pp", mul (var "p" $. "price") (int 2)) ];
+      { var = "p"; body = pp_body;
         input =
           Plan.ParFilter
-            { var = "p"; pred = gt (var "p" $. "price") (int 5);
-              input = Plan.Scan "PART" } }
+            { var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } }
   in
   let par_map =
     Plan.ParMapOp
       { var = "p"; body = var "p" $. "pname";
         input =
-          Plan.Filter
-            { var = "p"; pred = gt (var "p" $. "price") (int 2);
-              input = Plan.Scan "PART" } }
+          Plan.Filter { var = "p"; pred = price_above 2 "p"; input = Plan.Scan "PART" } }
+  in
+  let fixed =
+    [ ("par_chain", par_chain,
+       map_ "p" (select "p" (table "PART") (price_above 5 "p")) pp_body);
+      ("par_map", par_map,
+       map_ "p" (select "p" (table "PART") (price_above 2 "p")) (var "p" $. "pname")) ]
   in
   let corpus =
     List.map
       (fun (q : Queries.query) ->
-        let seq = Planner.plan (Strategy.optimize cat (Queries.to_adl q)) in
+        let adl = Queries.to_adl q in
+        let seq = Planner.plan (Strategy.optimize cat adl) in
         ( q.Queries.id,
-          with_par_threshold 1 (fun () -> Planner.parallelize cat seq) ))
+          with_par_threshold 1 (fun () -> Planner.parallelize cat seq),
+          adl ))
       Queries.all
   in
   List.iter
-    (fun k ->
-      with_domains k (fun () ->
-          List.iter
-            (fun (name, plan) ->
-              check_modes_agree ~sizes:[ 3 ]
-                (Printf.sprintf "%s at %d domains" name k)
-                cat plan)
-            (("par_chain", par_chain) :: ("par_map", par_map) :: corpus)))
-    [ 1; 2; 4 ]
+    (fun (name, plan, adl) ->
+      check_plan ~sizes:[ 3 ] ~domains:[ 1; 2; 4 ] name cat ~adl plan)
+    (fixed @ corpus)
 
 (* ------------------------------------------------------------------ *)
 (* Batch module unit tests: view windows, ragged builder tails,
@@ -336,22 +366,45 @@ let test_project_sorted_agrees () =
     (Value.project_sorted row sorted)
 
 (* ------------------------------------------------------------------ *)
-(* Property: random rewritten query plans agree across all three modes
-   on the ordered row list and counters, at a ragged batch size. *)
+(* Properties on random XY predicates and tables.  The first: both the
+   rewritten plan and the bare Filter(Scan) (whose predicate goes through
+   the column kernels unrewritten) return Eval's value — or fail where
+   Eval fails — and the rewritten plan's rows and counters at a ragged
+   batch size are those of the default size.  The second: with one-row
+   batches, the rewritten plan's rows, their order and counter totals
+   are those of the default size.  (Random plans against their fully
+   materialized twins are in test_fusion.ml.) *)
 
 let prop_batch_differential =
-  Util.qcheck ~count:150 "batched executor matches row-at-a-time"
+  Util.qcheck ~count:150 "batched executor matches Eval and size 256"
     Util.arbitrary_xy_pred_and_tables
     (fun (pred, tables) ->
       let cat = Util.xy_catalog tables in
       let q = select "x" (table "X") pred in
+      let want = Util.outcome (fun () -> Eval.run cat q) in
+      let agrees plan =
+        match want, Util.outcome (fun () -> Exec.run cat plan) with
+        | Ok a, Ok b -> Value.equal a b
+        | Error (), Error () -> true
+        | _ -> false
+      in
+      let filter = Plan.Filter { var = "x"; pred; input = Plan.Scan "X" } in
       let plan = Planner.plan (Strategy.optimize cat q) in
-      let row_rows, row_counters = run_mode ~pipeline:true ~batch:false cat plan in
-      with_batch_size 3 (fun () ->
-          let b_rows, b_counters = run_mode ~pipeline:true ~batch:true cat plan in
-          List.length row_rows = List.length b_rows
-          && List.for_all2 Value.equal row_rows b_rows
-          && row_counters = b_counters))
+      agrees filter && agrees plan
+      && (Result.is_error want
+         || Util.same_run
+              (Util.outcome (fun () -> with_batch_size 3 (fun () -> run_rows cat plan)))
+              (Util.outcome (fun () -> run_rows cat plan))))
+
+let prop_row_at_a_time =
+  Util.qcheck ~count:150 "batched executor matches row-at-a-time"
+    Util.arbitrary_xy_pred_and_tables
+    (fun (pred, tables) ->
+      let cat = Util.xy_catalog tables in
+      let plan = Planner.plan (Strategy.optimize cat (select "x" (table "X") pred)) in
+      Util.same_run
+        (Util.outcome (fun () -> with_batch_size 1 (fun () -> run_rows cat plan)))
+        (Util.outcome (fun () -> run_rows cat plan)))
 
 let () =
   Alcotest.run "batch"
@@ -360,6 +413,8 @@ let () =
             test_workload_modes_agree;
           Alcotest.test_case "fused plans agree (incl. order)" `Quick
             test_fused_plans_agree;
+          Alcotest.test_case "fused chains agree (incl. order)" `Quick
+            test_fused_chains_agree;
           Alcotest.test_case "parallel interop at 1/2/4 domains" `Quick
             test_parallel_modes_agree ] );
       ( "batch module",
@@ -369,4 +424,5 @@ let () =
           Alcotest.test_case "selection compaction" `Quick test_batch_selection;
           Alcotest.test_case "project_sorted agrees" `Quick
             test_project_sorted_agrees ] );
-      ("properties", [ prop_batch_differential ]) ]
+      ( "properties",
+        [ prop_batch_differential; prop_row_at_a_time ] ) ]

@@ -58,32 +58,6 @@ let prop_xy_agreement =
         xs;
       true)
 
-(* The engine must produce identical results whether parameters are
-   compiled or interpreted: run the same filter plan both ways. *)
-let prop_exec_modes_agree =
-  Util.qcheck ~count:150 "Exec.run agrees across compile_params modes"
-    Util.arbitrary_xy_pred_and_tables
-    (fun (pred, tables) ->
-      let cat = Util.xy_catalog tables in
-      let plan =
-        Njq_engine.Plan.Filter
-          { var = "x"; pred; input = Njq_engine.Plan.Scan "X" }
-      in
-      let run () =
-        eval_outcome (fun () -> Njq_engine.Exec.run cat plan)
-      in
-      let compiled = run () in
-      let interpreted =
-        Njq_engine.Exec.compile_params := false;
-        Fun.protect
-          ~finally:(fun () -> Njq_engine.Exec.compile_params := true)
-          run
-      in
-      if not (outcomes_agree compiled interpreted) then
-        QCheck.Test.fail_reportf "compiled %a <> interpreted %a" pp_outcome
-          compiled pp_outcome interpreted;
-      true)
-
 (* ------------------------------------------------------------------ *)
 (* Corpus: every paper query (and the extended ones) compiled as a closed
    expression returns exactly Eval.run's result. *)
@@ -208,7 +182,6 @@ let () =
   Alcotest.run "compile"
     [ ( "agreement",
         [ prop_xy_agreement;
-          prop_exec_modes_agree;
           Alcotest.test_case "paper corpus" `Quick corpus_agree ] );
       ( "edge cases",
         [ Alcotest.test_case "empty set and null (Table 3)" `Quick

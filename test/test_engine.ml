@@ -250,8 +250,7 @@ let test_assembly () =
   Alcotest.check Util.value "assembly materializes references" expected
     (Exec.run cat plan)
 
-(* Error paths: assembly must fail loudly — in both execution modes — on
-   dangling references and non-oid reference attributes, and [set_rows]
+(* Error paths: assembly must fail loudly on dangling references and non-oid reference attributes, and [set_rows]
    must invalidate the lazy oid index so later derefs see the new extent. *)
 
 let ref_row_type =
@@ -268,15 +267,6 @@ let assemble_refs cat =
        { cls = "PART"; ref_attr = "part"; into = "part_obj";
          input = Plan.Scan "REF" })
 
-let in_both_modes f =
-  List.iter
-    (fun mode ->
-      let prev = !Exec.pipeline_exec in
-      Exec.pipeline_exec := mode;
-      Fun.protect ~finally:(fun () -> Exec.pipeline_exec := prev) (fun () ->
-          f (if mode then "pipelined" else "materializing")))
-    [ true; false ]
-
 let check_type_error name f =
   match f () with
   | v -> Alcotest.failf "%s: expected Type_error, got %a" name Value.pp v
@@ -288,20 +278,14 @@ let test_assembly_dangling_oid () =
       [ Value.tuple [ ("part", Value.oid 1); ("tag", Value.string "ok") ];
         Value.tuple [ ("part", Value.oid 77); ("tag", Value.string "bad") ] ]
   in
-  in_both_modes (fun mode ->
-      check_type_error
-        (mode ^ ": dangling reference #77")
-        (fun () -> assemble_refs cat))
+  check_type_error "dangling reference #77" (fun () -> assemble_refs cat)
 
 let test_assembly_non_oid_ref () =
   let cat =
     ref_catalog
       [ Value.tuple [ ("part", Value.int 1); ("tag", Value.string "notref") ] ]
   in
-  in_both_modes (fun mode ->
-      check_type_error
-        (mode ^ ": non-oid reference attribute")
-        (fun () -> assemble_refs cat))
+  check_type_error "non-oid reference attribute" (fun () -> assemble_refs cat)
 
 let test_assembly_index_invalidation () =
   let cat =
@@ -317,10 +301,8 @@ let test_assembly_index_invalidation () =
       (Catalog.rows cat "PART")
   in
   Catalog.set_rows cat "PART" keep;
-  in_both_modes (fun mode ->
-      check_type_error
-        (mode ^ ": deref after set_rows invalidation")
-        (fun () -> assemble_refs cat));
+  check_type_error "deref after set_rows invalidation" (fun () ->
+      assemble_refs cat);
   (* And restoring the row makes the deref succeed again. *)
   Catalog.set_rows cat "PART"
     (Util.part ~oid:1 ~pname:"bolt" ~price:10 ~color:"red" :: keep);

@@ -1,6 +1,6 @@
 (* Properties of the observability histograms and the query log: exact
    shard merging, percentile error bounds, allocation-free recording,
-   both codecs, sharded [Metrics.observe] through the real domain pool,
+   sharded [Metrics.observe] through the real domain pool,
    and the qlog event/sink/aggregate pipeline. *)
 
 module H = Njq_obs.Histogram
@@ -75,32 +75,6 @@ let prop_aggregates_exact =
       && H.sum h = List.fold_left ( + ) 0 vs
       && H.min_value h = List.fold_left min max_int vs
       && H.max_value h = List.fold_left max (-1) vs)
-
-let prop_json_roundtrip =
-  Util.qcheck ~count:200 "JSON codec round-trips bucket-exactly"
-    arbitrary_values
-    (fun vs ->
-      let h = of_values vs in
-      match H.of_json (Json.of_string (Json.to_string (H.to_json h))) with
-      | Some h' -> H.equal h h'
-      | None -> false)
-
-let prop_binary_roundtrip =
-  Util.qcheck ~count:200 "binary codec round-trips bucket-exactly"
-    arbitrary_values
-    (fun vs ->
-      let h = of_values vs in
-      match H.decode (H.encode h) with
-      | Some h' -> H.equal h h'
-      | None -> false)
-
-let test_decode_garbage () =
-  Alcotest.(check bool) "empty" true (H.decode "" = None);
-  Alcotest.(check bool) "bad magic" true (H.decode "XXXX1\x00" = None);
-  let h = of_values [ 1; 500; 70_000 ] in
-  let enc = H.encode h in
-  let truncated = String.sub enc 0 (String.length enc - 1) in
-  Alcotest.(check bool) "truncated" true (H.decode truncated = None)
 
 (* Recording must not allocate: it runs per query and per parallel task.
    [Gc.counters] flushes the young pointer, so a zero minor delta is a
@@ -271,9 +245,6 @@ let () =
   Alcotest.run "histogram"
     [ ( "histogram",
         [ prop_merge_of_shards; prop_percentile_bound; prop_aggregates_exact;
-          prop_json_roundtrip; prop_binary_roundtrip;
-          Alcotest.test_case "decode rejects garbage" `Quick
-            test_decode_garbage;
           Alcotest.test_case "recording is allocation-free" `Quick
             test_record_allocation_free ] );
       ( "metrics",

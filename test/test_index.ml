@@ -9,8 +9,7 @@
      disabled, or not cheaper.
    - Differential properties: IndexScan is observationally equal to
      Filter(Scan) — same rows, same order — and IndexJoin to the
-     hash/nested-loop join it replaces, in both executor modes at 1/2/4
-     domains.
+     hash/nested-loop join it replaces, at 1/2/4 domains.
    - Plancache: hit/miss accounting, LRU eviction, text normalization
      and catalog-epoch invalidation. *)
 
@@ -26,26 +25,15 @@ module Pool = Njq_engine.Pool
 
 let row_list = Alcotest.(list Util.value)
 
-let with_pipeline flag f =
-  let prev = !Exec.pipeline_exec in
-  Exec.pipeline_exec := flag;
-  Fun.protect ~finally:(fun () -> Exec.pipeline_exec := prev) f
-
 let with_domains k f =
   let prev = Pool.domains () in
   Pool.set_domains k;
   Fun.protect ~finally:(fun () -> Pool.set_domains prev) f
 
-let rows_in_mode flag cat plan = with_pipeline flag (fun () -> Exec.rows cat plan)
-
-(* Both plans must produce the same ordered row list in both executor
-   modes (and the index plan must agree with itself across modes). *)
+(* Both plans must produce the same ordered row list. *)
 let check_plans_equal name cat reference candidate =
-  let want = rows_in_mode false cat reference in
-  Alcotest.check row_list (name ^ ": materializing") want
-    (rows_in_mode false cat candidate);
-  Alcotest.check row_list (name ^ ": pipelined") want
-    (rows_in_mode true cat candidate)
+  Alcotest.check row_list name (Exec.rows cat reference)
+    (Exec.rows cat candidate)
 
 (* ------------------------------------------------------------------ *)
 (* Catalog index mechanics *)
@@ -247,8 +235,8 @@ let test_unselective_keeps_scan () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential properties: random XY databases; the index plans must be
-   observationally equal to the scan plans they replace, in both executor
-   modes, at 1/2/4 domains. *)
+   observationally equal to the scan plans they replace, at 1/2/4
+   domains. *)
 
 let indexed_xy_catalog tables =
   let cat = Util.xy_catalog tables in
@@ -265,7 +253,7 @@ let indexed_xy_catalog tables =
 let sorted_rows rs = List.sort Value.compare rs
 
 let prop_index_scan_differential =
-  Util.qcheck ~count:150 "IndexScan matches Filter(Scan) in both modes"
+  Util.qcheck ~count:150 "IndexScan matches Filter(Scan) in both point and range form"
     QCheck.(
       make
         Gen.(pair Util.gen_xy_tables (int_range 0 4))
@@ -289,19 +277,16 @@ let prop_index_scan_differential =
                 { lo = Some (int k, true); hi = Some (int k, true) };
             residual = Expr.true_; rename = [] }
       in
-      let want = rows_in_mode false cat scan in
+      let want = Exec.rows cat scan in
       List.for_all
         (fun candidate ->
-          List.for_all
-            (fun mode ->
-              let got = rows_in_mode mode cat candidate in
-              List.length got = List.length want
-              && List.for_all2 Value.equal want got)
-            [ false; true ])
+          let got = Exec.rows cat candidate in
+          List.length got = List.length want
+          && List.for_all2 Value.equal want got)
         [ point; range ])
 
 let prop_index_join_differential =
-  Util.qcheck ~count:120 "IndexJoin matches hash join in both modes"
+  Util.qcheck ~count:120 "IndexJoin matches hash join in both row set and semi/anti order"
     QCheck.(
       make
         Gen.(pair Util.gen_xy_tables (oneofl [ Expr.Inner; Expr.Semi; Expr.Anti ]))
@@ -327,7 +312,7 @@ let prop_index_join_differential =
             keys = [ var "x" $. "a" ]; residual = Expr.true_; rename = [];
             left = Plan.Scan "X" }
       in
-      let want = rows_in_mode false cat hash in
+      let want = Exec.rows cat hash in
       (* Semi/Anti preserve the left order exactly; Inner row order is
          probe-driven and may legitimately differ between the two
          algorithms, so it is compared as a sorted list. *)
@@ -337,12 +322,8 @@ let prop_index_join_differential =
         | _ -> Fun.id
       in
       let want = normalize want in
-      List.for_all
-        (fun mode ->
-          let got = normalize (rows_in_mode mode cat idx) in
-          List.length got = List.length want
-          && List.for_all2 Value.equal want got)
-        [ false; true ])
+      let got = normalize (Exec.rows cat idx) in
+      List.length got = List.length want && List.for_all2 Value.equal want got)
 
 let test_differential_across_domains () =
   let tables =

@@ -3,10 +3,10 @@
    The contract: reordering is invisible in results.  Every enumerated
    order of a join region — over generated 3-6 relation graphs with
    inner-join, semijoin, antijoin and nestjoin edges — produces results
-   bit-identical to the rewriter-order plan, in all three executor modes
-   (materializing, pipelined, batched) at 1/2/4 pool domains.  Distinct
-   enumerated orders carry distinct plan fingerprints (the observability
-   hook: a changed order choice shows up in qlog/njq top).  Enumerated
+   bit-identical to the rewriter-order plan and to the reference
+   evaluator, at 1/2/4 pool domains.  Distinct enumerated orders carry
+   distinct plan fingerprints (the observability hook: a changed order
+   choice shows up in qlog/njq top).  Enumerated
    plans flow through the plan cache under the normal key discipline.
    With a shared subplan fingerprint, selection placement hoists a
    selection above the sharing boundary instead of pushing it to the
@@ -22,16 +22,6 @@ module Pool = Njq_engine.Pool
 module Plancache = Njq_engine.Plancache
 module Stats = Njq_engine.Stats
 
-let with_exec ~pipeline ~batch f =
-  let prev_p = !Exec.pipeline_exec and prev_b = !Exec.batch_exec in
-  Exec.pipeline_exec := pipeline;
-  Exec.batch_exec := batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Exec.pipeline_exec := prev_p;
-      Exec.batch_exec := prev_b)
-    f
-
 let with_domains k f =
   let prev = Pool.domains () in
   Pool.set_domains k;
@@ -41,8 +31,6 @@ let with_reorder flag f =
   let prev = !Joinorder.use_joinorder in
   Joinorder.use_joinorder := flag;
   Fun.protect ~finally:(fun () -> Joinorder.use_joinorder := prev) f
-
-let modes = [ (false, false); (true, false); (true, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Random 3-6 relation join graphs.  Relation [i] carries attributes
@@ -138,16 +126,12 @@ let build_query (tables, edges, final_filter) =
 let check_value = Util.check_value
 
 (* Differential: rewriter order vs enumerated order vs every enumerated
-   order, all modes, 1/2/4 domains. *)
+   order against the reference evaluator, at 1/2/4 domains. *)
 let diff_prop g =
   let tables, _, _ = g in
   let cat = mk_catalog tables in
   let q = build_query g in
-  let reference =
-    with_domains 1 (fun () ->
-        with_exec ~pipeline:false ~batch:false (fun () ->
-            with_reorder false (fun () -> Exec.run cat (Planner.plan ~cat q))))
-  in
+  let reference = Eval.run cat q in
   let all_orders =
     with_domains 1 (fun () ->
         with_reorder false (fun () ->
@@ -159,19 +143,14 @@ let diff_prop g =
       with_domains d (fun () ->
           let p_rw = with_reorder false (fun () -> Planner.plan ~cat q) in
           let p_en = with_reorder true (fun () -> Planner.plan ~cat q) in
-          List.iter
-            (fun (pipeline, batch) ->
-              with_exec ~pipeline ~batch (fun () ->
-                  check_value "rewriter order" reference (Exec.run cat p_rw);
-                  check_value "enumerated order" reference (Exec.run cat p_en);
-                  List.iteri
-                    (fun i o ->
-                      check_value
-                        (Printf.sprintf "order %d (d=%d p=%b b=%b)" i d
-                           pipeline batch)
-                        reference (Exec.run cat o))
-                    all_orders))
-            modes))
+          check_value "rewriter order" reference (Exec.run cat p_rw);
+          check_value "enumerated order" reference (Exec.run cat p_en);
+          List.iteri
+            (fun i o ->
+              check_value
+                (Printf.sprintf "order %d (d=%d)" i d)
+                reference (Exec.run cat o))
+            all_orders))
     [ 1; 2; 4 ];
   true
 
@@ -334,7 +313,7 @@ let () =
     [
       ( "differential",
         [
-          Util.qcheck ~count:25 "every enumerated order bit-identical (modes x domains)"
+          Util.qcheck ~count:25 "every enumerated order bit-identical at 1/2/4 domains"
             (QCheck.make ~print:(fun g -> Pretty.to_string (build_query g)) gen_graph)
             diff_prop;
         ] );

@@ -2,8 +2,9 @@
    JSON well-formedness, the Counters facade over the metrics registry
    (with a micro-check that interned handles beat string ticks), q-error
    math, and — the load-bearing property — that the non-perturbing
-   per-operator profile reports exactly the same per-node row counts as the
-   materializing [Instrument] oracle on the paper's query workload. *)
+   per-operator profile reports, for every node, exactly the row count of
+   executing that node's subtree on its own, on the paper's query
+   workload. *)
 
 open Njq_adl
 open Dsl
@@ -15,7 +16,6 @@ module Export = Njq_obs.Export
 module Planner = Njq_engine.Planner
 module Exec = Njq_engine.Exec
 module Profile = Njq_engine.Profile
-module Instrument = Njq_engine.Instrument
 
 (* ---------------- JSON reader/writer ---------------- *)
 
@@ -272,25 +272,15 @@ let test_profile_hand_built () =
   let root_work = root.Profile.work in
   Alcotest.(check bool) "root ticks hash counters" true
     (List.mem_assoc "hash_build" root_work && List.mem_assoc "hash_probe" root_work);
-  (* Under pipelined execution the root owns the whole fused loop, so the
-     scans' ticks land on its exclusive work; flipping the mode off
-     restores the old one-node-one-bracket attribution. *)
+  (* The root owns the whole fused loop, so the scans' ticks land on its
+     exclusive work. *)
   Alcotest.(check bool) "fused scan work lands on the loop owner" true
-    (List.mem_assoc "scan_row" root_work);
-  Exec.pipeline_exec := false;
-  Fun.protect
-    ~finally:(fun () -> Exec.pipeline_exec := true)
-    (fun () ->
-      let _, root = Profile.run cat plan in
-      let root_work = root.Profile.work in
-      Alcotest.(check bool) "materializing mode: scan work stays on the scan"
-        true
-        (not (List.mem_assoc "scan_row" root_work)))
+    (List.mem_assoc "scan_row" root_work)
 
-(* The acceptance property: non-perturbing actuals equal the materializing
-   Instrument oracle's per-node rows exactly, label by label in pre-order,
-   on the paper's query workload. *)
-let test_profile_matches_instrument () =
+(* The acceptance property: every node's non-perturbing actual equals the
+   row count of executing its subtree alone, on the paper's query
+   workload. *)
+let test_profile_matches_subtree_rows () =
   let gcat =
     Njq_workload.Generator.catalog
       { Njq_workload.Generator.default_config with dangling_rate = 0.0 }
@@ -299,20 +289,22 @@ let test_profile_matches_instrument () =
     (fun (q : Njq_workload.Queries.query) ->
       let adl = Njq_workload.Queries.to_adl q in
       let plan = Planner.plan (Njq_core.Strategy.optimize gcat adl) in
-      let instrumented, reports = Instrument.run gcat plan in
       let profiled, root = Profile.run gcat plan in
-      Alcotest.check Util.value (q.id ^ " same result") instrumented profiled;
-      let inst_rows =
-        List.map (fun (r : Instrument.node_report) -> (r.label, r.rows)) reports
+      Alcotest.check Util.value (q.id ^ " same result") (Exec.run gcat plan)
+        profiled;
+      let nodes = Profile.preorder root in
+      let subtree_rows =
+        List.map
+          (fun (n : Profile.node) ->
+            (n.label, List.length (Exec.rows gcat n.plan)))
+          nodes
       in
       let prof_rows =
-        List.map
-          (fun (n : Profile.node) -> (n.label, n.actual_rows))
-          (Profile.preorder root)
+        List.map (fun (n : Profile.node) -> (n.label, n.actual_rows)) nodes
       in
       Alcotest.(check (list (pair string int)))
-        (q.id ^ " per-node rows match instrument")
-        inst_rows prof_rows)
+        (q.id ^ " per-node rows match subtree runs")
+        subtree_rows prof_rows)
     (Njq_workload.Queries.all @ Njq_workload.Queries.extended)
 
 (* Profiling must not perturb the work counters the run would tick bare. *)
@@ -347,7 +339,7 @@ let () =
       ( "profile",
         [ Alcotest.test_case "q-error math" `Quick test_qerror_math;
           Alcotest.test_case "hand-built plan" `Quick test_profile_hand_built;
-          Alcotest.test_case "matches instrument on workload" `Quick
-            test_profile_matches_instrument;
+          Alcotest.test_case "matches subtree rows on workload" `Quick
+            test_profile_matches_subtree_rows;
           Alcotest.test_case "non-perturbing counters" `Quick
             test_profile_non_perturbing_counters ] ) ]

@@ -3,8 +3,8 @@
    The contract under test: a prepared template executed as a K-way
    set-oriented batch ([Serve.exec_batch]) returns, per invocation, a
    result bit-identical to running that invocation alone
-   ([Serve.exec_one]) — for K in {1,4,16,64}, under every executor mode
-   and at 1/2/4 pool domains — and the in-process concurrent driver
+   ([Serve.exec_one]) — for K in {1,4,16,64} at 1/2/4 pool domains —
+   and the in-process concurrent driver
    routes every client's replies correctly.  Alongside: the plan cache's
    auto-parameterization (constant-differing queries share one plan, with
    the date-literal and index guards), epoch invalidation when the
@@ -28,24 +28,10 @@ module Qlog = Njq_obs.Qlog
 let translate text =
   fst (Njq_oosql.Translate.query_string Njq_workload.Queries.schema text)
 
-let with_exec ~pipeline ~batch f =
-  let prev_p = !Exec.pipeline_exec and prev_b = !Exec.batch_exec in
-  Exec.pipeline_exec := pipeline;
-  Exec.batch_exec := batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Exec.pipeline_exec := prev_p;
-      Exec.batch_exec := prev_b)
-    f
-
 let with_domains k f =
   let prev = Pool.domains () in
   Pool.set_domains k;
   Fun.protect ~finally:(fun () -> Pool.set_domains prev) f
-
-(* The three executor modes (materializing, row pipelined, batched). *)
-let modes =
-  [ ("mat", false, false); ("row", true, false); ("batch", true, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Qlog flush-on-exit (must stay first: forks before domains exist)    *)
@@ -132,30 +118,25 @@ let test_differential () =
           Alcotest.(check int) "t_range arity" 2 (Serve.nparams h_range);
           Alcotest.(check int) "t_noparam arity" 0 (Serve.nparams h_none);
           List.iter
-            (fun (mode, pipeline, batch) ->
-              with_exec ~pipeline ~batch (fun () ->
-                  List.iter
-                    (fun k ->
-                      let check name h mk =
-                        let vectors = List.init k mk in
-                        let batched = Serve.exec_batch h vectors in
-                        let singles =
-                          List.map (fun ps -> fst (Serve.exec_one h ps)) vectors
-                        in
-                        List.iteri
-                          (fun i (b, s) ->
-                            Alcotest.check Util.value
-                              (Printf.sprintf
-                                 "%s [%s, %d domains] K=%d cid=%d" name mode
-                                 domains k i)
-                              s b)
-                          (List.combine batched singles)
-                      in
-                      check "price" h_price price_params;
-                      check "range" h_range range_params;
-                      check "noparam" h_none (fun _ -> []))
-                    [ 1; 4; 16; 64 ]))
-            modes))
+            (fun k ->
+              let check name h mk =
+                let vectors = List.init k mk in
+                let batched = Serve.exec_batch h vectors in
+                let singles =
+                  List.map (fun ps -> fst (Serve.exec_one h ps)) vectors
+                in
+                List.iteri
+                  (fun i (b, s) ->
+                    Alcotest.check Util.value
+                      (Printf.sprintf "%s [%d domains] K=%d cid=%d" name
+                         domains k i)
+                      s b)
+                  (List.combine batched singles)
+              in
+              check "price" h_price price_params;
+              check "range" h_range range_params;
+              check "noparam" h_none (fun _ -> []))
+            [ 1; 4; 16; 64 ]))
     [ 1; 2; 4 ]
 
 (* Arity mismatches must fail fast, not execute. *)
@@ -319,7 +300,7 @@ let () =
     [ ( "qlog",
         [ Alcotest.test_case "flush on exit" `Quick test_qlog_flush_on_exit ] );
       ( "differential",
-        [ Alcotest.test_case "batched = one-at-a-time (K x modes x domains)"
+        [ Alcotest.test_case "batched = one-at-a-time (K x domains)"
             `Quick test_differential;
           Alcotest.test_case "arity check" `Quick test_arity_check ] );
       ( "driver",

@@ -1,7 +1,7 @@
 (* Larger-than-memory execution: rowcodec round trips, spill-file hygiene
    under mid-operator exceptions, NJQC binary catalog round trips, and
    budget-differential equivalence of the spilling operators (Grace join,
-   PNHL, external sort) across all executor modes and domain counts. *)
+   PNHL, external sort) across budgets and domain counts. *)
 
 open Njq_adl
 open Dsl
@@ -221,22 +221,7 @@ let test_planner_converts () =
 
 (* ------------------------------------------------------------------ *)
 (* Budget differential: Grace, PNHL and sort-merge results are
-   bit-identical at every budget, in every executor mode, at 1/2/4
-   domains. *)
-
-let with_modes f =
-  List.iter
-    (fun (pl, ba, name) ->
-      let p0 = !Exec.pipeline_exec and b0 = !Exec.batch_exec in
-      Exec.pipeline_exec := pl;
-      Exec.batch_exec := ba;
-      Fun.protect
-        ~finally:(fun () ->
-          Exec.pipeline_exec := p0;
-          Exec.batch_exec := b0)
-        (fun () -> f name))
-    [ (false, false, "materializing"); (true, false, "pipelined");
-      (true, true, "batched") ]
+   bit-identical at every budget, at 1/2/4 domains. *)
 
 let grace_plan budget =
   Plan.GraceJoin
@@ -269,29 +254,25 @@ let test_budget_differential () =
       List.iter
         (fun domains ->
           Njq_engine.Pool.set_domains domains;
-          with_modes (fun mode ->
-              List.iter
-                (fun budget ->
+          List.iter
+            (fun budget ->
+              Alcotest.check Util.value
+                (Fmt.str "grace d%d b%d" domains budget)
+                expected_grace
+                (Exec.run xy (grace_plan budget));
+              Alcotest.check Util.value
+                (Fmt.str "pnhl d%d b%d" domains budget)
+                expected_pnhl
+                (Exec.run sp (pnhl_plan budget));
+              let prev = !Memory.budget in
+              Memory.budget := budget;
+              Fun.protect
+                ~finally:(fun () -> Memory.budget := prev)
+                (fun () ->
                   Alcotest.check Util.value
-                    (Fmt.str "grace %s d%d b%d" mode domains budget)
-                    expected_grace
-                    (Exec.run xy (grace_plan budget));
-                  Alcotest.check Util.value
-                    (Fmt.str "pnhl %s d%d b%d" mode domains budget)
-                    expected_pnhl
-                    (Exec.run sp (pnhl_plan budget)))
-                [ max_int; 10; 1 ];
-              List.iter
-                (fun budget ->
-                  let prev = !Memory.budget in
-                  Memory.budget := budget;
-                  Fun.protect
-                    ~finally:(fun () -> Memory.budget := prev)
-                    (fun () ->
-                      Alcotest.check Util.value
-                        (Fmt.str "extsort %s d%d b%d" mode domains budget)
-                        expected_smj (Exec.run xy smj_plan)))
-                [ max_int; 10; 1 ]))
+                    (Fmt.str "extsort d%d b%d" domains budget)
+                    expected_smj (Exec.run xy smj_plan)))
+            [ max_int; 10; 1 ])
         [ 1; 2; 4 ])
 
 let test_external_sort_counters () =
@@ -340,7 +321,7 @@ let () =
         [ Alcotest.test_case "parse" `Quick test_parse_budget;
           Alcotest.test_case "planner converts over-budget hash join" `Quick
             test_planner_converts;
-          Alcotest.test_case "differential across modes and domains" `Quick
+          Alcotest.test_case "differential across budgets and domains" `Quick
             test_budget_differential;
           Alcotest.test_case "external sort counters" `Quick
             test_external_sort_counters ] );

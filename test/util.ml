@@ -190,3 +190,48 @@ let arbitrary_xy_pred_and_tables =
     ~print:(fun (p, (xs, ys)) ->
       Fmt.str "pred = %a@.X=%a@.Y=%a" Njq_adl.Pretty.pp p
         (Fmt.Dump.list Value.pp) xs (Fmt.Dump.list Value.pp) ys)
+
+(* ------------------------------------------------------------------ *)
+(* Fusion oracle: [plan] with no fused edge above its leaves.  Every
+   non-leaf child is run to its row list (bottom-up, so its own inputs
+   are cut the same way) and spliced back as a [Plan.Materialized] leaf.
+   [run_materialized] returns the rows and the counter totals of the
+   whole computation, the pre-runs included. *)
+
+let rec materialize_edges cat plan =
+  let module Plan = Njq_engine.Plan in
+  match Plan.children plan with
+  | [] -> plan
+  | cs ->
+    Plan.with_children plan
+      (List.map
+         (fun c ->
+           match Plan.children c with
+           | [] -> c
+           | _ ->
+             Plan.Materialized
+               (Njq_engine.Exec.rows cat (materialize_edges cat c)))
+         cs)
+
+let run_materialized cat plan =
+  Counters.reset ();
+  let rows = Njq_engine.Exec.rows cat (materialize_edges cat plan) in
+  (rows, Counters.snapshot ())
+
+(* Run [f], mapping an evaluation or type error to [Error ()]. *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception (Eval.Eval_error _ | Value.Type_error _) -> Error ()
+
+(* Two [outcome]s of [run_materialized]-shaped runs agree: both failed, or
+   both returned the same rows in the same order with the same counter
+   totals. *)
+let same_run a b =
+  match a, b with
+  | Ok (rows, counters), Ok (rows', counters') ->
+    List.length rows = List.length rows'
+    && List.for_all2 Value.equal rows rows'
+    && counters = counters'
+  | Error (), Error () -> true
+  | _ -> false

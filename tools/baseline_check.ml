@@ -7,7 +7,7 @@
    direction, with a message telling the author to regenerate the
    baseline alongside the bench change.
 
-   Usage: bench_main --list --scale N b13 b14 b15 | baseline_check BASELINE *)
+   Usage: bench_main --list --scale N b14 b16 b17 b18 | baseline_check BASELINE *)
 
 let fail fmt =
   Printf.ksprintf
