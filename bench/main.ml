@@ -16,10 +16,10 @@
      experiment) at a fixed scale.
 
    Usage: main [--work-only | --time-only] [--scale N] [--json]
-               [experiment ids...]
+               [--out FILE] [experiment ids...]
 
-   [--json] additionally writes BENCH_engine.json with the per-experiment
-   counter totals and wall-clock estimates. *)
+   [--json] additionally writes BENCH_engine.json (or FILE) with the
+   per-experiment counter totals and wall-clock estimates. *)
 
 open Njq_adl
 open Dsl
@@ -36,6 +36,7 @@ module Serve = Njq_engine.Serve
 
 let scales = ref [ 32; 64; 128; 256 ]
 let bench_scale = ref 128
+let json_out = ref "BENCH_engine.json"
 
 (* ------------------------------------------------------------------ *)
 (* Reporting helpers                                                   *)
@@ -1168,6 +1169,9 @@ let () =
          scales := [ n ]
        | _ -> Fmt.epr "--scale expects a positive integer@."; exit 1);
       parse picked rest
+    | "--out" :: path :: rest ->
+      json_out := path;
+      parse picked rest
     | a :: rest -> parse (a :: picked) rest
   in
   let args = parse [] args in
@@ -1232,6 +1236,6 @@ let () =
         [ ("b18", spill_stats ()) ]
       else []
     in
-    write_json ~path:"BENCH_engine.json" ~work_results ~time_rows ~span_rows
+    write_json ~path:!json_out ~work_results ~time_rows ~span_rows
       ~latency_rows ~serve_rows ~spill_rows
   end

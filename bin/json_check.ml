@@ -40,7 +40,9 @@
    is a real regression), and every latency p99 must stay within
    max(BASE * (1 + band), BASE + 5ms) where band defaults to 3.0 (wall
    clock is noisy; only order-of-magnitude blowups on meaningfully long
-   runs should fail CI). *)
+   runs should fail CI).  [--work WORKFILE] adds a second report whose
+   experiments are held to their work totals only: together the two
+   reports must carry exactly BASE's experiments. *)
 
 module Json = Njq_obs.Json
 
@@ -545,9 +547,18 @@ let digest file doc =
       (id, { d_variants; d_work; d_p99 }))
     experiments
 
-let check_baseline ~band base_file file =
+let check_baseline ~band ?work base_file file =
   let base = digest base_file (parse base_file) in
-  let cur = digest file (parse file) in
+  let work_only =
+    match work with
+    | None -> []
+    | Some w ->
+      List.map (fun (id, d) -> (id, { d with d_p99 = [] })) (digest w (parse w))
+  in
+  let cur = digest file (parse file) @ work_only in
+  let file =
+    match work with None -> file | Some w -> Printf.sprintf "%s + %s" file w
+  in
   let ids xs = List.map fst xs in
   List.iter
     (fun id ->
@@ -627,20 +638,21 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: "--bench" :: [ file ] -> check_bench file
   | _ :: "--baseline" :: base :: file :: rest ->
-    let band =
-      match rest with
-      | [] -> 3.0
-      | [ "--band"; f ] ->
+    let rec options band work = function
+      | [] -> (band, work)
+      | "--band" :: f :: rest ->
         (match float_of_string_opt f with
-         | Some f when f >= 0.0 -> f
+         | Some f when f >= 0.0 -> options f work rest
          | _ -> fail "--band expects a non-negative float")
+      | "--work" :: w :: rest -> options band (Some w) rest
       | _ ->
-        fail "usage: json_check --baseline BASE FILE [--band F]"
+        fail "usage: json_check --baseline BASE FILE [--band F] [--work WORKFILE]"
     in
-    check_baseline ~band base file
+    let band, work = options 3.0 None rest in
+    check_baseline ~band ?work base file
   | _ :: file :: keys when file <> "--bench" && file <> "--baseline" ->
     check_keys file keys
   | _ ->
     fail
       "usage: json_check FILE [REQUIRED_KEY...] | json_check --bench FILE | \
-       json_check --baseline BASE FILE [--band F]"
+       json_check --baseline BASE FILE [--band F] [--work WORKFILE]"

@@ -8,11 +8,20 @@
    to a table of (possibly complex) objects whose rows carry an [oid] field;
    class references are oid pointers into the referenced extent. *)
 
+type oid_index = {
+  by_oid : (int, Value.t) Hashtbl.t;
+  oid_key : bool;
+      (* every row has an oid and no two rows share one: "oid" is a key of
+         the extent *)
+}
+
 type table = {
   name : string;
   row_type : Vtype.t; (* type of one row (a tuple type) *)
   mutable rows : Value.t list; (* canonical: sorted, deduplicated *)
-  oid_index : (int, Value.t) Hashtbl.t option Atomic.t;
+  mutable changed : int;
+      (* catalog epoch of the last [add_table]/[set_rows] of this table *)
+  oid_index : oid_index option Atomic.t;
       (* lazy index on the row's "oid" field, invalidated on updates;
          published atomically so pool domains can deref concurrently — a
          lost race rebuilds an identical index, never observes a torn one *)
@@ -96,7 +105,7 @@ let add_table t ~name ~row_type rows =
   let rows = List.sort_uniq Value.compare rows in
   t.epoch <- t.epoch + 1;
   Hashtbl.add t.tables name
-    { name; row_type; rows; oid_index = Atomic.make None;
+    { name; row_type; rows; changed = t.epoch; oid_index = Atomic.make None;
       rows_arr = Atomic.make None }
 
 let find_opt t name = Hashtbl.find_opt t.tables name
@@ -109,6 +118,8 @@ let find t name =
 let mem t name = Hashtbl.mem t.tables name
 
 let rows t name = (find t name).rows
+
+let table_epoch t name = (find t name).changed
 
 (* Array view of a table's canonical rows, built once and cached until the
    next [set_rows]: the batched executor cuts its scan batches out of this
@@ -140,12 +151,40 @@ let set_rows t name rows =
     (fun _ idx ->
       if String.equal idx.idx_table name then Atomic.set idx.idx_data None)
     t.indexes;
-  t.epoch <- t.epoch + 1
+  t.epoch <- t.epoch + 1;
+  tbl.changed <- t.epoch
 
 let table_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [] |> List.sort String.compare
 
 let cardinality t name = List.length (rows t name)
+
+(* The oid index of extent [name], built on first use.  [Hashtbl.replace]
+   keeps one row per oid, so the build also decides whether "oid" is a key
+   of the extent: it is when the index holds as many entries as the table
+   has rows. *)
+let oid_index t name =
+  let tbl = find t name in
+  match Atomic.get tbl.oid_index with
+  | Some idx -> idx
+  | None ->
+    let n = List.length tbl.rows in
+    let by_oid = Hashtbl.create (max 16 n) in
+    List.iter
+      (function
+        | Value.VTuple fields as row ->
+          (match List.assoc_opt "oid" fields with
+           | Some (Value.VOid o) -> Hashtbl.replace by_oid o row
+           | _ -> ())
+        | _ -> ())
+      tbl.rows;
+    let idx = { by_oid; oid_key = Hashtbl.length by_oid = n } in
+    (* Publish after the table is fully built; racing domains may each
+       build one, but they are identical and readers see a whole index. *)
+    Atomic.set tbl.oid_index (Some idx);
+    idx
+
+let oid_key t name = (oid_index t name).oid_key
 
 (* Dereference an oid into extent [name]; builds the index on first use.
    Every lookup ticks the "oid_lookup" counter so benches can compare
@@ -153,24 +192,7 @@ let cardinality t name = List.length (rows t name)
 let c_oid_lookup = Njq_obs.Metrics.counter "oid_lookup"
 
 let deref t name oid_value =
-  let tbl = find t name in
-  let index =
-    match Atomic.get tbl.oid_index with
-    | Some idx -> idx
-    | None ->
-      let idx = Hashtbl.create (max 16 (List.length tbl.rows)) in
-      List.iter
-        (fun row ->
-          match row with
-          | Value.VTuple _ when Value.has_field row "oid" ->
-            Hashtbl.replace idx (Value.as_oid (Value.field row "oid")) row
-          | _ -> ())
-        tbl.rows;
-      (* Publish after the table is fully built; racing domains may each
-         build one, but they are identical and readers see a whole index. *)
-      Atomic.set tbl.oid_index (Some idx);
-      idx
-  in
+  let index = (oid_index t name).by_oid in
   Njq_obs.Metrics.incr c_oid_lookup;
   match Hashtbl.find_opt index (Value.as_oid oid_value) with
   | Some row -> row

@@ -6,11 +6,20 @@
     rows carry an [oid] field; class references are oid pointers into the
     referenced extent. *)
 
+(** An extent's oid index. *)
+type oid_index = {
+  by_oid : (int, Value.t) Hashtbl.t;
+  oid_key : bool;
+      (** every row has an oid and no two rows share one (see {!oid_key}) *)
+}
+
 type table = {
   name : string;
   row_type : Vtype.t;  (** a tuple type *)
   mutable rows : Value.t list;  (** canonical: sorted, duplicate-free *)
-  oid_index : (int, Value.t) Hashtbl.t option Atomic.t;
+  mutable changed : int;
+      (** catalog epoch of the table's last {!add_table} or {!set_rows} *)
+  oid_index : oid_index option Atomic.t;
       (** lazy index on the [oid] field, invalidated by {!set_rows};
           published atomically for concurrent deref from pool domains *)
   rows_arr : Value.t array option Atomic.t;
@@ -59,6 +68,11 @@ val find : t -> string -> table
 val mem : t -> string -> bool
 val rows : t -> string -> Value.t list
 
+(** The {!epoch} at which the named table was last added or had its rows
+    replaced ({!set_rows}).  Lets a statistics cache redo only the tables
+    that changed since it last looked. *)
+val table_epoch : t -> string -> int
+
 (** Array view of the table's canonical rows, cached until the next
     {!set_rows}.  The batched executor cuts scan batches out of this shared
     array; callers must never mutate it. *)
@@ -85,6 +99,12 @@ val deref : t -> string -> Value.t -> Value.t
 
 (** Like {!deref} but [None] on dangling references. *)
 val deref_opt : t -> string -> Value.t -> Value.t option
+
+(** Is ["oid"] a key of the named extent: does every row carry an oid, no
+    two rows the same one?  Decided once per table when its oid index is
+    built (lazily, here or by the first {!deref}); {!set_rows} resets the
+    decision.  The executor uses it to prove rows distinct. *)
+val oid_key : t -> string -> bool
 
 (** {1 Binary loading}
 

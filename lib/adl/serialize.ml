@@ -423,7 +423,12 @@ let load_catalog (text : string) : Catalog.t =
 (* ------------------------------------------------------------------ *)
 
 (* JSON rendering: tuples become objects, sets arrays; oids and dates are
-   tagged objects so the representation stays lossless. *)
+   tagged objects so the representation stays lossless.  Everything but a
+   finite float goes straight into the buffer, with no format string
+   interpreted per value; field names are quoted as [%S] would, with
+   [String.escaped]. *)
+let hex_digit n = "0123456789abcdef".[n land 15]
+
 let rec write_json buf (v : Value.t) =
   match v with
   | Value.VNull -> Buffer.add_string buf "null"
@@ -443,18 +448,28 @@ let rec write_json buf (v : Value.t) =
         | '\t' -> Buffer.add_string buf "\\t"
         | '\r' -> Buffer.add_string buf "\\r"
         | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf (hex_digit (Char.code ch lsr 4));
+          Buffer.add_char buf (hex_digit (Char.code ch))
         | ch -> Buffer.add_char buf ch)
       s;
     Buffer.add_char buf '"'
-  | Value.VDate d -> Buffer.add_string buf (Printf.sprintf "{\"$date\": %d}" d)
-  | Value.VOid n -> Buffer.add_string buf (Printf.sprintf "{\"$oid\": %d}" n)
+  | Value.VDate d ->
+    Buffer.add_string buf "{\"$date\": ";
+    Buffer.add_string buf (string_of_int d);
+    Buffer.add_char buf '}'
+  | Value.VOid n ->
+    Buffer.add_string buf "{\"$oid\": ";
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_char buf '}'
   | Value.VTuple fields ->
     Buffer.add_char buf '{';
     List.iteri
       (fun i (name, fv) ->
         if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Printf.sprintf "%S: " name);
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (String.escaped name);
+        Buffer.add_string buf "\": ";
         write_json buf fv)
       fields;
     Buffer.add_char buf '}'

@@ -32,10 +32,11 @@ val equal : t -> t -> bool
 
 (** Full-depth structural hash consistent with {!equal} (no traversal
     limits, so long rows do not collide).  Hashes of set values are
-    memoized in an ephemeron keyed on physical identity, so repeatedly
-    hashing rows that share set-valued attributes — the common case in the
-    physical engine's hash tables and dedup — costs a bounded-depth bucket
-    lookup, not a traversal. *)
+    memoized in a fixed-size, direct-mapped, domain-local cache keyed on
+    physical identity, so repeatedly hashing rows that share set-valued
+    attributes — the common case in the physical engine's hash tables and
+    dedup — costs one slot probe, not a traversal, and the cache never
+    grows. *)
 val hash : t -> int
 
 (** {1 Construction (canonicalizing)} *)

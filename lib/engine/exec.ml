@@ -8,9 +8,18 @@
    Parameter expressions (join keys, filter predicates, residuals, map and
    nestjoin bodies) are compiled once per operator into closures
    ([Njq_adl.Compile]) before iterating, so no per-tuple AST dispatch or
-   environment allocation remains in the loops.  Set results are
-   deduplicated with a hash set over the memoized [Value.hash] instead of
-   a full sort.
+   environment allocation remains in the loops.
+
+   Every node's rows are duplicate-free, but only operators that can
+   create duplicates from duplicate-free inputs pay for a hash-set dedup
+   (over the memoized [Value.hash], not a full sort): maps, projections,
+   flatten and union; unnests whose input has no key apart from the
+   unnested attribute ([key_attr]); PNHL and assembly when what they
+   write may overwrite an attribute no such key covers; member joins
+   whose element key is not the element itself; division's candidate
+   quotients.  Joins emit each pair once, so they never dedup, and the
+   root skips its dedup because [run] canonicalizes its rows with
+   [Value.set] (DESIGN.md section 8).
 
    One executor, batched push.  Every operator that can stream
    ([Plan.streams_output]) pushes [Batch.t] column batches into its
@@ -148,6 +157,44 @@ let renamer pairs =
            | Some n' -> (n', v)
            | None -> (n, v))
          (Value.as_tuple row))
+
+(* An attribute no two output rows of [p] share a value of, when the plan
+   proves one.  Keys start at the scans of extents keyed on "oid"
+   ([Catalog.oid_key]) and survive the operators that keep a subset of
+   their input rows (filters, index scans, semi- and antijoins) or extend
+   each input row exactly once (nestjoins, member nestjoins, PNHL,
+   assembly) — unless the extension overwrites the key — and renames,
+   under the new name.  [UnnestOp] uses it to skip its dedup. *)
+let rec key_attr cat (p : Plan.t) =
+  let renamed pairs k = Option.value ~default:k (List.assoc_opt k pairs) in
+  let unless_into into k = if String.equal into k then None else Some k in
+  match p with
+  | Plan.Scan table -> if Catalog.oid_key cat table then Some "oid" else None
+  | Plan.IndexScan { table; rename; _ } ->
+    Option.map (renamed rename) (key_attr cat (Plan.Scan table))
+  | Plan.RenameOp (pairs, input) -> Option.map (renamed pairs) (key_attr cat input)
+  | Plan.Filter { input; _ } | Plan.ParFilter { input; _ } -> key_attr cat input
+  | Plan.JoinOp { kind = Expr.Semi | Expr.Anti; left; _ }
+  | Plan.IndexJoin { kind = Expr.Semi | Expr.Anti; left; _ }
+  | Plan.GraceJoin { kind = Expr.Semi | Expr.Anti; left; _ }
+  | Plan.ParJoinOp { kind = Expr.Semi | Expr.Anti; left; _ }
+  | Plan.MemberJoin { kind = Plan.MSemi | Plan.MAnti | Plan.MNest _; left; _ }
+  | Plan.NestjoinOp { left; _ }
+  | Plan.ParNestjoinOp { left; _ } ->
+    key_attr cat left
+  | Plan.Pnhl { into; left; _ } | Plan.ParPnhl { into; left; _ } ->
+    Option.bind (key_attr cat left) (unless_into into)
+  | Plan.Assembly { into; input; _ } ->
+    Option.bind (key_attr cat input) (unless_into into)
+  | _ -> None
+
+(* Does [input] have a key other than attribute [a]?  Then no two of its
+   rows differ only in [a], so an operator that replaces or removes [a]
+   (unnest, and PNHL or assembly overwriting [a]) cannot merge rows. *)
+let keyed_apart_from cat a input =
+  match key_attr cat input with
+  | Some k -> not (String.equal k a)
+  | None -> false
 
 (* Work counters, interned once into registry handles so the inner loops
    pay a flag read and a field add per tick instead of a string-hashtable
@@ -400,8 +447,11 @@ let sub_work = merge_work ( - )
 (* Materialize [p]'s full row list.  Leaves return their list directly;
    breakers run list-at-a-time over materialized inputs; every streaming
    node ([Plan.streams_output]) runs as one fused batched loop collected
-   by [gather]. *)
-let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
+   by [gather].  [root] marks the plan's root, whose rows [run]
+   canonicalizes with [Value.set]: it skips its own dedup, and only its
+   own (its inputs stay duplicate-free). *)
+let rec exec_node ?(root = false) (cat : Catalog.t) (p : Plan.t) :
+    Value.t list =
   match p with
   | Plan.Scan name ->
     let rs = Catalog.rows cat name in
@@ -464,7 +514,7 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
     let out = ref [] in
     grace_partitioned kind ~kx0 ~ky0 ~xkey ~ykey ~residual ~build_hint
       ~mem_budget ~depth:0 xs ys (List.length ys) out;
-    dedup !out
+    !out
   | Plan.NestOp { attrs; into; input } ->
     (* Grouping is a breaker (all input must arrive before any group is
        complete), but the input still streams straight into the group
@@ -494,7 +544,7 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
   | Plan.DivideOp (a, b) ->
     (* Hash-based relational division: index the dividend, test each
        candidate quotient row against every divisor row by lookup. *)
-    let xs = dedup (rows cat a) and ys = dedup (rows cat b) in
+    let xs = rows cat a and ys = rows cat b in
     (match xs, ys with
      | [], _ -> []
      | _, [] -> xs (* divisor schema unobservable; B = {} (cf. Eval) *)
@@ -519,7 +569,7 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
              ys)
          candidates)
   | Plan.Pnhl { attr; elem_key; row_key; into; mem_budget; left; right } ->
-    exec_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right
+    exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right
   | Plan.ParJoinOp { kind; xvar; yvar; keys; residual; partitions; left; right }
     ->
     let kx0, ky0 =
@@ -542,7 +592,7 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
              hash_join_keyed kind ~xkey:(xkey_s ()) ~ykey:(ykey_s ())
                ~residual:(residual_s ()) ~build_hint xparts.(b) yparts.(b)))
     in
-    dedup (List.concat (Array.to_list joined))
+    List.concat (Array.to_list joined)
   | Plan.ParNestjoinOp
       { xvar; yvar; keys; residual; body; attr; partitions; left; right } ->
     let kx0, ky0 =
@@ -588,19 +638,22 @@ let rec exec_node (cat : Catalog.t) (p : Plan.t) : Value.t list =
     in
     List.concat (Array.to_list parts_out)
   | Plan.ParPnhl { attr; elem_key; row_key; into; mem_budget; left; right } ->
-    exec_par_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right
+    exec_par_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
+      ~right
   | Plan.Filter _ | Plan.MapOp _ | Plan.ProjectOp _ | Plan.FlattenOp _
   | Plan.UnionOp _ | Plan.InterOp _ | Plan.DiffOp _ | Plan.ProductOp _
   | Plan.MemberJoin _ | Plan.RenameOp _ | Plan.UnnestOp _ | Plan.Assembly _
   | Plan.ParFilter _ | Plan.ParMapOp _ | Plan.IndexJoin _
   | Plan.JoinOp { algo = Plan.Hash | Plan.Nested_loop; _ }
   | Plan.NestjoinOp { algo = Plan.Hash | Plan.Nested_loop; _ } ->
-    gather cat p
+    gather ~root cat p
 
 (* Dispatch through the collector when one is installed; the common case
    costs one flag-and-deref test per node, and nothing per tuple. *)
-and rows cat p =
-  match !collector with None -> exec_node cat p | Some c -> profiled c cat p
+and rows ?(root = false) cat p =
+  match !collector with
+  | None -> exec_node ~root cat p
+  | Some c -> profiled ~root c cat p
 
 (* Collect a fused chain's output into a list (the only materialization
    the chain performs).  The sink is a row vector pre-sized from the
@@ -608,9 +661,9 @@ and rows cat p =
    cons-accumulator reversed afterwards.  Calls [bpush_node] directly
    rather than [bpush]: the root node's profile sample comes from the
    [profiled] bracket around this call, not a streamed record. *)
-and gather cat p =
+and gather ~root cat p =
   let vec = Batch.Vec.create (tbl_size cat p) in
-  bpush_node cat p (Batch.Vec.push_batch vec);
+  bpush_node ~root cat p (Batch.Vec.push_batch vec);
   Batch.Vec.to_list vec
 
 (* Feed [p]'s rows to a row sink: fused edges stream batches and unpack
@@ -684,7 +737,7 @@ and partition_push cat keyf partitions plan =
 (* Row emitters for the streaming operators without a batched form; only
    reached through [bpush_node]'s fallback, which feeds [sink] into a batch
    builder.  Their fused inputs still stream batches ([push]). *)
-and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
+and push_node ~root cat (p : Plan.t) (sink : Value.t -> unit) : unit =
   match p with
   | Plan.IndexJoin { kind; xvar; yvar; index; keys; residual; rename; left; _ }
     ->
@@ -697,7 +750,6 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
     let has_match x = List.exists (residual x) (probe x) in
     (match kind with
      | Expr.Inner ->
-       let sink = dedup_sink sink in
        push cat left (fun x ->
            List.iter (fun y -> sink (Value.concat x y)) (matches x))
      | Expr.Semi -> push cat left (fun x -> if has_match x then sink x)
@@ -715,7 +767,6 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
     in
     (match kind with
      | Expr.Inner ->
-       let sink = dedup_sink sink in
        push cat left (fun x ->
            let kx = xkey x in
            List.iter (fun y -> if full_pred x kx y then sink (Value.concat x y)) ys)
@@ -726,7 +777,6 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
            if not (List.exists (full_pred x (xkey x)) ys) then sink x)
      | Expr.LeftOuter pad ->
        let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-       let sink = dedup_sink sink in
        push cat left (fun x ->
            match List.filter (full_pred x (xkey x)) ys with
            | [] -> sink (Value.concat x null_row)
@@ -755,6 +805,12 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
     ->
     let ykey = Compile.expr1 cat ~var:yvar ykey in
     let xset = Compile.expr1 cat ~var:xvar xset in
+    (* With the element itself as the key, a left row's distinct elements
+       probe distinct keys, whose buckets share no build row: no row is
+       matched twice. *)
+    let distinct_matches =
+      match elem_key with Expr.Var v -> String.equal v elem_var | _ -> false
+    in
     let elem_key = Compile.expr2 cat ~vars:(elem_var, xvar) elem_key in
     let tbl = VTbl.create (tbl_size cat right) in
     push cat right (fun y ->
@@ -778,12 +834,13 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
      | Plan.MSemi -> push cat left (fun x -> if has_match x then sink x)
      | Plan.MAnti -> push cat left (fun x -> if not (has_match x) then sink x)
      | Plan.MInner ->
-       let sink = dedup_sink sink in
+       let sink = if root || distinct_matches then sink else dedup_sink sink in
        push cat left (fun x -> List.iter (fun y -> sink (Value.concat x y)) (matches x))
      | Plan.MNest { body; attr } ->
        let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
+       let matches = if distinct_matches then matches else fun x -> dedup (matches x) in
        push cat left (fun x ->
-           let ms = dedup (matches x) in
+           let ms = matches x in
            let projected = List.map (fun y -> body x y) ms in
            sink (Value.concat x (Value.tuple [ (attr, Value.set projected) ]))))
   | Plan.UnnestOp (a, input) ->
@@ -792,13 +849,22 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
       | Value.VTuple _ -> inner
       | atom -> Value.tuple [ (a, atom) ]
     in
-    let sink = dedup_sink sink in
+    let sink =
+      if root || keyed_apart_from cat a input then sink else dedup_sink sink
+    in
     push cat input (fun row ->
         let rest = Value.project_away row [ a ] in
         List.iter
           (fun inner -> sink (Value.concat (as_row inner) rest))
           (Value.as_set (Value.field row a)))
   | Plan.Assembly { cls; ref_attr; into; input } ->
+    (* Writing back into [ref_attr] stays injective: distinct oids
+       dereference to distinct objects. *)
+    let sink =
+      if root || String.equal into ref_attr || keyed_apart_from cat into input
+      then sink
+      else dedup_sink sink
+    in
     push cat input (fun row ->
         let obj = Catalog.deref cat cls (Value.field row ref_attr) in
         sink (Value.except row [ (into, obj) ]))
@@ -814,19 +880,24 @@ and push_node cat (p : Plan.t) (sink : Value.t -> unit) : unit =
    through [Batch.builder].  On a mid-batch exception a batch-granular
    tick may count rows past the failing one — error paths only,
    documented in DESIGN.md.  Only called on streamable nodes. *)
-and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
+and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
+    unit =
   (* Batched counterpart of [dedup_sink] feeding an owned-batch builder:
-     returns the per-row emitter and the final flush. *)
+     returns the per-row emitter and the final flush.  The root skips the
+     dedup ([run] canonicalizes its rows). *)
   let dedup_builder () =
-    let seen = VTbl.create 64 in
     let bld = Batch.builder bsink in
-    let emit v =
-      if not (VTbl.mem seen v) then begin
-        VTbl.add seen v ();
-        Batch.add bld v
-      end
-    in
-    (emit, fun () -> Batch.flush bld)
+    if root then (Batch.add bld, fun () -> Batch.flush bld)
+    else begin
+      let seen = VTbl.create 64 in
+      let emit v =
+        if not (VTbl.mem seen v) then begin
+          VTbl.add seen v ();
+          Batch.add bld v
+        end
+      in
+      (emit, fun () -> Batch.flush bld)
+    end
   in
   (* Batches narrowed to nothing die here rather than flowing on. *)
   let emit_live b = if Batch.live b > 0 then bsink b in
@@ -876,6 +947,9 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
     let emit, flush = dedup_builder () in
     bpush cat input (Batch.iter (fun row -> List.iter emit (Value.as_set row)));
     flush ()
+  | Plan.UnionOp (a, b) when root ->
+    bpush cat a bsink;
+    bpush cat b bsink
   | Plan.UnionOp (a, b) ->
     (* Both sides narrow through one shared dedup selection — no copy of
        the surviving rows on either side. *)
@@ -905,10 +979,10 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
         emit_live bt)
   | Plan.ProductOp (a, b) ->
     let ys = rows cat b in
-    let emit, flush = dedup_builder () in
+    let bld = Batch.builder bsink in
     bpush cat a
-      (Batch.iter (fun x -> List.iter (fun y -> emit (Value.concat x y)) ys));
-    flush ()
+      (Batch.iter (fun x -> List.iter (fun y -> Batch.add bld (Value.concat x y)) ys));
+    Batch.flush bld
   | Plan.JoinOp { algo = Plan.Hash; kind; xvar; yvar; keys; residual; left; right }
     ->
     (match keys with
@@ -950,11 +1024,11 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
     in
     (match kind with
      | Expr.Inner ->
-       let emit, flush = dedup_builder () in
+       let bld = Batch.builder bsink in
        bpush cat left
          (Batch.iter (fun x ->
-              List.iter (fun y -> emit (Value.concat x y)) (matches x)));
-       flush ()
+              List.iter (fun y -> Batch.add bld (Value.concat x y)) (matches x)));
+       Batch.flush bld
      | Expr.Semi ->
        bpush cat left (fun b ->
            Batch.keep_rows b has_match;
@@ -965,13 +1039,13 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
            emit_live b)
      | Expr.LeftOuter pad ->
        let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-       let emit, flush = dedup_builder () in
+       let bld = Batch.builder bsink in
        bpush cat left
          (Batch.iter (fun x ->
               match matches x with
-              | [] -> emit (Value.concat x null_row)
-              | ms -> List.iter (fun y -> emit (Value.concat x y)) ms));
-       flush ())
+              | [] -> Batch.add bld (Value.concat x null_row)
+              | ms -> List.iter (fun y -> Batch.add bld (Value.concat x y)) ms));
+       Batch.flush bld)
   | Plan.NestjoinOp
       {
         algo = Plan.Hash;
@@ -1081,15 +1155,16 @@ and bpush_node cat (p : Plan.t) (bsink : Batch.t -> unit) : unit =
   | p ->
     (* No batched form: run the row emitter into a builder. *)
     let bld = Batch.builder bsink in
-    push_node cat p (Batch.add bld);
+    push_node ~root cat p (Batch.add bld);
     Batch.flush bld
 
-and profiled c cat p =
+and profiled ~root c cat p =
   if Span.tracing () then
-    Span.with_span ("op:" ^ Plan.node_label p) (fun () -> profiled_run c cat p)
-  else profiled_run c cat p
+    Span.with_span ("op:" ^ Plan.node_label p) (fun () ->
+        profiled_run ~root c cat p)
+  else profiled_run ~root c cat p
 
-and profiled_run c cat p =
+and profiled_run ~root c cat p =
   let snap0 = M.counter_snapshot () in
   let minor0, major0 = alloc_words () in
   let cpu0 = Clock.cpu_seconds () in
@@ -1109,7 +1184,7 @@ and profiled_run c cat p =
     | top :: rest when top == fr -> c.stack <- rest
     | other -> c.stack <- (match other with _ :: r -> r | [] -> [])
   in
-  match exec_node cat p with
+  match exec_node ~root cat p with
   | exception e ->
     pop ();
     raise e
@@ -1186,18 +1261,17 @@ and hash_join_keyed ?(build_hint = 16) kind ~xkey ~ykey ~residual xs ys =
   in
   match kind with
   | Expr.Inner ->
-    dedup (List.concat_map (fun x -> List.map (Value.concat x) (matches x)) xs)
+    List.concat_map (fun x -> List.map (Value.concat x) (matches x)) xs
   | Expr.Semi -> List.filter has_match xs
   | Expr.Anti -> List.filter (fun x -> not (has_match x)) xs
   | Expr.LeftOuter pad ->
     let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-    dedup
-      (List.concat_map
-         (fun x ->
-           match matches x with
-           | [] -> [ Value.concat x null_row ]
-           | ms -> List.map (Value.concat x) ms)
-         xs)
+    List.concat_map
+      (fun x ->
+        match matches x with
+        | [] -> [ Value.concat x null_row ]
+        | ms -> List.map (Value.concat x) ms)
+      xs
 
 (* Grace partitioning with real spills.  The right (build) side dictates
    the partition count, ceil(|ys| / mem_budget); a single partition means
@@ -1315,7 +1389,7 @@ and sort_merge_join cat xvar yvar (kx, ky) residual all_keys xs ys =
         in
         merge xs' ys' acc
   in
-  dedup (merge xs ys [])
+  merge xs ys []
 
 (* Adapted sort-merge join (Section 6.1): sort both inputs on the first
    key and pair each left run with the matching right run; dangling left
@@ -1379,7 +1453,7 @@ and sort_merge_nestjoin cat xvar yvar keys residual body attr left right =
    accumulating partial result sets per left row, which are merged across
    partitions.  Left rows with empty attribute sets survive with an empty
    result — unlike the unnest-join-nest pipeline, which loses them. *)
-and exec_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
+and exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
   if mem_budget <= 0 then exec_error "pnhl: memory budget must be positive";
   let xs = rows cat left and ys = rows cat right in
   let row_key = Compile.expr1 cat ~var:"row" row_key in
@@ -1423,10 +1497,13 @@ and exec_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
              probe_segment segment)
            spills)
    end);
-  Array.to_list
-    (Array.mapi
-       (fun i x -> Value.except x [ (into, Value.set partial.(i)) ])
-       xs)
+  let out =
+    Array.to_list
+      (Array.mapi
+         (fun i x -> Value.except x [ (into, Value.set partial.(i)) ])
+         xs)
+  in
+  if root || keyed_apart_from cat into left then out else dedup out
 
 (* Parallel PNHL: the algorithm's segments are independent — each builds
    its own hash table and probes every left row against it — so they run
@@ -1434,7 +1511,8 @@ and exec_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
    order afterwards.  Per-segment work (builds, probes) is exactly the
    sequential loop's, so counter totals match [exec_pnhl] on the same
    budget; result rows canonicalize through [Value.set] per left row. *)
-and exec_par_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
+and exec_par_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
+    ~right =
   if mem_budget <= 0 then exec_error "pnhl: memory budget must be positive";
   let xs = rows cat left and ys = rows cat right in
   let row_key_s = Compile.expr1_spawner cat ~var:"row" row_key in
@@ -1484,17 +1562,25 @@ and exec_par_pnhl cat ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
               segment))
     end
   in
-  Array.to_list
-    (Array.mapi
-       (fun i x ->
-         let ms =
-           Array.fold_left (fun acc partial -> partial.(i) @ acc) [] partials
-         in
-         Value.except x [ (into, Value.set ms) ])
-       xs)
+  let out =
+    Array.to_list
+      (Array.mapi
+         (fun i x ->
+           let ms =
+             Array.fold_left (fun acc partial -> partial.(i) @ acc) [] partials
+           in
+           Value.except x [ (into, Value.set ms) ])
+         xs)
+  in
+  if root || keyed_apart_from cat into left then out else dedup out
 
-(* Execute a plan, returning its result as a canonical set value. *)
-let run cat p = Value.set (rows cat p)
+(* Execute a plan, returning its result as a canonical set value.
+   [Value.set] sorts and dedups the root's rows, so the root runs without
+   a dedup of its own. *)
+let run cat p = Value.set (rows ~root:true cat p)
+
+(* Exported without [?root]: any node's rows, duplicate-free. *)
+let rows cat p = rows cat p
 
 (* Run [f] with a fresh collector installed and return its result together
    with the recorded samples in completion (post-order) order.  Collectors

@@ -182,9 +182,11 @@ type t =
       (** Chunked parallel map; chunks re-concatenate in order. *)
   | EvalOp of Expr.t  (** fallback: reference (nested-loop) evaluation *)
   | Materialized of Value.t list
-      (** an already-computed row list; the serving layer splices its
-          parameter table in as one ({!Njq_engine.Serve}), never the
-          planner *)
+      (** an already-computed row list, which must be duplicate-free like
+          every node's output (operators above it may skip their dedup);
+          the serving layer splices its parameter table in as one
+          ({!Njq_engine.Serve}), whose rows carry distinct [__cid]s, never
+          the planner *)
 
 val algo_name : join_algo -> string
 val kind_name : Expr.join_kind -> string

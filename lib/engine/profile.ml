@@ -14,7 +14,10 @@
    time/work/allocation covers the whole chain, while each operator fused
    into it still reports its exact [actual_rows] (and [calls]) with zeros
    elsewhere.  Pipeline breakers keep per-node brackets.  Each node's
-   [actual_rows] equals the length of [Exec.rows] on its subtree. *)
+   [actual_rows] equals the length of [Exec.rows] on its subtree.  The
+   root runs without a dedup of its own ([Exec.run] canonicalizes with
+   [Value.set]), so its sample may count duplicates; it reports the
+   canonical result's size instead, which is [Exec.rows]'s length too. *)
 
 open Njq_adl
 
@@ -62,7 +65,8 @@ let run ?stats (cat : Catalog.t) (plan : Plan.t) : Value.t * node =
     in
     let calls = List.length mine in
     let actual_rows =
-      match List.rev mine with [] -> 0 | last :: _ -> last.Exec.out_rows
+      if depth = 0 then Value.set_size result
+      else match List.rev mine with [] -> 0 | last :: _ -> last.Exec.out_rows
     in
     let wall_ns =
       List.fold_left (fun acc (s : Exec.node_sample) -> acc + s.wall_ns) 0 mine

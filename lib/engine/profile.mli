@@ -6,7 +6,9 @@
     allocation are attributed to the node that owns the loop, while the
     operators fused into it still report exact [actual_rows] (with zero
     time/work/allocation of their own) — the length of {!Exec.rows} on
-    that node's subtree. *)
+    that node's subtree.  The root runs without a dedup of its own
+    ({!Exec.run} canonicalizes its rows), so it reports the size of the
+    canonical result, which is also the length of {!Exec.rows} on it. *)
 
 open Njq_adl
 

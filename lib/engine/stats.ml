@@ -11,11 +11,16 @@ type column_stats = {
   hi : int option;
 }
 
-type t = {
-  columns : (string * string, column_stats) Hashtbl.t;
-      (* (table, attribute) -> stats *)
-  cardinalities : (string, int) Hashtbl.t;
+(* One extent's statistics, tagged with the [Catalog.table_epoch] they
+   were computed at so a later [cached] call can keep them if the table
+   has not changed since. *)
+type table_stats = {
+  analyzed_at : int;
+  card : int;
+  columns : (string * column_stats) list; (* attribute -> stats *)
 }
+
+type t = (string, table_stats) Hashtbl.t (* table name -> stats *)
 
 module VTbl = Hashtbl.Make (struct
   type t = Value.t
@@ -37,10 +42,11 @@ type accum = {
   mutable a_hi : int option;
 }
 
-let analyze_table (t : t) name rows =
-  match rows with
-  | [] -> Hashtbl.replace t.cardinalities name 0
-  | first :: _ ->
+let analyze_table cat name =
+  let analyzed_at = Catalog.table_epoch cat name in
+  match Catalog.rows cat name with
+  | [] -> { analyzed_at; card = 0; columns = [] }
+  | first :: _ as rows ->
     let accums =
       Array.of_list
         (List.map
@@ -70,27 +76,44 @@ let analyze_table (t : t) name rows =
                | _ -> acc.a_hi <- Some n))
           accums)
       rows;
-    Hashtbl.replace t.cardinalities name !card;
-    Array.iter
-      (fun acc ->
-        Hashtbl.replace t.columns (name, acc.attr)
-          { ndv = VTbl.length acc.seen; lo = acc.a_lo; hi = acc.a_hi })
-      accums
+    {
+      analyzed_at;
+      card = !card;
+      columns =
+        Array.to_list
+          (Array.map
+             (fun acc ->
+               ( acc.attr,
+                 { ndv = VTbl.length acc.seen; lo = acc.a_lo; hi = acc.a_hi } ))
+             accums);
+    }
 
-(* Scan every extent once and collect statistics.  The same maintenance
-   pass force-builds any declared-but-unbuilt indexes over the extent, so
-   a fresh catalog pays one combined warm-up instead of two. *)
-let analyze (cat : Catalog.t) : t =
-  let t = { columns = Hashtbl.create 64; cardinalities = Hashtbl.create 16 } in
+(* Collect statistics for every extent, scanning only the tables [reuse]
+   has no current entry for (none, for a full analysis).  The same
+   maintenance pass force-builds any declared-but-unbuilt indexes over
+   every extent, so a fresh catalog pays one combined warm-up instead of
+   two. *)
+let collect ?(reuse : t option) (cat : Catalog.t) : t =
+  let t = Hashtbl.create 16 in
   List.iter
     (fun name ->
-      analyze_table t name (Catalog.rows cat name);
+      let fresh =
+        match Option.bind reuse (fun old -> Hashtbl.find_opt old name) with
+        | Some ts when ts.analyzed_at = Catalog.table_epoch cat name -> ts
+        | _ -> analyze_table cat name
+      in
+      Hashtbl.replace t name fresh;
       Catalog.build_indexes cat name)
     (Catalog.table_names cat);
   t
 
+let analyze cat = collect cat
+
 (* Statistics cache, one slot per catalog (keyed by Catalog.id), valid for
-   a single catalog epoch: any table/index/data change invalidates. *)
+   a single catalog epoch.  After any table/index/data change the next
+   call re-analyzes only the tables whose own change epoch moved
+   ([Catalog.table_epoch]): registering a serve parameter table does not
+   rescan the base extents.  [~refresh:true] rescans everything. *)
 let cache : (int, int * t) Hashtbl.t = Hashtbl.create 8
 
 let cached ?(refresh = false) (cat : Catalog.t) : t =
@@ -98,17 +121,20 @@ let cached ?(refresh = false) (cat : Catalog.t) : t =
   let ep = Catalog.epoch cat in
   match Hashtbl.find_opt cache key with
   | Some (cached_ep, stats) when cached_ep = ep && not refresh -> stats
-  | _ ->
-    let stats = analyze cat in
+  | prev ->
+    let reuse = if refresh then None else Option.map snd prev in
+    let stats = collect ?reuse cat in
     Hashtbl.replace cache key (ep, stats);
     stats
 
-let column t ~table ~attr = Hashtbl.find_opt t.columns (table, attr)
+let column (t : t) ~table ~attr =
+  Option.bind (Hashtbl.find_opt t table) (fun ts -> List.assoc_opt attr ts.columns)
 
 let ndv t ~table ~attr =
   Option.map (fun c -> c.ndv) (column t ~table ~attr)
 
-let cardinality t table = Hashtbl.find_opt t.cardinalities table
+let cardinality (t : t) table =
+  Option.map (fun ts -> ts.card) (Hashtbl.find_opt t table)
 
 (* Selectivity of an equality with a constant on the named column: 1/NDV
    when known. *)
@@ -129,7 +155,11 @@ let join_selectivity t ~left_table ~left_attr ~right_table ~right_attr =
 
 let pp ppf (t : t) =
   let entries =
-    Hashtbl.fold (fun (tbl, attr) c acc -> ((tbl, attr), c) :: acc) t.columns []
+    Hashtbl.fold
+      (fun tbl ts acc ->
+        List.fold_left (fun acc (attr, c) -> ((tbl, attr), c) :: acc) acc
+          ts.columns)
+      t []
     |> List.sort compare
   in
   List.iter

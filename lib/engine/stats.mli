@@ -18,8 +18,11 @@ type t
 val analyze : Catalog.t -> t
 
 (** Like {!analyze}, but memoized per catalog ({!Catalog.id}) and valid
-    for one catalog epoch: any [add_table]/[set_rows]/[create_index]
-    triggers a rescan on next use.  [~refresh:true] forces a rescan. *)
+    for one catalog epoch.  After an [add_table]/[set_rows]/[create_index]
+    the next call rescans only the tables whose {!Catalog.table_epoch}
+    moved, keeping every other table's statistics (the same records), and
+    still force-builds unbuilt indexes on every table.  [~refresh:true]
+    rescans every table. *)
 val cached : ?refresh:bool -> Catalog.t -> t
 
 val column : t -> table:string -> attr:string -> column_stats option

@@ -111,6 +111,34 @@ let test_json () =
     "{\"d\": {\"$date\": 19940101}, \"k\": {\"$oid\": 3}, \"n\": \"a\\\"b\", \"s\": [1, 0.5], \"z\": null}"
     (S.value_to_json v)
 
+(* Exact bytes for one value holding every constructor: escapes in a
+   string and in a field name, an oid, a date, non-finite and finite
+   floats, a nested tuple and a nested set. *)
+let test_json_every_constructor () =
+  let v =
+    Value.tuple
+      [ ("str", Value.string "q\"b\\s\n\t\r\001\031é");
+        ("f\"ld", Value.bool true);
+        ("oid", Value.oid 42);
+        ("day", Value.date 19940912);
+        ("inf", Value.float Float.infinity);
+        ("nan", Value.float Float.nan);
+        ("neg", Value.int (-7));
+        ("fl", Value.float 0.1);
+        ("tup", Value.tuple [ ("b", Value.VNull); ("a", Value.oid 1) ]);
+        ("set",
+         Value.set
+           [ Value.set [ Value.date 20000101 ];
+             Value.tuple [ ("x", Value.bool false) ] ]) ]
+  in
+  Alcotest.(check string) "json bytes"
+    "{\"day\": {\"$date\": 19940912}, \"f\\\"ld\": true, \"fl\": \
+     0.10000000000000001, \"inf\": null, \"nan\": null, \"neg\": -7, \
+     \"oid\": {\"$oid\": 42}, \"set\": [{\"x\": false}, [{\"$date\": \
+     20000101}]], \"str\": \"q\\\"b\\\\s\\n\\t\\r\\u0001\\u001f\195\169\", \
+     \"tup\": {\"a\": {\"$oid\": 1}, \"b\": null}}"
+    (S.value_to_json v)
+
 let test_csv () =
   let rows =
     Value.set
@@ -137,6 +165,8 @@ let () =
           Alcotest.test_case "syntax" `Quick test_value_syntax;
           Alcotest.test_case "errors" `Quick test_value_errors;
           Alcotest.test_case "json export" `Quick test_json;
+          Alcotest.test_case "json every constructor" `Quick
+            test_json_every_constructor;
           Alcotest.test_case "csv export" `Quick test_csv ] );
       ( "types",
         [ Alcotest.test_case "round trip" `Quick test_type_roundtrip ] );

@@ -27,6 +27,40 @@ let test_analyze () =
   Alcotest.(check (option int)) "unknown column" None
     (Stats.ndv st ~table:"T" ~attr:"zzz")
 
+(* [cached] after a catalog change re-analyzes only the tables that
+   changed: an unrelated [add_table] keeps the untouched table's records
+   (physically), [set_rows] renews the changed table's. *)
+let test_cached_per_table () =
+  let cat = fixed_catalog () in
+  let same_record what a b =
+    match a, b with
+    | Some a, Some b -> Alcotest.(check bool) what true (a == b)
+    | _ -> Alcotest.fail (what ^ ": missing column stats")
+  in
+  let st = Stats.cached cat in
+  let t_a = Stats.column st ~table:"T" ~attr:"a" in
+  Catalog.add_table cat ~name:"U"
+    ~row_type:(Vtype.tuple [ ("c", Vtype.TInt) ])
+    [ Value.tuple [ ("c", Value.int 7) ] ];
+  let st' = Stats.cached cat in
+  Alcotest.(check (option int)) "new table analyzed" (Some 1)
+    (Stats.cardinality st' "U");
+  same_record "untouched table keeps its stats" t_a
+    (Stats.column st' ~table:"T" ~attr:"a");
+  let u_c = Stats.column st' ~table:"U" ~attr:"c" in
+  let row a b = Value.tuple [ ("a", Value.int a); ("b", Value.string b) ] in
+  Catalog.set_rows cat "T" [ row 1 "x"; row 9 "y" ];
+  let st'' = Stats.cached cat in
+  Alcotest.(check (option int)) "changed cardinality" (Some 2)
+    (Stats.cardinality st'' "T");
+  Alcotest.(check (option int)) "changed ndv" (Some 2)
+    (Stats.ndv st'' ~table:"T" ~attr:"a");
+  same_record "other table keeps its stats" u_c
+    (Stats.column st'' ~table:"U" ~attr:"c");
+  let st_r = Stats.cached ~refresh:true cat in
+  Alcotest.(check bool) "refresh rescans every table" false
+    (Option.get (Stats.column st_r ~table:"U" ~attr:"c") == Option.get u_c)
+
 let test_eq_selectivity () =
   let st = Stats.analyze (fixed_catalog ()) in
   Alcotest.(check (option (float 0.001))) "1/ndv" (Some 0.25)
@@ -86,6 +120,8 @@ let () =
   Alcotest.run "stats"
     [ ( "statistics",
         [ Alcotest.test_case "analyze" `Quick test_analyze;
+          Alcotest.test_case "cached re-analyzes changed tables" `Quick
+            test_cached_per_table;
           Alcotest.test_case "eq selectivity" `Quick test_eq_selectivity;
           Alcotest.test_case "estimate accuracy" `Quick test_estimate_accuracy;
           Alcotest.test_case "cost planning" `Quick test_stats_cost_planning ] ) ]
