@@ -462,6 +462,15 @@ let b16_template = "select p.pname from p in PART where p.color = ?0"
 let b16_translate text =
   fst (Njq_oosql.Translate.query_string Queries.schema text)
 
+(* K invocation results as one (cid, rows) set.  Distinct invocations may
+   share a parameter: the cid keeps their result slots distinct, exactly
+   as the serving layer's split does. *)
+let combine vs =
+  Value.set
+    (List.mapi
+       (fun cid v -> Value.tuple [ ("cid", Value.int cid); ("rows", v) ])
+       vs)
+
 let b16 n =
   let cat = Gen.catalog (clean n) in
   Njq_engine.Plancache.clear ();
@@ -469,15 +478,6 @@ let b16 n =
   let vectors =
     List.init b16_k (fun i ->
         [ Value.string b16_colors.(i mod Array.length b16_colors) ])
-  in
-  (* Distinct invocations may share a color: the cid keeps their result
-     slots distinct, exactly as the serving layer's split does. *)
-  let combine vs =
-    Value.set
-      (List.mapi
-         (fun cid v ->
-           Value.tuple [ ("cid", Value.int cid); ("rows", v) ])
-         vs)
   in
   [ ("serve|one",
      fun () ->
@@ -795,6 +795,51 @@ let b18 n =
         ("extsort|" ^ tag, with_budget budget (plan_thunk catxy b18_smj)) ])
     budgets
 
+(* B19 — the serve plans of the repo benchmark (perfbench's serve
+   workload): its nestjoin, point and semijoin templates over hash indexes
+   on PART.price and SUPPLIER.sname, K=16 invocations each through
+   Serve.exec_batch ("t|batch"), against the same invocations one at a
+   time ("t|one"; the '|' group checks the results agree).  The batch
+   picks per-invocation execution when the cost model prices it lower,
+   so the nestjoin and point batches run index point lookups and
+   pointer-based member joins: a plan that fell back to full scans would
+   add at least n to a total per invocation, which the work gate pins. *)
+let b19_templates =
+  [ ( "nestjoin",
+      {|select (sname = s.sname,
+         pnames = select p.pname from p in PART where p.oid in s.parts_supplied)
+  from s in SUPPLIER where s.sname = ?0|},
+      fun n i -> Value.string (Printf.sprintf "s%d" (i * 7 mod n)) );
+    ( "point",
+      {|select p.pname from p in PART where p.price = ?0|},
+      fun _ i -> Value.int (1 + (i * 37 mod 500)) );
+    ( "semijoin",
+      {|select s.sname from s in SUPPLIER
+  where s.sname = ?0 and
+        exists z in s.parts_supplied : exists p in PART : z = p.oid and p.color = "red"|},
+      fun n i -> Value.string (Printf.sprintf "s%d" (i * 5 mod n)) ) ]
+
+let b19 n =
+  let cat = Gen.catalog (clean n) in
+  List.iter
+    (fun (table, attr) ->
+      ignore
+        (Catalog.create_index cat ~table ~kind:Catalog.Hash_index
+           ~attrs:[ attr ] ()))
+    [ ("PART", "price"); ("SUPPLIER", "sname") ];
+  Njq_engine.Plancache.clear ();
+  (* Templates are rewritten once before batching, as perfbench does. *)
+  let translate text = Strategy.optimize cat (b16_translate text) in
+  List.concat_map
+    (fun (name, text, param) ->
+      let h = Serve.prepare cat ~translate text in
+      let vectors = List.init b16_k (fun i -> [ param n i ]) in
+      [ ( name ^ "|one",
+          fun () ->
+            combine (List.map (fun ps -> fst (Serve.exec_one h ps)) vectors) );
+        (name ^ "|batch", fun () -> combine (Serve.exec_batch h vectors)) ])
+    b19_templates
+
 let spill_stats () =
   let cells =
     List.map
@@ -830,7 +875,8 @@ let experiments =
     ("b14", "access paths: index scans, index join, plan cache", b14);
     ("b16", "prepared-query serving: one-at-a-time vs parameter batch", b16);
     ("b17", "join-order enumeration vs rewriter order (chain/star)", b17);
-    ("b18", "larger-than-memory: spilling operators + binary catalog", b18) ]
+    ("b18", "larger-than-memory: spilling operators + binary catalog", b18);
+    ("b19", "serve plans: perfbench templates through their indexes", b19) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock runs                                            *)

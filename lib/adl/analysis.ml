@@ -38,6 +38,13 @@ let is_free x e = S.mem x (free_vars e)
 (* A closed expression denotes a constant (an uncorrelated subquery). *)
 let is_closed e = S.is_empty (free_vars e)
 
+(* Closed up to parameters: every free name is a placeholder "?i", so the
+   expression is a constant once the parameters are bound.  Schema
+   inference and sargability may treat it as a constant; folding passes
+   must not, since they would evaluate across an unbound parameter. *)
+let is_closed_up_to_params e =
+  S.for_all (fun x -> String.length x > 0 && x.[0] = '?') (free_vars e)
+
 (* Does the expression mention a base table anywhere (including nested in
    iterator parameters)?  [Deref] is excluded on purpose: a pointer lookup is
    not an iteration over a base table, and the paper handles it with the

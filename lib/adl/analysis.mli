@@ -13,6 +13,12 @@ val is_free : string -> Expr.t -> bool
     subquery, treated as such per Section 3). *)
 val is_closed : Expr.t -> bool
 
+(** Every free name is a parameter placeholder [?i]: a constant once the
+    parameters are bound.  Schema inference and sargable-predicate
+    planning treat such an expression as a constant; constant folding
+    ({!is_closed}) must not, as it would evaluate an unbound parameter. *)
+val is_closed_up_to_params : Expr.t -> bool
+
 (** Does the expression mention a base table anywhere, including inside
     iterator parameters?  [Deref] does not count: pointer lookup is not
     base-table iteration (the paper treats it with materialize). *)

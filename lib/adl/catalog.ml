@@ -19,6 +19,9 @@ type table = {
   name : string;
   row_type : Vtype.t; (* type of one row (a tuple type) *)
   mutable rows : Value.t list; (* canonical: sorted, deduplicated *)
+  mutable card : int;
+      (* [List.length rows], kept beside them by their only writers,
+         [add_table] and [set_rows], so cardinality reads are O(1) *)
   mutable changed : int;
       (* catalog epoch of the last [add_table]/[set_rows] of this table *)
   oid_index : oid_index option Atomic.t;
@@ -105,8 +108,8 @@ let add_table t ~name ~row_type rows =
   let rows = List.sort_uniq Value.compare rows in
   t.epoch <- t.epoch + 1;
   Hashtbl.add t.tables name
-    { name; row_type; rows; changed = t.epoch; oid_index = Atomic.make None;
-      rows_arr = Atomic.make None }
+    { name; row_type; rows; card = List.length rows; changed = t.epoch;
+      oid_index = Atomic.make None; rows_arr = Atomic.make None }
 
 let find_opt t name = Hashtbl.find_opt t.tables name
 
@@ -142,7 +145,9 @@ let table_type t name = Vtype.TSet (row_type t name)
 
 let set_rows t name rows =
   let tbl = find t name in
-  tbl.rows <- List.sort_uniq Value.compare rows;
+  let rows = List.sort_uniq Value.compare rows in
+  tbl.rows <- rows;
+  tbl.card <- List.length rows;
   Atomic.set tbl.oid_index None;
   Atomic.set tbl.rows_arr None;
   (* Attribute indexes over this table are rebuilt from the new rows on
@@ -157,7 +162,7 @@ let set_rows t name rows =
 let table_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [] |> List.sort String.compare
 
-let cardinality t name = List.length (rows t name)
+let cardinality t name = (find t name).card
 
 (* The oid index of extent [name], built on first use.  [Hashtbl.replace]
    keeps one row per oid, so the build also decides whether "oid" is a key
@@ -168,7 +173,7 @@ let oid_index t name =
   match Atomic.get tbl.oid_index with
   | Some idx -> idx
   | None ->
-    let n = List.length tbl.rows in
+    let n = tbl.card in
     let by_oid = Hashtbl.create (max 16 n) in
     List.iter
       (function
@@ -199,11 +204,17 @@ let deref t name oid_value =
   | None ->
     Value.type_error "dangling reference #%d into %s" (Value.as_oid oid_value) name
 
-(* Does the oid resolve in extent [name]?  (No error on dangling refs.) *)
-let deref_opt t name oid_value =
-  match deref t name oid_value with
-  | row -> Some row
-  | exception Value.Type_error _ -> None
+(* Does the oid resolve in extent [name]?  One "oid_lookup" tick, no
+   exception on dangling references or non-oid values.  Applied to the
+   extent alone it resolves the oid index once, so a pointer-based join
+   pays one table probe per element. *)
+let deref_opt t name =
+  let index = (oid_index t name).by_oid in
+  fun oid_value ->
+    Njq_obs.Metrics.incr c_oid_lookup;
+    match oid_value with
+    | Value.VOid o -> Hashtbl.find_opt index o
+    | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Attribute indexes                                                   *)
@@ -244,11 +255,12 @@ let key_of_row attrs row =
    "idx_build" per row; the build happens at declaration and once after
    each invalidation, so steady-state lookups pay only probes. *)
 let build t idx =
-  let rs = rows t idx.idx_table in
-  Njq_obs.Metrics.incr ~n:(List.length rs) c_idx_build;
+  let tbl = find t idx.idx_table in
+  let rs = tbl.rows in
+  Njq_obs.Metrics.incr ~n:tbl.card c_idx_build;
   match idx.idx_kind with
   | Hash_index ->
-    let tbl = VH.create (max 16 (List.length rs)) in
+    let tbl = VH.create (max 16 tbl.card) in
     List.iter
       (fun row ->
         let k = hash_key idx.idx_attrs (key_of_row idx.idx_attrs row) in

@@ -13,10 +13,13 @@ type oid_index = {
       (** every row has an oid and no two rows share one (see {!oid_key}) *)
 }
 
-type table = {
+type table = private {
   name : string;
   row_type : Vtype.t;  (** a tuple type *)
   mutable rows : Value.t list;  (** canonical: sorted, duplicate-free *)
+  mutable card : int;
+      (** [List.length rows], written with them by {!add_table} and
+          {!set_rows} only *)
   mutable changed : int;
       (** catalog epoch of the table's last {!add_table} or {!set_rows} *)
   oid_index : oid_index option Atomic.t;
@@ -90,6 +93,7 @@ val set_rows : t -> string -> Value.t list -> unit
 (** All extent names, sorted. *)
 val table_names : t -> string list
 
+(** Number of rows in the named extent, in constant time. *)
 val cardinality : t -> string -> int
 
 (** Dereference an oid into the named extent via the (lazily built) oid
@@ -97,7 +101,10 @@ val cardinality : t -> string -> int
     dangling references. *)
 val deref : t -> string -> Value.t -> Value.t
 
-(** Like {!deref} but [None] on dangling references. *)
+(** Like {!deref} (one ["oid_lookup"] tick) but [None] on dangling
+    references and on values that are not oids, without raising.
+    [deref_opt t name] resolves the extent's oid index once; apply it to
+    many oids to probe without looking the index up again. *)
 val deref_opt : t -> string -> Value.t -> Value.t option
 
 (** Is ["oid"] a key of the named extent: does every row carry an oid, no

@@ -83,9 +83,11 @@ let find x (p : Expr.t) : t option =
   in
   match go [] p with () -> None | exception Found sq -> Some sq
 
-(* Schema of a closed table expression, via type inference. *)
+(* Schema of a closed table expression, via type inference.  Parameters
+   count as constants here (they type as [TAny] and never change a
+   schema), so a prepared template rewrites like its literal twin. *)
 let schema_of cat (e : Expr.t) : string list option =
-  if not (Analysis.is_closed e) then None
+  if not (Analysis.is_closed_up_to_params e) then None
   else
     match Typecheck.infer cat [] e with
     | Vtype.TSet (Vtype.TTuple fields) -> Some (List.map fst fields)

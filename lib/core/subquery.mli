@@ -27,7 +27,8 @@ val is_candidate : string -> t -> bool
     that mention a variable bound between [x] and the occurrence. *)
 val find : string -> Expr.t -> t option
 
-(** Schema (attribute names) of a closed table expression, via type
+(** Schema (attribute names) of a table expression closed up to
+    parameters ({!Njq_adl.Analysis.is_closed_up_to_params}), via type
     inference; [None] when open or untypable. *)
 val schema_of : Catalog.t -> Expr.t -> string list option
 

@@ -137,9 +137,10 @@ let range_conj_fraction st cat input var conj : float option =
   | _ -> None
 
 (* Rows an index probe retrieves before the residual filter.  Point
-   lookups multiply 1/NDV per indexed attribute; range lookups interpolate
-   constant bounds against the column's stats range.  Fixed fallbacks
-   (0.1 per equality, 0.33 per range) mirror [selectivity]. *)
+   lookups multiply 1/NDV per indexed attribute, whatever the key (a
+   constant or a prepared-query parameter); range lookups interpolate
+   constant integer bounds against the column's stats range.  Fixed
+   fallbacks (0.1 per equality, 0.33 per range) mirror [selectivity]. *)
 let index_matches ?stats (cat : Catalog.t) ~table ~index
     (lookup : Plan.index_lookup) (card : float) : float =
   match Catalog.find_index cat index with
@@ -161,17 +162,20 @@ let index_matches ?stats (cat : Catalog.t) ~table ~index
        Float.max 1.0 (sel *. card)
      | Plan.LRange { lo; hi } ->
        let attr = List.hd (Catalog.index_attrs idx) in
-       let frac =
-         match
-           Option.bind stats (fun st ->
-               Option.bind (Stats.column st ~table ~attr) (fun cs ->
-                   range_fraction cs
-                     ~lo:(Option.bind lo (fun (e, _) -> const_int e))
-                     ~hi:(Option.bind hi (fun (e, _) -> const_int e))))
-         with
-         | Some f -> f
-         | None -> 0.33
+       (* A bound the stats cannot read (a parameter, a non-integer) is
+          not "unbounded": the whole lookup falls back to 0.33. *)
+       let bound = function
+         | None -> Some None
+         | Some (e, _) -> Option.map Option.some (const_int e)
        in
+       let frac =
+         match stats, bound lo, bound hi with
+         | Some st, Some lo, Some hi ->
+           Option.bind (Stats.column st ~table ~attr) (fun cs ->
+               range_fraction cs ~lo ~hi)
+         | _ -> None
+       in
+       let frac = Option.value frac ~default:0.33 in
        Float.max 1.0 (frac *. card))
 
 (* NDV-based key factor for one equi-join: the fraction of the cross
@@ -201,6 +205,13 @@ let equi_key_factor ?stats cat ~xvar ~yvar ~keys ~residual ~left ~right l r =
         | _ -> 1.0 /. Float.max l r)
      | None -> 1.0 /. Float.max l r)
 
+(* Rows in a base extent (the catalog keeps the count beside the rows);
+   100 for a table the catalog does not know. *)
+let table_card (cat : Catalog.t) table =
+  match Catalog.find_opt cat table with
+  | Some t -> float_of_int t.Catalog.card
+  | None -> 100.0
+
 (* Estimated number of output rows of a plan.  With [stats], equality
    selectivities over direct scans use real NDV counts. *)
 let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
@@ -208,24 +219,22 @@ let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
     rows_out ?stats:(match s with Some _ -> s | None -> stats) cat p
   in
   match p with
-  | Plan.Scan name ->
-    (match Catalog.find_opt cat name with
-     | Some t -> float_of_int (List.length t.rows)
-     | None -> 100.0)
+  | Plan.Scan name -> table_card cat name
   | Plan.Filter { var; pred; input } ->
     let base_sel = selectivity pred in
     let sel =
       match stats with
       | None -> base_sel
       | Some st ->
-        (* Refine conjuncts of the shapes x.a = const (NDV) and
-           x.a < const (min/max interpolation) over resolvable columns. *)
+        (* Refine conjuncts of the shapes x.a = const or x.a = ?i (NDV)
+           and x.a < const (min/max interpolation) over resolvable
+           columns. *)
         let refined =
           List.fold_left
             (fun acc conj ->
               match conj with
-              | Expr.Cmp (Expr.Eq, key, Expr.Const _)
-              | Expr.Cmp (Expr.Eq, Expr.Const _, key) ->
+              | Expr.Cmp (Expr.Eq, key, (Expr.Const _ | Expr.Param _))
+              | Expr.Cmp (Expr.Eq, (Expr.Const _ | Expr.Param _), key) ->
                 (match scan_column cat input var key with
                  | Some (table, attr) ->
                    (match Stats.eq_selectivity st ~table ~attr with
@@ -243,21 +252,13 @@ let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
     in
     sel *. rows_out cat input
   | Plan.IndexScan { table; index; lookup; residual; _ } ->
-    let card =
-      match Catalog.find_opt cat table with
-      | Some t -> float_of_int (List.length t.rows)
-      | None -> 100.0
-    in
+    let card = table_card cat table in
     index_matches ?stats cat ~table ~index lookup card *. selectivity residual
   | Plan.IndexJoin { kind; table; index; residual; left; _ } ->
     let l = rows_out cat left in
     (match kind with
      | Expr.Inner | Expr.LeftOuter _ ->
-       let card =
-         match Catalog.find_opt cat table with
-         | Some t -> float_of_int (List.length t.rows)
-         | None -> 100.0
-       in
+       let card = table_card cat table in
        let per_probe =
          index_matches ?stats cat ~table ~index (Plan.LPoint []) card
        in
@@ -285,7 +286,13 @@ let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
   | Plan.MemberJoin { kind; left; right; _ } ->
     (match kind with
      | Plan.MSemi | Plan.MAnti -> 0.5 *. rows_out cat left
-     | Plan.MInner -> assumed_fanout *. rows_out cat left +. rows_out cat right
+     | Plan.MInner ->
+       let r =
+         match right with
+         | Plan.Build r -> rows_out cat r
+         | Plan.Oid_index table -> table_card cat table
+       in
+       assumed_fanout *. rows_out cat left +. r
      | Plan.MNest _ -> rows_out cat left)
   | Plan.GraceJoin { kind; xvar; yvar; keys; residual; left; right; _ } ->
     let l = rows_out cat left and r = rows_out cat right in
@@ -364,11 +371,7 @@ let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
        and residual check per retrieved row.  The 3.0/row weight is what
        makes a full scan win back once the lookup stops being selective
        (scan+filter costs ~2 units/row over the whole extent). *)
-    let card =
-      match Catalog.find_opt cat table with
-      | Some t -> float_of_int (List.length t.rows)
-      | None -> 100.0
-    in
+    let card = table_card cat table in
     let matched = index_matches ?stats cat ~table ~index lookup card in
     let probe =
       match Catalog.find_index cat index with
@@ -382,11 +385,7 @@ let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
        build pass and no scan of the inner extent — that is the saving
        over a hash join when the outer side is small or selective. *)
     let l = rows_out cat left in
-    let card =
-      match Catalog.find_opt cat table with
-      | Some t -> float_of_int (List.length t.rows)
-      | None -> 100.0
-    in
+    let card = table_card cat table in
     let per_probe = index_matches ?stats cat ~table ~index (Plan.LPoint []) card in
     cost cat left +. (l *. (1.0 +. (3.0 *. per_probe))) +. out
   | Plan.Filter { input; _ } -> cost cat input +. rows_out cat input
@@ -415,9 +414,13 @@ let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
       | Plan.Hash | Plan.Nested_loop -> 0.0
     in
     cost cat left +. cost cat right +. join_algo_cost algo l r +. spill +. out
-  | Plan.MemberJoin { left; right; _ } ->
+  | Plan.MemberJoin { left; right = Plan.Build right; _ } ->
     cost cat left +. cost cat right +. rows_out cat right
     +. (assumed_fanout *. rows_out cat left)
+  | Plan.MemberJoin { left; right = Plan.Oid_index _; _ } ->
+    (* Pointer-based: the oid index is the build table, so only the
+       per-element probes are charged. *)
+    cost cat left +. (assumed_fanout *. rows_out cat left)
   | Plan.GraceJoin { mem_budget; left; right; _ } ->
     (* One extra pass over both inputs for partitioning, plus the temp-file
        round trip when the build side exceeds this node's budget. *)

@@ -454,9 +454,8 @@ let rec exec_node ?(root = false) (cat : Catalog.t) (p : Plan.t) :
     Value.t list =
   match p with
   | Plan.Scan name ->
-    let rs = Catalog.rows cat name in
-    M.incr ~n:(List.length rs) c_scan_row;
-    rs
+    M.incr ~n:(Catalog.cardinality cat name) c_scan_row;
+    Catalog.rows cat name
   | Plan.IndexScan { index; var; lookup; residual; rename; _ } ->
     let ren = renamer rename in
     let matched = List.map ren (index_fetch cat (find_index cat index) lookup) in
@@ -801,9 +800,15 @@ and push_node ~root cat (p : Plan.t) (sink : Value.t -> unit) : unit =
         in
         let projected = List.map (fun y -> body x y) ms in
         sink (Value.concat x (Value.tuple [ (attr, Value.set projected) ])))
+  | Plan.MemberJoin ({ right = Plan.Oid_index table; _ } as j)
+    when not (Catalog.oid_key cat table) ->
+    (* The extent lost its oid key since planning ([Catalog.set_rows]):
+       the oid index no longer holds every row, so build from the rows. *)
+    push_node ~root cat
+      (Plan.MemberJoin { j with right = Plan.Build (Plan.Scan table) })
+      sink
   | Plan.MemberJoin { kind; xvar; yvar; xset; elem_var; elem_key; ykey; left; right }
     ->
-    let ykey = Compile.expr1 cat ~var:yvar ykey in
     let xset = Compile.expr1 cat ~var:xvar xset in
     (* With the element itself as the key, a left row's distinct elements
        probe distinct keys, whose buckets share no build row: no row is
@@ -812,23 +817,32 @@ and push_node ~root cat (p : Plan.t) (sink : Value.t -> unit) : unit =
       match elem_key with Expr.Var v -> String.equal v elem_var | _ -> false
     in
     let elem_key = Compile.expr2 cat ~vars:(elem_var, xvar) elem_key in
-    let tbl = VTbl.create (tbl_size cat right) in
-    push cat right (fun y ->
-        M.incr c_hash_build;
-        VTbl.add tbl (ykey y) y);
+    (* The rows whose key equals a probe key: from a hash table built over
+       the right operand, or — pointer-based — straight from the extent's
+       oid index, one "oid_lookup" per probe and no build. *)
+    let find_all, mem =
+      match right with
+      | Plan.Build right ->
+        let ykey = Compile.expr1 cat ~var:yvar ykey in
+        let tbl = VTbl.create (tbl_size cat right) in
+        push cat right (fun y ->
+            M.incr c_hash_build;
+            VTbl.add tbl (ykey y) y);
+        ( (fun k ->
+            M.incr c_hash_probe;
+            VTbl.find_all tbl k),
+          fun k ->
+            M.incr c_hash_probe;
+            VTbl.mem tbl k )
+      | Plan.Oid_index table ->
+        let probe = Catalog.deref_opt cat table in
+        ((fun k -> Option.to_list (probe k)), fun k -> Option.is_some (probe k))
+    in
     let matches x =
-      List.concat_map
-        (fun e ->
-          M.incr c_hash_probe;
-          VTbl.find_all tbl (elem_key e x))
-        (Value.as_set (xset x))
+      List.concat_map (fun e -> find_all (elem_key e x)) (Value.as_set (xset x))
     in
     let has_match x =
-      List.exists
-        (fun e ->
-          M.incr c_hash_probe;
-          VTbl.mem tbl (elem_key e x))
-        (Value.as_set (xset x))
+      List.exists (fun e -> mem (elem_key e x)) (Value.as_set (xset x))
     in
     (match kind with
      | Plan.MSemi -> push cat left (fun x -> if has_match x then sink x)

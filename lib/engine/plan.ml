@@ -108,7 +108,7 @@ type t =
       elem_key : Expr.t; (* key of an element, over [elem_var] *)
       ykey : Expr.t; (* key of a right row, over [yvar] *)
       left : t;
-      right : t;
+      right : member_right;
     }
       (* Hash implementation of membership-style join predicates
          ('exists' z 'in' x.c . key(z) = key(y), or key(y) 'in' x.c): the
@@ -202,6 +202,16 @@ type t =
       (* an already-computed intermediate result; produced by the
          instrumented executor, never by the planner *)
 
+(* Right operand of a [MemberJoin]: a plan whose rows are hashed on
+   [ykey], or — when the elements are oids into a whole extent keyed on
+   "oid" and [ykey] is [y.oid] — that extent reached through the catalog's
+   oid index, which already is the table the join would build.  The
+   pointer-based form has no right child: each element probes the index
+   (Section 6.2's assembly, against PNHL's value-based build). *)
+and member_right =
+  | Build of t
+  | Oid_index of string
+
 let algo_name = function
   | Nested_loop -> "nl"
   | Hash -> "hash"
@@ -262,8 +272,12 @@ let rec pp ppf = function
       | MInner -> "join"
       | MNest { attr; _ } -> "nestjoin→" ^ attr
     in
+    let pp_right ppf = function
+      | Build r -> pp ppf r
+      | Oid_index table -> Fmt.pf ppf "oid(%s)" table
+    in
     Fmt.pf ppf "@[<2>member_%s[%a](@,%a,@ %a)@]" kname Pretty.pp xset pp left
-      pp right
+      pp_right right
   | RenameOp (pairs, input) ->
     Fmt.pf ppf "@[<2>rename[%s](@,%a)@]"
       (String.concat ","
@@ -351,8 +365,10 @@ let children = function
   | ParMapOp { input; _ } -> [ input ]
   | UnionOp (a, b) | InterOp (a, b) | DiffOp (a, b) | ProductOp (a, b)
   | DivideOp (a, b) -> [ a; b ]
+  | MemberJoin { left; right = Build right; _ } -> [ left; right ]
+  | MemberJoin { left; right = Oid_index _; _ } -> [ left ]
   | JoinOp { left; right; _ } | NestjoinOp { left; right; _ }
-  | MemberJoin { left; right; _ } | Pnhl { left; right; _ }
+  | Pnhl { left; right; _ }
   | GraceJoin { left; right; _ } | ParJoinOp { left; right; _ }
   | ParNestjoinOp { left; right; _ } | ParPnhl { left; right; _ } ->
     [ left; right ]
@@ -410,9 +426,10 @@ let streamed_inputs = function
   | ParFilter _ | ParMapOp _ -> [ false ]
   | UnionOp (_, _) -> [ true; true ]
   | InterOp (_, _) | DiffOp (_, _) | ProductOp (_, _) -> [ true; false ]
+  | MemberJoin { right = Oid_index _; _ } -> [ true ]
   | JoinOp { algo = Nested_loop | Hash; _ }
   | NestjoinOp { algo = Nested_loop | Hash; _ }
-  | MemberJoin _ ->
+  | MemberJoin { right = Build _; _ } ->
     [ true; false ]
   | JoinOp { algo = Sort_merge; _ } | NestjoinOp { algo = Sort_merge; _ }
   | GraceJoin _ | DivideOp (_, _) | Pnhl _ | ParPnhl _ | ParJoinOp _
@@ -494,9 +511,14 @@ let rec map_exprs f p =
       | MNest { body; attr } -> MNest { body = f body; attr }
       | (MSemi | MAnti | MInner) as k -> k
     in
+    let right =
+      match j.right with
+      | Build r -> Build (recur r)
+      | Oid_index _ as r -> r
+    in
     MemberJoin
       { j with kind; xset = f j.xset; elem_key = f j.elem_key;
-        ykey = f j.ykey; left = recur j.left; right = recur j.right }
+        ykey = f j.ykey; left = recur j.left; right }
   | GraceJoin j ->
     GraceJoin
       { j with keys = List.map (fun (a, b) -> (f a, f b)) j.keys;
@@ -542,7 +564,10 @@ let with_children p cs =
   | DivideOp _, [ a; b ] -> DivideOp (a, b)
   | JoinOp j, [ a; b ] -> JoinOp { j with left = a; right = b }
   | NestjoinOp j, [ a; b ] -> NestjoinOp { j with left = a; right = b }
-  | MemberJoin j, [ a; b ] -> MemberJoin { j with left = a; right = b }
+  | MemberJoin ({ right = Build _; _ } as j), [ a; b ] ->
+    MemberJoin { j with left = a; right = Build b }
+  | MemberJoin ({ right = Oid_index _; _ } as j), [ a ] ->
+    MemberJoin { j with left = a }
   | Pnhl j, [ a; b ] -> Pnhl { j with left = a; right = b }
   | GraceJoin j, [ a; b ] -> GraceJoin { j with left = a; right = b }
   | ParFilter f, [ c ] -> ParFilter { f with input = c }

@@ -95,7 +95,7 @@ type t =
       elem_key : Expr.t;  (** key of one element, over [elem_var] *)
       ykey : Expr.t;  (** key of a right row, over [yvar] *)
       left : t;
-      right : t;
+      right : member_right;
     }
       (** Hash implementation of membership predicates
           ([∃z∈x.c • key(z) = key(y)] or [key(y) ∈ x.c]): hash the right
@@ -187,6 +187,17 @@ type t =
           the serving layer splices its parameter table in as one
           ({!Njq_engine.Serve}), whose rows carry distinct [__cid]s, never
           the planner *)
+
+(** Right operand of a {!MemberJoin}. *)
+and member_right =
+  | Build of t  (** rows hashed on [ykey] before the left side probes *)
+  | Oid_index of string
+      (** pointer-based: a whole extent keyed on ["oid"]
+          ({!Njq_adl.Catalog.oid_key}), joined on [ykey = y.oid] with the
+          element itself as the probe key.  The catalog's oid index is the
+          build table, so nothing is built: each element costs one
+          ["oid_lookup"], and the node has no right child.  Rendered
+          [oid(T)]; paper Section 6.2, assembly against PNHL. *)
 
 val algo_name : join_algo -> string
 val kind_name : Expr.join_kind -> string

@@ -68,8 +68,10 @@ let normalize text =
 (*                                                                     *)
 (* Guards, all falling back to exact-text caching (today's behavior):  *)
 (* - texts already containing '?' are explicit prepared templates;     *)
-(* - catalogs with declared indexes keep literal constants so sargable *)
-(*   index planning can see them;                                      *)
+(* - catalogs with declared indexes keep literal constants: a point    *)
+(*   lookup on ?i now uses its index like a literal one, but a range    *)
+(*   bound is priced from its literal value (min/max interpolation),    *)
+(*   and a ?i bound falls back to a fixed selectivity;                 *)
 (* - 6- and 8-digit integer literals are left alone: the paper writes  *)
 (*   dates as yymmdd/yyyymmdd integer literals and the frontend        *)
 (*   coerces them against date-typed attributes at translation time,   *)

@@ -17,7 +17,8 @@ val capacity : int ref
     queries differing only in constants share one prepared plan whose
     parameters are bound per call via {!Plan.map_exprs}.  Skipped for
     texts already containing ['?'] (explicit prepared templates), for
-    catalogs with declared indexes (sargable planning needs the literal
+    catalogs with declared indexes (a [?i] point lookup plans onto its
+    index like a literal, but range bounds are priced from their literal
     values), and for 6-/8-digit integer literals (date-shaped, coerced by
     the frontend at translation time).  Templating events tick the
     ["plancache_autoparam"] metric. *)

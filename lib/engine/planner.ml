@@ -123,7 +123,7 @@ let pnhl_budget ?cat table =
   | Some c ->
     let card =
       match Catalog.find_opt c table with
-      | Some tbl -> List.length tbl.Catalog.rows
+      | Some tbl -> tbl.Catalog.card
       | None -> 0
     in
     if card <= !pnhl_mem_rows then max_int else !pnhl_mem_rows
@@ -173,7 +173,7 @@ let rec plan_with ?ctx ?cat (choice : algo_choice) (e : Expr.t) : Plan.t =
        in
        Plan.MemberJoin
          { kind = mkind; xvar; yvar; xset; elem_var; elem_key; ykey;
-           left = plan left; right = plan right }
+           left = plan left; right = Plan.Build (plan right) }
      | _ ->
        let lp = plan left and rp = plan right in
        (match choice with
@@ -226,7 +226,7 @@ let rec plan_with ?ctx ?cat (choice : algo_choice) (e : Expr.t) : Plan.t =
      | Some (xset, elem_var, elem_key, ykey) ->
        Plan.MemberJoin
          { kind = Plan.MNest { body; attr }; xvar; yvar; xset; elem_var;
-           elem_key; ykey; left = plan left; right = plan right }
+           elem_key; ykey; left = plan left; right = Plan.Build (plan right) }
      | None ->
        let lp = plan left and rp = plan right in
        (match choice with
@@ -271,8 +271,11 @@ let rec plan_with ?ctx ?cat (choice : algo_choice) (e : Expr.t) : Plan.t =
 let use_indexes = ref true
 
 (* A lookup expression must be closed: free variables would make the key
-   depend on an outer binding the index cannot see. *)
-let closed e = Analysis.S.is_empty (Analysis.free_vars e)
+   depend on an outer binding the index cannot see.  Parameters are
+   constants here — [Plan.map_exprs] binds them into the lookup before the
+   plan runs — so a prepared template gets its literal twin's index
+   paths. *)
+let closed = Analysis.is_closed_up_to_params
 
 (* [x.attr = e] (either orientation) with [e] closed: the sargable shape a
    point lookup consumes. *)
@@ -458,6 +461,27 @@ let access_paths ?stats cat p =
     go p
   end
 
+(* Pointer-based member joins (Section 6.2, assembly against PNHL): a
+   member join whose right operand is a whole extent keyed on "oid", joined
+   on [y.oid] with the element itself as the probe key, would build a hash
+   table the catalog already holds — the extent's oid index.  Rewrite it to
+   probe that index instead; the scan disappears from the plan.  A filtered
+   or renamed right operand keeps its hash build. *)
+let pointer_joins cat p =
+  let rec go p =
+    let p = Plan.with_children p (List.map go (Plan.children p)) in
+    match p with
+    | Plan.MemberJoin
+        ({ yvar; elem_var; elem_key = Var e;
+           ykey = Field (Var y, "oid");
+           right = Plan.Build (Plan.Scan table); _ } as j)
+      when String.equal e elem_var && String.equal y yvar
+           && Catalog.mem cat table && Catalog.oid_key cat table ->
+      Plan.MemberJoin { j with right = Plan.Oid_index table }
+    | p -> p
+  in
+  go p
+
 (* ------------------------------------------------------------------ *)
 (* Parallelization post-pass                                           *)
 (* ------------------------------------------------------------------ *)
@@ -599,6 +623,13 @@ let plan ?(algo = Auto) ?cat e =
     | Some c, (Auto | Cost_based _)
       when !use_indexes && Catalog.has_indexes c ->
       access_paths ~stats:(Stats.cached c) c p
+    | _ -> p
+  in
+  let p =
+    (* Member joins onto whole oid-keyed extents probe the oid index, an
+       access path every extent has: same switch and [Force] exemption. *)
+    match cat, algo with
+    | Some c, (Auto | Cost_based _) when !use_indexes -> pointer_joins c p
     | _ -> p
   in
   let p =

@@ -35,8 +35,9 @@ val pnhl_mem_rows : int ref
     an operator to its parallel variant. *)
 val par_threshold : int ref
 
-(** Master switch for the {!access_paths} rewrite in {!plan} (default on);
-    off, the planner emits exactly the full-scan plans of previous
+(** Master switch for the {!access_paths} rewrite and for pointer-based
+    member joins ({!Plan.Oid_index}) in {!plan} (default on); off, the
+    planner emits exactly the full-scan, hash-build plans of previous
     versions. *)
 val use_indexes : bool ref
 

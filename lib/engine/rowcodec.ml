@@ -389,7 +389,7 @@ let save_catalog (cat : Catalog.t) path =
       Buffer.add_string buf name;
       add_uvarint buf (String.length ty);
       Buffer.add_string buf ty;
-      add_uvarint buf (List.length t.Catalog.rows);
+      add_uvarint buf t.Catalog.card;
       add_uvarint buf (Buffer.length section);
       Buffer.add_buffer buf section)
     names;

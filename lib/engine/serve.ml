@@ -37,6 +37,7 @@ module B = Njq_core.Batchrw
 
 let c_request = M.counter "serve_request"
 let c_batch = M.counter "serve_batch"
+let c_batch_iterated = M.counter "serve_batch_iterated"
 let h_queue = M.histogram "serve_queue_ns"
 let h_service = M.histogram "serve_service_ns"
 let h_batch = M.histogram "serve_batch_size"
@@ -48,6 +49,10 @@ type prepared = {
   nparams : int;
   params_table : string;  (* registered at prepare; extent stays empty *)
   translate : string -> Expr.t;
+  mutable priced : (Plan.t * Plan.t * float) option;
+      (* the batched plan last priced against, the one-at-a-time plan and
+         its cost: fetched again only when the batched plan is re-derived,
+         so a batch adds no plan-cache probe for the choice *)
 }
 
 let next_table = ref 0
@@ -61,7 +66,7 @@ let prepare cat ?(options = "") ~translate text =
   incr next_table;
   let params_table = Printf.sprintf "__serve_params_%d" !next_table in
   Catalog.add_table cat ~name:params_table ~row_type:(B.row_type ~nparams) [];
-  { cat; text; options; nparams; params_table; translate }
+  { cat; text; options; nparams; params_table; translate; priced = None }
 
 let text h = h.text
 let nparams h = h.nparams
@@ -108,11 +113,30 @@ let exec_one h params =
   let plan, hit = plan_one h in
   (Exec.run h.cat (bind_plan params plan), hit)
 
-let exec_batch h param_vectors =
+(* The one-at-a-time plan and its estimated cost, priced once per
+   derivation of the batched plan [batched] (physical identity: a cache hit
+   returns the stored plan itself).  Parameters price like constants
+   ([Cost] prices a [?i] point lookup by NDV), so one cost stands for
+   every invocation. *)
+let priced_one h batched =
+  match h.priced with
+  | Some (b, one, cost) when b == batched -> (one, cost)
+  | _ ->
+    let one, _ = plan_one h in
+    let cost = Cost.cost ~stats:(Stats.cached h.cat) h.cat one in
+    h.priced <- Some (batched, one, cost);
+    (one, cost)
+
+(* Run a batch, reporting whether it iterated.  A batch of K >= 2 runs
+   the cheaper of two ways under the cost model: K bound one-at-a-time
+   plans — the index nested-loop join of the parameter table with the
+   template, cheap when each invocation is selective — or one set-oriented
+   run of the batched plan, cheap when the invocations share work. *)
+let exec_batch_how h param_vectors =
   List.iter (check_arity h) param_vectors;
   match param_vectors with
-  | [] -> []
-  | [ ps ] -> [ fst (exec_one h ps) ]
+  | [] -> ([], false)
+  | [ ps ] -> ([ fst (exec_one h ps) ], false)
   | _ ->
     let plan, _ = plan_batched h in
     let rows = List.mapi (fun cid ps -> B.param_row ~cid ps) param_vectors in
@@ -126,18 +150,27 @@ let exec_batch h param_vectors =
           else None)
         plan
     in
-    let result = Exec.run h.cat spliced in
-    let by_cid = B.split result in
-    List.mapi
-      (fun cid _ ->
-        match List.assoc_opt cid by_cid with
-        | Some v -> v
-        | None ->
-          (* Map totality over distinct cids guarantees one tuple per
-             parameter row; a hole means the rewrite dropped a row. *)
-          failwith
-            (Printf.sprintf "Serve.exec_batch: no result for cid %d" cid))
-      param_vectors
+    let one, one_cost = priced_one h plan in
+    let k = float_of_int (List.length param_vectors) in
+    if k *. one_cost < Cost.cost ~stats:(Stats.cached h.cat) h.cat spliced
+    then
+      (List.map (fun ps -> Exec.run h.cat (bind_plan ps one)) param_vectors, true)
+    else begin
+      let by_cid = B.split (Exec.run h.cat spliced) in
+      ( List.mapi
+          (fun cid _ ->
+            match List.assoc_opt cid by_cid with
+            | Some v -> v
+            | None ->
+              (* Map totality over distinct cids guarantees one tuple per
+                 parameter row; a hole means the rewrite dropped a row. *)
+              failwith
+                (Printf.sprintf "Serve.exec_batch: no result for cid %d" cid))
+          param_vectors,
+        false )
+    end
+
+let exec_batch h param_vectors = fst (exec_batch_how h param_vectors)
 
 (* ------------------------------------------------------------------ *)
 (* In-process concurrent driver                                        *)
@@ -229,10 +262,13 @@ let run ?(batching = true) ?(window = 64) ?(burst = 1) ~clients ~requests
       let k = !ntaken in
       let t0 = Njq_obs.Clock.now_ns () in
       let waits = List.map (fun r -> max 0 (t0 - r.q_enq_ns)) batch in
-      let values = exec_batch first.q_handle (List.map (fun r -> r.q_params) batch) in
+      let values, iterated =
+        exec_batch_how first.q_handle (List.map (fun r -> r.q_params) batch)
+      in
       let service_ns = Njq_obs.Clock.elapsed_ns t0 in
       M.incr ~n:k c_request;
       M.incr c_batch;
+      if iterated then M.incr c_batch_iterated;
       M.observe h_batch k;
       M.observe ~n:k h_service service_ns;
       List.iter (fun w -> M.observe h_queue w) waits;

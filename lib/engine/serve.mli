@@ -9,7 +9,9 @@
       parameterized plan ({!Plan.map_exprs}) and run it — K invocations
       cost K full executions.
     - {!exec_batch}: merge the K outstanding parameter vectors into a
-      parameter table and run the template {e once}, set-oriented.  The
+      parameter table and run the template {e once}, set-oriented — or,
+      when the cost model prices K index-served invocations lower, run
+      them one at a time.  The
       batched form [map\[w : (__cid, __rows = body\[?i := w.__pi\])\]] is
       a correlated subquery the Section 4 strategy unnests into joins —
       the paper's nested-loop → join move applied to the invocation
@@ -29,7 +31,8 @@
     same-handle requests per round and executes them as one batch.
     Queue waits, service times and batch sizes land in the
     ["serve_queue_ns"] / ["serve_service_ns"] / ["serve_batch_size"]
-    histograms and the ["serve_request"] / ["serve_batch"] counters. *)
+    histograms and the ["serve_request"] / ["serve_batch"] /
+    ["serve_batch_iterated"] counters. *)
 
 open Njq_adl
 
@@ -66,10 +69,20 @@ val fingerprint : prepared -> string
     mismatch. *)
 val exec_one : prepared -> Value.t list -> Value.t * bool
 
-(** Execute K invocations as one set-oriented batch; [exec_batch h pss]
-    returns one result per parameter vector, in order, each bit-identical
-    to [fst (exec_one h ps)].  A singleton batch degrades to
-    {!exec_one}. *)
+(** Execute K invocations as one batch; [exec_batch h pss] returns one
+    result per parameter vector, in order, each bit-identical to
+    [fst (exec_one h ps)].  A singleton batch degrades to {!exec_one}.
+    For K >= 2 the batch runs the cheaper way under {!Cost}: when
+    [K × cost(one-at-a-time plan)] is below the cost of the batched plan
+    with the K parameter rows spliced in, it binds and runs the
+    one-at-a-time plan per invocation — the index nested-loop join of
+    the parameter table with the template, the right choice when each
+    invocation is a selective index lookup — and otherwise runs the
+    set-oriented batch, which pays shared scans and builds once.  The
+    one-at-a-time plan's cost is kept with the batched plan it was priced
+    against, so a batch that stays set-oriented does no counted work for
+    the choice.  {!run} counts the iterated batches in the
+    ["serve_batch_iterated"] counter. *)
 val exec_batch : prepared -> Value.t list list -> Value.t list
 
 (** {1 In-process concurrent driver} *)

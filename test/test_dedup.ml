@@ -145,7 +145,7 @@ let member_join kind =
   Plan.MemberJoin
     { kind; xvar = "d"; yvar = "p"; xset = var "d" $. "supply"; elem_var = "u";
       elem_key = var "u" $. "part"; ykey = var "p" $. "poid";
-      left = Plan.Scan "D"; right = Plan.Scan "P" }
+      left = Plan.Scan "D"; right = Plan.Build (Plan.Scan "P") }
 
 let test_member_join_non_identity_key () =
   let cat = member_catalog () in
@@ -255,7 +255,7 @@ let key_shapes =
       Plan.MemberJoin
         { kind = Plan.MSemi; xvar = "x"; yvar = "y"; xset = var "x" $. "c";
           elem_var = "z"; elem_key = var "z"; ykey = var "y" $. "d";
-          left = Plan.Scan "X"; right = Plan.Scan "Y" },
+          left = Plan.Scan "X"; right = Plan.Build (Plan.Scan "Y") },
       semijoin
         (exists "z" (var "x" $. "c") (eq (var "z") (var "y" $. "d")))
         (table "X") (table "Y") );

@@ -234,6 +234,139 @@ let test_unselective_keeps_scan () =
   | p -> Alcotest.failf "unselective predicate should scan, got %a" Plan.pp p
 
 (* ------------------------------------------------------------------ *)
+(* Pointer-based member joins: a member join onto a whole extent keyed on
+   "oid" probes the catalog's oid index instead of building a hash table
+   (Plan.Oid_index). *)
+
+(* X(xk, c) whose sets mix live oids into P, dangling oids and values that
+   are not oids at all; P(oid, name) keyed on "oid" unless [p_rows] says
+   otherwise. *)
+let pointer_catalog ?(p_rows = [ (1, "a"); (2, "b"); (3, "c"); (4, "d") ]) () =
+  let cat = Catalog.create () in
+  let x k c = Value.tuple [ ("xk", Value.int k); ("c", Value.set c) ] in
+  Catalog.add_table cat ~name:"X"
+    ~row_type:(Vtype.tuple [ ("xk", Vtype.TInt); ("c", Vtype.TSet Vtype.TAny) ])
+    [ x 0 [ Value.oid 1; Value.oid 2 ];
+      x 1 [ Value.oid 2; Value.oid 99 ];
+      x 2 [ Value.int 3; Value.string "c"; Value.oid 4 ];
+      x 3 [];
+      x 4 [ Value.oid 77; Value.int 1 ] ];
+  Catalog.add_table cat ~name:"P"
+    ~row_type:(Vtype.tuple [ ("oid", Vtype.TOid); ("name", Vtype.TString) ])
+    (List.map
+       (fun (o, n) -> Value.tuple [ ("oid", Value.oid o); ("name", Value.string n) ])
+       p_rows);
+  cat
+
+let on_oid = exists "z" (var "x" $. "c") (eq (var "z") (var "y" $. "oid"))
+
+(* The four member-join kinds over X and P, as ADL. *)
+let pointer_queries =
+  [ ("semijoin", semijoin on_oid (table "X") (table "P"));
+    ("antijoin", antijoin on_oid (table "X") (table "P"));
+    ("join", join on_oid (table "X") (table "P"));
+    ( "nestjoin",
+      nestjoin ~body:(var "y" $. "name") ~attr:"g" on_oid (table "X") (table "P") ) ]
+
+let member_right p =
+  match p with
+  | Plan.MemberJoin { right; _ } -> Some right
+  | _ -> None
+
+let test_pointer_member_joins () =
+  let cat = pointer_catalog () in
+  List.iter
+    (fun (name, e) ->
+      let planned = Planner.plan ~cat e in
+      (match member_right planned with
+       | Some (Plan.Oid_index "P") -> ()
+       | _ -> Alcotest.failf "%s: expected a pointer join, got %a" name Plan.pp planned);
+      Alcotest.check Util.value name (Eval.run cat e) (Exec.run cat planned))
+    pointer_queries
+
+let test_pointer_ticks () =
+  let cat = pointer_catalog () in
+  let elements =
+    List.fold_left
+      (fun n row -> n + Value.set_size (Value.field row "c"))
+      0 (Catalog.rows cat "X")
+  in
+  List.iter
+    (fun name ->
+      let planned = Planner.plan ~cat (List.assoc name pointer_queries) in
+      let _, work = Counters.measure (fun () -> Exec.run cat planned) in
+      let count k = Option.value ~default:0 (List.assoc_opt k work) in
+      Alcotest.(check int) (name ^ ": no hash build") 0 (count "hash_build");
+      Alcotest.(check int) (name ^ ": no hash probe") 0 (count "hash_probe");
+      Alcotest.(check int) (name ^ ": one oid lookup per element") elements
+        (count "oid_lookup"))
+    [ "join"; "nestjoin" ]
+
+let test_pointer_needs_oid_key () =
+  (* Two rows share oid 2; then a row without an oid: "oid" is no key of
+     P, so the index cannot stand in for the build. *)
+  let shared = [ (1, "a"); (2, "b"); (2, "b2"); (4, "d") ] in
+  let cat = pointer_catalog ~p_rows:shared () in
+  let missing = pointer_catalog () in
+  Catalog.set_rows missing "P"
+    (Value.tuple [ ("oid", Value.VNull); ("name", Value.string "e") ]
+     :: Catalog.rows missing "P");
+  List.iter
+    (fun (what, cat) ->
+      List.iter
+        (fun (name, e) ->
+          let planned = Planner.plan ~cat e in
+          (match member_right planned with
+           | Some (Plan.Build (Plan.Scan "P")) -> ()
+           | _ ->
+             Alcotest.failf "%s over %s oids: expected the hash build, got %a"
+               name what Plan.pp planned);
+          Alcotest.check Util.value
+            (Printf.sprintf "%s over %s oids" name what)
+            (Eval.run cat e) (Exec.run cat planned))
+        pointer_queries)
+    [ ("shared", cat); ("missing", missing) ]
+
+let test_pointer_plan_outlives_oid_key () =
+  List.iter
+    (fun (name, e) ->
+      let cat = pointer_catalog () in
+      let planned = Planner.plan ~cat e in
+      Alcotest.(check bool) (name ^ ": planned as a pointer join") true
+        (member_right planned = Some (Plan.Oid_index "P"));
+      (* After planning, P loses its key: oid 2 now names two rows. *)
+      Catalog.set_rows cat "P"
+        (Value.tuple [ ("oid", Value.oid 2); ("name", Value.string "b2") ]
+         :: Catalog.rows cat "P");
+      Alcotest.check Util.value (name ^ " after set_rows") (Eval.run cat e)
+        (Exec.run cat planned))
+    pointer_queries
+
+let test_pointer_respects_switches () =
+  let cat = pointer_catalog () in
+  let e = List.assoc "nestjoin" pointer_queries in
+  let built p =
+    match member_right p with Some (Plan.Build _) -> true | _ -> false
+  in
+  let prev = !Planner.use_indexes in
+  Planner.use_indexes := false;
+  let off =
+    Fun.protect ~finally:(fun () -> Planner.use_indexes := prev) (fun () ->
+        Planner.plan ~cat e)
+  in
+  Alcotest.(check bool) "use_indexes off keeps the build" true (built off);
+  Alcotest.(check bool) "Force keeps the build" true
+    (built (Planner.plan ~algo:(Planner.Force Plan.Hash) ~cat e));
+  Alcotest.(check bool) "no catalog keeps the build" true (built (Planner.plan e));
+  (* A filtered right operand keeps its hash build too. *)
+  let filtered =
+    semijoin on_oid (table "X")
+      (select "p" (table "P") (neq (var "p" $. "name") (str "a")))
+  in
+  Alcotest.(check bool) "filtered right operand keeps the build" true
+    (built (Planner.plan ~cat filtered))
+
+(* ------------------------------------------------------------------ *)
 (* Differential properties: random XY databases; the index plans must be
    observationally equal to the scan plans they replace, at 1/2/4
    domains. *)
@@ -450,6 +583,17 @@ let () =
             test_planner_picks_index_join_through_rename;
           Alcotest.test_case "unselective keeps scan" `Quick
             test_unselective_keeps_scan ] );
+      ( "pointer join",
+        [ Alcotest.test_case "four kinds against Eval" `Quick
+            test_pointer_member_joins;
+          Alcotest.test_case "oid lookups, no hash build" `Quick
+            test_pointer_ticks;
+          Alcotest.test_case "shared or missing oids keep the build" `Quick
+            test_pointer_needs_oid_key;
+          Alcotest.test_case "plan outlives the oid key" `Quick
+            test_pointer_plan_outlives_oid_key;
+          Alcotest.test_case "switches and filtered operands" `Quick
+            test_pointer_respects_switches ] );
       ( "differential",
         [ prop_index_scan_differential;
           prop_index_join_differential;

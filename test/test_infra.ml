@@ -42,6 +42,44 @@ let test_catalog_oids_and_deref () =
   Alcotest.check Util.value "new oid found" (r 3 30)
     (Catalog.deref cat "T" (Value.oid 3))
 
+(* The row count is kept beside the rows: it must follow every write. *)
+let test_catalog_cardinality () =
+  let cat = Catalog.create () in
+  let row_type = Vtype.tuple [ ("oid", Vtype.TOid); ("v", Vtype.TInt) ] in
+  let r n v = Value.tuple [ ("oid", Value.oid n); ("v", Value.int v) ] in
+  let check what =
+    Alcotest.(check int) what
+      (List.length (Catalog.rows cat "T"))
+      (Catalog.cardinality cat "T")
+  in
+  Catalog.add_table cat ~name:"T" ~row_type [ r 1 10; r 2 20; r 1 10; r 3 30 ];
+  check "after add_table";
+  Alcotest.(check int) "duplicates not counted" 3 (Catalog.cardinality cat "T");
+  Catalog.set_rows cat "T" [ r 4 40; r 4 40 ];
+  check "after set_rows";
+  Catalog.set_rows cat "T" [];
+  check "after emptying";
+  Catalog.add_table cat ~name:"E" ~row_type [];
+  Alcotest.(check int) "empty extent" 0 (Catalog.cardinality cat "E");
+  Alcotest.(check (float 0.0)) "cost model reads the count" 0.0
+    (Njq_engine.Cost.rows_out cat (Njq_engine.Plan.Scan "T"))
+
+(* Pointer-based member joins probe through [deref_opt]: one tick per
+   probe, [None] for dangling oids and for values that are not oids. *)
+let test_deref_opt_never_raises () =
+  let cat = Catalog.create () in
+  let row_type = Vtype.tuple [ ("oid", Vtype.TOid); ("v", Vtype.TInt) ] in
+  Catalog.add_table cat ~name:"T" ~row_type
+    [ Value.tuple [ ("oid", Value.oid 1); ("v", Value.int 10) ] ];
+  let probes = [ Value.oid 1; Value.oid 7; Value.int 1; Value.string "x"; Value.VNull ] in
+  let hits, work =
+    Counters.measure (fun () ->
+        List.filter_map (Catalog.deref_opt cat "T") probes)
+  in
+  Alcotest.(check int) "only the live oid resolves" 1 (List.length hits);
+  Alcotest.(check (list (pair string int))) "one oid_lookup per probe"
+    [ ("oid_lookup", List.length probes) ] work
+
 (* ---------------- Rules driver ---------------- *)
 
 let incr_rule =
@@ -139,13 +177,30 @@ let test_plan_pretty () =
   in
   let s = Njq_engine.Plan.to_string p in
   Alcotest.(check bool) "hash semijoin printed" true
-    (contains_sub ~needle:"hash_semijoin" s)
+    (contains_sub ~needle:"hash_semijoin" s);
+  (* A pointer-based member join names the extent it reaches through the
+     oid index in place of a right child. *)
+  let pointer =
+    Njq_engine.Plan.MemberJoin
+      { kind = Njq_engine.Plan.MNest { body = var "p" $. "pname"; attr = "g" };
+        xvar = "s"; yvar = "p"; xset = var "s" $. "parts_supplied";
+        elem_var = "z"; elem_key = var "z"; ykey = var "p" $. "oid";
+        left = Njq_engine.Plan.Scan "SUPPLIER";
+        right = Njq_engine.Plan.Oid_index "PART" }
+  in
+  Alcotest.(check string) "pointer member join printed"
+    "member_nestjoin→g[s.parts_supplied](scan(SUPPLIER), oid(PART))"
+    (Njq_engine.Plan.to_string pointer)
 
 let () =
   Alcotest.run "infra"
     [ ( "catalog",
         [ Alcotest.test_case "basics" `Quick test_catalog_basics;
-          Alcotest.test_case "oids and deref" `Quick test_catalog_oids_and_deref ] );
+          Alcotest.test_case "oids and deref" `Quick test_catalog_oids_and_deref;
+          Alcotest.test_case "cardinality follows writes" `Quick
+            test_catalog_cardinality;
+          Alcotest.test_case "deref_opt never raises" `Quick
+            test_deref_opt_never_raises ] );
       ( "rules driver",
         [ Alcotest.test_case "fixpoint" `Quick test_driver_fixpoint;
           Alcotest.test_case "outermost first" `Quick test_driver_outermost_first;

@@ -279,16 +279,25 @@ let test_profile_hand_built () =
 
 (* The acceptance property: every node's non-perturbing actual equals the
    row count of executing its subtree alone, on the paper's query
-   workload. *)
+   workload — planned without a catalog, and with one (join order, access
+   paths, pointer-based member joins whose skipped scan is no child). *)
 let test_profile_matches_subtree_rows () =
   let gcat =
     Njq_workload.Generator.catalog
       { Njq_workload.Generator.default_config with dangling_rate = 0.0 }
   in
+  let pointer_joins = ref 0 in
   List.iter
-    (fun (q : Njq_workload.Queries.query) ->
+    (fun ((q : Njq_workload.Queries.query), cat) ->
       let adl = Njq_workload.Queries.to_adl q in
-      let plan = Planner.plan (Njq_core.Strategy.optimize gcat adl) in
+      let plan = Planner.plan ?cat (Njq_core.Strategy.optimize gcat adl) in
+      Njq_engine.Plan.iter_nodes
+        (function
+          | Njq_engine.Plan.MemberJoin { right = Njq_engine.Plan.Oid_index _; _ }
+            ->
+            incr pointer_joins
+          | _ -> ())
+        plan;
       let profiled, root = Profile.run gcat plan in
       Alcotest.check Util.value (q.id ^ " same result") (Exec.run gcat plan)
         profiled;
@@ -305,7 +314,11 @@ let test_profile_matches_subtree_rows () =
       Alcotest.(check (list (pair string int)))
         (q.id ^ " per-node rows match subtree runs")
         subtree_rows prof_rows)
-    (Njq_workload.Queries.all @ Njq_workload.Queries.extended)
+    (List.concat_map
+       (fun q -> [ (q, None); (q, Some gcat) ])
+       (Njq_workload.Queries.all @ Njq_workload.Queries.extended));
+  Alcotest.(check bool) "the catalog plans probe oid indexes" true
+    (!pointer_joins > 0)
 
 (* Profiling must not perturb the work counters the run would tick bare. *)
 let test_profile_non_perturbing_counters () =

@@ -136,16 +136,30 @@ let test_fixed_plan_pool_invariance () =
    plan; with two domains and inputs above the threshold it rewrites the
    hot operators to their parallel variants. *)
 
+(* Access paths are the other catalog-aware choice [plan ~cat] makes
+   (pointer-based member joins need no declared index): held off, the
+   one-domain catalog plan is the catalog-free sequential plan; left on,
+   it is the catalog plan whose parallel pass never fires. *)
 let test_domains1_plans_identical () =
   let cat = Gen.catalog { (Gen.scaled ~seed:7 300) with Gen.dangling_rate = 0.0 } in
+  let with_indexes flag f =
+    let prev = !Planner.use_indexes in
+    Planner.use_indexes := flag;
+    Fun.protect ~finally:(fun () -> Planner.use_indexes := prev) f
+  in
   List.iter
     (fun (q : Queries.query) ->
       let rewritten = Strategy.optimize cat (Queries.to_adl q) in
+      let plan_cat () = plan_string (Planner.plan ~cat rewritten) in
       let seq = plan_string (Planner.plan rewritten) in
-      let gated =
-        with_domains 1 (fun () -> plan_string (Planner.plan ~cat rewritten))
+      let gated = with_indexes false (fun () -> with_domains 1 plan_cat) in
+      Alcotest.(check string) q.Queries.id seq gated;
+      let never_parallel =
+        with_domains 2 (fun () -> with_par_threshold max_int plan_cat)
       in
-      Alcotest.(check string) q.Queries.id seq gated)
+      Alcotest.(check string)
+        (q.Queries.id ^ " with access paths")
+        never_parallel (with_domains 1 plan_cat))
     (Queries.all @ Queries.extended)
 
 let test_parallelize_applies_above_threshold () =

@@ -151,6 +151,146 @@ let test_arity_check () =
     (fun () -> ignore (Serve.exec_one h [ Value.int 1; Value.int 2 ]))
 
 (* ------------------------------------------------------------------ *)
+(* Prepared = literal: a template plans and runs like its literal twin  *)
+(* ------------------------------------------------------------------ *)
+
+(* The perfbench serve templates, a range over a sorted index and the
+   index-free b16 template, each with parameters to draw from: some match
+   nothing ("nobody", price 0).  Every draw is selective enough that the
+   literal twin takes the index path too. *)
+let literal_cases =
+  let sname i = Value.string (Printf.sprintf "s%d" i) in
+  [ ( "nestjoin",
+      {|select (sname = s.sname,
+         pnames = select p.pname from p in PART where p.oid in s.parts_supplied)
+  from s in SUPPLIER where s.sname = ?0|},
+      [ sname 3; sname 40; Value.string "nobody"; sname 7; sname 100 ] );
+    ( "point",
+      "select p.pname from p in PART where p.price = ?0",
+      [ Value.int 17; Value.int 250; Value.int 0; Value.int 499; Value.int 3 ] );
+    ( "semijoin",
+      {|select s.sname from s in SUPPLIER
+  where s.sname = ?0 and
+        exists z in s.parts_supplied : exists p in PART : z = p.oid and p.color = "red"|},
+      [ sname 5; Value.string "nobody"; sname 77; sname 0; sname 120 ] );
+    ( "range",
+      "select p.pname from p in PART where p.price < ?0",
+      [ Value.int 12; Value.int 0; Value.int 30; Value.int 2; Value.int 41 ] );
+    ( "b16",
+      "select p.pname from p in PART where p.color = ?0",
+      [ Value.string "red"; Value.string "teal"; Value.string "blue" ] ) ]
+
+let literal_catalog () =
+  let cat =
+    Njq_workload.Generator.catalog
+      { (Njq_workload.Generator.scaled ~seed:5 256) with
+        Njq_workload.Generator.fanout = 4;
+        dangling_rate = 0.0 }
+  in
+  List.iter
+    (fun (table, attr, kind) ->
+      ignore (Catalog.create_index cat ~table ~kind ~attrs:[ attr ] ()))
+    [ ("PART", "price", Catalog.Hash_index);
+      ("PART", "price", Catalog.Sorted_index);
+      ("SUPPLIER", "sname", Catalog.Hash_index) ];
+  cat
+
+(* The template's text with [?0] replaced by the parameter's literal. *)
+let literal_text text v =
+  let lit =
+    match v with
+    | Value.VString s -> Printf.sprintf "%S" s
+    | v -> Fmt.str "%a" Value.pp v
+  in
+  let rec find i = if String.sub text i 2 = "?0" then i else find (i + 1) in
+  let i = find 0 in
+  String.sub text 0 i ^ lit ^ String.sub text (i + 2) (String.length text - i - 2)
+
+let serve_plan cat text =
+  Planner.plan ~cat (Strategy.optimize cat (translate text))
+
+let labels p =
+  let acc = ref [] in
+  Njq_engine.Plan.iter_nodes
+    (fun n -> acc := Njq_engine.Plan.node_label n :: !acc)
+    p;
+  List.rev !acc
+
+let test_prepared_equals_literal () =
+  List.iter
+    (fun domains ->
+      with_domains domains (fun () ->
+          let cat = literal_catalog () in
+          Plancache.clear ();
+          List.iter
+            (fun (name, text, draws) ->
+              let h = Serve.prepare cat ~translate text in
+              let draw i = List.nth draws (i mod List.length draws) in
+              List.iter
+                (fun k ->
+                  let vectors = List.init k (fun i -> [ draw i ]) in
+                  let batched = Serve.exec_batch h vectors in
+                  List.iteri
+                    (fun i (ps, b) ->
+                      let what =
+                        Printf.sprintf "%s [%d domains] K=%d #%d" name domains
+                          k i
+                      in
+                      let want =
+                        Eval.run cat (translate (literal_text text (List.hd ps)))
+                      in
+                      Alcotest.check Util.value (what ^ " one = literal") want
+                        (fst (Serve.exec_one h ps));
+                      Alcotest.check Util.value (what ^ " batch = literal")
+                        want b)
+                    (List.combine vectors batched))
+                [ 1; 2; 5; 16 ])
+            literal_cases))
+    [ 1; 2 ]
+
+let test_prepared_plans_like_literal () =
+  let cat = literal_catalog () in
+  List.iter
+    (fun (name, text, draws) ->
+      let param = labels (serve_plan cat text) in
+      List.iter
+        (fun v ->
+          Alcotest.(check (list string))
+            (Fmt.str "%s: ?0 plan vs literal %a" name Value.pp v)
+            (labels (serve_plan cat (literal_text text v)))
+            param)
+        draws)
+    literal_cases
+
+(* The per-batch choice: b16's index-free template shares its scan across
+   the batch and stays set-oriented; the indexed point template runs one
+   bound plan per invocation. *)
+let test_batch_choice_counted () =
+  let cat = literal_catalog () in
+  Plancache.clear ();
+  let iterated = Njq_obs.Metrics.counter "serve_batch_iterated" in
+  let batches = Njq_obs.Metrics.counter "serve_batch" in
+  let serve name =
+    let _, text, draws = List.find (fun (n, _, _) -> n = name) literal_cases in
+    let h = Serve.prepare cat ~translate text in
+    let i0 = Njq_obs.Metrics.value iterated
+    and b0 = Njq_obs.Metrics.value batches in
+    let replies =
+      Serve.run ~window:8 ~burst:8 ~clients:1 ~requests:16
+        ~params:(fun ~client:_ ~seq ->
+          (h, [ List.nth draws (seq mod List.length draws) ]))
+        ()
+    in
+    Alcotest.(check bool) (name ^ ": batches of 8") true
+      (List.for_all (fun (r : Serve.reply) -> r.batch = 8) replies);
+    ( Njq_obs.Metrics.value iterated - i0,
+      Njq_obs.Metrics.value batches - b0 )
+  in
+  Alcotest.(check (pair int int)) "b16 stays set-oriented" (0, 2) (serve "b16");
+  Alcotest.(check (pair int int)) "point runs per invocation" (2, 2)
+    (serve "point")
+
+(* ------------------------------------------------------------------ *)
 (* Concurrent driver                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -303,6 +443,13 @@ let () =
         [ Alcotest.test_case "batched = one-at-a-time (K x domains)"
             `Quick test_differential;
           Alcotest.test_case "arity check" `Quick test_arity_check ] );
+      ( "prepared",
+        [ Alcotest.test_case "results (K x domains)" `Quick
+            test_prepared_equals_literal;
+          Alcotest.test_case "plan shapes" `Quick
+            test_prepared_plans_like_literal;
+          Alcotest.test_case "per-batch choice counted" `Quick
+            test_batch_choice_counted ] );
       ( "driver",
         [ Alcotest.test_case "routes per-client replies" `Quick
             test_driver_routes_replies ] );
