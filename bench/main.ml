@@ -218,9 +218,9 @@ let b5 n =
   [ ("nested-loop", eval_thunk cat nested);
     ("pnhl(1 part.)", plan_thunk cat (pnhl_plan ~budget:max_int));
     ("pnhl(8 part.)", plan_thunk cat (pnhl_plan ~budget:(max 1 (n / 8))));
-    (* The planner derives the budget from catalog cardinalities (one
-       partition while the build table fits in pnhl_mem_rows), which is
-       what avoids the forced-8-partition penalty above. *)
+    (* The planner keeps the build table one resident segment unless the
+       engine memory budget binds, which is what avoids the
+       forced-8-partition penalty above. *)
     ("pnhl(planner)", plan_thunk cat (Planner.plan ~cat nested)) ]
 
 (* B6 — assembly vs value-based join for a path expression (Section 6.2,
@@ -306,20 +306,21 @@ let b10 n =
         residual = Expr.true_; left = Plan.Scan "X"; right = Plan.Scan "Y" }
   in
   let grace budget =
-    Plan.GraceJoin
-      { kind = Expr.Inner; xvar = "x"; yvar = "y"; keys;
-        residual = Expr.true_; mem_budget = budget; left = Plan.Scan "X";
-        right = Plan.Scan "Y" }
+    Plan.JoinOp
+      { algo = Plan.Partitioned { partitions = 1; mem_budget = budget };
+        kind = Expr.Inner; xvar = "x"; yvar = "y"; keys;
+        residual = Expr.true_; left = Plan.Scan "X"; right = Plan.Scan "Y" }
   in
   [ ("hash(no budget)", plan_thunk cat hash_plan);
     ("grace(n/4)", plan_thunk cat (grace (max 1 (n / 4))));
     ("grace(n/16)", plan_thunk cat (grace (max 1 (n / 16)))) ]
 
-(* B12 — parallel scaling: the same fixed partitioned plans (a partitioned
-   parallel join and a parallel PNHL) run with the domain pool sized to
-   1/2/4/8 domains.  The partition counts live in the plan, not the pool,
-   so the work-table totals are identical across variants — that is the
-   counter-invariance guarantee of DESIGN.md section 7 being measured.
+(* B12 — parallel scaling: the same fixed partitioned plans (a semijoin
+   over 8 partitions and a PNHL over 8 spilled segments) run with the
+   domain pool sized to 1/2/4/8 domains.  The partition counts live in
+   the plan, not the pool, so the work-table totals are identical across
+   variants — that is the counter-invariance guarantee of DESIGN.md
+   section 7 being measured.
    Wall-clock scaling is bounded by the host's core count: on a single-CPU
    host all four variants time alike (modulo pool overhead). *)
 let par_scaling_domains = [ 1; 2; 4; 8 ]
@@ -333,21 +334,17 @@ let b12 n =
   let n = 4 * n in
   let cat = Gen.catalog { (clean n) with Gen.empty_rate = 0.0 } in
   let join_plan =
-    Plan.ParJoinOp
-      { kind = Expr.Semi; xvar = "s"; yvar = "d";
+    Plan.JoinOp
+      { algo = Plan.Partitioned { partitions = 8; mem_budget = max_int };
+        kind = Expr.Semi; xvar = "s"; yvar = "d";
         keys = [ (var "s" $. "oid", var "d" $. "supplier") ];
-        residual = Expr.true_; partitions = 8;
-        left = Plan.Scan "SUPPLIER"; right = Plan.Scan "DELIVERY" }
-  in
-  let pnhl_plan =
-    Plan.ParPnhl
-      { attr = "parts_supplied"; elem_key = var "elem";
-        row_key = var "row" $. "oid"; into = "parts_supplied";
-        mem_budget = max 1 (n / 8); left = Plan.Scan "SUPPLIER";
-        right = Plan.Scan "PART" }
+        residual = Expr.true_; left = Plan.Scan "SUPPLIER";
+        right = Plan.Scan "DELIVERY" }
   in
   let run_both () =
-    Value.set [ Exec.run cat join_plan; Exec.run cat pnhl_plan ]
+    Value.set
+      [ Exec.run cat join_plan;
+        Exec.run cat (pnhl_plan ~budget:(max 1 (n / 8))) ]
   in
   List.map
     (fun k -> (Printf.sprintf "domains=%d" k, with_domains k run_both))
@@ -771,10 +768,11 @@ let with_budget b f () =
   Fun.protect ~finally:(fun () -> Njq_engine.Memory.budget := prev) f
 
 let b18_grace budget =
-  Plan.GraceJoin
-    { kind = Expr.Inner; xvar = "x"; yvar = "y";
+  Plan.JoinOp
+    { algo = Plan.Partitioned { partitions = 1; mem_budget = budget };
+      kind = Expr.Inner; xvar = "x"; yvar = "y";
       keys = [ (var "x" $. "a", var "y" $. "d") ]; residual = Expr.true_;
-      mem_budget = budget; left = Plan.Scan "X"; right = Plan.Scan "Y" }
+      left = Plan.Scan "X"; right = Plan.Scan "Y" }
 
 let b18_smj =
   Plan.JoinOp

@@ -67,9 +67,11 @@ let no_opt_arg =
 
 let domains_arg =
   let doc =
-    "Execute with this many domains: the planner rewrites large joins, \
-     PNHL, filters and maps to partitioned parallel operators run on the \
-     engine's domain pool.  0 (the default) defers to the NJQ_DOMAINS \
+    "Execute with this many domains: the planner partitions large hash \
+     joins and nestjoins and runs large filters and maps as morsels, and \
+     those partitions, PNHL segments and spilled partitions run as tasks \
+     on the engine's domain pool.  Results and work counters are the same \
+     at every domain count.  0 (the default) defers to the NJQ_DOMAINS \
      environment variable; 1 is the sequential engine."
   in
   Arg.(value & opt int 0 & info [ "domains" ] ~docv:"K" ~doc)

@@ -41,9 +41,6 @@ val of_array : Value.t array -> t
 (** Number of surviving rows. *)
 val live : t -> int
 
-(** Row at live position [j], [0 <= j < live b]. *)
-val get : t -> int -> Value.t
-
 (** Iterate surviving rows in physical (hence canonical pipeline) order. *)
 val iter : (Value.t -> unit) -> t -> unit
 
@@ -55,38 +52,12 @@ val keep : t -> (int -> bool) -> unit
 (** {!keep} over rows rather than positions. *)
 val keep_rows : t -> (Value.t -> bool) -> unit
 
-(** {1 Typed columns} *)
-
-type int_col = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type float_col =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(** One attribute decoded densely over the live rows: position [j] of the
-    column is live position [j] of the batch.  [CBox] is the boxed column
-    for genuinely mixed-type attributes. *)
-type col =
-  | CInt of int_col
-  | CFloat of float_col
-  | COid of int_col
-  | CDate of int_col
-  | CBox of Value.t array
-
-(** [column b attr] decodes [attr] over the live rows, or [None] when
-    extraction raises anywhere in the batch (caller must fall back to
-    per-row evaluation so the error surfaces on the right row). *)
-val column : t -> string -> col option
-
 (** {1 Predicate kernels} *)
 
-(** [kernel b vp] compiles a {!Compile.vpred} against [b]: comparison
-    leaves decode their column once, And/Or/Not short-circuit per row
-    exactly like the compiled row closures.  The returned function answers
-    for live positions of [b] {e as at call time} — build the kernel
-    before mutating the selection it reads. *)
-val kernel : t -> Compile.vpred -> int -> bool
-
-(** [keep_vpred vp b] = [keep b (kernel b vp)]. *)
+(** [keep_vpred vp b] narrows [b] to the live rows satisfying [vp]:
+    comparison leaves decode their attribute once per batch into a typed
+    column, and And/Or/Not short-circuit per row exactly like the compiled
+    row closures. *)
 val keep_vpred : Compile.vpred -> t -> unit
 
 (** {1 Builders} *)

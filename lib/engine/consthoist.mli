@@ -9,6 +9,3 @@ open Njq_adl
 (** One-pass hoist; the result is equivalent for the catalog it was
     evaluated against. *)
 val hoist : Catalog.t -> Expr.t -> Expr.t
-
-(** Hoist inside one parameter expression (exposed for tests). *)
-val hoist_in_param : Catalog.t -> Expr.t -> Expr.t

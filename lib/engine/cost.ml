@@ -62,8 +62,7 @@ let rec column_of_attr (cat : Catalog.t) (input : Plan.t) attr :
           Some (table, attr)
         | _ -> None)
      | None -> None)
-  | Plan.Filter { input; _ } | Plan.ParFilter { input; _ } ->
-    column_of_attr cat input attr
+  | Plan.Filter { input; _ } -> column_of_attr cat input attr
   | Plan.ProjectOp (attrs, input) ->
     if List.mem attr attrs then column_of_attr cat input attr else None
   | Plan.RenameOp (pairs, input) ->
@@ -71,16 +70,13 @@ let rec column_of_attr (cat : Catalog.t) (input : Plan.t) attr :
   | Plan.IndexScan { table; rename; _ } ->
     Option.bind (rev_rename rename attr) (fun a ->
         column_of_attr cat (Plan.Scan table) a)
-  | Plan.JoinOp { kind = Expr.Inner; left; right; _ }
-  | Plan.ParJoinOp { kind = Expr.Inner; left; right; _ } ->
+  | Plan.JoinOp { kind = Expr.Inner; left; right; _ } ->
     (match column_of_attr cat left attr with
      | Some c -> Some c
      | None -> column_of_attr cat right attr)
-  | Plan.JoinOp { kind = Expr.Semi | Expr.Anti; left; _ }
-  | Plan.ParJoinOp { kind = Expr.Semi | Expr.Anti; left; _ } ->
+  | Plan.JoinOp { kind = Expr.Semi | Expr.Anti; left; _ } ->
     column_of_attr cat left attr
-  | Plan.NestjoinOp { left; attr = produced; _ }
-  | Plan.ParNestjoinOp { left; attr = produced; _ } ->
+  | Plan.NestjoinOp { left; attr = produced; _ } ->
     if String.equal attr produced then None else column_of_attr cat left attr
   | _ -> None
 
@@ -184,10 +180,8 @@ let index_matches ?stats (cat : Catalog.t) ~table ~index
    1/max(NDV_left, NDV_right) over real per-epoch distinct counts
    ({!Stats.join_selectivity} through the rename-aware {!column_of_attr}
    walk); the fixed 1/max(|L|, |R|) distinct-count heuristic remains only
-   as the fallback when provenance or stats are missing.  Shared by the
-   plain, Grace and parallel join estimates so algorithm choice never
-   shifts an estimate.  With no keys, the residual's syntactic
-   selectivity. *)
+   as the fallback when provenance or stats are missing.  With no keys,
+   the residual's syntactic selectivity. *)
 let equi_key_factor ?stats cat ~xvar ~yvar ~keys ~residual ~left ~right l r =
   match keys with
   | [] -> selectivity residual
@@ -220,7 +214,7 @@ let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
   in
   match p with
   | Plan.Scan name -> table_card cat name
-  | Plan.Filter { var; pred; input } ->
+  | Plan.Filter { var; pred; input; _ } ->
     let base_sel = selectivity pred in
     let sel =
       match stats with
@@ -294,34 +288,11 @@ let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
        in
        assumed_fanout *. rows_out cat left +. r
      | Plan.MNest _ -> rows_out cat left)
-  | Plan.GraceJoin { kind; xvar; yvar; keys; residual; left; right; _ } ->
-    let l = rows_out cat left and r = rows_out cat right in
-    (match kind with
-     | Expr.Inner | Expr.LeftOuter _ ->
-       let key_factor =
-         equi_key_factor ?stats cat ~xvar ~yvar ~keys ~residual ~left ~right l
-           r
-       in
-       Float.max 1.0 (l *. r *. key_factor)
-     | Expr.Semi | Expr.Anti -> 0.5 *. l)
   | Plan.RenameOp (_, input) -> rows_out cat input
   | Plan.UnnestOp (_, input) -> assumed_fanout *. rows_out cat input
   | Plan.NestOp { input; _ } -> 0.5 *. rows_out cat input
   | Plan.DivideOp (a, _) -> Float.max 1.0 (0.1 *. rows_out cat a)
-  | Plan.Pnhl { left; _ } | Plan.ParPnhl { left; _ } -> rows_out cat left
-  | Plan.ParJoinOp { kind; xvar; yvar; keys; residual; left; right; _ } ->
-    let l = rows_out cat left and r = rows_out cat right in
-    (match kind with
-     | Expr.Inner | Expr.LeftOuter _ ->
-       let key_factor =
-         equi_key_factor ?stats cat ~xvar ~yvar ~keys ~residual ~left ~right l
-           r
-       in
-       Float.max 1.0 (l *. r *. key_factor)
-     | Expr.Semi | Expr.Anti -> 0.5 *. l)
-  | Plan.ParNestjoinOp { left; _ } -> rows_out cat left
-  | Plan.ParFilter { pred; input; _ } -> selectivity pred *. rows_out cat input
-  | Plan.ParMapOp { input; _ } -> rows_out cat input
+  | Plan.Pnhl { left; _ } -> rows_out cat left
   | Plan.Assembly { input; _ } -> rows_out cat input
   | Plan.EvalOp _ -> 1.0
   | Plan.Materialized rows -> float_of_int (List.length rows)
@@ -331,30 +302,43 @@ let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
    allocation) is weighted heavier than probing, which is what makes
    choosing the smaller operand as build table pay off — the build-side
    consideration the paper raises when contrasting PNHL with relational
-   hash join. *)
-let join_algo_cost algo l r =
+   hash join.  Partitioning adds one pass over both inputs; the partition
+   joins sum to one hash join of the full inputs. *)
+let rec join_algo_cost algo l r =
   match algo with
   | Plan.Nested_loop -> l *. r
   | Plan.Hash -> l +. (2.0 *. r)
   | Plan.Sort_merge ->
     let nlogn x = x *. Float.max 1.0 (Float.log2 (Float.max 2.0 x)) in
     nlogn l +. nlogn r
+  | Plan.Partitioned _ -> l +. r +. join_algo_cost Plan.Hash l r
 
-(* Spill I/O charge.  When the engine memory budget binds, a hash build
-   side estimated past it is Grace-partitioned to temp files: both inputs
-   get written and read back once, [spill_io] work units per row for the
-   round trip.  A sort input past the budget pays the same for external
-   run generation + K-way merge.  Charging this in the model is what makes
-   the join-order enumerator prefer orders whose build sides stay resident
-   when the budget binds. *)
+(* Spill I/O charge.  A partitioned join whose build side is estimated
+   past its budget writes both inputs to temp files and reads them back
+   once, [spill_io] work units per row for the round trip.  A resident
+   hash join is charged the same against the engine budget, because the
+   planner partitions it when the budget binds: charging this in the
+   model is what makes the join-order enumerator prefer orders whose
+   build sides stay resident.  A sort input past the budget pays the same
+   for external run generation + K-way merge. *)
 let spill_io = 2.0
 
-let spill_charge ~build ~probe =
-  if build > float_of_int !Memory.budget then spill_io *. (build +. probe)
-  else 0.0
+let spill_charge ~budget ~build ~probe =
+  if build > float_of_int budget then spill_io *. (build +. probe) else 0.0
 
 let ext_sort_charge rows =
   if rows > float_of_int !Memory.budget then spill_io *. rows else 0.0
+
+(* Spill charge of a join or nestjoin by algorithm; a resident hash
+   nestjoin is never partitioned by the budget, so it is not charged. *)
+let join_spill ~nest algo l r =
+  match algo with
+  | Plan.Hash when nest -> 0.0
+  | Plan.Hash -> spill_charge ~budget:!Memory.budget ~build:r ~probe:l
+  | Plan.Partitioned { mem_budget; _ } ->
+    spill_charge ~budget:mem_budget ~build:r ~probe:l
+  | Plan.Sort_merge -> ext_sort_charge l +. ext_sort_charge r
+  | Plan.Nested_loop -> 0.0
 
 (* Estimated cost in abstract work units (comparable to the Counters
    totals). *)
@@ -395,25 +379,12 @@ let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
   | Plan.UnionOp (a, b) | Plan.InterOp (a, b) | Plan.DiffOp (a, b) ->
     cost cat a +. cost cat b +. rows_out cat a +. rows_out cat b
   | Plan.ProductOp (a, b) -> cost cat a +. cost cat b +. out
-  | Plan.JoinOp { algo; left; right; _ } ->
-    let l = rows_out cat left and r = rows_out cat right in
-    let spill =
-      match algo with
-      | Plan.Hash -> spill_charge ~build:r ~probe:l
-      | Plan.Sort_merge -> ext_sort_charge l +. ext_sort_charge r
-      | Plan.Nested_loop -> 0.0
-    in
-    cost cat left +. cost cat right +. join_algo_cost algo l r +. spill +. out
+  | Plan.JoinOp { algo; left; right; _ }
   | Plan.NestjoinOp { algo; left; right; _ } ->
     let l = rows_out cat left and r = rows_out cat right in
-    (* Hash nestjoin has no spill path, so only the sort-merge variant is
-       charged external-sort I/O when the budget binds. *)
-    let spill =
-      match algo with
-      | Plan.Sort_merge -> ext_sort_charge l +. ext_sort_charge r
-      | Plan.Hash | Plan.Nested_loop -> 0.0
-    in
-    cost cat left +. cost cat right +. join_algo_cost algo l r +. spill +. out
+    let nest = match p with Plan.NestjoinOp _ -> true | _ -> false in
+    cost cat left +. cost cat right +. join_algo_cost algo l r
+    +. join_spill ~nest algo l r +. out
   | Plan.MemberJoin { left; right = Plan.Build right; _ } ->
     cost cat left +. cost cat right +. rows_out cat right
     +. (assumed_fanout *. rows_out cat left)
@@ -421,15 +392,6 @@ let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
     (* Pointer-based: the oid index is the build table, so only the
        per-element probes are charged. *)
     cost cat left +. (assumed_fanout *. rows_out cat left)
-  | Plan.GraceJoin { mem_budget; left; right; _ } ->
-    (* One extra pass over both inputs for partitioning, plus the temp-file
-       round trip when the build side exceeds this node's budget. *)
-    let l = rows_out cat left and r = rows_out cat right in
-    let spill =
-      if r > float_of_int mem_budget then spill_io *. (l +. r) else 0.0
-    in
-    cost cat left +. cost cat right +. l +. r +. join_algo_cost Plan.Hash l r
-    +. spill +. out
   | Plan.RenameOp (_, input) -> cost cat input +. out
   | Plan.UnnestOp (_, input) -> cost cat input +. out
   | Plan.NestOp { input; _ } -> cost cat input +. rows_out cat input
@@ -443,22 +405,6 @@ let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
     cost cat left +. cost cat right +. r
     +. (partitions *. l *. assumed_fanout)
     +. spill
-  | Plan.ParPnhl { left; right; mem_budget; _ } ->
-    let l = rows_out cat left and r = rows_out cat right in
-    let partitions = Float.max 1.0 (r /. float_of_int (max 1 mem_budget)) in
-    let spill = if partitions > 1.0 then spill_io *. r else 0.0 in
-    cost cat left +. cost cat right +. r
-    +. (partitions *. l *. assumed_fanout)
-    +. spill
-  | Plan.ParJoinOp { left; right; _ } | Plan.ParNestjoinOp { left; right; _ }
-    ->
-    (* One partitioning pass over both inputs, then per-partition hash
-       joins whose work sums to one hash join of the full inputs. *)
-    let l = rows_out cat left and r = rows_out cat right in
-    cost cat left +. cost cat right +. l +. r +. join_algo_cost Plan.Hash l r
-    +. out
-  | Plan.ParFilter { input; _ } -> cost cat input +. rows_out cat input
-  | Plan.ParMapOp { input; _ } -> cost cat input +. rows_out cat input
   | Plan.Assembly { input; _ } -> cost cat input +. (2.0 *. rows_out cat input)
   | Plan.EvalOp _ -> 1000.0
   | Plan.Materialized rows -> float_of_int (List.length rows)

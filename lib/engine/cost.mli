@@ -8,28 +8,9 @@ open Njq_adl
 (** Selectivity of a predicate, by syntactic shape; in [0, 1]. *)
 val selectivity : Expr.t -> float
 
-(** Average set-valued attribute cardinality assumed when unknown. *)
-val assumed_fanout : float
-
-(** Provenance of an attribute of a plan's rows: the base (table,
-    attribute) pair it descends from, looking through filters, renames,
-    projections and join concatenation; [None] when untracked (computed
-    attributes, grouping results, opaque operators). *)
-val column_of_attr : Catalog.t -> Plan.t -> string -> (string * string) option
-
-(** Fraction of a column's value range covered by optional integer
-    bounds, interpolated from min/max statistics; [None] when the stats
-    cannot answer. *)
-val range_fraction :
-  Stats.column_stats -> lo:int option -> hi:int option -> float option
-
 (** Estimated number of output rows.  With [stats] (see {!Stats}),
     equality selectivities over direct scans use real NDV counts. *)
 val rows_out : ?stats:Stats.t -> Catalog.t -> Plan.t -> float
-
-(** Cost of one join by algorithm and operand cardinalities (left, right);
-    the hash build side (right) is weighted heavier than the probe side. *)
-val join_algo_cost : Plan.join_algo -> float -> float -> float
 
 (** Estimated total cost (monotone in input sizes; comparable to the
     {!Njq_adl.Counters} totals in spirit, not calibrated). *)

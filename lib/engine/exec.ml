@@ -31,27 +31,32 @@
    are row emitters feeding a batch builder.  Pipeline breakers
    materialize only where semantics demand it: hash build sides (straight
    into the table, no build list), sort-merge inputs, NestOp grouping,
-   division, PNHL/Grace partitioning and the parallel operators' partition
-   buffers.  Each [Plan.t] operator has exactly one implementation here.
+   division, PNHL segments, join partitions and morsel operators' batch
+   buffers.  Each [Plan.t] operator has one implementation here, and its
+   policy values (a join's partitions and budget, a filter's or map's
+   morsel flag, PNHL's budget) only change how that one path runs.
 
    Work counters tick exactly once per logical event, so counter totals
    depend on neither the batch size nor the pool size (see DESIGN.md
    sections 7 and 8).
 
-   Larger-than-memory execution: when a Grace/PNHL partition count exceeds
-   one, partitions are real spill files ([Rowcodec]) processed one resident
-   partition at a time (with recursive repartitioning on key skew), and the
-   sort-merge paths switch to an external run-generation + K-way merge sort
-   when an input exceeds [Memory.budget].  Spilling never changes results:
-   partition assignment and merge order reproduce the in-memory
-   permutations exactly.
+   Larger-than-memory execution: when a partitioned join's build side or
+   a PNHL build table is past its budget, its partitions are spill files
+   ([Rowcodec]) written on the calling domain (re-split there on key
+   skew) and read back by pool tasks, so at K domains up to K
+   partitions are resident; the sort-merge paths switch to an external
+   run-generation + K-way merge sort when an input exceeds
+   [Memory.budget].  Spilling never changes results: partition assignment
+   and merge order reproduce the in-memory permutations exactly.
 
    Work counters (see [Njq_adl.Counters]): "scan_row", "filter_eval",
-   "hash_build", "hash_probe", "nl_pair", "sm_cmp", "pnhl_partition",
-   "pnhl_build", "pnhl_probe", plus "oid_lookup" from [Catalog.deref].
-   Spill activity ticks "spill_part" (per spill file), "spill_row" and
-   "spill_bytes" (per encoded row), "ext_sort_run" (per sorted run) and
-   "ext_sort_merge" (per merged-out row). *)
+   "hash_build", "hash_probe", "nl_pair", "sm_cmp", "partition" (per
+   partition of a partitioned join), "partition_row" (per row per
+   partitioning pass), "pnhl_partition", "pnhl_build", "pnhl_probe", plus
+   "oid_lookup" from [Catalog.deref].  Spill activity ticks "spill_part"
+   (per spilled partition, segment or run; a join partition without rows
+   creates no file), "spill_row" and "spill_bytes" (per encoded row),
+   "ext_sort_run" (per sorted run) and "ext_sort_merge" (per merged row). *)
 
 open Njq_adl
 
@@ -88,25 +93,10 @@ end
 
 module KTbl = Hashtbl.Make (Key)
 
-(* Compiled extractor for one side of the equi-join keys. *)
-let key_fns cat var side keys =
-  let fns =
-    Array.of_list
-      (List.map
-         (fun (kx, ky) ->
-           Compile.expr1 cat ~var (match side with `Left -> kx | `Right -> ky))
-         keys)
-  in
-  fun row -> Array.map (fun f -> f row) fns
-
-let residual_fn cat xvar yvar residual =
-  if Expr.is_true residual then fun _ _ -> true
-  else Compile.pred2 cat ~vars:(xvar, yvar) residual
-
-(* Spawner variants for the parallel operators: compiled closures carry a
-   per-instance slot buffer, so a partition task running on a pool domain
-   must mint its own instance ([Compile]'s spawners share the compiled
-   code, which is immutable). *)
+(* Compiled extractor for one side of the equi-join keys, and the join
+   residual, as spawners: compiled closures carry a per-instance slot
+   buffer, so a task running on a pool domain must mint its own instance
+   ([Compile]'s spawners share the compiled code, which is immutable). *)
 let key_fns_spawner cat var side keys =
   let spawners =
     Array.of_list
@@ -123,6 +113,9 @@ let key_fns_spawner cat var side keys =
 let residual_spawner cat xvar yvar residual =
   if Expr.is_true residual then fun () _ _ -> true
   else Compile.pred2_spawner cat ~vars:(xvar, yvar) residual
+
+let key_fns cat var side keys = key_fns_spawner cat var side keys ()
+let residual_fn cat xvar yvar residual = residual_spawner cat xvar yvar residual ()
 
 (* Resolve the catalog index an access-path node refers to.  The planner
    only emits nodes for indexes it found in the catalog, so a miss means
@@ -173,16 +166,13 @@ let rec key_attr cat (p : Plan.t) =
   | Plan.IndexScan { table; rename; _ } ->
     Option.map (renamed rename) (key_attr cat (Plan.Scan table))
   | Plan.RenameOp (pairs, input) -> Option.map (renamed pairs) (key_attr cat input)
-  | Plan.Filter { input; _ } | Plan.ParFilter { input; _ } -> key_attr cat input
+  | Plan.Filter { input; _ } -> key_attr cat input
   | Plan.JoinOp { kind = Expr.Semi | Expr.Anti; left; _ }
   | Plan.IndexJoin { kind = Expr.Semi | Expr.Anti; left; _ }
-  | Plan.GraceJoin { kind = Expr.Semi | Expr.Anti; left; _ }
-  | Plan.ParJoinOp { kind = Expr.Semi | Expr.Anti; left; _ }
   | Plan.MemberJoin { kind = Plan.MSemi | Plan.MAnti | Plan.MNest _; left; _ }
-  | Plan.NestjoinOp { left; _ }
-  | Plan.ParNestjoinOp { left; _ } ->
+  | Plan.NestjoinOp { left; _ } ->
     key_attr cat left
-  | Plan.Pnhl { into; left; _ } | Plan.ParPnhl { into; left; _ } ->
+  | Plan.Pnhl { into; left; _ } ->
     Option.bind (key_attr cat left) (unless_into into)
   | Plan.Assembly { into; input; _ } ->
     Option.bind (key_attr cat input) (unless_into into)
@@ -210,21 +200,20 @@ let c_hash_build = M.counter "hash_build"
 let c_hash_probe = M.counter "hash_probe"
 let c_nl_pair = M.counter "nl_pair"
 let c_sm_cmp = M.counter "sm_cmp"
-let c_grace_partition = M.counter "grace_partition"
-let c_grace_partition_row = M.counter "grace_partition_row"
+let c_partition = M.counter "partition"
+let c_partition_row = M.counter "partition_row"
 let c_pnhl_partition = M.counter "pnhl_partition"
 let c_pnhl_build = M.counter "pnhl_build"
 let c_pnhl_probe = M.counter "pnhl_probe"
-let c_par_partition = M.counter "par_partition"
-let c_par_partition_row = M.counter "par_partition_row"
 let c_spill_part = M.counter "spill_part"
 let c_spill_row = M.counter "spill_row"
 let c_spill_bytes = M.counter "spill_bytes"
 let c_ext_sort_run = M.counter "ext_sort_run"
 let c_ext_sort_merge = M.counter "ext_sort_merge"
 
-(* Wall-time distribution of individual parallel tasks (partitions /
-   chunks / batches), recorded per domain and merged at pool join. *)
+(* Wall-time distribution of individual pool tasks (join partitions,
+   PNHL segments, morsel batches), recorded per domain and merged at pool
+   join. *)
 let h_par_task = M.histogram "par_task_ns"
 
 (* Wrap one parallel task body: its wall time lands in [h_par_task], and
@@ -246,9 +235,22 @@ let par_task name task i =
     finish ();
     raise exn
 
-(* Non-negative partition index from a value hash ([Value.hash] can go
+(* Partition of a key among [n]: its hash salted by the partitioning
+   depth (0 for the first pass, so a skewed partition splits differently
+   when it is partitioned again), made non-negative ([Value.hash] can go
    negative through multiplicative overflow). *)
-let bucket_of_hash h partitions = (h land max_int) mod partitions
+let bucket ~depth n key =
+  ((Value.hash key lxor (depth * 0x9e3779b1)) land max_int) mod n
+
+(* Hash-partition the rows [feed] produces into [n] lists, in arrival
+   order. *)
+let route_rows n key feed =
+  let parts = Array.make n [] in
+  feed (fun row ->
+      M.incr c_partition_row;
+      let b = bucket ~depth:0 n (key row) in
+      parts.(b) <- row :: parts.(b));
+  Array.map List.rev parts
 
 (* Initial hash-table size for a build side, from the planner's cardinality
    estimate instead of an extra O(n) [List.length] pass over the already
@@ -272,7 +274,7 @@ let spill_row sp row =
 
 (* Spill [rows_] into ceil(n / mem_budget) files of at most [mem_budget]
    rows each, preserving row order (file s holds rows [s * mem_budget ..)).
-   Used by the PNHL paths, whose segments are contiguous row ranges. *)
+   Used by PNHL, whose segments are contiguous row ranges. *)
 let spill_segments ~mem_budget rows_ =
   let n_rows = List.length rows_ in
   let nsegs = (n_rows + mem_budget - 1) / mem_budget in
@@ -282,6 +284,40 @@ let spill_segments ~mem_budget rows_ =
   M.incr ~n:nsegs c_spill_part;
   List.iteri (fun i row -> spill_row sps.(i / mem_budget) row) rows_;
   sps
+
+(* The spilling counterpart of [route_rows]: one file per partition,
+   created with its first row, so an empty partition costs no file (it
+   still counts as a spilled partition).  A raise while [feed] runs
+   removes the files written so far. *)
+let spill_partitions ~depth n key feed =
+  let sps = Array.make n None in
+  let file b =
+    match sps.(b) with
+    | Some sp -> sp
+    | None ->
+      let sp = Rowcodec.spill_create ~prefix:"njq-part" () in
+      sps.(b) <- Some sp;
+      sp
+  in
+  M.incr ~n c_spill_part;
+  match
+    feed (fun row ->
+        M.incr c_partition_row;
+        spill_row (file (bucket ~depth n (key row))) row)
+  with
+  | () -> sps
+  | exception e ->
+    Array.iter (Option.iter Rowcodec.spill_remove) sps;
+    raise e
+
+(* Read back a spilled partition and release its disk space. *)
+let read_partition sps b =
+  match sps.(b) with
+  | None -> []
+  | Some sp ->
+    let rows = Rowcodec.spill_read sp in
+    Rowcodec.spill_remove sp;
+    rows
 
 (* External merge sort for the sort-merge join paths.  Runs are contiguous
    [budget]-row chunks of the input, each sorted in memory with the
@@ -444,6 +480,39 @@ let merge_work op a b =
 let add_work = merge_work ( + )
 let sub_work = merge_work ( - )
 
+(* A nestjoin's output row: [x] extended with [attr], the set of
+   [body x y] over its matches [ms]. *)
+let attach_group body attr x ms =
+  Value.concat x (Value.tuple [ (attr, Value.set (List.map (body x) ms)) ])
+
+(* One resident hash join of two row lists (a partition pair): build on
+   [ys], probe with [xs]; a nestjoin ([`Nest]) attaches each left row's
+   match group.  [build_hint] is a capacity estimate for the build table
+   (from the planner's [Cost.rows_out], never a [List.length] pass over
+   the build rows); it cannot affect results, only rehash count. *)
+let hash_join_pair ~build_hint op ~xkey ~ykey ~residual xs ys =
+  let tbl = KTbl.create build_hint in
+  List.iter
+    (fun y ->
+      M.incr c_hash_build;
+      KTbl.add tbl (ykey y) y)
+    ys;
+  let matches x =
+    M.incr c_hash_probe;
+    List.filter (residual x) (KTbl.find_all tbl (xkey x))
+  in
+  (* Semi/anti probes stop at the first candidate that passes the residual
+     instead of materializing (and residual-testing) the full match list. *)
+  let has_match x =
+    M.incr c_hash_probe;
+    List.exists (residual x) (KTbl.find_all tbl (xkey x))
+  in
+  match op with
+  | `Inner -> List.concat_map (fun x -> List.map (Value.concat x) (matches x)) xs
+  | `Semi -> List.filter has_match xs
+  | `Anti -> List.filter (fun x -> not (has_match x)) xs
+  | `Nest (body, attr) -> List.map (fun x -> attach_group body attr x (matches x)) xs
+
 (* Materialize [p]'s full row list.  Leaves return their list directly;
    breakers run list-at-a-time over materialized inputs; every streaming
    node ([Plan.streams_output]) runs as one fused batched loop collected
@@ -491,29 +560,25 @@ let rec exec_node ?(root = false) (cat : Catalog.t) (p : Plan.t) :
         right;
       } ->
     sort_merge_nestjoin cat xvar yvar keys residual body attr left right
-  | Plan.GraceJoin { kind; xvar; yvar; keys; residual; mem_budget; left; right }
-    ->
-    if mem_budget <= 0 then exec_error "grace join: memory budget must be positive";
-    (match kind with
-     | Expr.LeftOuter _ -> exec_error "grace join does not support outer joins"
-     | _ -> ());
-    let xs = rows cat left and ys = rows cat right in
-    let kx0, ky0 =
-      match keys with
-      | k :: _ -> k
-      | [] -> exec_error "grace join without equi keys"
+  | Plan.JoinOp
+      { algo = Plan.Partitioned { partitions; mem_budget }; kind; xvar; yvar;
+        keys; residual; left; right } ->
+    let op =
+      match kind with
+      | Expr.Inner -> `Inner
+      | Expr.Semi -> `Semi
+      | Expr.Anti -> `Anti
+      | Expr.LeftOuter _ ->
+        exec_error "partitioned join does not support outer joins"
     in
-    let kx0 = Compile.expr1 cat ~var:xvar kx0
-    and ky0 = Compile.expr1 cat ~var:yvar ky0 in
-    (* Compile keys and residual once; every partition pair reuses them. *)
-    let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-    let residual = residual_fn cat xvar yvar residual in
-    (* Each partition's build side holds at most [mem_budget] rows. *)
-    let build_hint = tbl_size ~cap:mem_budget cat right in
-    let out = ref [] in
-    grace_partitioned kind ~kx0 ~ky0 ~xkey ~ykey ~residual ~build_hint
-      ~mem_budget ~depth:0 xs ys (List.length ys) out;
-    !out
+    exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
+      ~left ~right (fun () -> op)
+  | Plan.NestjoinOp
+      { algo = Plan.Partitioned { partitions; mem_budget }; xvar; yvar; keys;
+        residual; body; attr; left; right } ->
+    let body_s = Compile.expr2_spawner cat ~vars:(xvar, yvar) body in
+    exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
+      ~left ~right (fun () -> `Nest (body_s (), attr))
   | Plan.NestOp { attrs; into; input } ->
     (* Grouping is a breaker (all input must arrive before any group is
        complete), but the input still streams straight into the group
@@ -569,80 +634,10 @@ let rec exec_node ?(root = false) (cat : Catalog.t) (p : Plan.t) :
          candidates)
   | Plan.Pnhl { attr; elem_key; row_key; into; mem_budget; left; right } ->
     exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right
-  | Plan.ParJoinOp { kind; xvar; yvar; keys; residual; partitions; left; right }
-    ->
-    let kx0, ky0 =
-      match keys with
-      | k :: _ -> k
-      | [] -> exec_error "parallel join without equi keys"
-    in
-    let partitions = max 1 partitions in
-    let kx0 = Compile.expr1 cat ~var:xvar kx0
-    and ky0 = Compile.expr1 cat ~var:yvar ky0 in
-    let xparts = partition_push cat kx0 partitions left
-    and yparts = partition_push cat ky0 partitions right in
-    let xkey_s = key_fns_spawner cat xvar `Left keys
-    and ykey_s = key_fns_spawner cat yvar `Right keys in
-    let residual_s = residual_spawner cat xvar yvar residual in
-    let build_hint = max 16 (tbl_size cat right / partitions) in
-    let joined =
-      Pool.run partitions
-        (par_task "task:par_join" (fun b ->
-             hash_join_keyed kind ~xkey:(xkey_s ()) ~ykey:(ykey_s ())
-               ~residual:(residual_s ()) ~build_hint xparts.(b) yparts.(b)))
-    in
-    List.concat (Array.to_list joined)
-  | Plan.ParNestjoinOp
-      { xvar; yvar; keys; residual; body; attr; partitions; left; right } ->
-    let kx0, ky0 =
-      match keys with
-      | k :: _ -> k
-      | [] -> exec_error "parallel nestjoin without equi keys"
-    in
-    let partitions = max 1 partitions in
-    let kx0 = Compile.expr1 cat ~var:xvar kx0
-    and ky0 = Compile.expr1 cat ~var:yvar ky0 in
-    let xparts = partition_push cat kx0 partitions left
-    and yparts = partition_push cat ky0 partitions right in
-    let xkey_s = key_fns_spawner cat xvar `Left keys
-    and ykey_s = key_fns_spawner cat yvar `Right keys in
-    let residual_s = residual_spawner cat xvar yvar residual in
-    let body_s = Compile.expr2_spawner cat ~vars:(xvar, yvar) body in
-    let build_hint = max 16 (tbl_size cat right / partitions) in
-    (* Every left row is in exactly one partition, and all right rows with
-       its key are in the same one, so its match group is complete there. *)
-    let parts_out =
-      Pool.run partitions
-        (par_task "task:par_nestjoin" (fun b ->
-             let xkey = xkey_s ()
-             and ykey = ykey_s ()
-             and residual = residual_s ()
-             and body = body_s () in
-             let ys_b = yparts.(b) in
-             let tbl = KTbl.create build_hint in
-             List.iter
-               (fun y ->
-                 M.incr c_hash_build;
-                 KTbl.add tbl (ykey y) y)
-               ys_b;
-             List.map
-               (fun x ->
-                 M.incr c_hash_probe;
-                 let ms =
-                   List.filter (residual x) (KTbl.find_all tbl (xkey x))
-                 in
-                 let projected = List.map (fun y -> body x y) ms in
-                 Value.concat x (Value.tuple [ (attr, Value.set projected) ]))
-               xparts.(b)))
-    in
-    List.concat (Array.to_list parts_out)
-  | Plan.ParPnhl { attr; elem_key; row_key; into; mem_budget; left; right } ->
-    exec_par_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
-      ~right
   | Plan.Filter _ | Plan.MapOp _ | Plan.ProjectOp _ | Plan.FlattenOp _
   | Plan.UnionOp _ | Plan.InterOp _ | Plan.DiffOp _ | Plan.ProductOp _
   | Plan.MemberJoin _ | Plan.RenameOp _ | Plan.UnnestOp _ | Plan.Assembly _
-  | Plan.ParFilter _ | Plan.ParMapOp _ | Plan.IndexJoin _
+  | Plan.IndexJoin _
   | Plan.JoinOp { algo = Plan.Hash | Plan.Nested_loop; _ }
   | Plan.NestjoinOp { algo = Plan.Hash | Plan.Nested_loop; _ } ->
     gather ~root cat p
@@ -722,17 +717,6 @@ and dedup_sink sink =
       sink v
     end
 
-(* Hash-partition a sub-plan's rows by key without forming the input list
-   first; same ticks as the former list-based partitioning. *)
-and partition_push cat keyf partitions plan =
-  let parts = Array.make partitions [] in
-  push cat plan (fun row ->
-      M.incr c_par_partition_row;
-      let b = bucket_of_hash (Value.hash (keyf row)) partitions in
-      parts.(b) <- row :: parts.(b));
-  M.incr ~n:partitions c_par_partition;
-  Array.map List.rev parts
-
 (* Row emitters for the streaming operators without a batched form; only
    reached through [bpush_node]'s fallback, which feeds [sink] into a batch
    builder.  Their fused inputs still stream batches ([push]). *)
@@ -798,8 +782,7 @@ and push_node ~root cat (p : Plan.t) (sink : Value.t -> unit) : unit =
               Key.equal kx (ykey y) && residual x y)
             ys
         in
-        let projected = List.map (fun y -> body x y) ms in
-        sink (Value.concat x (Value.tuple [ (attr, Value.set projected) ])))
+        sink (attach_group body attr x ms))
   | Plan.MemberJoin ({ right = Plan.Oid_index table; _ } as j)
     when not (Catalog.oid_key cat table) ->
     (* The extent lost its oid key since planning ([Catalog.set_rows]):
@@ -853,10 +836,7 @@ and push_node ~root cat (p : Plan.t) (sink : Value.t -> unit) : unit =
      | Plan.MNest { body; attr } ->
        let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
        let matches = if distinct_matches then matches else fun x -> dedup (matches x) in
-       push cat left (fun x ->
-           let ms = matches x in
-           let projected = List.map (fun y -> body x y) ms in
-           sink (Value.concat x (Value.tuple [ (attr, Value.set projected) ]))))
+       push cat left (fun x -> sink (attach_group body attr x (matches x))))
   | Plan.UnnestOp (a, input) ->
     let as_row inner =
       match inner with
@@ -929,13 +909,49 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
       bsink (Batch.view rs ~off:!off ~len);
       off := !off + len
     done
-  | Plan.Filter { var; pred; input } ->
+  | Plan.Filter { var; pred; input; morsel = false } ->
     let vp = Compile.vectorize_pred cat ~var pred in
     bpush cat input (fun b ->
         M.incr ~n:(Batch.live b) c_filter_eval;
         Batch.keep_vpred vp b;
         emit_live b)
-  | Plan.MapOp { var; body; input } ->
+  | Plan.Filter { var; pred; input; morsel = true } ->
+    (* A kernel that closes over no per-instance slot buffer
+       ([Compile.vectorizable]) is shared by every task. *)
+    let narrow =
+      if Compile.vectorizable ~var pred then
+        let vp = Compile.vectorize_pred cat ~var pred in
+        fun () b -> Batch.keep_vpred vp b
+      else
+        let pred_s = Compile.pred1_spawner cat ~var pred in
+        fun () ->
+          let pred = pred_s () in
+          fun b -> Batch.keep_rows b pred
+    in
+    let batches, _ =
+      morsels cat input (fun b ->
+          M.incr ~n:(Batch.live b) c_filter_eval;
+          narrow () b)
+    in
+    Array.iter emit_live batches
+  | Plan.MapOp { var; body; input; morsel = true } ->
+    let body_s = Compile.expr1_spawner cat ~var body in
+    let _, outs =
+      morsels cat input (fun b ->
+          let body = body_s () in
+          let out = Array.make (Batch.live b) Value.VNull in
+          let j = ref 0 in
+          Batch.iter
+            (fun row ->
+              out.(!j) <- body row;
+              incr j)
+            b;
+          out)
+    in
+    let emit, flush = dedup_builder () in
+    Array.iter (Array.iter emit) outs;
+    flush ()
+  | Plan.MapOp { var; body; input; morsel = false } ->
     let body =
       match Compile.expr1_rowmaker cat ~var body with
       | Some f -> f
@@ -1074,10 +1090,7 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
       } ->
     let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
     let residual = residual_fn cat xvar yvar residual in
-    let attach x ms =
-      let projected = List.map (fun y -> body x y) ms in
-      Value.concat x (Value.tuple [ (attr, Value.set projected) ])
-    in
+    let attach = attach_group body attr in
     let matches =
       match keys with
       | [ (kx, ky) ] ->
@@ -1109,68 +1122,26 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
     let bld = Batch.builder bsink in
     bpush cat input (Batch.iter (fun row -> Batch.add bld (ren row)));
     Batch.flush bld
-  | Plan.ParFilter { var; pred; input } ->
-    (* Morsel-over-batch: buffer the input's batches (the breaker the
-       concurrent claim requires), filter each batch as one pool task,
-       then stream the narrowed batches onward in order. *)
-    let buf = ref [] in
-    bpush cat input (fun b -> buf := b :: !buf);
-    let batches = Array.of_list (List.rev !buf) in
-    let nb = Array.length batches in
-    if nb > 0 then begin
-      if Compile.vectorizable ~var pred then begin
-        (* The kernel closes over no per-instance slot buffer
-           ([Compile.vectorizable]), so every task shares it. *)
-        let vp = Compile.vectorize_pred cat ~var pred in
-        ignore
-          (Pool.run nb
-             (par_task "task:par_filter" (fun i ->
-                  let b = batches.(i) in
-                  M.incr ~n:(Batch.live b) c_filter_eval;
-                  Batch.keep_vpred vp b)))
-      end
-      else begin
-        let pred_s = Compile.pred1_spawner cat ~var pred in
-        ignore
-          (Pool.run nb
-             (par_task "task:par_filter" (fun i ->
-                  let pred = pred_s () in
-                  let b = batches.(i) in
-                  M.incr ~n:(Batch.live b) c_filter_eval;
-                  Batch.keep_rows b pred)))
-      end;
-      Array.iter emit_live batches
-    end
-  | Plan.ParMapOp { var; body; input } ->
-    let buf = ref [] in
-    bpush cat input (fun b -> buf := b :: !buf);
-    let batches = Array.of_list (List.rev !buf) in
-    let nb = Array.length batches in
-    if nb > 0 then begin
-      let body_s = Compile.expr1_spawner cat ~var body in
-      let outs =
-        Pool.run nb
-          (par_task "task:par_map" (fun i ->
-               let body = body_s () in
-               let b = batches.(i) in
-               let out = Array.make (Batch.live b) Value.VNull in
-               let j = ref 0 in
-               Batch.iter
-                 (fun row ->
-                   out.(!j) <- body row;
-                   incr j)
-                 b;
-               out))
-      in
-      let emit, flush = dedup_builder () in
-      Array.iter (fun out -> Array.iter emit out) outs;
-      flush ()
-    end
   | p ->
     (* No batched form: run the row emitter into a builder. *)
     let bld = Batch.builder bsink in
     push_node ~root cat p (Batch.add bld);
     Batch.flush bld
+
+(* Morsel-over-batch: buffer [input]'s batches (the breaker the
+   concurrent claim requires) and run [task] on each as one pool task;
+   the batches and the task results come back in input order. *)
+and morsels :
+      'a. Catalog.t -> Plan.t -> (Batch.t -> 'a) -> Batch.t array * 'a array =
+ fun cat input task ->
+  let buf = ref [] in
+  bpush cat input (fun b -> buf := b :: !buf);
+  let batches = Array.of_list (List.rev !buf) in
+  let results =
+    Pool.run (Array.length batches)
+      (par_task "task:morsel" (fun i -> task batches.(i)))
+  in
+  (batches, results)
 
 and profiled ~root c cat p =
   if Span.tracing () then
@@ -1253,110 +1224,93 @@ and dedup vs =
         end)
       vs
 
-(* [build_hint] is a capacity estimate for the build table (from the
-   planner's [Cost.rows_out], never a [List.length] pass over the build
-   rows); it cannot affect results, only rehash count. *)
-and hash_join_keyed ?(build_hint = 16) kind ~xkey ~ykey ~residual xs ys =
-  let tbl = KTbl.create (max 16 build_hint) in
-  List.iter
-    (fun y ->
-      M.incr c_hash_build;
-      KTbl.add tbl (ykey y) y)
-    ys;
-  let matches x =
-    M.incr c_hash_probe;
-    List.filter (residual x) (KTbl.find_all tbl (xkey x))
-  in
-  (* Semi/anti probes stop at the first candidate that passes the residual
-     instead of materializing (and residual-testing) the full match list. *)
-  let has_match x =
-    M.incr c_hash_probe;
-    List.exists (residual x) (KTbl.find_all tbl (xkey x))
-  in
-  match kind with
-  | Expr.Inner ->
-    List.concat_map (fun x -> List.map (Value.concat x) (matches x)) xs
-  | Expr.Semi -> List.filter has_match xs
-  | Expr.Anti -> List.filter (fun x -> not (has_match x)) xs
-  | Expr.LeftOuter pad ->
-    let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-    List.concat_map
-      (fun x ->
-        match matches x with
-        | [] -> [ Value.concat x null_row ]
-        | ms -> List.map (Value.concat x) ms)
-      xs
+(* A partitioned hash join or nestjoin ([Plan.Partitioned]).  Both inputs
+   are hash-partitioned on the first key into max(partitions,
+   ceil(|right| / mem_budget)) partitions.  A left row lands in exactly one
+   partition, with every right row of its key, so joining the pairs
+   independently and concatenating their results in partition order joins
+   the inputs, and a nestjoin's match groups are complete in their pair.
+   The pairs run as pool tasks, each with its own compiled closures; their
+   count comes from the plan and the data, never from the pool, so results
+   and counters do not depend on the pool size.
 
-(* Grace partitioning with real spills.  The right (build) side dictates
-   the partition count, ceil(|ys| / mem_budget); a single partition means
-   the build fits and the pair joins in memory directly.  Otherwise BOTH
-   inputs are partitioned on the hash of the first key into one spill file
-   per side per partition, and partition pairs are read back and joined one
-   at a time — only one pair is ever resident.  A partition whose build
-   side still exceeds twice the budget (key skew defeated the hash split)
-   is recursively repartitioned with a depth-salted hash; recursion stops
-   when splitting makes no progress (every row carries the same key hash)
-   or at a fixed depth, where the in-memory join is the best remaining
-   option.  The 2x slack mirrors classic Grace practice: hash partitions
-   of a uniform key spread around the budget, and re-spilling every
-   slightly-oversized partition would cost more I/O than the marginally
-   larger build table.
+   While the right side fits the budget (always, when there is none) the
+   partitions are lists both inputs stream into.  Past it, the right side
+   is materialized first, since its size sets the partition count; both
+   sides then go to one spill file per partition.  A partition whose build
+   side is still past twice the budget (key skew defeated the split) is
+   read back and partitioned again with the next depth's salt, until
+   splitting makes no progress or at depth 8, where the resident join is
+   the best remaining option.  Every spill file, re-splits included, is
+   written here on the calling domain before any pair runs; each task
+   reads back and unlinks its own pair, so at K domains up to K pairs are
+   resident.  The 2x slack mirrors classic Grace practice: hash partitions of a uniform
+   key spread around the budget, and re-spilling every slightly-oversized
+   partition would cost more I/O than the marginally larger build table.
 
-   Tick discipline: "grace_partition_row" per row per partitioning pass
-   (and once per input row when the build fits — the pre-spill executor's
-   counts), "grace_partition" per partition, spill counters per file/row.
-   At depth 0 the bucket function matches the pre-spill executor exactly,
-   so partition assignment — and therefore the result — is unchanged. *)
-and grace_partitioned kind ~kx0 ~ky0 ~xkey ~ykey ~residual ~build_hint
-    ~mem_budget ~depth xs ys nys out =
-  let partitions = max 1 ((nys + mem_budget - 1) / mem_budget) in
-  if partitions = 1 || depth > 8 then begin
-    M.incr ~n:(List.length xs + nys) c_grace_partition_row;
-    M.incr c_grace_partition;
-    let joined = hash_join_keyed kind ~xkey ~ykey ~residual ~build_hint xs ys in
-    out := List.rev_append joined !out
-  end
+   Ticks: "partition_row" per row per partitioning pass, "partition" per
+   partition, and the spill counters per file and row. *)
+and exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
+    ~left ~right op =
+  if mem_budget <= 0 then
+    exec_error "partitioned join: memory budget must be positive";
+  let kx0, ky0 =
+    match keys with
+    | k :: _ -> k
+    | [] -> exec_error "partitioned join without equi keys"
+  in
+  let kx0_s = Compile.expr1_spawner cat ~var:xvar kx0
+  and ky0_s = Compile.expr1_spawner cat ~var:yvar ky0 in
+  let xkey_s = key_fns_spawner cat xvar `Left keys
+  and ykey_s = key_fns_spawner cat yvar `Right keys in
+  let residual_s = residual_spawner cat xvar yvar residual in
+  let partitions = max 1 partitions in
+  let build_hint = max 16 (min mem_budget (tbl_size cat right / partitions)) in
+  let join_pair xs ys =
+    hash_join_pair ~build_hint (op ()) ~xkey:(xkey_s ()) ~ykey:(ykey_s ())
+      ~residual:(residual_s ()) xs ys
+  in
+  let run_pairs n pair =
+    List.concat (Array.to_list (Pool.run n (par_task "task:partition" pair)))
+  in
+  let spilled xfeed ys nys =
+    let files = ref [] in
+    (* The pairs to join, as (left files, right files, partition), in
+       partition order, a skewed partition replaced by its split. *)
+    let rec split ~depth xfeed yfeed nys =
+      let n = max (if depth = 0 then partitions else 1) ((nys - 1) / mem_budget + 1) in
+      let ysp = spill_partitions ~depth n (ky0_s ()) yfeed in
+      files := ysp :: !files;
+      let xsp = spill_partitions ~depth n (kx0_s ()) xfeed in
+      files := xsp :: !files;
+      M.incr ~n c_partition;
+      List.init n Fun.id
+      |> List.concat_map (fun b ->
+             let nys_b = Option.fold ~none:0 ~some:Rowcodec.spill_rows ysp.(b) in
+             if nys_b > 2 * mem_budget && nys_b < nys && depth < 8 then
+               let xs = read_partition xsp b and ys = read_partition ysp b in
+               split ~depth:(depth + 1) (fun f -> List.iter f xs) (fun f -> List.iter f ys) nys_b
+             else [ (xsp, ysp, b) ])
+    in
+    let remove = Array.iter (Option.iter Rowcodec.spill_remove) in
+    Fun.protect ~finally:(fun () -> List.iter remove !files) @@ fun () ->
+    let pairs = Array.of_list (split ~depth:0 xfeed (fun f -> List.iter f ys) nys) in
+    run_pairs (Array.length pairs) (fun i ->
+        let xsp, ysp, b = pairs.(i) in
+        join_pair (read_partition xsp b) (read_partition ysp b))
+  in
+  let resident yfeed =
+    let yparts = route_rows partitions (ky0_s ()) yfeed in
+    let xparts = route_rows partitions (kx0_s ()) (push cat left) in
+    M.incr ~n:partitions c_partition;
+    run_pairs partitions (fun b -> join_pair xparts.(b) yparts.(b))
+  in
+  if mem_budget = max_int then resident (push cat right)
   else begin
-    let bucket k row =
-      M.incr c_grace_partition_row;
-      bucket_of_hash (Value.hash (k row) lxor (depth * 0x9e3779b1)) partitions
-    in
-    let spill_side key rows_ =
-      let sps =
-        Array.init partitions (fun _ ->
-            Rowcodec.spill_create ~prefix:"njq-grace" ())
-      in
-      M.incr ~n:partitions c_spill_part;
-      List.iter (fun row -> spill_row sps.(bucket key row) row) rows_;
-      sps
-    in
-    let xsp = spill_side kx0 xs in
-    Fun.protect ~finally:(fun () -> Array.iter Rowcodec.spill_remove xsp)
-    @@ fun () ->
-    let ysp = spill_side ky0 ys in
-    Fun.protect ~finally:(fun () -> Array.iter Rowcodec.spill_remove ysp)
-    @@ fun () ->
-    M.incr ~n:partitions c_grace_partition;
-    for b = 0 to partitions - 1 do
-      (* Anti joins must also emit left rows whose partition has no right
-         rows at all, so every partition pair is processed. *)
-      let nys_b = Rowcodec.spill_rows ysp.(b) in
-      let pxs = Rowcodec.spill_read xsp.(b) in
-      let pys = Rowcodec.spill_read ysp.(b) in
-      (* The pair's bytes are resident now; release the disk space before
-         joining (or recursing, which spills afresh). *)
-      Rowcodec.spill_remove xsp.(b);
-      Rowcodec.spill_remove ysp.(b);
-      if nys_b > 2 * mem_budget && nys_b < nys then
-        grace_partitioned kind ~kx0 ~ky0 ~xkey ~ykey ~residual ~build_hint
-          ~mem_budget ~depth:(depth + 1) pxs pys nys_b out
-      else begin
-        let joined =
-          hash_join_keyed kind ~xkey ~ykey ~residual ~build_hint pxs pys
-        in
-        out := List.rev_append joined !out
-      end
-    done
+    let ys = rows cat right in
+    let nys = List.length ys in
+    if nys > mem_budget then spilled (push cat left) ys nys
+    else resident (fun f -> List.iter f ys)
   end
 
 and sort_merge_join cat xvar yvar (kx, ky) residual all_keys xs ys =
@@ -1412,10 +1366,7 @@ and sort_merge_nestjoin cat xvar yvar keys residual body attr left right =
   let xs = rows cat left and ys = rows cat right in
   let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
   let residual = residual_fn cat xvar yvar residual in
-  let attach x ms =
-    let projected = List.map (fun y -> body x y) ms in
-    Value.concat x (Value.tuple [ (attr, Value.set projected) ])
-  in
+  let attach = attach_group body attr in
   match keys with
   | [] -> exec_error "sort-merge nestjoin without equi keys"
   | (kx, ky) :: rest_keys ->
@@ -1460,82 +1411,26 @@ and sort_merge_nestjoin cat xvar yvar keys residual body attr left right =
     merge xs ys []
 
 (* The Partitioned Nested-Hashed-Loops algorithm of [DeLa92]: the flat base
-   table (right operand) is the build table; it is split into partitions of
-   at most [mem_budget] rows (simulating the segments that fit in main
-   memory).  For each partition, a hash table on the row key is built and
-   every left row's set-valued attribute elements are probed against it,
-   accumulating partial result sets per left row, which are merged across
-   partitions.  Left rows with empty attribute sets survive with an empty
-   result — unlike the unnest-join-nest pipeline, which loses them. *)
-and exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right =
-  if mem_budget <= 0 then exec_error "pnhl: memory budget must be positive";
-  let xs = rows cat left and ys = rows cat right in
-  let row_key = Compile.expr1 cat ~var:"row" row_key in
-  let elem_key = Compile.expr1 cat ~var:"elem" elem_key in
-  let xs = Array.of_list xs in
-  let partial = Array.make (Array.length xs) [] in
-  let seg_hint = tbl_size ~cap:mem_budget cat right in
-  let probe_segment segment =
-    M.incr c_pnhl_partition;
-    let tbl = VTbl.create seg_hint in
-    List.iter
-      (fun y ->
-        M.incr c_pnhl_build;
-        VTbl.add tbl (row_key y) y)
-      segment;
-    Array.iteri
-      (fun i x ->
-        let elems = Value.as_set (Value.field x attr) in
-        List.iter
-          (fun e ->
-            M.incr c_pnhl_probe;
-            partial.(i) <- VTbl.find_all tbl (elem_key e) @ partial.(i))
-          elems)
-      xs
-  in
-  (* A build table that fits is one resident segment; past the budget, the
-     segments become spill files consumed one at a time — the segment
-     boundaries (contiguous [mem_budget]-row ranges) and therefore all
-     build/probe work are identical either way. *)
-  (if ys = [] then ()
-   else if List.length ys <= mem_budget then probe_segment ys
-   else begin
-     let spills = spill_segments ~mem_budget ys in
-     Fun.protect
-       ~finally:(fun () -> Array.iter Rowcodec.spill_remove spills)
-       (fun () ->
-         Array.iter
-           (fun sp ->
-             let segment = Rowcodec.spill_read sp in
-             Rowcodec.spill_remove sp;
-             probe_segment segment)
-           spills)
-   end);
-  let out =
-    Array.to_list
-      (Array.mapi
-         (fun i x -> Value.except x [ (into, Value.set partial.(i)) ])
-         xs)
-  in
-  if root || keyed_apart_from cat into left then out else dedup out
-
-(* Parallel PNHL: the algorithm's segments are independent — each builds
-   its own hash table and probes every left row against it — so they run
-   as pool tasks, one partial-match array per segment, merged in segment
-   order afterwards.  Per-segment work (builds, probes) is exactly the
-   sequential loop's, so counter totals match [exec_pnhl] on the same
-   budget; result rows canonicalize through [Value.set] per left row. *)
-and exec_par_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
+   table (right operand) is the build table; it is split into segments of
+   at most [mem_budget] rows (the segments that fit in main memory).  Each
+   segment builds a hash table on the row key and probes it with every
+   left row's set-valued attribute elements, accumulating a partial match
+   list per left row; the partials merge in segment order.  The segments
+   are independent, so they run as pool tasks (a plain loop at one domain
+   or one segment), and each task's build and probe work is the same
+   whichever domain runs it.  Left rows with empty attribute sets survive
+   with an empty result — unlike the unnest-join-nest pipeline, which
+   loses them. *)
+and exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
     ~right =
   if mem_budget <= 0 then exec_error "pnhl: memory budget must be positive";
-  let xs = rows cat left and ys = rows cat right in
+  let xs = Array.of_list (rows cat left) and ys = rows cat right in
   let row_key_s = Compile.expr1_spawner cat ~var:"row" row_key in
   let elem_key_s = Compile.expr1_spawner cat ~var:"elem" elem_key in
-  let xs = Array.of_list xs in
   let seg_hint = tbl_size ~cap:mem_budget cat right in
   let run_tasks nsegs segment_of =
     Pool.run nsegs
-      (par_task "task:par_pnhl" (fun s ->
+      (par_task "task:pnhl" (fun s ->
            let row_key = row_key_s () and elem_key = elem_key_s () in
            M.incr c_pnhl_partition;
            let segment = segment_of s in
@@ -1557,11 +1452,11 @@ and exec_par_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
              xs;
            partial))
   in
-  (* Segments are spilled sequentially on the coordinating domain (spill
-     counters cannot depend on the pool size); each pool task then reads
-     back — and unlinks — its own file, so concurrent tasks never share a
-     decoder.  Segment boundaries match the sequential executor's, keeping
-     counter totals budget-for-budget identical to [exec_pnhl]. *)
+  (* A build table that fits is one resident segment.  Past the budget,
+     the segments are spilled on the calling domain (spill counters cannot
+     depend on the pool size); each pool task then reads back — and
+     unlinks — its own file, so concurrent tasks never share a decoder,
+     and at K domains up to K segments are resident. *)
   let partials =
     if ys = [] then [||]
     else if List.length ys <= mem_budget then run_tasks 1 (fun _ -> ys)
@@ -1576,15 +1471,9 @@ and exec_par_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
               segment))
     end
   in
+  let group i = Array.fold_left (fun acc partial -> partial.(i) @ acc) [] partials in
   let out =
-    Array.to_list
-      (Array.mapi
-         (fun i x ->
-           let ms =
-             Array.fold_left (fun acc partial -> partial.(i) @ acc) [] partials
-           in
-           Value.except x [ (into, Value.set ms) ])
-         xs)
+    Array.to_list (Array.mapi (fun i x -> Value.except x [ (into, Value.set (group i)) ]) xs)
   in
   if root || keyed_apart_from cat into left then out else dedup out
 

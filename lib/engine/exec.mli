@@ -16,24 +16,30 @@
     predicates run over decoded typed columns.  Streaming operators
     without a batched form run as row emitters into a batch builder.
     Pipeline breakers (hash build sides, sort-merge inputs, grouping,
-    division, PNHL/Grace partitioning, the parallel operators' partition
-    buffers) materialize only what their semantics require.  Rows, their
-    order and counter totals do not depend on {!Batch.size} or the pool
-    size ([test/test_batch.ml]); {!Njq_adl.Eval} is the value oracle.
+    division, PNHL segments, join partitions, morsel operators' batch
+    buffers) materialize only what their semantics require.  Each plan
+    operator has one path here; its policy values ({!Plan.Partitioned},
+    the [morsel] flag, PNHL's [mem_budget]) only change how that path
+    runs.  Rows, their order and counter totals do not depend on
+    {!Batch.size} or the pool size ([test/test_batch.ml]);
+    {!Njq_adl.Eval} is the value oracle.
 
-    Larger-than-memory execution: Grace joins and PNHL spill partitions
-    that exceed their [mem_budget] to {!Rowcodec} temp files and process
-    them one resident partition at a time (rehashing recursively on skew),
-    and the sort-merge paths switch to an external run-generation + K-way
-    merge sort past {!Memory.budget}.  Results are bit-identical to the
-    fully resident run.
+    Larger-than-memory execution: a partitioned join whose right side, or
+    a PNHL whose build table, is past its [mem_budget] writes its
+    partitions to {!Rowcodec} temp files on the calling domain (a
+    partition skewed past twice the budget is split again there first);
+    pool tasks read them back one partition each, so at K domains up to K
+    partitions are resident.  The sort-merge paths
+    switch to an external run-generation + K-way merge sort past
+    {!Memory.budget}.  Results are bit-identical to the fully resident
+    run.
 
     Counters ticked (see {!Njq_adl.Counters}): ["scan_row"],
     ["filter_eval"], ["hash_build"], ["hash_probe"], ["nl_pair"],
-    ["sm_cmp"], ["pnhl_partition"], ["pnhl_build"], ["pnhl_probe"], plus
-    ["oid_lookup"] from catalog dereferencing; spilling adds
-    ["spill_part"], ["spill_row"], ["spill_bytes"], ["ext_sort_run"] and
-    ["ext_sort_merge"]. *)
+    ["sm_cmp"], ["partition"], ["partition_row"], ["pnhl_partition"],
+    ["pnhl_build"], ["pnhl_probe"], plus ["oid_lookup"] from catalog
+    dereferencing; spilling adds ["spill_part"], ["spill_row"],
+    ["spill_bytes"], ["ext_sort_run"] and ["ext_sort_merge"]. *)
 
 open Njq_adl
 

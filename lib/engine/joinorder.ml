@@ -45,7 +45,7 @@ open Njq_adl
 module S = Analysis.S
 
 let use_joinorder = ref true
-let dp_max = ref 10
+let dp_max = 10
 let shared : string list ref = ref []
 
 type region_report = {
@@ -296,6 +296,7 @@ let finish (r : region) ~avail ~mask ~cur ~below_c ~below_i plan =
               Expr.conjoin
                 (List.map (fun i -> rebind v r.conjs.(i).c_expr) ready_c);
             input = plan;
+            morsel = false;
           }
     in
     let rec first_ready acc = function
@@ -450,7 +451,7 @@ let enumerate (ctx : ctx) (r : region) :
         | exception Bail -> None)
   in
   if Array.exists Option.is_none leafp then None
-  else if n <= !dp_max then begin
+  else if n <= dp_max then begin
     (* Selinger-style DP: best plan per subset, every 2-partition of every
        subset considered (both orders, so the hash build side is free). *)
     let full = (1 lsl n) - 1 in
@@ -532,29 +533,27 @@ let hoist_moves (p0 : Plan.t) : Plan.t list =
   let out = ref [] in
   let rec go rebuild p =
     (match p with
-    | Plan.JoinOp ({ left = Plan.Filter { var; pred; input }; _ } as j) ->
+    | Plan.JoinOp ({ left = Plan.Filter ({ input; _ } as f); _ } as j) ->
       out :=
         rebuild
-          (Plan.Filter
-             { var; pred; input = Plan.JoinOp { j with left = input } })
+          (Plan.Filter { f with input = Plan.JoinOp { j with left = input } })
         :: !out
     | _ -> ());
     (match p with
     | Plan.JoinOp
-        ({ kind = Expr.Inner; right = Plan.Filter { var; pred; input }; _ } as
+        ({ kind = Expr.Inner; right = Plan.Filter ({ input; _ } as f); _ } as
          j) ->
       out :=
         rebuild
-          (Plan.Filter
-             { var; pred; input = Plan.JoinOp { j with right = input } })
+          (Plan.Filter { f with input = Plan.JoinOp { j with right = input } })
         :: !out
     | _ -> ());
     (match p with
-    | Plan.NestjoinOp ({ left = Plan.Filter { var; pred; input }; _ } as j) ->
+    | Plan.NestjoinOp ({ left = Plan.Filter ({ input; _ } as f); _ } as j) ->
       out :=
         rebuild
           (Plan.Filter
-             { var; pred; input = Plan.NestjoinOp { j with left = input } })
+             { f with input = Plan.NestjoinOp { j with left = input } })
         :: !out
     | _ -> ());
     let kids = Plan.children p in
@@ -636,10 +635,10 @@ let gather ~sub cat (p0 : Plan.t) : region =
   in
   let rec go p =
     match p with
-    | Plan.Filter { var; pred; input } ->
+    | Plan.Filter ({ var; pred; input; _ } as f) ->
       let rp = go input in
       push_conjs [ var ] pred;
-      Plan.Filter { var; pred; input = rp }
+      Plan.Filter { f with input = rp }
     | Plan.JoinOp
         ({
            kind = Expr.Inner;

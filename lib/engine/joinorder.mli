@@ -28,10 +28,6 @@ open Njq_adl
 (** Master switch consulted by {!Planner.plan} (default on). *)
 val use_joinorder : bool ref
 
-(** Relation-count ceiling for exhaustive DP-over-subsets; larger regions
-    fall back to greedy nearest-neighbor ordering (default 10). *)
-val dp_max : int ref
-
 (** Fingerprints ({!Plan.fingerprint}) of subplans materialized once and
     shared (e.g. across a batched prepared-query plan).  A shared subtree
     is charged only its output cardinality, which is what lets a hoisted

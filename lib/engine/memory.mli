@@ -3,10 +3,15 @@
     single operator may hold resident at once.
 
     Defaults to [max_int] (everything fits, nothing spills); set per
-    invocation from the CLI [--mem-budget] option.  {!Planner} converts
-    over-budget hash joins to Grace joins and clamps Grace/PNHL node
-    budgets, {!Cost} charges spill I/O for over-budget builds, and
-    {!Exec}'s sorts go external past it. *)
+    invocation from the CLI [--mem-budget] option.  It is the engine's
+    only budget: {!Planner} partitions over-budget hash joins by it
+    ({!Plan.Partitioned}) and clamps PNHL budgets to it, {!Cost} charges
+    spill I/O for over-budget builds, and {!Exec}'s sorts go external past
+    it.
+
+    The bound holds per partition: spilled partitions and PNHL segments
+    run as {!Pool.run} tasks, so at K domains up to K of them, each
+    within the budget, are resident at once. *)
 
 val budget : int ref
 val unlimited : unit -> bool

@@ -18,7 +18,17 @@
 
 open Njq_adl
 
-type join_algo = Nested_loop | Hash | Sort_merge
+(* [Partitioned] is the hash algorithm run as a policy: both inputs are
+   hash-partitioned on the first key into max(partitions,
+   ceil(|build| / mem_budget)) partitions whose pairs run as pool tasks;
+   past the budget the partitions are spill files.  [partitions] is fixed
+   here, in the plan, so results and work counters do not depend on the
+   pool size; [mem_budget = max_int] never spills. *)
+type join_algo =
+  | Nested_loop
+  | Hash
+  | Sort_merge
+  | Partitioned of { partitions : int; mem_budget : int }
 
 (* Output discipline of a membership join: keep the left tuple (semi/anti),
    concatenate matching right tuples (inner), or group them under a new
@@ -42,7 +52,9 @@ type index_lookup =
 
 type t =
   | Scan of string
-  | Filter of { var : string; pred : Expr.t; input : t }
+  | Filter of { var : string; pred : Expr.t; input : t; morsel : bool }
+      (* [morsel]: buffer the input's batches and filter them as pool
+         tasks, re-concatenated in order — the same row list. *)
   | IndexScan of {
       table : string;
       index : string; (* catalog index name *)
@@ -71,7 +83,8 @@ type t =
          index with the evaluated key expressions instead of building a
          hash table over the whole inner extent ([rename] absorbs a
          Rename over the inner scan).  Streams per outer row. *)
-  | MapOp of { var : string; body : Expr.t; input : t }
+  | MapOp of { var : string; body : Expr.t; input : t; morsel : bool }
+      (* [morsel]: as for [Filter]. *)
   | ProjectOp of string list * t
   | FlattenOp of t
   | UnionOp of t * t
@@ -115,20 +128,6 @@ type t =
          right operand is hashed on its key and each left tuple probes with
          the keys of its set-valued attribute's elements — the probing
          pattern of the PNHL algorithm applied to join operators. *)
-  | GraceJoin of {
-      kind : Expr.join_kind;
-      xvar : string;
-      yvar : string;
-      keys : keys; (* at least one; partitioning hashes the first key *)
-      residual : Expr.t;
-      mem_budget : int; (* max right rows hashed at once *)
-      left : t;
-      right : t;
-    }
-      (* Grace-style partitioned hash join: both operands are partitioned
-         by the hash of the first key so that each right partition fits the
-         memory budget, then each partition pair is hash-joined — the
-         regular-join counterpart of PNHL's memory-constrained build. *)
   | RenameOp of (string * string) list * t
   | UnnestOp of string * t
   | NestOp of { attrs : string list; into : string; input : t }
@@ -142,61 +141,14 @@ type t =
       left : t;
       right : t;
     }
+      (* Segments of at most [mem_budget] right rows run as pool tasks;
+         past one segment they are spill files. *)
   | Assembly of {
       cls : string; (* extent the references point into *)
       ref_attr : string; (* oid-valued attribute to dereference *)
       into : string; (* attribute receiving the referenced object *)
       input : t;
     }
-  | ParJoinOp of {
-      kind : Expr.join_kind;
-      xvar : string;
-      yvar : string;
-      keys : keys; (* at least one; partitioning hashes the first key *)
-      residual : Expr.t;
-      partitions : int; (* fixed in the plan, not derived from the pool *)
-      left : t;
-      right : t;
-    }
-      (* Partitioned parallel hash join: both operands are hash-partitioned
-         on the first key into [partitions] buckets, each bucket pair is
-         hash-joined on its own pool domain, and the per-partition results
-         are concatenated in partition order.  The partition count lives in
-         the plan so results and work counters are identical whatever the
-         domain count — parallelism only changes who runs which bucket. *)
-  | ParNestjoinOp of {
-      xvar : string;
-      yvar : string;
-      keys : keys;
-      residual : Expr.t;
-      body : Expr.t;
-      attr : string;
-      partitions : int;
-      left : t;
-      right : t;
-    }
-      (* Partitioned parallel hash nestjoin, same discipline as
-         [ParJoinOp]: every left row lands in exactly one partition (its
-         key hash), so its match group is complete within that bucket. *)
-  | ParPnhl of {
-      attr : string;
-      elem_key : Expr.t;
-      row_key : Expr.t;
-      into : string;
-      mem_budget : int; (* max right rows hashed at once (partitioning) *)
-      left : t;
-      right : t;
-    }
-      (* PNHL with the right-operand segments probed concurrently: each
-         pool domain builds the hash table of one segment and probes all
-         left rows against it; per-segment partial matches are merged in
-         segment order, exactly as the sequential loop would. *)
-  | ParFilter of { var : string; pred : Expr.t; input : t }
-      (* Chunked parallel filter: the input rows are split into contiguous
-         chunks, filtered concurrently, and re-concatenated in chunk order
-         — the same row list as the sequential filter. *)
-  | ParMapOp of { var : string; body : Expr.t; input : t }
-      (* Chunked parallel map, same discipline as [ParFilter]. *)
   | EvalOp of Expr.t (* fallback: reference (nested-loop) evaluation *)
   | Materialized of Value.t list
       (* an already-computed intermediate result; produced by the
@@ -216,6 +168,19 @@ let algo_name = function
   | Nested_loop -> "nl"
   | Hash -> "hash"
   | Sort_merge -> "sortmerge"
+  | Partitioned { mem_budget; _ } ->
+    if mem_budget = max_int then "par" else "grace"
+
+(* The policy values of a partitioned join: the plan's partition count
+   unless a budget alone decides it, and the budget when one is set. *)
+let pp_policy ppf = function
+  | Partitioned { partitions; mem_budget } ->
+    if mem_budget = max_int || partitions > 1 then
+      Fmt.pf ppf ", %d part." partitions;
+    if mem_budget < max_int then Fmt.pf ppf ", mem=%d" mem_budget
+  | Nested_loop | Hash | Sort_merge -> ()
+
+let morsel_prefix morsel = if morsel then "par_" else ""
 
 let kind_name = function
   | Expr.Inner -> "join"
@@ -235,8 +200,9 @@ let pp_lookup ppf = function
 
 let rec pp ppf = function
   | Scan t -> Fmt.pf ppf "scan(%s)" t
-  | Filter { var; pred; input } ->
-    Fmt.pf ppf "@[<2>filter[%s: %a](@,%a)@]" var Pretty.pp pred pp input
+  | Filter { var; pred; input; morsel } ->
+    Fmt.pf ppf "@[<2>%sfilter[%s: %a](@,%a)@]" (morsel_prefix morsel) var
+      Pretty.pp pred pp input
   | IndexScan { table; index; lookup; residual; rename; _ } ->
     Fmt.pf ppf "@[<2>idxscan[%s via %s: %a%s%s]@]" table index pp_lookup lookup
       (if Expr.is_true residual then "" else "+residual")
@@ -247,8 +213,9 @@ let rec pp ppf = function
       (if Expr.is_true residual then "" else "+residual")
       (if rename = [] then "" else "+rename")
       pp left
-  | MapOp { var; body; input } ->
-    Fmt.pf ppf "@[<2>map[%s: %a](@,%a)@]" var Pretty.pp body pp input
+  | MapOp { var; body; input; morsel } ->
+    Fmt.pf ppf "@[<2>%smap[%s: %a](@,%a)@]" (morsel_prefix morsel) var
+      Pretty.pp body pp input
   | ProjectOp (attrs, input) ->
     Fmt.pf ppf "@[<2>project[%s](@,%a)@]" (String.concat "," attrs) pp input
   | FlattenOp input -> Fmt.pf ppf "@[<2>flatten(@,%a)@]" pp input
@@ -257,13 +224,13 @@ let rec pp ppf = function
   | DiffOp (a, b) -> Fmt.pf ppf "@[<2>diff(@,%a,@ %a)@]" pp a pp b
   | ProductOp (a, b) -> Fmt.pf ppf "@[<2>product(@,%a,@ %a)@]" pp a pp b
   | JoinOp { algo; kind; keys; residual; left; right; _ } ->
-    Fmt.pf ppf "@[<2>%s_%s[%d keys%s](@,%a,@ %a)@]" (algo_name algo)
+    Fmt.pf ppf "@[<2>%s_%s[%d keys%s%a](@,%a,@ %a)@]" (algo_name algo)
       (kind_name kind) (List.length keys)
       (if Expr.is_true residual then "" else "+residual")
-      pp left pp right
+      pp_policy algo pp left pp right
   | NestjoinOp { algo; keys; attr; left; right; _ } ->
-    Fmt.pf ppf "@[<2>%s_nestjoin[%d keys → %s](@,%a,@ %a)@]" (algo_name algo)
-      (List.length keys) attr pp left pp right
+    Fmt.pf ppf "@[<2>%s_nestjoin[%d keys → %s%a](@,%a,@ %a)@]" (algo_name algo)
+      (List.length keys) attr pp_policy algo pp left pp right
   | MemberJoin { kind; xset; left; right; _ } ->
     let kname =
       match kind with
@@ -283,9 +250,6 @@ let rec pp ppf = function
       (String.concat ","
          (List.map (fun (o, n) -> Printf.sprintf "%s->%s" o n) pairs))
       pp input
-  | GraceJoin { kind; keys; mem_budget; left; right; _ } ->
-    Fmt.pf ppf "@[<2>grace_%s[%d keys, mem=%d](@,%a,@ %a)@]" (kind_name kind)
-      (List.length keys) mem_budget pp left pp right
   | UnnestOp (a, input) -> Fmt.pf ppf "@[<2>unnest[%s](@,%a)@]" a pp input
   | NestOp { attrs; into; input } ->
     Fmt.pf ppf "@[<2>nest[%s→%s](@,%a)@]" (String.concat "," attrs) into pp input
@@ -295,21 +259,6 @@ let rec pp ppf = function
       left pp right
   | Assembly { cls; ref_attr; into; input } ->
     Fmt.pf ppf "@[<2>assembly[%s.%s→%s](@,%a)@]" cls ref_attr into pp input
-  | ParJoinOp { kind; keys; residual; partitions; left; right; _ } ->
-    Fmt.pf ppf "@[<2>par_%s[%d keys%s, %d part.](@,%a,@ %a)@]" (kind_name kind)
-      (List.length keys)
-      (if Expr.is_true residual then "" else "+residual")
-      partitions pp left pp right
-  | ParNestjoinOp { keys; attr; partitions; left; right; _ } ->
-    Fmt.pf ppf "@[<2>par_nestjoin[%d keys → %s, %d part.](@,%a,@ %a)@]"
-      (List.length keys) attr partitions pp left pp right
-  | ParPnhl { attr; into; mem_budget; left; right; _ } ->
-    Fmt.pf ppf "@[<2>par_pnhl[%s→%s, mem=%d](@,%a,@ %a)@]" attr into mem_budget
-      pp left pp right
-  | ParFilter { var; pred; input } ->
-    Fmt.pf ppf "@[<2>par_filter[%s: %a](@,%a)@]" var Pretty.pp pred pp input
-  | ParMapOp { var; body; input } ->
-    Fmt.pf ppf "@[<2>par_map[%s: %a](@,%a)@]" var Pretty.pp body pp input
   | EvalOp e -> Fmt.pf ppf "@[<2>eval(@,%a)@]" Pretty.pp e
   | Materialized rows -> Fmt.pf ppf "materialized(%d rows)" (List.length rows)
 
@@ -326,8 +275,8 @@ let node_label = function
   | Scan t -> "scan " ^ t
   | IndexScan { table; _ } -> "idxscan " ^ table
   | IndexJoin { kind; _ } -> "idx_" ^ kind_name kind
-  | Filter _ -> "filter"
-  | MapOp _ -> "map"
+  | Filter { morsel; _ } -> morsel_prefix morsel ^ "filter"
+  | MapOp { morsel; _ } -> morsel_prefix morsel ^ "map"
   | ProjectOp _ -> "project"
   | FlattenOp _ -> "flatten"
   | UnionOp _ -> "union"
@@ -341,17 +290,11 @@ let node_label = function
   | MemberJoin { kind = MInner; _ } -> "member_join"
   | MemberJoin { kind = MNest _; _ } -> "member_nestjoin"
   | RenameOp _ -> "rename"
-  | GraceJoin { kind; _ } -> "grace_" ^ kind_name kind
   | UnnestOp (a, _) -> "unnest " ^ a
   | NestOp { into; _ } -> "nest →" ^ into
   | DivideOp _ -> "divide"
   | Pnhl _ -> "pnhl"
   | Assembly { cls; _ } -> "assembly " ^ cls
-  | ParJoinOp { kind; _ } -> "par_" ^ kind_name kind
-  | ParNestjoinOp _ -> "par_nestjoin"
-  | ParPnhl _ -> "par_pnhl"
-  | ParFilter _ -> "par_filter"
-  | ParMapOp _ -> "par_map"
   | EvalOp _ -> "eval"
   | Materialized _ -> "materialized"
 
@@ -361,16 +304,13 @@ let children = function
   | IndexJoin { left; _ } -> [ left ]
   | Filter { input; _ } | MapOp { input; _ } | ProjectOp (_, input)
   | FlattenOp input | RenameOp (_, input) | UnnestOp (_, input)
-  | NestOp { input; _ } | Assembly { input; _ } | ParFilter { input; _ }
-  | ParMapOp { input; _ } -> [ input ]
+  | NestOp { input; _ } | Assembly { input; _ } -> [ input ]
   | UnionOp (a, b) | InterOp (a, b) | DiffOp (a, b) | ProductOp (a, b)
   | DivideOp (a, b) -> [ a; b ]
   | MemberJoin { left; right = Build right; _ } -> [ left; right ]
   | MemberJoin { left; right = Oid_index _; _ } -> [ left ]
   | JoinOp { left; right; _ } | NestjoinOp { left; right; _ }
-  | Pnhl { left; right; _ }
-  | GraceJoin { left; right; _ } | ParJoinOp { left; right; _ }
-  | ParNestjoinOp { left; right; _ } | ParPnhl { left; right; _ } ->
+  | Pnhl { left; right; _ } ->
     [ left; right ]
 
 (* Structural plan equality.  The type is first-order (expressions and
@@ -396,21 +336,19 @@ let rec iter_nodes f p =
    consumer (true), or is it a pipeline breaker that materializes its
    full result before the consumer sees a row (false)?  Breakers are
    exactly the operators whose semantics need the whole input:
-   sort-merge runs, grouping, division, PNHL/Grace partitioning, and the
-   parallel operators' partition buffers. *)
+   sort-merge runs, partitioned joins, grouping, division and PNHL. *)
 let streams_output = function
   | Scan _ | Filter _ | MapOp _ | ProjectOp _ | FlattenOp _ | UnionOp _
   | InterOp _ | DiffOp _ | ProductOp _ | MemberJoin _ | RenameOp _
-  | UnnestOp _ | Assembly _ | ParFilter _ | ParMapOp _ | EvalOp _
-  | Materialized _ | IndexScan _ | IndexJoin _ ->
+  | UnnestOp _ | Assembly _ | EvalOp _ | Materialized _ | IndexScan _
+  | IndexJoin _ ->
     true
   | JoinOp { algo = Nested_loop | Hash; _ }
   | NestjoinOp { algo = Nested_loop | Hash; _ } ->
     true
-  | JoinOp { algo = Sort_merge; _ } | NestjoinOp { algo = Sort_merge; _ } ->
-    false
-  | GraceJoin _ | NestOp _ | DivideOp _ | Pnhl _ | ParJoinOp _
-  | ParNestjoinOp _ | ParPnhl _ ->
+  | JoinOp { algo = Sort_merge | Partitioned _; _ }
+  | NestjoinOp { algo = Sort_merge | Partitioned _; _ }
+  | NestOp _ | DivideOp _ | Pnhl _ ->
     false
 
 (* Per child edge (parallel to [children]): [true] when the executor
@@ -420,10 +358,10 @@ let streams_output = function
    partition buffer. *)
 let streamed_inputs = function
   | Scan _ | EvalOp _ | Materialized _ | IndexScan _ -> []
-  | Filter _ | MapOp _ | ProjectOp (_, _) | FlattenOp _ | RenameOp (_, _)
-  | UnnestOp (_, _) | NestOp _ | Assembly _ | IndexJoin _ ->
+  | Filter { morsel; _ } | MapOp { morsel; _ } -> [ not morsel ]
+  | ProjectOp (_, _) | FlattenOp _ | RenameOp (_, _) | UnnestOp (_, _)
+  | NestOp _ | Assembly _ | IndexJoin _ ->
     [ true ]
-  | ParFilter _ | ParMapOp _ -> [ false ]
   | UnionOp (_, _) -> [ true; true ]
   | InterOp (_, _) | DiffOp (_, _) | ProductOp (_, _) -> [ true; false ]
   | MemberJoin { right = Oid_index _; _ } -> [ true ]
@@ -431,9 +369,9 @@ let streamed_inputs = function
   | NestjoinOp { algo = Nested_loop | Hash; _ }
   | MemberJoin { right = Build _; _ } ->
     [ true; false ]
-  | JoinOp { algo = Sort_merge; _ } | NestjoinOp { algo = Sort_merge; _ }
-  | GraceJoin _ | DivideOp (_, _) | Pnhl _ | ParPnhl _ | ParJoinOp _
-  | ParNestjoinOp _ ->
+  | JoinOp { algo = Sort_merge | Partitioned _; _ }
+  | NestjoinOp { algo = Sort_merge | Partitioned _; _ }
+  | DivideOp (_, _) | Pnhl _ ->
     [ false; false ]
 
 (* Pipeline-boundary view of a plan: a header line with the batch size,
@@ -519,30 +457,10 @@ let rec map_exprs f p =
     MemberJoin
       { j with kind; xset = f j.xset; elem_key = f j.elem_key;
         ykey = f j.ykey; left = recur j.left; right }
-  | GraceJoin j ->
-    GraceJoin
-      { j with keys = List.map (fun (a, b) -> (f a, f b)) j.keys;
-        residual = f j.residual; left = recur j.left; right = recur j.right }
   | Pnhl j ->
     Pnhl
       { j with elem_key = f j.elem_key; row_key = f j.row_key;
         left = recur j.left; right = recur j.right }
-  | ParJoinOp j ->
-    ParJoinOp
-      { j with keys = List.map (fun (a, b) -> (f a, f b)) j.keys;
-        residual = f j.residual; left = recur j.left; right = recur j.right }
-  | ParNestjoinOp j ->
-    ParNestjoinOp
-      { j with keys = List.map (fun (a, b) -> (f a, f b)) j.keys;
-        residual = f j.residual; body = f j.body;
-        left = recur j.left; right = recur j.right }
-  | ParPnhl j ->
-    ParPnhl
-      { j with elem_key = f j.elem_key; row_key = f j.row_key;
-        left = recur j.left; right = recur j.right }
-  | ParFilter fl ->
-    ParFilter { fl with pred = f fl.pred; input = recur fl.input }
-  | ParMapOp m -> ParMapOp { m with body = f m.body; input = recur m.input }
 
 (* Rebuild a node with new children (same arity as [children]). *)
 let with_children p cs =
@@ -569,12 +487,6 @@ let with_children p cs =
   | MemberJoin ({ right = Oid_index _; _ } as j), [ a ] ->
     MemberJoin { j with left = a }
   | Pnhl j, [ a; b ] -> Pnhl { j with left = a; right = b }
-  | GraceJoin j, [ a; b ] -> GraceJoin { j with left = a; right = b }
-  | ParFilter f, [ c ] -> ParFilter { f with input = c }
-  | ParMapOp m, [ c ] -> ParMapOp { m with input = c }
-  | ParJoinOp j, [ a; b ] -> ParJoinOp { j with left = a; right = b }
-  | ParNestjoinOp j, [ a; b ] -> ParNestjoinOp { j with left = a; right = b }
-  | ParPnhl j, [ a; b ] -> ParPnhl { j with left = a; right = b }
   | _ -> invalid_arg "Plan.with_children: arity mismatch"
 
 (* Replace every [Scan name] node for which [f name] answers with the

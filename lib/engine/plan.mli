@@ -5,11 +5,31 @@
     map bodies) stay as ADL, evaluated per tuple; the engine's contribution
     is the organization of the iteration — the paper's point that a logical
     join admits many set-oriented implementations while a nested subquery
-    forces nested loops.  [Pnhl] and [Assembly] implement Section 6.2. *)
+    forces nested loops.  [Pnhl] and [Assembly] implement Section 6.2.
+
+    Each algorithm is one constructor with one executor path; how it runs
+    is a policy value on the node, not another plan shape: a hash join or
+    nestjoin partitions ({!Partitioned}), a filter or map runs its batches
+    as pool tasks ([morsel]), PNHL segments its build side ([mem_budget]).
+    The planner sets these from {!Memory.budget} and {!Pool.domains}. *)
 
 open Njq_adl
 
-type join_algo = Nested_loop | Hash | Sort_merge
+type join_algo =
+  | Nested_loop
+  | Hash  (** resident, fused: the build table holds the whole right side *)
+  | Sort_merge
+  | Partitioned of { partitions : int; mem_budget : int }
+      (** Hash join run over max([partitions], ceil(|right| / [mem_budget]))
+          partitions of both inputs, hashed on the first key (so at least
+          one key is required).  The partition pairs run as {!Pool.run}
+          tasks and their results concatenate in partition order.  When
+          the right side is past [mem_budget] rows, the partitions are
+          spill files written on the calling domain, and a pair whose
+          build side is still past twice the budget is split again with a
+          depth-salted hash.  [partitions] is fixed in the plan, so results
+          and work counters do not depend on the pool size;
+          [mem_budget = max_int] never spills. *)
 
 (** Output discipline of a membership join. *)
 type member_kind =
@@ -30,7 +50,9 @@ type index_lookup =
 
 type t =
   | Scan of string
-  | Filter of { var : string; pred : Expr.t; input : t }
+  | Filter of { var : string; pred : Expr.t; input : t; morsel : bool }
+      (** [morsel]: buffer the input's batches and filter them as pool
+          tasks, then stream them on in order — the same row list. *)
   | IndexScan of {
       table : string;
       index : string;  (** catalog index name *)
@@ -58,7 +80,8 @@ type t =
       (** Index nested loops: each left row probes the inner table's index
           with its evaluated keys instead of building a hash table over the
           whole extent.  Streams per outer row. *)
-  | MapOp of { var : string; body : Expr.t; input : t }
+  | MapOp of { var : string; body : Expr.t; input : t; morsel : bool }
+      (** [morsel]: as for [Filter]. *)
   | ProjectOp of string list * t
   | FlattenOp of t
   | UnionOp of t * t
@@ -101,20 +124,6 @@ type t =
           ([∃z∈x.c • key(z) = key(y)] or [key(y) ∈ x.c]): hash the right
           operand on its key and probe with the elements of each left
           tuple's set — the probing pattern of PNHL applied to joins. *)
-  | GraceJoin of {
-      kind : Expr.join_kind;
-      xvar : string;
-      yvar : string;
-      keys : keys;  (** at least one; partitioning hashes the first key *)
-      residual : Expr.t;
-      mem_budget : int;  (** max right rows hashed at once *)
-      left : t;
-      right : t;
-    }
-      (** Grace-style partitioned hash join: both operands are partitioned
-          by the hash of the first key so that each right partition fits
-          the memory budget, then each partition pair is hash-joined — the
-          regular-join counterpart of PNHL's memory-constrained build. *)
   | RenameOp of (string * string) list * t
   | UnnestOp of string * t
   | NestOp of { attrs : string list; into : string; input : t }
@@ -128,7 +137,9 @@ type t =
       left : t;
       right : t;
     }
-      (** Partitioned Nested-Hashed-Loops (Section 6.2, [DeLa92]). *)
+      (** Partitioned Nested-Hashed-Loops (Section 6.2, [DeLa92]): the right
+          side splits into segments of at most [mem_budget] rows, run as
+          {!Pool.run} tasks; past one segment they are spill files. *)
   | Assembly of {
       cls : string;
       ref_attr : string;  (** oid-valued attribute to dereference *)
@@ -136,50 +147,6 @@ type t =
       input : t;
     }
       (** Pointer-based materialize (Section 6.2, [BlMG93]/[ShCa90]). *)
-  | ParJoinOp of {
-      kind : Expr.join_kind;
-      xvar : string;
-      yvar : string;
-      keys : keys;  (** at least one; partitioning hashes the first key *)
-      residual : Expr.t;
-      partitions : int;  (** fixed in the plan, not derived from the pool *)
-      left : t;
-      right : t;
-    }
-      (** Partitioned parallel hash join: both operands hash-partitioned on
-          the first key, each bucket pair hash-joined on its own pool
-          domain, results concatenated in partition order.  The partition
-          count lives in the plan so results and work counters are
-          identical whatever the domain count. *)
-  | ParNestjoinOp of {
-      xvar : string;
-      yvar : string;
-      keys : keys;
-      residual : Expr.t;
-      body : Expr.t;
-      attr : string;
-      partitions : int;
-      left : t;
-      right : t;
-    }
-      (** Partitioned parallel hash nestjoin (same discipline as
-          {!ParJoinOp}; each left row's match group is complete within its
-          partition). *)
-  | ParPnhl of {
-      attr : string;
-      elem_key : Expr.t;
-      row_key : Expr.t;
-      into : string;
-      mem_budget : int;
-      left : t;
-      right : t;
-    }
-      (** PNHL with the right-operand segments probed concurrently;
-          per-segment matches merge in segment order. *)
-  | ParFilter of { var : string; pred : Expr.t; input : t }
-      (** Chunked parallel filter; chunks re-concatenate in order. *)
-  | ParMapOp of { var : string; body : Expr.t; input : t }
-      (** Chunked parallel map; chunks re-concatenate in order. *)
   | EvalOp of Expr.t  (** fallback: reference (nested-loop) evaluation *)
   | Materialized of Value.t list
       (** an already-computed row list, which must be duplicate-free like
@@ -199,7 +166,6 @@ and member_right =
           ["oid_lookup"], and the node has no right child.  Rendered
           [oid(T)]; paper Section 6.2, assembly against PNHL. *)
 
-val algo_name : join_algo -> string
 val kind_name : Expr.join_kind -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
@@ -225,22 +191,17 @@ val iter_nodes : (t -> unit) -> t -> unit
 (** Pipeline shape of the batched push executor ({!Njq_engine.Exec}):
     [true] when the node streams its output rows, batch by batch, into
     its consumer, [false] when it is a pipeline breaker that materializes
-    its full result first (sort-merge inputs, grouping, division, PNHL/Grace
-    partitioning, the parallel operators' partition buffers).  This is the
-    predicate the executor consults to fuse edges, so EXPLAIN output
-    rendered from it cannot drift from the execution. *)
+    its full result first (sort-merge inputs, partitioned joins,
+    grouping, division, PNHL).  This is the predicate the executor
+    consults to fuse edges, so EXPLAIN output rendered from it cannot
+    drift from the execution. *)
 val streams_output : t -> bool
-
-(** Per child edge (parallel to {!children}): [true] when the executor
-    consumes the child batch by batch without forming its result list
-    (fused), [false] when the child's rows are buffered first (hash build
-    table, sort buffer, chunk array, partition buffer). *)
-val streamed_inputs : t -> bool list
 
 (** Pipeline-boundary view: a header line with the batch size
     ({!Batch.size}) that fused edges carry, then one node per line, child
-    edges marked ["~>"] (fused) or ["=>"] (materialized), breakers
-    suffixed ["[breaker]"]. *)
+    edges marked ["~>"] (fused) or ["=>"] (buffered first: a hash build
+    table, a sort buffer, a morsel operator's batches, partitions),
+    breakers suffixed ["[breaker]"]. *)
 val pp_pipelines : Format.formatter -> t -> unit
 
 (** Rebuild a node with new children; raises [Invalid_argument] on arity

@@ -24,9 +24,6 @@ let c_autoparam = M.counter "plancache_autoparam"
 (* Maximum number of cached plans; 0 disables caching entirely. *)
 let capacity = ref 64
 
-(* Auto-parameterization master switch (see [parameterize]). *)
-let auto_param = ref true
-
 type key = {
   cat_id : int;
   epoch : int;
@@ -194,7 +191,7 @@ let find_or_derive_report (cat : Catalog.t) ?(options = "") text
     ~(derive : string -> Plan.t) : Plan.t * bool =
   let text = normalize text in
   let template, consts =
-    if !auto_param && not (String.contains text '?')
+    if (not (String.contains text '?'))
        && not (Catalog.has_indexes cat)
     then parameterize text
     else (text, [])

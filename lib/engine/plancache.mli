@@ -5,24 +5,22 @@
     Catalog changes bump the epoch ({!Catalog.epoch}), making stale
     entries unaddressable — they age out through the LRU.  Process-global,
     main-domain only.  Hits/misses/evictions are the
-    ["plancache_hit"/"plancache_miss"/"plancache_evict"] metrics. *)
+    ["plancache_hit"/"plancache_miss"/"plancache_evict"] metrics.
+
+    Numeric literals in the query text are normalized into [?i]
+    placeholders before keying, so queries differing only in constants
+    share one prepared plan whose parameters are bound per call via
+    {!Plan.map_exprs}.  Skipped for texts already containing ['?']
+    (explicit prepared templates), for catalogs with declared indexes (a
+    [?i] point lookup plans onto its index like a literal, but range
+    bounds are priced from their literal values), and for 6-/8-digit
+    integer literals (date-shaped, coerced by the frontend at translation
+    time).  Templating events tick the ["plancache_autoparam"] metric. *)
 
 open Njq_adl
 
 (** Maximum number of cached plans (default 64); 0 disables caching. *)
 val capacity : int ref
-
-(** Auto-parameterization master switch (default on): numeric literals in
-    the query text are normalized into [?i] placeholders before keying, so
-    queries differing only in constants share one prepared plan whose
-    parameters are bound per call via {!Plan.map_exprs}.  Skipped for
-    texts already containing ['?'] (explicit prepared templates), for
-    catalogs with declared indexes (a [?i] point lookup plans onto its
-    index like a literal, but range bounds are priced from their literal
-    values), and for 6-/8-digit integer literals (date-shaped, coerced by
-    the frontend at translation time).  Templating events tick the
-    ["plancache_autoparam"] metric. *)
-val auto_param : bool ref
 
 (** [find_or_derive cat ?options text ~derive] returns the cached plan for
     [(cat, epoch, options, template of text)], or runs [derive], stores

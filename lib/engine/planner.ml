@@ -109,45 +109,30 @@ type cost_ctx = { cat : Catalog.t; stats : Stats.t Lazy.t }
 
 let plan_cost ctx p = Cost.cost ~stats:(Lazy.force ctx.stats) ctx.cat p
 
-(* PNHL memory budget: how many build-table rows the in-memory hash table
-   is assumed to hold at once (the |M| of Section 6.2).  The partition
-   count follows as ceil(|T| / budget), so a build table that fits is one
-   partition — BENCH_engine.json's b5 shows forcing 8 partitions on a
-   256-row table costs ~3.9x, which is what deriving the count from the
-   cardinality avoids. *)
-let pnhl_mem_rows = ref 4096
-
-let pnhl_budget ?cat table =
-  match cat with
-  | None -> max_int (* no cardinality to consult: keep one partition *)
-  | Some c ->
-    let card =
-      match Catalog.find_opt c table with
-      | Some tbl -> tbl.Catalog.card
-      | None -> 0
-    in
-    if card <= !pnhl_mem_rows then max_int else !pnhl_mem_rows
-
 (* Is this expression a set-producing operator we can plan, or a scalar /
    parameter expression that must stay in ADL? *)
-let rec plan_with ?ctx ?cat (choice : algo_choice) (e : Expr.t) : Plan.t =
-  let plan = plan_with ?ctx ?cat choice in
+let rec plan_with ?ctx (choice : algo_choice) (e : Expr.t) : Plan.t =
+  let plan = plan_with ?ctx choice in
   match e with
   | Table name -> Plan.Scan name
-  | Select { var; pred; src } -> Plan.Filter { var; pred; input = plan src }
+  | Select { var; pred; src } ->
+    Plan.Filter { var; pred; input = plan src; morsel = false }
   | Map _ when pnhl_shape e <> None ->
     (* Section 6.2: materialize a set-valued attribute against a base table
-       with the PNHL algorithm rather than per-tuple nested evaluation. *)
+       with the PNHL algorithm rather than per-tuple nested evaluation.  The
+       build table is one resident segment unless the engine budget binds
+       ([set_policies]). *)
     let src, attr, into, p, g, t = Option.get (pnhl_shape e) in
     Plan.Pnhl
       { attr;
         elem_key = Var "elem";
         row_key = Analysis.subst1 p (Var "row") g;
         into;
-        mem_budget = pnhl_budget ?cat t;
+        mem_budget = max_int;
         left = plan src;
         right = Plan.Scan t }
-  | Map { var; body; src } -> Plan.MapOp { var; body; input = plan src }
+  | Map { var; body; src } ->
+    Plan.MapOp { var; body; input = plan src; morsel = false }
   | Project (attrs, src) -> Plan.ProjectOp (attrs, plan src)
   | Flatten src -> Plan.FlattenOp (plan src)
   | Union (a, b) -> Plan.UnionOp (plan a, plan b)
@@ -430,7 +415,7 @@ let access_paths ?stats cat p =
     let rec go p =
       let p = Plan.with_children p (List.map go (Plan.children p)) in
       match p with
-      | Plan.Filter { var; pred; input } when scan_shape input <> None ->
+      | Plan.Filter { var; pred; input; _ } when scan_shape input <> None ->
         let table, rename = Option.get (scan_shape input) in
         let cs = conjuncts pred in
         let candidates =
@@ -483,113 +468,91 @@ let pointer_joins cat p =
   go p
 
 (* ------------------------------------------------------------------ *)
-(* Parallelization post-pass                                           *)
+(* Execution policies                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Minimum estimated input rows before an operator is worth fanning out to
    the domain pool: below it, partitioning and task hand-off cost more
    than they save. *)
-let par_threshold = ref 256
+let par_threshold = 256.0
 
 (* Ceiling on the partition count of one parallel join, so the plan never
    schedules more buckets than a realistic pool can use at once. *)
 let max_par_partitions = 16
 
 let partitions_for l r =
-  let biggest = Float.max l r in
-  let parts = int_of_float (Float.ceil (biggest /. float_of_int !par_threshold)) in
+  let parts = int_of_float (Float.ceil (Float.max l r /. par_threshold)) in
   max 2 (min max_par_partitions parts)
 
-(* Rewrite hot operators into their parallel variants where the
-   stats-derived input estimates clear the threshold.  The partition count
-   is fixed here, in the plan — execution only decides which domain runs
-   which partition, so results and counter totals cannot depend on the
-   pool size.  Applied only when the pool is configured for >= 2 domains
-   ([plan ~cat]); a 1-domain run plans, executes, and counts exactly as
-   the sequential engine. *)
-let parallelize ?stats cat p =
+(* Set each operator's execution policy, bottom-up, from the engine
+   budget ({!Memory.budget}) and the pool size.  The budget applies first,
+   to inner, semi and anti hash joins only — nestjoins stay resident,
+   although their partitioned path could spill: one whose build side is
+   estimated past the budget is partitioned by the budget alone, and a
+   PNHL's budget is clamped to it, so their executors spill.  Without a
+   catalog there are no estimates, so every such hash join is
+   partitioned — the conservative reading of a binding budget.
+   Then, with a catalog and a pool of at least 2 domains, a resident hash
+   join or nestjoin, a filter or a map with at least [par_threshold]
+   estimated input rows gets its parallel policy.  The partition count is
+   fixed here, in the plan: execution only decides which domain runs which
+   partition, so results and counter totals cannot depend on the pool
+   size, and a 1-domain run keeps every sequential policy. *)
+let set_policies cat p =
+  let budget = !Memory.budget in
+  let parallel = Option.is_some cat && Pool.domains () >= 2 in
   let est =
-    match stats with
-    | Some st -> fun node -> Cost.rows_out ~stats:st cat node
-    | None -> fun node -> Cost.rows_out cat node
+    match cat with
+    | Some c when budget < max_int || parallel ->
+      Cost.rows_out ~stats:(Stats.cached c) c
+    | _ -> fun _ -> infinity
   in
-  let thresh = float_of_int !par_threshold in
-  let rec go p =
-    let p = Plan.with_children p (List.map go (Plan.children p)) in
+  let budgeted (p : Plan.t) =
     match p with
     | Plan.JoinOp
-        { algo = Plan.Hash;
-          kind = (Expr.Inner | Expr.Semi | Expr.Anti) as kind;
-          xvar; yvar;
-          keys = _ :: _ as keys;
-          residual; left; right } ->
-      let l = est left and r = est right in
-      if l >= thresh || r >= thresh then
-        Plan.ParJoinOp
-          { kind; xvar; yvar; keys; residual;
-            partitions = partitions_for l r; left; right }
-      else p
-    | Plan.NestjoinOp
-        { algo = Plan.Hash; xvar; yvar; keys = _ :: _ as keys; residual;
-          body; attr; left; right } ->
-      let l = est left and r = est right in
-      if l >= thresh || r >= thresh then
-        Plan.ParNestjoinOp
-          { xvar; yvar; keys; residual; body; attr;
-            partitions = partitions_for l r; left; right }
-      else p
-    | Plan.Pnhl { attr; elem_key; row_key; into; mem_budget; left; right } ->
-      (* Parallel PNHL pays off when there is more than one segment to
-         probe concurrently, or when a single probe pass is itself large. *)
-      if est left >= thresh || est right >= thresh then
-        Plan.ParPnhl { attr; elem_key; row_key; into; mem_budget; left; right }
-      else p
-    | Plan.Filter { var; pred; input } when est input >= thresh ->
-      Plan.ParFilter { var; pred; input }
-    | Plan.MapOp { var; body; input } when est input >= thresh ->
-      Plan.ParMapOp { var; body; input }
+        ({ algo = Plan.Hash; kind = Expr.Inner | Expr.Semi | Expr.Anti;
+           keys = _ :: _; right; _ } as j)
+      when est right > float_of_int budget ->
+      let algo = Plan.Partitioned { partitions = 1; mem_budget = budget } in
+      Plan.JoinOp { j with algo }
+    | Plan.Pnhl ({ mem_budget; _ } as g) when mem_budget > budget ->
+      Plan.Pnhl { g with mem_budget = budget }
     | p -> p
   in
-  go p
-
-(* Clamp plan memory use to the engine budget ({!Memory.budget}): a hash
-   join whose build side is estimated past the budget becomes a Grace join
-   (which spills partitions to temp files and processes them one resident
-   partition at a time), and Grace/PNHL nodes carrying a larger in-plan
-   budget are clamped down so their executors spill likewise.  Runs before
-   {!parallelize} so an over-budget hash join is never fanned out across
-   the pool.  Identity when the budget is unlimited.  Without a catalog
-   there are no cardinality estimates, so every hash join is converted —
-   the conservative reading of a binding budget. *)
-let apply_mem_budget ?stats cat p =
-  let budget = !Memory.budget in
-  if budget = max_int then p
-  else
-    let est p =
-      match cat with Some c -> Cost.rows_out ?stats c p | None -> infinity
+  let parallelized (p : Plan.t) =
+    let above input = est input >= par_threshold in
+    let partitioned left right =
+      let l = est left and r = est right in
+      if l >= par_threshold || r >= par_threshold then
+        Some
+          (Plan.Partitioned
+             { partitions = partitions_for l r; mem_budget = max_int })
+      else None
     in
-    let rec go p =
-      let p = Plan.with_children p (List.map go (Plan.children p)) in
-      match p with
-      | Plan.JoinOp
-          { algo = Plan.Hash;
-            kind = (Expr.Inner | Expr.Semi | Expr.Anti) as kind;
-            xvar; yvar;
-            keys = _ :: _ as keys;
-            residual; left; right }
-        when est right > float_of_int budget ->
-        Plan.GraceJoin
-          { kind; xvar; yvar; keys; residual; mem_budget = budget; left;
-            right }
-      | Plan.GraceJoin ({ mem_budget; _ } as g) when mem_budget > budget ->
-        Plan.GraceJoin { g with mem_budget = budget }
-      | Plan.Pnhl ({ mem_budget; _ } as g) when mem_budget > budget ->
-        Plan.Pnhl { g with mem_budget = budget }
-      | Plan.ParPnhl ({ mem_budget; _ } as g) when mem_budget > budget ->
-        Plan.ParPnhl { g with mem_budget = budget }
-      | p -> p
-    in
-    go p
+    match p with
+    | Plan.JoinOp
+        ({ algo = Plan.Hash; kind = Expr.Inner | Expr.Semi | Expr.Anti;
+           keys = _ :: _; left; right; _ } as j) ->
+      (match partitioned left right with
+       | Some algo -> Plan.JoinOp { j with algo }
+       | None -> p)
+    | Plan.NestjoinOp
+        ({ algo = Plan.Hash; keys = _ :: _; left; right; _ } as j) ->
+      (match partitioned left right with
+       | Some algo -> Plan.NestjoinOp { j with algo }
+       | None -> p)
+    | Plan.Filter ({ input; _ } as f) when above input ->
+      Plan.Filter { f with morsel = true }
+    | Plan.MapOp ({ input; _ } as m) when above input ->
+      Plan.MapOp { m with morsel = true }
+    | p -> p
+  in
+  let rec go p =
+    let p = Plan.with_children p (List.map go (Plan.children p)) in
+    let p = if budget = max_int then p else budgeted p in
+    if parallel then parallelized p else p
+  in
+  if budget = max_int && not parallel then p else go p
 
 let plan ?(algo = Auto) ?cat e =
   let algo_label =
@@ -605,7 +568,7 @@ let plan ?(algo = Auto) ?cat e =
     | Cost_based cat -> Some { cat; stats = lazy (Stats.cached cat) }
     | Auto | Force _ -> None
   in
-  let p = plan_with ?ctx ?cat algo e in
+  let p = plan_with ?ctx algo e in
   let p =
     (* Join-order enumeration over the rewriter's output, before access
        paths are chosen (the enumerator reasons over Scan/Filter shapes)
@@ -632,19 +595,7 @@ let plan ?(algo = Auto) ?cat e =
     | Some c, (Auto | Cost_based _) when !use_indexes -> pointer_joins c p
     | _ -> p
   in
-  let p =
-    if Memory.unlimited () then p
-    else
-      let stats = Option.map Stats.cached cat in
-      apply_mem_budget ?stats cat p
-  in
-  match cat with
-  | Some c when Pool.domains () >= 2 ->
-    let stats =
-      match ctx with Some { stats; _ } -> Lazy.force stats | None -> Stats.cached c
-    in
-    parallelize ~stats c p
-  | _ -> p
+  set_policies cat p
 
 (* End-to-end convenience: hoist uncorrelated subqueries, plan, execute. *)
 let run ?algo cat e = Exec.run cat (plan ?algo ~cat (Consthoist.hoist cat e))

@@ -27,7 +27,3 @@ val default_domains : unit -> int
     If a task raises, the batch is drained and the first exception is
     re-raised here after all participants have parked. *)
 val run : int -> (int -> 'a) -> 'a array
-
-(** Join all spawned workers.  Registered [at_exit]; callable earlier by
-    tests.  Subsequent parallel {!run}s respawn as needed. *)
-val shutdown : unit -> unit

@@ -280,6 +280,9 @@ let live_spills () = with_registry (fun () -> Hashtbl.length live)
 type spill = {
   sp_path : string;
   mutable sp_oc : out_channel option;  (* open while writing; sealed on read *)
+  mutable sp_removed : bool;
+      (* unlinked: the temp name may since belong to another spill file,
+         of this process or another one sharing the directory *)
   sp_enc : encoder;
   sp_out : Buffer.t;  (* staging for one record's bytes *)
   mutable sp_rows : int;
@@ -291,6 +294,7 @@ let spill_create ?(prefix = "njq-spill") () =
   register_path path;
   { sp_path = path;
     sp_oc = Some (open_out_bin path);
+    sp_removed = false;
     sp_enc = encoder ();
     sp_out = Buffer.create 256;
     sp_rows = 0;
@@ -336,8 +340,11 @@ let spill_read sp =
 
 let spill_remove sp =
   seal sp;
-  unregister_path sp.sp_path;
-  try Sys.remove sp.sp_path with Sys_error _ -> ()
+  if not sp.sp_removed then begin
+    sp.sp_removed <- true;
+    unregister_path sp.sp_path;
+    try Sys.remove sp.sp_path with Sys_error _ -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* NJQC binary catalog format                                          *)

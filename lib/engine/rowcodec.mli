@@ -1,7 +1,7 @@
 (** Compact binary codec for {!Njq_adl.Value.t} rows: length-prefixed
     records with varint ints and per-stream string interning.  Backs the
-    executor's spill files (Grace/PNHL partitions, external-sort runs) and
-    the NJQC binary catalog format.
+    executor's spill files (join partitions, PNHL segments, external-sort
+    runs) and the NJQC binary catalog format.
 
     Streams are stateful in both directions (the intern pool grows as
     records are written); records must be decoded in encode order within
@@ -67,7 +67,10 @@ val spill_decoder : spill -> decoder
 (** Seal the writer and read all rows back, in write order. *)
 val spill_read : spill -> Value.t list
 
-(** Seal, unlink and unregister; idempotent, ignores a missing file. *)
+(** Seal, unlink and unregister; ignores a missing file.  Idempotent:
+    only the first call unlinks, so a second call (an operator's cleanup
+    after a task already removed the file) never deletes a file that has
+    since taken the same temp name. *)
 val spill_remove : spill -> unit
 
 (** Spill files currently registered (for hygiene tests). *)

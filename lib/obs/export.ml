@@ -1,6 +1,6 @@
-(* Exporters for collected spans: an indented text tree for terminals, a
-   plain JSON array for tooling, and Chrome's [trace_event] format so a
-   trace file drops straight into chrome://tracing or Perfetto. *)
+(* Exporters for collected spans: a plain JSON array for tooling, and
+   Chrome's [trace_event] format so a trace file drops straight into
+   chrome://tracing or Perfetto. *)
 
 let attr_to_json : Span.attr -> Json.t = function
   | Span.ABool b -> Json.Bool b
@@ -10,32 +10,6 @@ let attr_to_json : Span.attr -> Json.t = function
 
 let attrs_to_json attrs =
   Json.Obj (List.rev_map (fun (k, v) -> (k, attr_to_json v)) attrs)
-
-let pp_attr ppf (a : Span.attr) =
-  match a with
-  | Span.ABool b -> Fmt.bool ppf b
-  | Span.AInt n -> Fmt.int ppf n
-  | Span.AFloat f -> Fmt.float ppf f
-  | Span.AStr s -> Fmt.string ppf s
-
-(* Indented tree: spans arrive sorted by start time, and parentage is
-   well-nested, so depth alone renders the hierarchy. *)
-let pp_text ppf spans =
-  List.iter
-    (fun (s : Span.span) ->
-      let indent = String.make (2 * s.depth) ' ' in
-      Fmt.pf ppf "%s%-*s %10.3f ms" indent
-        (max 1 (36 - String.length indent))
-        s.name
-        (Clock.ns_to_ms (Span.duration_ns s));
-      (match List.rev s.attrs with
-       | [] -> ()
-       | attrs ->
-         Fmt.pf ppf "  [%a]"
-           Fmt.(list ~sep:(any ", ") (fun ppf (k, v) -> pf ppf "%s=%a" k pp_attr v))
-           attrs);
-      Fmt.pf ppf "@.")
-    spans
 
 let span_to_json (s : Span.span) =
   let base =

@@ -1,11 +1,5 @@
-(** Exporters for collected spans: indented text, plain JSON, and Chrome
-    [trace_event] format (loadable in chrome://tracing / Perfetto). *)
-
-val attr_to_json : Span.attr -> Json.t
-
-(** Indented tree view; expects spans in start order (see
-    {!Span.finished}). *)
-val pp_text : Format.formatter -> Span.span list -> unit
+(** Exporters for collected spans: plain JSON and Chrome [trace_event]
+    format (loadable in chrome://tracing / Perfetto). *)
 
 (** One object per span: id, name, depth, start_ns, duration_ns, cpu_s,
     and optionally parent and attrs. *)

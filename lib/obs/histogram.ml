@@ -96,8 +96,6 @@ let count t = t.count
 let sum t = t.sum
 let min_value t = if t.count = 0 then 0 else t.vmin
 let max_value t = if t.count = 0 then 0 else t.vmax
-let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
-let is_empty t = t.count = 0
 
 (* Value at quantile [q] in [0, 1]: the upper edge of the bucket holding
    the sample of rank ceil(q * count) (exact counting, no interpolation),
@@ -134,23 +132,6 @@ let merge_into ~into src =
   if src.vmin < into.vmin then into.vmin <- src.vmin;
   if src.vmax > into.vmax then into.vmax <- src.vmax
 
-let merge a b =
-  let t = create () in
-  merge_into ~into:t a;
-  merge_into ~into:t b;
-  t
-
-let copy t =
-  let fresh = create () in
-  merge_into ~into:fresh t;
-  fresh
-
 let equal a b =
   a.count = b.count && a.sum = b.sum && a.vmin = b.vmin && a.vmax = b.vmax
   && a.counts = b.counts
-
-let pp ppf t =
-  if t.count = 0 then Fmt.pf ppf "empty"
-  else
-    Fmt.pf ppf "n=%d min=%d p50=%d p90=%d p99=%d max=%d mean=%.1f" t.count
-      (min_value t) (p50 t) (p90 t) (p99 t) (max_value t) (mean t)

@@ -22,15 +22,12 @@ val record : ?n:int -> t -> int -> unit
 
 val count : t -> int
 val sum : t -> int
-val is_empty : t -> bool
 
 (** Exact smallest recorded value (0 when empty). *)
 val min_value : t -> int
 
 (** Exact largest recorded value (0 when empty). *)
 val max_value : t -> int
-
-val mean : t -> float
 
 (** [percentile t q] for [q] in [0,1]: the upper edge of the bucket
     holding the rank-[ceil q*count] sample, clamped into
@@ -46,11 +43,6 @@ val p99 : t -> int
     commutative). *)
 val merge_into : into:t -> t -> unit
 
-(** Fresh histogram holding both operands' samples. *)
-val merge : t -> t -> t
-
-val copy : t -> t
-
 (** Bucket-exact structural equality. *)
 val equal : t -> t -> bool
 
@@ -58,5 +50,3 @@ val equal : t -> t -> bool
     window within which a percentile whose true value is [v] is
     reported. *)
 val bucket_range : int -> int * int
-
-val pp : Format.formatter -> t -> unit

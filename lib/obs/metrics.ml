@@ -1,5 +1,5 @@
-(* The metrics registry: named counters and timers with *pre-interned
-   handles*.
+(* The metrics registry: named counters and histograms with
+   *pre-interned handles*.
 
    The legacy [Njq_adl.Counters] interface looks a counter up in a string
    hashtable on every tick — a hash of the name plus a table probe on the
@@ -9,8 +9,8 @@
    string-keyed interface survives on top of interning, so existing call
    sites and the [Counters] facade keep working unchanged.
 
-   Counters hold plain [int]s (work units); timers accumulate nanoseconds
-   and an event count.
+   Counters hold plain [int]s (work units); histograms hold latency or
+   size distributions.
 
    Domain safety.  The registry's *main cells* belong to the main domain:
    reads (snapshots) and resets happen there, and so do the hot-path
@@ -20,20 +20,13 @@
    of pending deltas keyed by the handle's id — and shards are flushed
    into the main cells (under the registry mutex) when each domain
    finishes its part of the job, before the pool join returns.  Counter
-   and timer totals are therefore exact under parallelism: nothing is
+   and histogram totals are therefore exact under parallelism: nothing is
    dropped, double-counted, or torn.  The redirect is armed by
    [enter_parallel]/[exit_parallel], which only the pool calls; the main
    domain also shards while armed, because its increments would otherwise
    race with worker flushes. *)
 
 type counter = { c_id : int; c_name : string; mutable c_value : int }
-
-type timer = {
-  t_id : int;
-  t_name : string;
-  mutable t_total_ns : int;
-  mutable t_events : int;
-}
 
 (* A named latency/allocation distribution.  The main histogram belongs
    to the main domain like counter cells do; sharded observations land in
@@ -55,7 +48,6 @@ let with_reg f =
   Fun.protect ~finally:(fun () -> Mutex.unlock reg_mu) f
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
-let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
 let hists : (string, hist) Hashtbl.t = Hashtbl.create 16
 let next_id = ref 0
 
@@ -76,16 +68,6 @@ let counter name =
         Hashtbl.add counters name c;
         c)
 
-let timer name =
-  with_reg (fun () ->
-      match Hashtbl.find_opt timers name with
-      | Some t -> t
-      | None ->
-        let t = { t_id = !next_id; t_name = name; t_total_ns = 0; t_events = 0 } in
-        incr next_id;
-        Hashtbl.add timers name t;
-        t)
-
 let histogram name =
   with_reg (fun () ->
       match Hashtbl.find_opt hists name with
@@ -103,7 +85,6 @@ let histogram name =
 
 type shard_cell =
   | C of counter * int ref
-  | T of timer * int ref * int ref
   | H of hist * Histogram.t
 
 (* Pending deltas of this domain, keyed by handle id. *)
@@ -120,14 +101,6 @@ let shard_counter_add c n =
   match Hashtbl.find_opt tbl c.c_id with
   | Some (C (_, r)) -> r := !r + n
   | Some _ | None -> Hashtbl.replace tbl c.c_id (C (c, ref n))
-
-let shard_timer_add t ns =
-  let tbl = Domain.DLS.get shard_key in
-  match Hashtbl.find_opt tbl t.t_id with
-  | Some (T (_, total, events)) ->
-    total := !total + ns;
-    Stdlib.incr events
-  | Some _ | None -> Hashtbl.replace tbl t.t_id (T (t, ref ns, ref 1))
 
 let shard_hist_add h v n =
   let tbl = Domain.DLS.get shard_key in
@@ -165,9 +138,6 @@ let flush_local () =
                   (Hashtbl.find_opt attributed c.c_name)
               in
               Hashtbl.replace attributed c.c_name (prev + !r)
-            | T (t, total, events) ->
-              t.t_total_ns <- t.t_total_ns + !total;
-              t.t_events <- t.t_events + !events
             | H (h, scratch) -> Histogram.merge_into ~into:h.h_main scratch)
           tbl);
     Hashtbl.reset tbl
@@ -188,22 +158,6 @@ let incr ?(n = 1) c =
     if not !sharded then c.c_value <- c.c_value + n else shard_counter_add c n
 
 let value c = c.c_value
-let counter_name c = c.c_name
-
-let record t ns =
-  if !enabled then
-    if not !sharded then begin
-      t.t_total_ns <- t.t_total_ns + ns;
-      t.t_events <- t.t_events + 1
-    end
-    else shard_timer_add t ns
-
-let time t f =
-  let start = Clock.now_ns () in
-  Fun.protect ~finally:(fun () -> record t (Clock.elapsed_ns start)) f
-
-let timer_ns t = t.t_total_ns
-let timer_events t = t.t_events
 
 (* Record [v] into a histogram.  Sequentially this writes the main
    histogram (main-domain-only, like counter cells); inside a parallel
@@ -214,8 +168,6 @@ let observe ?(n = 1) h v =
     if not !sharded then Histogram.record ~n h.h_main v
     else shard_hist_add h v n
 
-let hist_name h = h.h_name
-
 (* The merged main histogram.  Only read this outside parallel sections
    (shards may still hold samples while one is open). *)
 let hist_value h = h.h_main
@@ -225,19 +177,11 @@ let hist_value h = h.h_main
    ticked" reading of the legacy interface. *)
 let reset_counters () = Hashtbl.iter (fun _ c -> c.c_value <- 0) counters
 
-let reset_timers () =
-  Hashtbl.iter
-    (fun _ t ->
-      t.t_total_ns <- 0;
-      t.t_events <- 0)
-    timers
-
 let reset_histograms () = Hashtbl.iter (fun _ h -> Histogram.clear h.h_main) hists
 let reset_domain_work () = with_reg (fun () -> Hashtbl.reset domain_work)
 
 let reset () =
   reset_counters ();
-  reset_timers ();
   reset_histograms ();
   reset_domain_work ()
 
@@ -245,13 +189,6 @@ let counter_snapshot () =
   Hashtbl.fold
     (fun name c acc -> if c.c_value <> 0 then (name, c.c_value) :: acc else acc)
     counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let hist_snapshot () =
-  Hashtbl.fold
-    (fun name h acc ->
-      if not (Histogram.is_empty h.h_main) then (name, h.h_main) :: acc else acc)
-    hists []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Parallel-section counter deltas per domain id:
@@ -271,13 +208,6 @@ let counter_snapshot_by_domain () =
           if rows = [] then acc else (did, rows) :: acc)
         domain_work []
       |> List.sort (fun (a, _) (b, _) -> compare a b))
-
-let timer_snapshot () =
-  Hashtbl.fold
-    (fun name t acc ->
-      if t.t_events <> 0 then (name, (t.t_total_ns, t.t_events)) :: acc else acc)
-    timers []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Run [f] with the registry ignoring increments and records. *)
 let with_disabled f =

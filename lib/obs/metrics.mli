@@ -1,5 +1,5 @@
-(** The metrics registry: named counters and timers with pre-interned
-    handles.
+(** The metrics registry: named counters and histograms with
+    pre-interned handles.
 
     Interning a name once yields a handle holding the mutable cell
     directly, so hot paths pay one flag read and one add per tick instead
@@ -14,29 +14,12 @@
     join returns — totals stay exact under parallelism. *)
 
 type counter
-type timer
-
-(** Whether increments and records are applied (see {!with_disabled}). *)
-val enabled : bool ref
 
 (** Intern a counter: the same name always returns the same handle. *)
 val counter : string -> counter
 
 val incr : ?n:int -> counter -> unit
 val value : counter -> int
-val counter_name : counter -> string
-
-(** Intern a timer: the same name always returns the same handle. *)
-val timer : string -> timer
-
-(** Add an elapsed duration in nanoseconds (one event). *)
-val record : timer -> int -> unit
-
-(** Time a thunk on the monotonic clock and record it. *)
-val time : timer -> (unit -> 'a) -> 'a
-
-val timer_ns : timer -> int
-val timer_events : timer -> int
 
 (** {2 Histograms} *)
 
@@ -50,34 +33,18 @@ val histogram : string -> hist
     domain's shard and merges exactly at flush. *)
 val observe : ?n:int -> hist -> int -> unit
 
-val hist_name : hist -> string
-
 (** The merged main histogram.  Read it only outside parallel sections. *)
 val hist_value : hist -> Histogram.t
-
-(** Non-empty histograms, sorted by name. *)
-val hist_snapshot : unit -> (string * Histogram.t) list
 
 (** Zero all counters (handles stay interned). *)
 val reset_counters : unit -> unit
 
-val reset_timers : unit -> unit
-
-(** Zero all histograms (handles stay interned). *)
-val reset_histograms : unit -> unit
-
-(** Clear the per-domain parallel-work attribution table. *)
-val reset_domain_work : unit -> unit
-
-(** {!reset_counters}, {!reset_timers}, {!reset_histograms}, and
-    {!reset_domain_work}. *)
+(** {!reset_counters}, zero all histograms, and clear the per-domain
+    parallel-work attribution table. *)
 val reset : unit -> unit
 
 (** Non-zero counters, sorted by name. *)
 val counter_snapshot : unit -> (string * int) list
-
-(** Non-idle timers as [(name, (total_ns, events))], sorted by name. *)
-val timer_snapshot : unit -> (string * (int * int)) list
 
 (** Parallel-section counter deltas attributed per domain id, as
     [(domain_id, [(counter, delta)])] with both levels sorted.
@@ -86,13 +53,13 @@ val timer_snapshot : unit -> (string * (int * int)) list
     to the main total, not the whole total. *)
 val counter_snapshot_by_domain : unit -> (int * (string * int) list) list
 
-(** Run with the registry ignoring increments and records. *)
+(** Run with the registry ignoring increments and observations. *)
 val with_disabled : (unit -> 'a) -> 'a
 
 (** {2 Parallel sections}
 
     For the engine's domain pool only.  While armed, increments and
-    records on every domain (including the main one) accumulate in
+    observations on every domain (including the main one) accumulate in
     domain-local shards instead of the main cells. *)
 
 (** Arm the per-domain redirect.  Call from the main domain, before any

@@ -40,11 +40,6 @@ let with_domains k f =
   Pool.set_domains k;
   Fun.protect ~finally:(fun () -> Pool.set_domains prev) f
 
-let with_par_threshold t f =
-  let prev = !Planner.par_threshold in
-  Planner.par_threshold := t;
-  Fun.protect ~finally:(fun () -> Planner.par_threshold := prev) f
-
 let snapshot = Alcotest.(list (pair string int))
 let row_list = Alcotest.(list Util.value)
 
@@ -126,7 +121,7 @@ let fused_plans () =
     Plan.ProjectOp
       ( [ "oid"; "pp" ],
         Plan.MapOp
-          { var = "p";
+          { morsel = false; var = "p";
             body =
               tuple
                 [ ("oid", var "p" $. "oid");
@@ -134,7 +129,8 @@ let fused_plans () =
                   ("color", var "p" $. "color") ];
             input =
               Plan.Filter
-                { var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } } )
+                { morsel = false;
+                  var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } } )
   in
   (* Column kernel on a string attribute plus a conjunction: exercises
      the boxed-column fallback and per-row short-circuit. *)
@@ -142,13 +138,14 @@ let fused_plans () =
     eq (var "p" $. "color") (str "red") &&& lt (var "p" $. "price") (int 9)
   in
   let str_filter =
-    Plan.Filter { var = "p"; pred = str_pred; input = Plan.Scan "PART" }
+    Plan.Filter { morsel = false; var = "p"; pred = str_pred; input = Plan.Scan "PART" }
   in
   (* Comparing an int column against a string constant: the kernel must
      fold the rank comparison to a constant, same as Eval would. *)
   let rank_pred = lt (var "p" $. "price") (str "zzz") in
   let mixed_rank =
-    Plan.Filter { var = "p"; pred = rank_pred; input = Plan.Scan "PART" }
+    Plan.Filter { morsel = false;
+                  var = "p"; pred = rank_pred; input = Plan.Scan "PART" }
   in
   let probe algo kind =
     Plan.JoinOp
@@ -157,10 +154,12 @@ let fused_plans () =
         residual = Expr.true_;
         left =
           Plan.Filter
-            { var = "d"; pred = live_delivery; input = Plan.Scan "DELIVERY" };
+            { morsel = false;
+              var = "d"; pred = live_delivery; input = Plan.Scan "DELIVERY" };
         right =
           Plan.MapOp
-            { var = "s"; body = supplier_keys_body; input = Plan.Scan "SUPPLIER" } }
+            { morsel = false;
+              var = "s"; body = supplier_keys_body; input = Plan.Scan "SUPPLIER" } }
   in
   (* Multi-key join: takes the KTbl path rather than the single-key
      specialization. *)
@@ -172,7 +171,8 @@ let fused_plans () =
           [ (var "a" $. "oid", var "b" $. "k");
             (var "a" $. "color", var "b" $. "kc") ];
         residual = Expr.true_; left = Plan.Scan "PART";
-        right = Plan.MapOp { var = "q"; body = two_key_body; input = Plan.Scan "PART" } }
+        right = Plan.MapOp { morsel = false;
+                             var = "q"; body = two_key_body; input = Plan.Scan "PART" } }
   in
   let two_key_adl =
     join ~x:"a" ~y:"b"
@@ -184,13 +184,16 @@ let fused_plans () =
   let red p = eq (var p $. "color") (str "red") in
   let union_plan =
     Plan.UnionOp
-      ( Plan.Filter { var = "p"; pred = red "p"; input = Plan.Scan "PART" },
-        Plan.Filter { var = "p"; pred = price_above 10 "p"; input = Plan.Scan "PART" } )
+      ( Plan.Filter { morsel = false;
+                      var = "p"; pred = red "p"; input = Plan.Scan "PART" },
+        Plan.Filter { morsel = false;
+                      var = "p"; pred = price_above 10 "p"; input = Plan.Scan "PART" } )
   in
   let diff_plan =
     Plan.DiffOp
       ( Plan.Scan "PART",
-        Plan.Filter { var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } )
+        Plan.Filter { morsel = false;
+                      var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } )
   in
   let nest_pred = eq (var "s" $. "oid") (var "d" $. "supplier") in
   let nest_plan =
@@ -207,7 +210,8 @@ let fused_plans () =
   let rename_plan =
     Plan.RenameOp
       ( [ ("pname", "part_name") ],
-        Plan.Filter { var = "p"; pred = price_above 3 "p"; input = Plan.Scan "PART" } )
+        Plan.Filter { morsel = false;
+                      var = "p"; pred = price_above 3 "p"; input = Plan.Scan "PART" } )
   in
   let rename_adl =
     Expr.Rename
@@ -217,9 +221,10 @@ let fused_plans () =
   let flatten_plan =
     Plan.FlattenOp
       (Plan.MapOp
-         { var = "s"; body = var "s" $. "parts_supplied";
+         { morsel = false; var = "s"; body = var "s" $. "parts_supplied";
            input =
-             Plan.Filter { var = "s"; pred = has_parts; input = Plan.Scan "SUPPLIER" } })
+             Plan.Filter { morsel = false;
+                           var = "s"; pred = has_parts; input = Plan.Scan "SUPPLIER" } })
   in
   let flatten_adl =
     flatten
@@ -267,10 +272,10 @@ let test_fused_chains_agree () =
     (fused_plans ())
 
 (* ------------------------------------------------------------------ *)
-(* Parallel interop: morsel-over-batch ParFilter/ParMapOp and the
-   parallelized corpus at 1/2/4 domains.  A single batch size keeps the
-   pool matrix affordable; size 3 guarantees ragged tails inside every
-   pool task. *)
+(* Parallel interop: morsel filters and maps, and the corpus with every
+   parallel policy set ([Util.parallel]), at 1/2/4 domains.  A single
+   batch size keeps the pool matrix affordable; size 3 guarantees ragged
+   tails inside every pool task. *)
 
 let test_parallel_modes_agree () =
   let cat = Gen.catalog { (Gen.scaled ~seed:3 48) with Gen.dangling_rate = 0.0 } in
@@ -279,16 +284,19 @@ let test_parallel_modes_agree () =
   in
   let par_chain =
     Plan.MapOp
-      { var = "p"; body = pp_body;
+      { var = "p"; body = pp_body; morsel = false;
         input =
-          Plan.ParFilter
-            { var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } }
+          Plan.Filter
+            { var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART";
+              morsel = true } }
   in
   let par_map =
-    Plan.ParMapOp
-      { var = "p"; body = var "p" $. "pname";
+    Plan.MapOp
+      { var = "p"; body = var "p" $. "pname"; morsel = true;
         input =
-          Plan.Filter { var = "p"; pred = price_above 2 "p"; input = Plan.Scan "PART" } }
+          Plan.Filter
+            { var = "p"; pred = price_above 2 "p"; input = Plan.Scan "PART";
+              morsel = false } }
   in
   let fixed =
     [ ("par_chain", par_chain,
@@ -301,9 +309,7 @@ let test_parallel_modes_agree () =
       (fun (q : Queries.query) ->
         let adl = Queries.to_adl q in
         let seq = Planner.plan (Strategy.optimize cat adl) in
-        ( q.Queries.id,
-          with_par_threshold 1 (fun () -> Planner.parallelize cat seq),
-          adl ))
+        (q.Queries.id, Util.parallel seq, adl))
       Queries.all
   in
   List.iter
@@ -388,7 +394,8 @@ let prop_batch_differential =
         | Error (), Error () -> true
         | _ -> false
       in
-      let filter = Plan.Filter { var = "x"; pred; input = Plan.Scan "X" } in
+      let filter = Plan.Filter { morsel = false;
+                                 var = "x"; pred; input = Plan.Scan "X" } in
       let plan = Planner.plan (Strategy.optimize cat q) in
       agrees filter && agrees plan
       && (Result.is_error want

@@ -35,7 +35,8 @@ let test_rows_out_sanity () =
     (Cost.rows_out cat (Plan.Scan "BIG"));
   let filtered =
     Plan.Filter
-      { var = "x"; pred = eq (var "x" $. "a") (int 1); input = Plan.Scan "BIG" }
+      { morsel = false;
+        var = "x"; pred = eq (var "x" $. "a") (int 1); input = Plan.Scan "BIG" }
   in
   let est = Cost.rows_out cat filtered in
   Alcotest.(check bool) "filter shrinks" true (est < 1000.0 && est > 0.0)

@@ -71,7 +71,7 @@ let test_unnest_unkeyed () =
     (fun table ->
       let plan =
         Plan.MapOp
-          { var = "t";
+          { morsel = false; var = "t";
             body = var "t" $. "s";
             input = Plan.UnnestOp ("s", Plan.Scan table) }
       in
@@ -97,7 +97,7 @@ let test_unnest_after_key_overwrite () =
   Alcotest.(check bool) "REF is keyed on oid" true (Catalog.oid_key cat "REF");
   let plan =
     Plan.MapOp
-      { var = "t";
+      { morsel = false; var = "t";
         body = var "t" $. "s";
         input =
           Plan.UnnestOp
@@ -152,7 +152,7 @@ let test_member_join_non_identity_key () =
   let body = tuple [ ("o", var "r" $. "oid"); ("c", var "r" $. "color") ] in
   check_plan "member inner join on u.part" cat
     ~adl:(map_ "r" (join ~x:"d" ~y:"p" supplied_by (table "D") (table "P")) body)
-    (Plan.MapOp { var = "r"; body; input = member_join Plan.MInner });
+    (Plan.MapOp { morsel = false; var = "r"; body; input = member_join Plan.MInner });
   let nest_body = var "p" $. "color" in
   check_plan "member nestjoin on u.part" cat
     ~adl:
@@ -167,7 +167,7 @@ let test_map_project_below_join () =
   let colors = Plan.ProjectOp ([ "color" ], Plan.Scan "PART") in
   let tagged =
     Plan.MapOp
-      { var = "p";
+      { morsel = false; var = "p";
         body = tuple [ ("pc", var "p" $. "color") ];
         input = Plan.Scan "PART" }
   in
@@ -244,7 +244,8 @@ let key_shapes =
   [ ("scan", Plan.Scan "X", table "X");
     ( "filter",
       Plan.Filter
-        { var = "x"; pred = ge (var "x" $. "a") (int 1); input = Plan.Scan "X" },
+        { morsel = false;
+          var = "x"; pred = ge (var "x" $. "a") (int 1); input = Plan.Scan "X" },
       select "x" (table "X") (ge (var "x" $. "a") (int 1)) );
     ( "rename",
       Plan.RenameOp ([ ("oid", "k") ], Plan.Scan "X"),
@@ -289,7 +290,7 @@ let prop_key_shapes =
           check_plan ("unnest over " ^ name) cat
             ~adl:(map_ "t" (unnest "c" adl) (var "t" $. "c"))
             (Plan.MapOp
-               { var = "t"; body = var "t" $. "c";
+               { morsel = false; var = "t"; body = var "t" $. "c";
                  input = Plan.UnnestOp ("c", input) }))
         key_shapes;
       true)

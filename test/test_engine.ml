@@ -231,6 +231,35 @@ let test_pnhl_autoplan () =
     (Printf.sprintf "pnhl %d << nested %d" pnhl nested)
     true (pnhl * 4 < nested)
 
+(* With no memory budget the planned PNHL keeps its build table as one
+   resident segment, however large the extent; a budget segments (and
+   spills) it, with the same result. *)
+let test_pnhl_planner_budget () =
+  let cfg =
+    { Njq_workload.Generator.default_config with
+      parts = 5000; suppliers = 500; deliveries = 50; dangling_rate = 0.0 }
+  in
+  let cat = Njq_workload.Generator.catalog cfg in
+  let q = Njq_workload.Queries.materialize_parts_query in
+  let run () =
+    Counters.reset ();
+    let v = Exec.run cat (Planner.plan ~cat q) in
+    (v, Counters.get "spill_part", Counters.get "pnhl_partition")
+  in
+  let v, spills, segments = run () in
+  Alcotest.(check int) "no spill without a budget" 0 spills;
+  Alcotest.(check int) "one resident segment" 1 segments;
+  let module Memory = Njq_engine.Memory in
+  let prev = !Memory.budget in
+  Fun.protect
+    ~finally:(fun () -> Memory.budget := prev)
+    (fun () ->
+      Memory.budget := 1000;
+      let v', spills', segments' = run () in
+      Alcotest.check Util.value "same value under a budget" v v';
+      Alcotest.(check int) "ceil(5000/1000) segments" 5 segments';
+      Alcotest.(check int) "each segment spilled" 5 spills')
+
 (* ---------------- Assembly ---------------- *)
 
 let test_assembly () =
@@ -342,7 +371,8 @@ let () =
         [ Alcotest.test_case "correctness" `Quick test_pnhl_correct;
           Alcotest.test_case "partitioning invariant" `Quick test_pnhl_partitioning_invariant;
           Alcotest.test_case "keeps empty sets" `Quick test_pnhl_keeps_empty_sets;
-          Alcotest.test_case "planner auto-PNHL" `Quick test_pnhl_autoplan ] );
+          Alcotest.test_case "planner auto-PNHL" `Quick test_pnhl_autoplan;
+          Alcotest.test_case "planner budget" `Quick test_pnhl_planner_budget ] );
       ( "assembly",
         [ Alcotest.test_case "pointer materialization" `Quick test_assembly;
           Alcotest.test_case "dangling oid raises" `Quick

@@ -1,4 +1,5 @@
-(* Tests for the Grace-style partitioned hash join: equivalence with the
+(* Tests for the Grace-style partitioned hash join (a hash join whose
+   partition count the memory budget decides): equivalence with the
    in-memory hash join across memory budgets and join kinds, partition
    accounting, and guard rails. *)
 
@@ -9,10 +10,10 @@ module Exec = Njq_engine.Exec
 module Planner = Njq_engine.Planner
 
 let grace ~kind ~budget left right =
-  Plan.GraceJoin
-    { kind; xvar = "x"; yvar = "y";
-      keys = [ (var "x" $. "a", var "y" $. "d") ]; residual = Expr.true_;
-      mem_budget = budget; left; right }
+  Plan.JoinOp
+    { algo = Plan.Partitioned { partitions = 1; mem_budget = budget }; kind;
+      xvar = "x"; yvar = "y"; keys = [ (var "x" $. "a", var "y" $. "d") ];
+      residual = Expr.true_; left; right }
 
 let logical kind =
   Expr.Join
@@ -40,23 +41,20 @@ let test_partition_count () =
   let cat = Njq_workload.Generator.xy_catalog ~seed:12 64 in
   Counters.reset ();
   ignore (Exec.run cat (grace ~kind:Expr.Inner ~budget:16 (Plan.Scan "X") (Plan.Scan "Y")));
-  Alcotest.(check int) "ceil(64/16) partitions" 4 (Counters.get "grace_partition");
+  Alcotest.(check int) "ceil(64/16) partitions" 4 (Counters.get "partition");
   Alcotest.(check int) "each row partitioned once" 128
-    (Counters.get "grace_partition_row")
+    (Counters.get "partition_row")
 
 let test_guards () =
   let cat = Njq_workload.Generator.xy_catalog ~seed:12 8 in
   Alcotest.check_raises "outer join rejected"
-    (Exec.Exec_error "grace join does not support outer joins") (fun () ->
+    (Exec.Exec_error "partitioned join does not support outer joins") (fun () ->
       ignore
         (Exec.run cat
-           (Plan.GraceJoin
-              { kind = Expr.LeftOuter [ "d"; "e" ]; xvar = "x"; yvar = "y";
-                keys = [ (var "x" $. "a", var "y" $. "d") ];
-                residual = Expr.true_; mem_budget = 4; left = Plan.Scan "X";
-                right = Plan.Scan "Y" })));
+           (grace ~kind:(Expr.LeftOuter [ "d"; "e" ]) ~budget:4 (Plan.Scan "X")
+              (Plan.Scan "Y"))));
   Alcotest.check_raises "zero budget rejected"
-    (Exec.Exec_error "grace join: memory budget must be positive") (fun () ->
+    (Exec.Exec_error "partitioned join: memory budget must be positive") (fun () ->
       ignore
         (Exec.run cat
            (grace ~kind:Expr.Inner ~budget:0 (Plan.Scan "X") (Plan.Scan "Y"))))
@@ -75,6 +73,41 @@ let test_anti_dangling_partitions () =
   Alcotest.(check int) "19 dangling rows" 19 (Value.set_size expected);
   let got = Exec.run cat (grace ~kind ~budget:1 (Plan.Scan "X") (Plan.Scan "Y")) in
   Alcotest.check Util.value "anti join across partitions" expected got
+
+(* Key skew: a hot key keeps its partition past twice the budget, so that
+   partition is split again with the next depth's salt, until it holds
+   the hot key alone.  The re-split rows are spilled and joined like the
+   first pass's: same value as the resident join at every pool size, the
+   same counters at every pool size, and no file left behind. *)
+let test_skew_resplit () =
+  let cat = Catalog.create () in
+  let table name attr keys =
+    Catalog.add_table cat ~name
+      ~row_type:(Vtype.tuple [ (attr, Vtype.TInt); (attr ^ "_i", Vtype.TInt) ])
+      (List.mapi
+         (fun i k -> Value.tuple [ (attr, Value.int k); (attr ^ "_i", Value.int i) ])
+         keys)
+  in
+  table "X" "a" (List.init 40 (fun i -> i mod 20));
+  table "Y" "d" (List.init 24 (fun _ -> 0) @ List.init 24 (fun i -> i + 1));
+  let expected = Eval.run cat (logical Expr.Inner) in
+  let plan = grace ~kind:Expr.Inner ~budget:4 (Plan.Scan "X") (Plan.Scan "Y") in
+  let runs =
+    List.map
+      (fun domains ->
+        Njq_engine.Pool.set_domains domains;
+        Fun.protect ~finally:(fun () -> Njq_engine.Pool.set_domains 1) @@ fun () ->
+        Counters.reset ();
+        let got = Exec.run cat plan in
+        Alcotest.check Util.value (Fmt.str "skewed join at %d domains" domains) expected got;
+        Alcotest.(check int) "no spill file left" 0 (Njq_engine.Rowcodec.live_spills ());
+        Counters.snapshot ())
+      [ 1; 2; 4 ]
+  in
+  let first = List.hd runs in
+  Alcotest.(check bool) "hot partition split again (past ceil(48/4) partitions)" true
+    (List.assoc "partition" first > 12);
+  List.iter (Alcotest.(check (list (pair string int))) "counters across pool sizes" first) runs
 
 let prop_grace_differential =
   Util.qcheck ~count:150 "grace join matches reference" Util.arbitrary_xy
@@ -98,5 +131,6 @@ let () =
           Alcotest.test_case "partition count" `Quick test_partition_count;
           Alcotest.test_case "guards" `Quick test_guards;
           Alcotest.test_case "anti join dangling partitions" `Quick
-            test_anti_dangling_partitions ] );
+            test_anti_dangling_partitions;
+          Alcotest.test_case "skewed key split again" `Quick test_skew_resplit ] );
       ("properties", [ prop_grace_differential ]) ]

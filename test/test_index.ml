@@ -396,7 +396,8 @@ let prop_index_scan_differential =
     (fun (tables, k) ->
       let cat, dh, ds = indexed_xy_catalog tables in
       let pred = eq (var "y" $. "d") (int k) in
-      let scan = Plan.Filter { var = "y"; pred; input = Plan.Scan "Y" } in
+      let scan = Plan.Filter { morsel = false;
+                               var = "y"; pred; input = Plan.Scan "Y" } in
       let point =
         Plan.IndexScan
           { table = "Y"; index = dh; var = "y"; lookup = Plan.LPoint [ int k ];
@@ -469,7 +470,8 @@ let test_differential_across_domains () =
   let cat, dh, _ = indexed_xy_catalog tables in
   let scan =
     Plan.Filter
-      { var = "y"; pred = eq (var "y" $. "d") (int 2); input = Plan.Scan "Y" }
+      { morsel = false;
+        var = "y"; pred = eq (var "y" $. "d") (int 2); input = Plan.Scan "Y" }
   in
   let point =
     Plan.IndexScan

@@ -238,7 +238,7 @@ let test_selection_hoist () =
   (* deliberately bad hand-written plan: filter unpushed, nested loops *)
   let raw =
     Plan.Filter
-      {
+      { morsel = false;
         var = "f";
         pred = lt (var "f" $. bn 0) (int 2);
         input =

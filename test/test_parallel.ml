@@ -1,5 +1,6 @@
 (* Tests for the multicore execution layer: the domain pool, the
-   parallelize planner pass, and the domain-safety of shared engine state.
+   planner's parallel policies, and the domain-safety of shared engine
+   state.
 
    The contract under test (DESIGN.md section 7): partition counts are
    fixed in the plan, not derived from the pool, so for a fixed plan both
@@ -22,19 +23,13 @@ let with_domains k f =
   Pool.set_domains k;
   Fun.protect ~finally:(fun () -> Pool.set_domains prev) f
 
-let with_par_threshold t f =
-  let prev = !Planner.par_threshold in
-  Planner.par_threshold := t;
-  Fun.protect ~finally:(fun () -> Planner.par_threshold := prev) f
-
 let pool_sizes = [ 1; 2; 4 ]
 let snapshot = Alcotest.(list (pair string int))
 
-(* Counters introduced by the parallel operators themselves (partitioning
-   passes); everything else must agree with the sequential run exactly. *)
+(* Counters of the partitioning passes themselves; everything else must
+   agree with the sequential run exactly. *)
 let drop_par_counters =
-  List.filter (fun (name, _) ->
-      not (String.length name >= 4 && String.sub name 0 4 = "par_"))
+  List.filter (fun (name, _) -> not (List.mem name [ "partition"; "partition_row" ]))
 
 let plan_string p = Fmt.str "%a" Plan.pp p
 
@@ -45,7 +40,7 @@ let contains s sub =
 
 (* ------------------------------------------------------------------ *)
 (* Paper workload: every corpus query, optimized, planned sequentially,
-   then run through the parallelize pass at several pool sizes. *)
+   then run with every parallel policy set at several pool sizes. *)
 
 let test_workload_parallel_matches_sequential () =
   let cat = Gen.catalog { (Gen.scaled ~seed:7 48) with Gen.dangling_rate = 0.0 } in
@@ -56,9 +51,7 @@ let test_workload_parallel_matches_sequential () =
       Counters.reset ();
       let expected = Exec.run cat seq_plan in
       let seq_counters = Counters.snapshot () in
-      let par_plan =
-        with_par_threshold 1 (fun () -> Planner.parallelize cat seq_plan)
-      in
+      let par_plan = Util.parallel seq_plan in
       let reference = ref None in
       List.iter
         (fun k ->
@@ -84,7 +77,7 @@ let test_workload_parallel_matches_sequential () =
     (Queries.all @ Queries.extended)
 
 (* ------------------------------------------------------------------ *)
-(* A fixed parallel plan (partitioned semijoin + parallel PNHL, the b12
+(* A fixed parallel plan (partitioned semijoin + segmented PNHL, the b12
    shape): identical values and identical full counter snapshots across
    pool sizes, including the partitioning counters. *)
 
@@ -96,14 +89,15 @@ let test_fixed_plan_pool_invariance () =
         Gen.empty_rate = 0.0 }
   in
   let join_plan =
-    Plan.ParJoinOp
-      { kind = Expr.Semi; xvar = "s"; yvar = "d";
+    Plan.JoinOp
+      { algo = Plan.Partitioned { partitions = 8; mem_budget = max_int };
+        kind = Expr.Semi; xvar = "s"; yvar = "d";
         keys = [ (var "s" $. "oid", var "d" $. "supplier") ];
-        residual = Expr.true_; partitions = 8;
-        left = Plan.Scan "SUPPLIER"; right = Plan.Scan "DELIVERY" }
+        residual = Expr.true_; left = Plan.Scan "SUPPLIER";
+        right = Plan.Scan "DELIVERY" }
   in
   let pnhl_plan =
-    Plan.ParPnhl
+    Plan.Pnhl
       { attr = "parts_supplied"; elem_key = var "elem";
         row_key = var "row" $. "oid"; into = "parts_supplied";
         mem_budget = 12; left = Plan.Scan "SUPPLIER";
@@ -133,13 +127,31 @@ let test_fixed_plan_pool_invariance () =
 
 (* ------------------------------------------------------------------ *)
 (* Planner gating: with one domain, [plan ~cat] is exactly the sequential
-   plan; with two domains and inputs above the threshold it rewrites the
-   hot operators to their parallel variants. *)
+   plan; with two domains and inputs above the threshold it sets the
+   parallel policies of the hot operators. *)
+
+(* [plan] with every parallel policy cleared: resident partitioned joins
+   and nestjoins back to [Hash], morsel filters and maps back to plain
+   ones.  A budgeted partitioned join is not a parallel policy and stays. *)
+let rec sequential plan =
+  let plan = Plan.with_children plan (List.map sequential (Plan.children plan)) in
+  match plan with
+  | Plan.JoinOp ({ algo = Plan.Partitioned { mem_budget; _ }; _ } as j)
+    when mem_budget = max_int ->
+    Plan.JoinOp { j with algo = Plan.Hash }
+  | Plan.NestjoinOp ({ algo = Plan.Partitioned { mem_budget; _ }; _ } as j)
+    when mem_budget = max_int ->
+    Plan.NestjoinOp { j with algo = Plan.Hash }
+  | Plan.Filter f -> Plan.Filter { f with morsel = false }
+  | Plan.MapOp m -> Plan.MapOp { m with morsel = false }
+  | p -> p
 
 (* Access paths are the other catalog-aware choice [plan ~cat] makes
    (pointer-based member joins need no declared index): held off, the
    one-domain catalog plan is the catalog-free sequential plan; left on,
-   it is the catalog plan whose parallel pass never fires. *)
+   it is the two-domain catalog plan with its parallel policies cleared,
+   so the parallel pass changes nothing else (no algorithm, no access
+   path). *)
 let test_domains1_plans_identical () =
   let cat = Gen.catalog { (Gen.scaled ~seed:7 300) with Gen.dangling_rate = 0.0 } in
   let with_indexes flag f =
@@ -154,12 +166,12 @@ let test_domains1_plans_identical () =
       let seq = plan_string (Planner.plan rewritten) in
       let gated = with_indexes false (fun () -> with_domains 1 plan_cat) in
       Alcotest.(check string) q.Queries.id seq gated;
-      let never_parallel =
-        with_domains 2 (fun () -> with_par_threshold max_int plan_cat)
+      let two_domains =
+        with_domains 2 (fun () -> plan_string (sequential (Planner.plan ~cat rewritten)))
       in
       Alcotest.(check string)
         (q.Queries.id ^ " with access paths")
-        never_parallel (with_domains 1 plan_cat))
+        two_domains (with_domains 1 plan_cat))
     (Queries.all @ Queries.extended)
 
 let test_parallelize_applies_above_threshold () =
@@ -200,7 +212,7 @@ let test_hash_memo_across_domains () =
         expected)
 
 (* ------------------------------------------------------------------ *)
-(* Property: random rewritten query plans, parallelized with threshold 1,
+(* Property: random rewritten query plans, with every parallel policy set,
    agree with the sequential engine at every pool size. *)
 
 let prop_parallel_differential =
@@ -212,9 +224,7 @@ let prop_parallel_differential =
       let rewritten = Strategy.optimize cat q in
       let seq_plan = Planner.plan rewritten in
       let expected = Exec.run cat seq_plan in
-      let par_plan =
-        with_par_threshold 1 (fun () -> Planner.parallelize cat seq_plan)
-      in
+      let par_plan = Util.parallel seq_plan in
       List.for_all
         (fun k ->
           with_domains k (fun () -> Value.equal expected (Exec.run cat par_plan)))

@@ -1,7 +1,8 @@
 (* Larger-than-memory execution: rowcodec round trips, spill-file hygiene
    under mid-operator exceptions, NJQC binary catalog round trips, and
-   budget-differential equivalence of the spilling operators (Grace join,
-   PNHL, external sort) across budgets and domain counts. *)
+   budget-differential equivalence of the spilling operators (partitioned
+   joins and nestjoins, PNHL, external sort) across budgets, partition
+   counts and domain counts. *)
 
 open Njq_adl
 open Dsl
@@ -81,7 +82,14 @@ let test_spill_roundtrip () =
   (* idempotent *)
   Alcotest.(check bool) "file unlinked" false
     (Sys.file_exists (Rowcodec.spill_path sp));
-  Alcotest.(check int) "unregistered" 0 (Rowcodec.live_spills ())
+  Alcotest.(check int) "unregistered" 0 (Rowcodec.live_spills ());
+  (* Once removed, the temp name is free: a file created under it later
+     (another spill, maybe another process) survives the stale handle. *)
+  Out_channel.with_open_bin (Rowcodec.spill_path sp) (fun _ -> ());
+  Rowcodec.spill_remove sp;
+  Alcotest.(check bool) "a reused name survives a stale remove" true
+    (Sys.file_exists (Rowcodec.spill_path sp));
+  Sys.remove (Rowcodec.spill_path sp)
 
 (* ------------------------------------------------------------------ *)
 (* Temp-file hygiene: an exception in the middle of a spilling join must
@@ -117,10 +125,11 @@ let test_hygiene_on_exception () =
       (* The residual dereferences a missing attribute, so the join raises
          after the partition files have been written. *)
       let bad =
-        Plan.GraceJoin
-          { kind = Expr.Inner; xvar = "x"; yvar = "y";
+        Plan.JoinOp
+          { algo = Plan.Partitioned { partitions = 1; mem_budget = 2 };
+            kind = Expr.Inner; xvar = "x"; yvar = "y";
             keys = [ (var "x" $. "a", var "y" $. "d") ];
-            residual = eq (var "x" $. "missing") (int 0); mem_budget = 2;
+            residual = eq (var "x" $. "missing") (int 0);
             left = Plan.Scan "X"; right = Plan.Scan "Y" }
       in
       (match Exec.run cat bad with
@@ -188,7 +197,8 @@ let test_parse_budget () =
   check "empty" None ""
 
 (* ------------------------------------------------------------------ *)
-(* Planner: an over-budget hash join becomes a Grace join and spills. *)
+(* Planner: an over-budget hash join is partitioned by the budget and
+   spills. *)
 
 let test_planner_converts () =
   let cat = Njq_workload.Generator.xy_catalog ~seed:3 64 in
@@ -205,10 +215,12 @@ let test_planner_converts () =
       Memory.budget := 8;
       let plan = Njq_engine.Planner.plan ~cat q in
       let rec has_grace = function
-        | Plan.GraceJoin { mem_budget; _ } -> mem_budget = 8
+        | Plan.JoinOp { algo = Plan.Partitioned { mem_budget; _ }; _ } ->
+          mem_budget = 8
         | p -> List.exists has_grace (Plan.children p)
       in
-      Alcotest.(check bool) "hash join became grace" true (has_grace plan);
+      Alcotest.(check bool) "hash join partitioned by the budget" true
+        (has_grace plan);
       Counters.reset ();
       let v = Exec.run cat plan in
       let spill_part = Counters.get "spill_part" in
@@ -220,14 +232,35 @@ let test_planner_converts () =
       Alcotest.(check bool) "spill bytes ticked" true (spill_bytes > 0))
 
 (* ------------------------------------------------------------------ *)
-(* Budget differential: Grace, PNHL and sort-merge results are
-   bit-identical at every budget, at 1/2/4 domains. *)
+(* Budget differential: partitioned joins and nestjoins at 1 and 4
+   partitions, PNHL and sort-merge give the resident result at every
+   budget, at 1/2/4 domains, with counter totals that do not depend on the
+   domain count. *)
 
-let grace_plan budget =
-  Plan.GraceJoin
-    { kind = Expr.Inner; xvar = "x"; yvar = "y";
-      keys = [ (var "x" $. "a", var "y" $. "d") ]; residual = Expr.true_;
-      mem_budget = budget; left = Plan.Scan "X"; right = Plan.Scan "Y" }
+let xy_keys = [ (var "x" $. "a", var "y" $. "d") ]
+let xy_pred = eq (var "x" $. "a") (var "y" $. "d")
+
+(* Each join family as a plan over its algorithm, with its ADL. *)
+let families =
+  [ ( "join",
+      (fun algo ->
+        Plan.JoinOp
+          { algo; kind = Expr.Inner; xvar = "x"; yvar = "y"; keys = xy_keys;
+            residual = Expr.true_; left = Plan.Scan "X"; right = Plan.Scan "Y" }),
+      Expr.Join
+        { kind = Expr.Inner; xvar = "x"; yvar = "y"; pred = xy_pred;
+          left = Expr.Table "X"; right = Expr.Table "Y" } );
+    ( "nestjoin",
+      (fun algo ->
+        Plan.NestjoinOp
+          { algo; xvar = "x"; yvar = "y"; keys = xy_keys; residual = Expr.true_;
+            body = var "y" $. "e"; attr = "g"; left = Plan.Scan "X";
+            right = Plan.Scan "Y" }),
+      Expr.Nestjoin
+        { xvar = "x"; yvar = "y"; pred = xy_pred; body = var "y" $. "e";
+          attr = "g"; left = Expr.Table "X"; right = Expr.Table "Y" } ) ]
+
+let partitioned ~partitions mem_budget = Plan.Partitioned { partitions; mem_budget }
 
 let pnhl_plan budget =
   Plan.Pnhl
@@ -244,10 +277,30 @@ let smj_plan =
 
 let test_budget_differential () =
   let xy = Njq_workload.Generator.xy_catalog ~seed:77 64 in
+  (* The join families run on 64 rows at one partition, and on 24 rows at
+     one and four: there the 4-partition plans partition differently from
+     the 1-partition ones at every budget (ceil(24/10) = 3 < 4), where on
+     64 rows both budgets set the partition count alone. *)
+  let xy24 = Njq_workload.Generator.xy_catalog ~seed:77 24 in
   let sp = Njq_workload.Generator.catalog (Njq_workload.Generator.scaled ~seed:5 48) in
-  let expected_grace = Exec.run xy (grace_plan max_int) in
+  (* (label, catalog, plan by algorithm, expected value, partition counts) *)
+  let cases =
+    List.concat_map
+      (fun (n, cat, partition_counts) ->
+        List.map
+          (fun (name, plan, adl) ->
+            let label = Fmt.str "%s %s" name n in
+            let v = Eval.run cat adl in
+            Alcotest.check Util.value (label ^ " hash = Eval") v
+              (Exec.run cat (plan Plan.Hash));
+            (label, cat, plan, v, partition_counts))
+          families)
+      [ ("n64", xy, [ 1 ]); ("n24", xy24, [ 1; 4 ]) ]
+  in
   let expected_pnhl = Exec.run sp (pnhl_plan max_int) in
   let expected_smj = Exec.run xy smj_plan in
+  (* Counter totals of each partitioned variant at the first domain count. *)
+  let totals = Hashtbl.create 16 in
   Fun.protect
     ~finally:(fun () -> Njq_engine.Pool.set_domains 1)
     (fun () ->
@@ -256,10 +309,27 @@ let test_budget_differential () =
           Njq_engine.Pool.set_domains domains;
           List.iter
             (fun budget ->
-              Alcotest.check Util.value
-                (Fmt.str "grace d%d b%d" domains budget)
-                expected_grace
-                (Exec.run xy (grace_plan budget));
+              List.iter
+                (fun (label, cat, plan, expected, partition_counts) ->
+                  List.iter
+                    (fun partitions ->
+                      let tag = Fmt.str "%s p%d b%d" label partitions budget in
+                      Counters.reset ();
+                      let got =
+                        Exec.run cat (plan (partitioned ~partitions budget))
+                      in
+                      let snap = Counters.snapshot () in
+                      Alcotest.check Util.value
+                        (Fmt.str "%s d%d" tag domains)
+                        expected got;
+                      match Hashtbl.find_opt totals tag with
+                      | None -> Hashtbl.add totals tag snap
+                      | Some s ->
+                        Alcotest.(check (list (pair string int)))
+                          (Fmt.str "%s counters at d%d" tag domains)
+                          s snap)
+                    partition_counts)
+                cases;
               Alcotest.check Util.value
                 (Fmt.str "pnhl d%d b%d" domains budget)
                 expected_pnhl
@@ -294,12 +364,19 @@ let prop_spill_differential =
   Util.qcheck ~count:100 "spilling operators match in-memory"
     Util.arbitrary_xy (fun tables ->
       let cat = Util.xy_catalog tables in
-      let expected = Exec.run cat (grace_plan max_int) in
       let smj_expected = Exec.run cat smj_plan in
       List.for_all
+        (fun (_, plan, adl) ->
+          let expected = Exec.run cat (plan Plan.Hash) in
+          Value.equal expected (Eval.run cat adl)
+          && List.for_all
+               (fun (partitions, b) ->
+                 Value.equal expected
+                   (Exec.run cat (plan (partitioned ~partitions b))))
+               [ (1, 10); (1, 1); (4, 10); (4, 1) ])
+        families
+      && List.for_all
         (fun b ->
-          Value.equal expected (Exec.run cat (grace_plan b))
-          &&
           let prev = !Memory.budget in
           Memory.budget := b;
           Fun.protect

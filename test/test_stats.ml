@@ -81,7 +81,8 @@ let test_estimate_accuracy () =
   (* equality filter: X rows with a given key *)
   let filter =
     Plan.Filter
-      { var = "x"; pred = eq (var "x" $. "a") (int 17); input = Plan.Scan "X" }
+      { morsel = false;
+        var = "x"; pred = eq (var "x" $. "a") (int 17); input = Plan.Scan "X" }
   in
   let actual_filter =
     Value.set_size

@@ -235,3 +235,23 @@ let same_run a b =
     && counters = counters'
   | Error (), Error () -> true
   | _ -> false
+
+(* [plan] with the parallel policy set on every operator that has one,
+   whatever its size: hash joins (inner, semi, anti) and hash nestjoins
+   with keys run over 4 resident partitions, filters and maps as morsels.
+   The planner sets the same policies on inputs past its 256-row
+   threshold when the pool has two or more domains. *)
+let rec parallel plan =
+  let module Plan = Njq_engine.Plan in
+  let plan = Plan.with_children plan (List.map parallel (Plan.children plan)) in
+  let algo = Plan.Partitioned { partitions = 4; mem_budget = max_int } in
+  match plan with
+  | Plan.JoinOp
+      ({ algo = Plan.Hash; kind = Expr.Inner | Expr.Semi | Expr.Anti;
+         keys = _ :: _; _ } as j) ->
+    Plan.JoinOp { j with algo }
+  | Plan.NestjoinOp ({ algo = Plan.Hash; keys = _ :: _; _ } as j) ->
+    Plan.NestjoinOp { j with algo }
+  | Plan.Filter f -> Plan.Filter { f with morsel = true }
+  | Plan.MapOp m -> Plan.MapOp { m with morsel = true }
+  | p -> p
