@@ -637,7 +637,7 @@ let coldstart_stats () =
     !best
   in
   let cs_text_ns = best_of (fun () -> Serialize.load_catalog_file text_path) in
-  let cs_njqc_ns = best_of (fun () -> Catalog.load_binary njqc_path) in
+  let cs_njqc_ns = best_of (fun () -> Njq_engine.Rowcodec.load_catalog njqc_path) in
   { cs_rows;
     cs_text_bytes = size text_path;
     cs_njqc_bytes = size njqc_path;

@@ -90,7 +90,7 @@ let check_enumeration file v =
           match get k with
           | Json.Int n when n >= 0 -> ()
           | _ -> fail "%s: %s: %S not a non-negative integer" file ctx k)
-        [ "considered"; "pruned"; "hoisted" ];
+        [ "considered"; "pruned" ];
       List.iter
         (fun k ->
           match get k with

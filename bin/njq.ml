@@ -267,7 +267,7 @@ let make_catalog ?db ?save_db ?schema_file scale seed dangling empty =
     | Some path, _ ->
       (* Sniff the magic: --db accepts both the textual format and NJQC
          binary catalogs written by `njq catalog pack`. *)
-      if Njq_engine.Rowcodec.is_njqc path then Catalog.load_binary path
+      if Njq_engine.Rowcodec.is_njqc path then Njq_engine.Rowcodec.load_catalog path
       else Serialize.load_catalog_file path
     | None, Some _ -> Njq_oosql.Schema.to_catalog (load_schema schema_file)
     | None, None ->
@@ -381,7 +381,6 @@ let enumeration_json regions =
              ("chosen_cost", Json.Float r.Njq_engine.Joinorder.chosen_cost);
              ("rewriter_cost", Json.Float r.Njq_engine.Joinorder.rewriter_cost);
              ("reordered", Json.Bool r.Njq_engine.Joinorder.reordered);
-             ("hoisted", Json.Int r.Njq_engine.Joinorder.hoisted);
              ("chosen_fingerprint",
               Json.Str r.Njq_engine.Joinorder.chosen_fingerprint);
              ("rewriter_fingerprint",
@@ -396,7 +395,7 @@ let pp_enumeration ppf regions =
       (fun r ->
         Fmt.pf ppf
           "join enumeration: {%s}@.  considered %d plans (%d pruned); \
-           chosen cost %.1f vs rewriter %.1f%s%s@.  fingerprint %s \
+           chosen cost %.1f vs rewriter %.1f%s@.  fingerprint %s \
            (rewriter %s)@."
           (String.concat ", " r.Njq_engine.Joinorder.relations)
           r.Njq_engine.Joinorder.considered r.Njq_engine.Joinorder.pruned
@@ -404,10 +403,6 @@ let pp_enumeration ppf regions =
           r.Njq_engine.Joinorder.rewriter_cost
           (if r.Njq_engine.Joinorder.reordered then " [reordered]"
            else " [kept rewriter order]")
-          (if r.Njq_engine.Joinorder.hoisted > 0 then
-             Fmt.str " [%d selection(s) hoisted]"
-               r.Njq_engine.Joinorder.hoisted
-           else "")
           r.Njq_engine.Joinorder.chosen_fingerprint
           r.Njq_engine.Joinorder.rewriter_fingerprint)
       regions
@@ -1171,7 +1166,7 @@ let catalog_pack_cmd =
         (* Read it straight back: proves the file round-trips and shows
            the cold-start cost the binary format buys down. *)
         let t1 = Clock.now_ns () in
-        let reloaded = Catalog.load_binary out in
+        let reloaded = Njq_engine.Rowcodec.load_catalog out in
         let load_ns = Clock.elapsed_ns t1 in
         let rows' =
           List.fold_left

@@ -227,7 +227,6 @@ let c_idx_row = Njq_obs.Metrics.counter "idx_row"
 let kind_name = function Hash_index -> "hash" | Sorted_index -> "sorted"
 
 let index_name i = i.idx_name
-let index_table i = i.idx_table
 let index_attrs i = i.idx_attrs
 let index_kind i = i.idx_kind
 
@@ -333,9 +332,6 @@ let indexes_on t table =
 
 let has_indexes t = Hashtbl.length t.indexes > 0
 
-let index_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.indexes [] |> List.sort String.compare
-
 let build_indexes t table = List.iter (fun i -> ignore (ensure_built t i)) (indexes_on t table)
 
 (* First position in the key-sorted array whose key satisfies [above]
@@ -370,26 +366,6 @@ let index_lookup_eq t idx (key : Value.t array) =
   in
   Njq_obs.Metrics.incr ~n:(List.length matched) c_idx_row;
   matched
-
-(* ------------------------------------------------------------------ *)
-(* Binary catalog loading                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The NJQC binary codec lives in the engine library (it shares the spill
-   row format), which this module cannot depend on; the engine registers
-   its loader here at link time and [load_binary] dispatches through it.
-   A missing registration means the codec module was never linked — an
-   informative failure beats a silent fallback to text parsing. *)
-let binary_loader : (string -> t) option ref = ref None
-
-let register_binary_loader f = binary_loader := Some f
-
-let load_binary path =
-  match !binary_loader with
-  | Some f -> f path
-  | None ->
-    invalid_arg
-      "Catalog.load_binary: no binary loader registered (link Njq_engine.Rowcodec)"
 
 let index_lookup_range t idx ~lo ~hi =
   (match idx.idx_kind with

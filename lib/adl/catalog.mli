@@ -113,16 +113,6 @@ val deref_opt : t -> string -> Value.t -> Value.t option
     decision.  The executor uses it to prove rows distinct. *)
 val oid_key : t -> string -> bool
 
-(** {1 Binary loading}
-
-    The NJQC binary catalog codec lives in the engine library; it
-    registers its loader here at link time.  {!load_binary} loads an NJQC
-    file through the registered loader and raises [Invalid_argument] when
-    none is registered (the codec module was not linked). *)
-
-val register_binary_loader : (string -> t) -> unit
-val load_binary : string -> t
-
 (** {1 Attribute indexes} *)
 
 (** [create_index t ?name ~table ~kind ~attrs ()] declares (and builds,
@@ -147,18 +137,13 @@ val indexes_on : t -> string -> index list
 (** Are any indexes declared at all?  (Planner fast path.) *)
 val has_indexes : t -> bool
 
-(** All index names, sorted. *)
-val index_names : t -> string list
-
 (** Force-build any unbuilt indexes over the named table (e.g. to fold the
     build into a statistics pass already touching every row). *)
 val build_indexes : t -> string -> unit
 
 val index_name : index -> string
-val index_table : index -> string
 val index_attrs : index -> string list
 val index_kind : index -> index_kind
-val kind_name : index_kind -> string
 
 (** Point lookup: rows whose indexed attributes equal [key] (one value per
     declared attribute, in declared order), in canonical row order — the

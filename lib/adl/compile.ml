@@ -279,10 +279,6 @@ let rec compile cat (vars : string list) (e : Expr.t) : t =
 
 let expr cat ~vars e = compile cat vars e
 
-let pred cat ~vars e =
-  let c = compile cat vars e in
-  fun env -> Value.as_bool (c env)
-
 (* Arity-specialized entry points for the engine's operators.  Each
    instantiation reuses one preallocated slot buffer across calls: compiled
    closures use their environment synchronously and never retain it, and
@@ -340,8 +336,6 @@ let pred2_spawner cat ~vars e =
   fun () ->
     let f = s () in
     fun va vb -> Value.as_bool (f va vb)
-
-let pred2 cat ~vars e = pred2_spawner cat ~vars e ()
 
 (* ------------------------------------------------------------------ *)
 (* Vectorizable single-variable predicates                             *)

@@ -22,9 +22,6 @@ type t = Value.t array -> Value.t
     to environment slots in order. *)
 val expr : Catalog.t -> vars:string list -> Expr.t -> t
 
-(** [pred cat ~vars e] is {!expr} coerced to a boolean result. *)
-val pred : Catalog.t -> vars:string list -> Expr.t -> Value.t array -> bool
-
 (** {1 Arity-specialized entry points}
 
     Closures over one or two values, reusing a preallocated slot buffer
@@ -39,9 +36,6 @@ val pred1 : Catalog.t -> var:string -> Expr.t -> Value.t -> bool
     the reference environment [(a, va) :: (b, vb) :: []]. *)
 val expr2 :
   Catalog.t -> vars:string * string -> Expr.t -> Value.t -> Value.t -> Value.t
-
-val pred2 :
-  Catalog.t -> vars:string * string -> Expr.t -> Value.t -> Value.t -> bool
 
 (** {1 Spawners}
 

@@ -325,6 +325,3 @@ and eval_agg op src =
 
 (* Evaluate a closed expression (no free variables). *)
 let run cat e = eval cat [] e
-
-(* Evaluate a predicate (boolean expression) under an environment. *)
-let run_pred cat env e = Value.as_bool (eval cat env e)

@@ -18,9 +18,6 @@ val eval : Catalog.t -> env -> Expr.t -> Value.t
 (** Evaluate a closed expression. *)
 val run : Catalog.t -> Expr.t -> Value.t
 
-(** Evaluate a boolean expression under an environment. *)
-val run_pred : Catalog.t -> env -> Expr.t -> bool
-
 (** {1 Scalar helpers} (shared with the constant folder and the engine) *)
 
 val eval_arith : Expr.arith -> Value.t -> Value.t -> Value.t

@@ -193,14 +193,6 @@ let conjoin = function
   | [] -> true_
   | p :: ps -> List.fold_left (fun acc q -> And (acc, q)) p ps
 
-let rec disjuncts = function
-  | Or (a, b) -> disjuncts a @ disjuncts b
-  | p -> [ p ]
-
-let disjoin = function
-  | [] -> false_
-  | p :: ps -> List.fold_left (fun acc q -> Or (acc, q)) p ps
-
 (* Fresh-variable supply for capture-avoiding substitution and for rewrite
    rules that introduce binders. *)
 let fresh_counter = ref 0
@@ -208,5 +200,3 @@ let fresh_counter = ref 0
 let fresh_var prefix =
   incr fresh_counter;
   Printf.sprintf "%s_%d" prefix !fresh_counter
-
-let reset_fresh () = fresh_counter := 0

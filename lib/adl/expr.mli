@@ -117,14 +117,9 @@ val is_false : t -> bool
 val conjuncts : t -> t list
 
 val conjoin : t list -> t
-val disjuncts : t -> t list
-val disjoin : t list -> t
 
 (** {1 Fresh variables} *)
 
 (** Fresh-name supply for capture-avoiding substitution and rewrite rules
     that introduce binders. *)
 val fresh_var : string -> string
-
-(** Reset the supply (tests only; rewrites never rely on absolute names). *)
-val reset_fresh : unit -> unit

@@ -9,10 +9,5 @@
 (** The empty-set constant used when reducing P(x, ∅). *)
 val empty_set_const : Expr.t
 
-val is_empty_set_const : Expr.t -> bool
-
-(** One bottom-up folding pass. *)
-val fold : Expr.t -> Expr.t
-
-(** Iterate {!fold} to a fixpoint. *)
+(** Iterate one bottom-up folding pass to a fixpoint. *)
 val simplify : Expr.t -> Expr.t

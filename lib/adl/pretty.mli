@@ -5,12 +5,3 @@
 
 val pp : Format.formatter -> Expr.t -> unit
 val to_string : Expr.t -> string
-
-(** Operator glyphs (shared with plan printing). *)
-
-val cmp_symbol : Expr.cmp -> string
-val setcmp_symbol : Expr.setcmp -> string
-val arith_symbol : Expr.arith -> string
-val agg_name : Expr.agg -> string
-val quant_symbol : Expr.quant -> string
-val join_symbol : Expr.join_kind -> string

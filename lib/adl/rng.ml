@@ -8,8 +8,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* One splitmix64 step: advance the state by the golden gamma and mix. *)
@@ -31,8 +29,6 @@ let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let float t =
   (* 53 random bits scaled into [0, 1). *)
   let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
@@ -41,20 +37,9 @@ let float t =
 (* Bernoulli draw with probability [p] of returning true. *)
 let chance t p = float t < p
 
-let pick t xs =
-  match xs with
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | xs -> List.nth xs (int t (List.length xs))
-
 let pick_array t xs =
   if Array.length xs = 0 then invalid_arg "Rng.pick_array: empty array";
   xs.(int t (Array.length xs))
-
-(* A fresh generator whose seed depends deterministically on [t] and [salt];
-   used to give independent substreams to independent generation tasks. *)
-let split t ~salt =
-  let s = Int64.logxor (next_int64 t) (Int64.of_int (salt * 0x1f123bb5)) in
-  { state = s }
 
 (* Fisher-Yates shuffle, in place on a copy; returns the shuffled list. *)
 let shuffle t xs =

@@ -7,10 +7,6 @@
 type t
 
 val create : int -> t
-val copy : t -> t
-
-(** Next raw 64-bit output. *)
-val next_int64 : t -> int64
 
 (** Uniform over [0, bound); [bound] must be positive. *)
 val int : t -> int -> int
@@ -18,19 +14,13 @@ val int : t -> int -> int
 (** Uniform over the inclusive range. *)
 val int_in_range : t -> lo:int -> hi:int -> int
 
-val bool : t -> bool
-
 (** Uniform over [0, 1). *)
 val float : t -> float
 
 (** Bernoulli draw with probability [p]. *)
 val chance : t -> float -> bool
 
-val pick : t -> 'a list -> 'a
 val pick_array : t -> 'a array -> 'a
-
-(** Independent substream derived from the state and a salt. *)
-val split : t -> salt:int -> t
 
 (** Fisher–Yates shuffle. *)
 val shuffle : t -> 'a list -> 'a list

@@ -10,8 +10,5 @@ type env = (string * Vtype.t) list
     descriptive message on ill-typed expressions. *)
 val infer : Catalog.t -> env -> Expr.t -> Vtype.t
 
-(** Exception-free wrapper. *)
-val infer_result : Catalog.t -> env -> Expr.t -> (Vtype.t, string) result
-
 (** Typecheck a closed query expression. *)
 val check_closed : Catalog.t -> Expr.t -> (Vtype.t, string) result

@@ -72,21 +72,6 @@ let rec lub a b =
     TTuple (List.map2 (fun (n, t1) (_, t2) -> (n, lub t1 t2)) xs ys)
   | _ -> a
 
-(* References are oid-compatible: a TRef may be compared with a TOid. *)
-let comparable a b =
-  equal a b
-  || (match a, b with
-      | (TOid | TRef _), (TOid | TRef _) -> true
-      | _ -> false)
-
-let is_set = function TSet _ -> true | _ -> false
-let is_tuple = function TTuple _ -> true | _ -> false
-
-let elem = function
-  | TSet t -> t
-  | TAny -> TAny
-  | _ -> type_error "element type of a non-set type"
-
 let fields = function
   | TTuple fs -> fs
   | _ -> type_error "fields of non-tuple type"

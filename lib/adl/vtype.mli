@@ -39,16 +39,7 @@ val compat : t -> t -> bool
     not [TAny]. *)
 val lub : t -> t -> t
 
-(** Values comparable with the ordering operators. *)
-val comparable : t -> t -> bool
-
 (** {1 Shape queries} *)
-
-val is_set : t -> bool
-val is_tuple : t -> bool
-
-(** Element type of a set type ([TAny] for [TAny]); raises otherwise. *)
-val elem : t -> t
 
 (** Fields of a tuple type; raises otherwise. *)
 val fields : t -> (string * t) list

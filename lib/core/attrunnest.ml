@@ -118,6 +118,7 @@ let unnest_candidate cat x pred src =
     split [] cs
   | _ -> None
 
+(* Projection-headed form. *)
 let project_rule =
   Rules.rule "μ-attr-unnest π" (fun cat e ->
       match e with
@@ -128,6 +129,8 @@ let project_rule =
          | _ -> None)
       | _ -> None)
 
+(* Map-headed form (covers sfw-translated queries whose select-clause
+   renames attributes). *)
 let map_rule =
   Rules.rule "μ-attr-unnest α" (fun cat e ->
       match e with

@@ -11,11 +11,4 @@
 
     after which Rule 1 yields the paper's antijoin query. *)
 
-(** Projection-headed form. *)
-val project_rule : Rules.rule
-
-(** Map-headed form (covers sfw-translated queries whose select-clause
-    renames attributes). *)
-val map_rule : Rules.rule
-
 val rules : Rules.rule list

@@ -48,13 +48,6 @@ let param_row ~cid (values : Value.t list) : Value.t =
     ((cid_field, Value.int cid)
     :: List.mapi (fun i v -> (param_field i, v)) values)
 
-(* Bind parameters to constants: the one-at-a-time execution path.
-   [Analysis.subst] reaches [Param i] under its free-variable name "?i". *)
-let bind (values : Value.t list) (e : Expr.t) : Expr.t =
-  Analysis.subst
-    (List.mapi (fun i v -> (Expr.param_name i, Expr.Const v)) values)
-    e
-
 (* The batched form: a map over the parameter table whose body pairs each
    invocation id with that invocation's full result set.  Downstream, the
    ordinary rewrite strategy unnests the correlated body — the paper's

@@ -5,13 +5,6 @@
 
 open Njq_adl
 
-(** Reserved attribute names of the parameter table ("__cid", "__rows",
-    "__p0", "__p1", ...). *)
-val cid_field : string
-
-val rows_field : string
-val param_field : int -> string
-
 (** 1 + the highest [Param] index in the expression (0 when none). *)
 val param_count : Expr.t -> int
 
@@ -22,9 +15,6 @@ val row_type : nparams:int -> Vtype.t
     cids keep rows distinct under set semantics even when two invocations
     share a parameter vector. *)
 val param_row : cid:int -> Value.t list -> Value.t
-
-(** Substitute constants for [Param 0..]: the one-at-a-time path. *)
-val bind : Value.t list -> Expr.t -> Expr.t
 
 (** [batched ~params_table ~nparams e] is
     [map\[w : (__cid = w.__cid, __rows = e\[?i := w.__pi\])\](@params_table)].

@@ -4,11 +4,4 @@
     (π∘⋈ → π∘⋉ when only left attributes survive), projection merging and
     elimination, and distribution of σ/α/π over unions. *)
 
-val project_join_to_semijoin : Rules.rule
-val project_project : Rules.rule
-val project_identity : Rules.rule
-val select_over_union : Rules.rule
-val map_over_union : Rules.rule
-val project_over_union : Rules.rule
-val project_into_semijoin : Rules.rule
 val rules : Rules.rule list

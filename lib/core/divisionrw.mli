@@ -13,5 +13,4 @@
     A-projection identifies rows uniquely).  Enabled through
     [Strategy.options.enable_division]. *)
 
-val division_rule : Rules.rule
 val rules : Rules.rule list

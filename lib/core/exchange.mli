@@ -7,5 +7,4 @@
     [∃z∈c • (A ∧ ∃y∈Y • p)  =  ∃y∈Y • ∃z∈c • (A ∧ p)]
     for Y a base-table expression with z not free in Y (y is α-renamed). *)
 
-val exchange_rule : Rules.rule
 val rules : Rules.rule list

@@ -29,9 +29,11 @@ let retarget_with ~x ~z ~sch_x ~occurrence ~by p =
   let p = Analysis.replace_subexpr ~old_e:occurrence ~by p in
   Analysis.subst1 x (TupleProj (Var z, sch_x)) p
 
+(* [retarget_with] with [by = z.g]. *)
 let retarget ~x ~z ~g ~sch_x ~occurrence p =
   retarget_with ~x ~z ~sch_x ~occurrence ~by:(Field (Var z, g)) p
 
+(* Build the nestjoin node for a recognized subquery. *)
 let make_nestjoin ~x (sq : Subquery.t) ~g ~left =
   Nestjoin
     { xvar = x; yvar = sq.yvar; pred = sq.q; body = sq.body; attr = g;

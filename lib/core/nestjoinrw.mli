@@ -15,16 +15,4 @@ val retarget_with :
   x:string -> z:string -> sch_x:string list -> occurrence:Expr.t ->
   by:Expr.t -> Expr.t -> Expr.t
 
-(** {!retarget_with} with [by = z.g]. *)
-val retarget :
-  x:string -> z:string -> g:string -> sch_x:string list ->
-  occurrence:Expr.t -> Expr.t -> Expr.t
-
-(** Build the nestjoin node for a recognized subquery. *)
-val make_nestjoin :
-  x:string -> Subquery.t -> g:string -> left:Expr.t -> Expr.t
-
-val select_rule : Rules.rule
-val nestjoin_body_rule : Rules.rule
-val map_rule : Rules.rule
 val rules : Rules.rule list

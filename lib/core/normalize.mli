@@ -15,25 +15,6 @@ open Njq_adl
     under the gating below, and by the Table 1 artifact printer as is. *)
 val expand_setcmp : Expr.setcmp -> Expr.t -> Expr.t -> Expr.t option
 
-(** The strategy gate: does expanding this comparison lead to a form Rule 1
-    can unnest (i.e. does the quantifier range over the base-table side)? *)
-val worth_expanding : Expr.setcmp -> Expr.t -> Expr.t -> bool
-
-(** {1 Individual rules} (exposed for targeted tests) *)
-
-val set_comparison_to_quantifier : Rules.rule
-val negated_inclusion_to_quantifier : Rules.rule
-val forall_to_not_exists : Rules.rule
-val push_not : Rules.rule
-val emptiness_to_quantifier : Rules.rule
-val empty_intersection : Rules.rule
-val fuse_range_select : Rules.rule
-val fuse_range_map : Rules.rule
-val fuse_range_inter : Rules.rule
-val fuse_range_flatten : Rules.rule
-val hoist_independent_conjuncts : Rules.rule
-val split_disjunctive_selection : Rules.rule
-
 (** All normalization rules, in application priority order. *)
 val rules : Rules.rule list
 

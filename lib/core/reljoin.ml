@@ -33,6 +33,7 @@ let join_candidate x = function
     Some (Anti, y, range, p)
   | _ -> None
 
+(* Rule 1, applied conjunct-wise (see the header). *)
 let rule1 =
   Rules.rule "Rule1 σ∃→⋉/▷" (fun _cat e ->
       match e with

@@ -10,15 +10,6 @@
     plus selection pushdown into join operands (right side for every kind;
     left side only for inner and semi joins). *)
 
-val rule1 : Rules.rule
-val rule2 : Rules.rule
-
-(** Generalized Rule 2: arbitrary inner map bodies F(x,y) transfer onto the
-    join with retargeted variables — this unnests multi-binding
-    from-clauses. *)
-val rule2_general : Rules.rule
-val push_join_operand_selection : Rules.rule
-
 (** Merge σ∘σ into one selection (kept out of {!rules}; the strategy adds
     it to the relational phase). *)
 val merge_selects : Rules.rule

@@ -92,5 +92,3 @@ let fixpoint_simplify ?(fuel = 10_000) cat rules (e : Expr.t) : Expr.t * trace =
 
 let pp_step ppf { rule_name; result } =
   Fmt.pf ppf "@[<2>%-28s ⇒  %a@]" rule_name Pretty.pp result
-
-let pp_trace ppf (t : trace) = Fmt.(list ~sep:(any "@.") pp_step) ppf t

@@ -21,10 +21,6 @@ type step = {
 
 type trace = step list
 
-(** Try each rule at node [e]; first applicable (and changing) rule wins. *)
-val try_rules :
-  Catalog.t -> rule list -> Expr.t -> (string * Expr.t) option
-
 (** One rewrite step anywhere in the expression, outermost-leftmost
     first. *)
 val step_anywhere :
@@ -40,4 +36,3 @@ val fixpoint_simplify :
   ?fuel:int -> Catalog.t -> rule list -> Expr.t -> Expr.t * trace
 
 val pp_step : Format.formatter -> step -> unit
-val pp_trace : Format.formatter -> trace -> unit

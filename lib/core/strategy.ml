@@ -47,6 +47,8 @@ type report = {
   phases : phase_trace list;
 }
 
+(* Rules of the relational phase: normalization, exchange, Rule 1/2,
+   pushdown and σ-merging. *)
 let relational_rules =
   Normalize.rules @ Exchange.rules @ Reljoin.rules @ [ Reljoin.merge_selects ]
 

@@ -41,10 +41,6 @@ type report = {
   phases : phase_trace list;
 }
 
-(** Rules of the relational phase (normalization + exchange + Rule 1/2 +
-    pushdown + σ-merging). *)
-val relational_rules : Rules.rule list
-
 (** Run the full strategy, returning the rewritten query with its
     derivation. *)
 val rewrite : ?options:options -> Catalog.t -> Expr.t -> report

@@ -15,13 +15,6 @@ type t = {
   range : Expr.t;  (** the base-table expression Y *)
 }
 
-(** Recognize a subquery shape rooted at the given node. *)
-val recognize : Expr.t -> t option
-
-(** Unnesting candidate relative to outer variable [x]: base-table range
-    not correlated on [x], occurrence correlated on [x]. *)
-val is_candidate : string -> t -> bool
-
 (** Outermost correlated base-table subquery of [x] within a parameter
     expression, skipping subtrees where [x] is shadowed and candidates
     that mention a variable bound between [x] and the occurrence. *)

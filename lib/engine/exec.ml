@@ -26,15 +26,20 @@
    consumer, so a Scan -> Filter -> Map -> probe chain runs as one fused
    loop with no intermediate lists: scans cut zero-copy windows out of the
    catalog's row array, filters narrow selection vectors, and comparison
-   predicates run over decoded typed columns.  Operators without a batched
-   form (index joins, nested-loop joins, member joins, unnest, assembly)
-   are row emitters feeding a batch builder.  Pipeline breakers
+   predicates run over decoded typed columns.  Pipeline breakers
    materialize only where semantics demand it: hash build sides (straight
    into the table, no build list), sort-merge inputs, NestOp grouping,
    division, PNHL segments, join partitions and morsel operators' batch
    buffers.  Each [Plan.t] operator has one implementation here, and its
    policy values (a join's partitions and budget, a filter's or map's
    morsel flag, PNHL's budget) only change how that one path runs.
+
+   Every probing join — hash and nested-loop joins and nestjoins, index
+   joins, member joins, and each partition pair of a partitioned join —
+   is a right-side [probe] (which rows match x, does any) driven by one
+   match-and-emit loop over left batches, [emit_join]: the semijoin and
+   antijoin narrow the batch's selection vector, the join concatenates,
+   the outer join pads and the nestjoin attaches the group.
 
    Work counters tick exactly once per logical event, so counter totals
    depend on neither the batch size nor the pool size (see DESIGN.md
@@ -480,38 +485,176 @@ let merge_work op a b =
 let add_work = merge_work ( + )
 let sub_work = merge_work ( - )
 
+(* ---------------------------------------------------------------------- *)
+(* Probes and the match-and-emit loop                                      *)
+(* ---------------------------------------------------------------------- *)
+
+(* A first-occurrence filter over the memoized [Value.hash]: [fresh v]
+   holds the first time it sees [v]. *)
+let first_seen () =
+  let seen = VTbl.create 64 in
+  fun v -> (not (VTbl.mem seen v)) && (VTbl.add seen v (); true)
+
+(* Order-preserving hash-set dedup (the caller canonicalizes at the top
+   via [Value.set]). *)
+let dedup vs = match vs with [] | [ _ ] -> vs | _ -> List.filter (first_seen ()) vs
+
+(* A row emitter into owned batches for [bsink], and its flush; with
+   [dedup], a row already emitted is dropped. *)
+let row_builder ~dedup bsink =
+  let bld = Batch.builder bsink in
+  let add =
+    if dedup then begin
+      let fresh = first_seen () in
+      fun v -> if fresh v then Batch.add bld v
+    end
+    else Batch.add bld
+  in
+  (add, fun () -> Batch.flush bld)
+
+(* Re-pack a row list into owned batches. *)
+let repack bsink rows_ =
+  let add, flush = row_builder ~dedup:false bsink in
+  List.iter add rows_;
+  flush ()
+
+(* Push [rs] as zero-copy windows of [!Batch.size] rows. *)
+let windows rs bsink =
+  let n = Array.length rs and bs = !Batch.size in
+  let rec go off =
+    if off < n then begin
+      bsink (Batch.view rs ~off ~len:(min bs (n - off)));
+      go (off + bs)
+    end
+  in
+  go 0
+
+(* The right side of a probing join, compiled once per operator:
+   [matches x] is the list of right rows joining left row [x], and
+   [exists x] whether there is one, stopping at the first. *)
+type probe = { matches : Value.t -> Value.t list; exists : Value.t -> bool }
+
+(* The probe whose candidates for [x] are [cands x], kept when [test x]
+   holds of them. *)
+let filtered test cands =
+  {
+    matches = (fun x -> List.filter (test x) (cands x));
+    exists = (fun x -> List.exists (test x) (cands x));
+  }
+
+(* Hash [feed]'s rows on [ykey], one "hash_build" per row, into a table
+   of [hint] initial buckets (a capacity estimate that cannot affect
+   results).  Returns its two lookups, one "hash_probe" each: the rows of
+   a key, in reverse insertion order, and whether there is one. *)
+let build_table (type k) (module T : Hashtbl.S with type key = k) hint
+    (ykey : Value.t -> k) feed =
+  let tbl = T.create hint in
+  feed (fun y ->
+      M.incr c_hash_build;
+      T.add tbl (ykey y) y);
+  ( (fun k ->
+      M.incr c_hash_probe;
+      T.find_all tbl k),
+    fun k ->
+      M.incr c_hash_probe;
+      T.mem tbl k )
+
+(* The equi-key hash probe of a join or nestjoin, compiled once per
+   operator from spawners: each [prober ~hint feed] mints its own closures
+   and builds its own table from [feed], so each partition pair of a
+   partitioned join can build one as a pool task.  One key hashes the key
+   value itself ([VTbl]); several hash the ordered key array ([KTbl]).
+   The match lists do not depend on the table: both list a key's rows in
+   reverse insertion order. *)
+let hash_prober cat ~xvar ~yvar ~keys residual =
+  let residual_s = residual_spawner cat xvar yvar residual in
+  let prober (type k) (module T : Hashtbl.S with type key = k) xkey_s ykey_s
+      ~hint feed =
+    let xkey : Value.t -> k = xkey_s () and residual = residual_s () in
+    let find_all, _ = build_table (module T) hint (ykey_s ()) feed in
+    filtered residual (fun x -> find_all (xkey x))
+  in
+  match keys with
+  | [] -> exec_error "hash join without equi keys"
+  | [ (kx, ky) ] ->
+    prober (module VTbl)
+      (Compile.expr1_spawner cat ~var:xvar kx)
+      (Compile.expr1_spawner cat ~var:yvar ky)
+  | _ ->
+    prober (module KTbl)
+      (key_fns_spawner cat xvar `Left keys)
+      (key_fns_spawner cat yvar `Right keys)
+
+(* Nested loops over the materialized right rows [ys]: one "nl_pair" per
+   pair tested, and [exists] stops at the first match. *)
+let nl_probe cat ~xvar ~yvar ~keys residual ys =
+  let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
+  let residual = residual_fn cat xvar yvar residual in
+  filtered
+    (fun x ->
+      let kx = xkey x in
+      fun y ->
+        M.incr c_nl_pair;
+        Key.equal kx (ykey y) && residual x y)
+    (fun _ -> ys)
+
+(* Index nested loops: each left row's evaluated keys look up the inner
+   table's index; the fetched rows are renamed, then residual-tested. *)
+let index_probe cat ~xvar ~yvar ~index ~keys ~rename residual =
+  let idx = find_index cat index and ren = renamer rename in
+  let xkey = key_fns cat xvar `Left (List.map (fun e -> (e, e)) keys) in
+  let residual = residual_fn cat xvar yvar residual in
+  filtered residual (fun x -> List.map ren (Catalog.index_lookup_eq cat idx (xkey x)))
+
+(* What a probing join emits for a left row [x] and its matches. *)
+type emit =
+  | Concat  (* ⋈: [x ++ y] per match *)
+  | Semi  (* ⋉: [x] when it has a match *)
+  | Anti  (* ▷: [x] when it has none *)
+  | Outer of Value.t  (* ⋈ padding a dangling [x] with this null row *)
+  | Group of (Value.t -> Value.t -> Value.t) * string
+      (* ⊣: [x] extended with the attribute, the set of [body x y] *)
+
+let join_emit : Expr.join_kind -> emit = function
+  | Expr.Inner -> Concat
+  | Expr.Semi -> Semi
+  | Expr.Anti -> Anti
+  | Expr.LeftOuter pad -> Outer (Value.tuple (List.map (fun a -> (a, Value.VNull)) pad))
+
 (* A nestjoin's output row: [x] extended with [attr], the set of
    [body x y] over its matches [ms]. *)
 let attach_group body attr x ms =
   Value.concat x (Value.tuple [ (attr, Value.set (List.map (body x) ms)) ])
 
-(* One resident hash join of two row lists (a partition pair): build on
-   [ys], probe with [xs]; a nestjoin ([`Nest]) attaches each left row's
-   match group.  [build_hint] is a capacity estimate for the build table
-   (from the planner's [Cost.rows_out], never a [List.length] pass over
-   the build rows); it cannot affect results, only rehash count. *)
-let hash_join_pair ~build_hint op ~xkey ~ykey ~residual xs ys =
-  let tbl = KTbl.create build_hint in
-  List.iter
-    (fun y ->
-      M.incr c_hash_build;
-      KTbl.add tbl (ykey y) y)
-    ys;
-  let matches x =
-    M.incr c_hash_probe;
-    List.filter (residual x) (KTbl.find_all tbl (xkey x))
+(* The one match-and-emit loop of every probing join.  [feed] pushes the
+   left batches; the semijoin and antijoin narrow each one's selection
+   vector in place (no copy), the other kinds fill owned batches, deduped
+   when [dedup].  Ticks nothing itself: the probe does.  Only [feed] may
+   reach the plan executor, so a pool task can run it over windows of a
+   partition. *)
+let emit_join ?(dedup = false) emit probe feed bsink =
+  let narrow keep =
+    feed (fun b ->
+        Batch.keep_rows b keep;
+        if Batch.live b > 0 then bsink b)
   in
-  (* Semi/anti probes stop at the first candidate that passes the residual
-     instead of materializing (and residual-testing) the full match list. *)
-  let has_match x =
-    M.incr c_hash_probe;
-    List.exists (residual x) (KTbl.find_all tbl (xkey x))
+  let fill per_row =
+    let add, flush = row_builder ~dedup bsink in
+    feed (Batch.iter (per_row add));
+    flush ()
   in
-  match op with
-  | `Inner -> List.concat_map (fun x -> List.map (Value.concat x) (matches x)) xs
-  | `Semi -> List.filter has_match xs
-  | `Anti -> List.filter (fun x -> not (has_match x)) xs
-  | `Nest (body, attr) -> List.map (fun x -> attach_group body attr x (matches x)) xs
+  let pairs add x ms = List.iter (fun y -> add (Value.concat x y)) ms in
+  match emit with
+  | Semi -> narrow probe.exists
+  | Anti -> narrow (fun x -> not (probe.exists x))
+  | Concat -> fill (fun add x -> pairs add x (probe.matches x))
+  | Outer null_row ->
+    fill (fun add x ->
+        match probe.matches x with
+        | [] -> add (Value.concat x null_row)
+        | ms -> pairs add x ms)
+  | Group (body, attr) ->
+    fill (fun add x -> add (attach_group body attr x (probe.matches x)))
 
 (* Materialize [p]'s full row list.  Leaves return their list directly;
    breakers run list-at-a-time over materialized inputs; every streaming
@@ -542,43 +685,26 @@ let rec exec_node ?(root = false) (cat : Catalog.t) (p : Plan.t) :
   | Plan.JoinOp
       { algo = Plan.Sort_merge; kind; xvar; yvar; keys; residual; left; right }
     ->
-    let xs = rows cat left and ys = rows cat right in
-    (match keys, kind with
-     | [], _ -> exec_error "hash/sort-merge join without equi keys"
-     | k :: _, Expr.Inner -> sort_merge_join cat xvar yvar k residual keys xs ys
-     | _ :: _, _ -> exec_error "sort-merge supports only inner joins")
+    sort_merge cat ~xvar ~yvar ~keys ~residual (join_emit kind) left right
   | Plan.NestjoinOp
-      {
-        algo = Plan.Sort_merge;
-        xvar;
-        yvar;
-        keys;
-        residual;
-        body;
-        attr;
-        left;
-        right;
-      } ->
-    sort_merge_nestjoin cat xvar yvar keys residual body attr left right
+      { algo = Plan.Sort_merge; xvar; yvar; keys; residual; body; attr; left;
+        right } ->
+    let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
+    sort_merge cat ~xvar ~yvar ~keys ~residual (Group (body, attr)) left right
   | Plan.JoinOp
       { algo = Plan.Partitioned { partitions; mem_budget }; kind; xvar; yvar;
         keys; residual; left; right } ->
-    let op =
-      match kind with
-      | Expr.Inner -> `Inner
-      | Expr.Semi -> `Semi
-      | Expr.Anti -> `Anti
-      | Expr.LeftOuter _ ->
-        exec_error "partitioned join does not support outer joins"
-    in
+    (match kind with
+     | Expr.LeftOuter _ -> exec_error "partitioned join does not support outer joins"
+     | Expr.Inner | Expr.Semi | Expr.Anti -> ());
     exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
-      ~left ~right (fun () -> op)
+      ~left ~right (fun () -> join_emit kind)
   | Plan.NestjoinOp
       { algo = Plan.Partitioned { partitions; mem_budget }; xvar; yvar; keys;
         residual; body; attr; left; right } ->
     let body_s = Compile.expr2_spawner cat ~vars:(xvar, yvar) body in
     exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
-      ~left ~right (fun () -> `Nest (body_s (), attr))
+      ~left ~right (fun () -> Group (body_s (), attr))
   | Plan.NestOp { attrs; into; input } ->
     (* Grouping is a breaker (all input must arrive before any group is
        complete), but the input still streams straight into the group
@@ -652,12 +778,12 @@ and rows ?(root = false) cat p =
 (* Collect a fused chain's output into a list (the only materialization
    the chain performs).  The sink is a row vector pre-sized from the
    planner's cardinality estimate and listed once at the end — not a
-   cons-accumulator reversed afterwards.  Calls [bpush_node] directly
+   cons-accumulator reversed afterwards.  Calls [bpush_op] directly
    rather than [bpush]: the root node's profile sample comes from the
    [profiled] bracket around this call, not a streamed record. *)
 and gather ~root cat p =
   let vec = Batch.Vec.create (tbl_size cat p) in
-  bpush_node ~root cat p (Batch.Vec.push_batch vec);
+  bpush_op ~root cat p (Batch.Vec.push_batch vec);
   Batch.Vec.to_list vec
 
 (* Feed [p]'s rows to a row sink: fused edges stream batches and unpack
@@ -669,14 +795,14 @@ and push cat p sink =
   if Plan.streams_output p then bpush_stream cat p (Batch.iter sink)
   else List.iter sink (rows cat p)
 
-(* Run [bpush_node] on a streamable node, recording the streamed row
+(* Run [bpush_op] on a streamable node, recording the streamed row
    count when a collector is installed. *)
 and bpush_stream cat p bsink =
   match !collector with
-  | None -> bpush_node cat p bsink
+  | None -> bpush_op cat p bsink
   | Some c ->
     let n = ref 0 in
-    bpush_node cat p (fun b ->
+    bpush_op cat p (fun b ->
         n := !n + Batch.live b;
         bsink b);
     record_streamed c p !n
@@ -684,12 +810,7 @@ and bpush_stream cat p bsink =
 (* Feed [p]'s rows to a batch sink: fused edges stream batches straight
    through; breaker inputs materialize as a list and re-pack. *)
 and bpush cat p bsink =
-  if Plan.streams_output p then bpush_stream cat p bsink
-  else begin
-    let bld = Batch.builder bsink in
-    List.iter (Batch.add bld) (rows cat p);
-    Batch.flush bld
-  end
+  if Plan.streams_output p then bpush_stream cat p bsink else repack bsink (rows cat p)
 
 and record_streamed c p n =
   let sample =
@@ -707,192 +828,17 @@ and record_streamed c p n =
   in
   c.samples <- sample :: c.samples
 
-(* Order-preserving dedup as a sink transformer: the streaming counterpart
-   of [dedup], one membership test per pushed row. *)
-and dedup_sink sink =
-  let seen = VTbl.create 64 in
-  fun v ->
-    if not (VTbl.mem seen v) then begin
-      VTbl.add seen v ();
-      sink v
-    end
-
-(* Row emitters for the streaming operators without a batched form; only
-   reached through [bpush_node]'s fallback, which feeds [sink] into a batch
-   builder.  Their fused inputs still stream batches ([push]). *)
-and push_node ~root cat (p : Plan.t) (sink : Value.t -> unit) : unit =
-  match p with
-  | Plan.IndexJoin { kind; xvar; yvar; index; keys; residual; rename; left; _ }
-    ->
-    let idx = find_index cat index in
-    let ren = renamer rename in
-    let xkey = key_fns cat xvar `Left (List.map (fun e -> (e, e)) keys) in
-    let residual = residual_fn cat xvar yvar residual in
-    let probe x = List.map ren (Catalog.index_lookup_eq cat idx (xkey x)) in
-    let matches x = List.filter (residual x) (probe x) in
-    let has_match x = List.exists (residual x) (probe x) in
-    (match kind with
-     | Expr.Inner ->
-       push cat left (fun x ->
-           List.iter (fun y -> sink (Value.concat x y)) (matches x))
-     | Expr.Semi -> push cat left (fun x -> if has_match x then sink x)
-     | Expr.Anti -> push cat left (fun x -> if not (has_match x) then sink x)
-     | Expr.LeftOuter _ -> exec_error "index join does not support outer joins")
-  | Plan.JoinOp
-      { algo = Plan.Nested_loop; kind; xvar; yvar; keys; residual; left; right }
-    ->
-    let ys = rows cat right in
-    let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-    let residual = residual_fn cat xvar yvar residual in
-    let full_pred x kx y =
-      M.incr c_nl_pair;
-      Key.equal kx (ykey y) && residual x y
-    in
-    (match kind with
-     | Expr.Inner ->
-       push cat left (fun x ->
-           let kx = xkey x in
-           List.iter (fun y -> if full_pred x kx y then sink (Value.concat x y)) ys)
-     | Expr.Semi ->
-       push cat left (fun x -> if List.exists (full_pred x (xkey x)) ys then sink x)
-     | Expr.Anti ->
-       push cat left (fun x ->
-           if not (List.exists (full_pred x (xkey x)) ys) then sink x)
-     | Expr.LeftOuter pad ->
-       let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-       push cat left (fun x ->
-           match List.filter (full_pred x (xkey x)) ys with
-           | [] -> sink (Value.concat x null_row)
-           | ms -> List.iter (fun y -> sink (Value.concat x y)) ms))
-  | Plan.NestjoinOp
-      { algo = Plan.Hash | Plan.Nested_loop; xvar; yvar; keys; residual; body;
-        attr; left; right } ->
-    (* Nested loops; a hash nestjoin reaches here only without equi keys
-       (a keyed one is batched). *)
-    let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
-    let residual = residual_fn cat xvar yvar residual in
-    let xkey = key_fns cat xvar `Left keys and ykey = key_fns cat yvar `Right keys in
-    let ys = rows cat right in
-    push cat left (fun x ->
-        let kx = xkey x in
-        let ms =
-          List.filter
-            (fun y ->
-              M.incr c_nl_pair;
-              Key.equal kx (ykey y) && residual x y)
-            ys
-        in
-        sink (attach_group body attr x ms))
-  | Plan.MemberJoin ({ right = Plan.Oid_index table; _ } as j)
-    when not (Catalog.oid_key cat table) ->
-    (* The extent lost its oid key since planning ([Catalog.set_rows]):
-       the oid index no longer holds every row, so build from the rows. *)
-    push_node ~root cat
-      (Plan.MemberJoin { j with right = Plan.Build (Plan.Scan table) })
-      sink
-  | Plan.MemberJoin { kind; xvar; yvar; xset; elem_var; elem_key; ykey; left; right }
-    ->
-    let xset = Compile.expr1 cat ~var:xvar xset in
-    (* With the element itself as the key, a left row's distinct elements
-       probe distinct keys, whose buckets share no build row: no row is
-       matched twice. *)
-    let distinct_matches =
-      match elem_key with Expr.Var v -> String.equal v elem_var | _ -> false
-    in
-    let elem_key = Compile.expr2 cat ~vars:(elem_var, xvar) elem_key in
-    (* The rows whose key equals a probe key: from a hash table built over
-       the right operand, or — pointer-based — straight from the extent's
-       oid index, one "oid_lookup" per probe and no build. *)
-    let find_all, mem =
-      match right with
-      | Plan.Build right ->
-        let ykey = Compile.expr1 cat ~var:yvar ykey in
-        let tbl = VTbl.create (tbl_size cat right) in
-        push cat right (fun y ->
-            M.incr c_hash_build;
-            VTbl.add tbl (ykey y) y);
-        ( (fun k ->
-            M.incr c_hash_probe;
-            VTbl.find_all tbl k),
-          fun k ->
-            M.incr c_hash_probe;
-            VTbl.mem tbl k )
-      | Plan.Oid_index table ->
-        let probe = Catalog.deref_opt cat table in
-        ((fun k -> Option.to_list (probe k)), fun k -> Option.is_some (probe k))
-    in
-    let matches x =
-      List.concat_map (fun e -> find_all (elem_key e x)) (Value.as_set (xset x))
-    in
-    let has_match x =
-      List.exists (fun e -> mem (elem_key e x)) (Value.as_set (xset x))
-    in
-    (match kind with
-     | Plan.MSemi -> push cat left (fun x -> if has_match x then sink x)
-     | Plan.MAnti -> push cat left (fun x -> if not (has_match x) then sink x)
-     | Plan.MInner ->
-       let sink = if root || distinct_matches then sink else dedup_sink sink in
-       push cat left (fun x -> List.iter (fun y -> sink (Value.concat x y)) (matches x))
-     | Plan.MNest { body; attr } ->
-       let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
-       let matches = if distinct_matches then matches else fun x -> dedup (matches x) in
-       push cat left (fun x -> sink (attach_group body attr x (matches x))))
-  | Plan.UnnestOp (a, input) ->
-    let as_row inner =
-      match inner with
-      | Value.VTuple _ -> inner
-      | atom -> Value.tuple [ (a, atom) ]
-    in
-    let sink =
-      if root || keyed_apart_from cat a input then sink else dedup_sink sink
-    in
-    push cat input (fun row ->
-        let rest = Value.project_away row [ a ] in
-        List.iter
-          (fun inner -> sink (Value.concat (as_row inner) rest))
-          (Value.as_set (Value.field row a)))
-  | Plan.Assembly { cls; ref_attr; into; input } ->
-    (* Writing back into [ref_attr] stays injective: distinct oids
-       dereference to distinct objects. *)
-    let sink =
-      if root || String.equal into ref_attr || keyed_apart_from cat into input
-      then sink
-      else dedup_sink sink
-    in
-    push cat input (fun row ->
-        let obj = Catalog.deref cat cls (Value.field row ref_attr) in
-        sink (Value.except row [ (into, obj) ]))
-  | p ->
-    (* Leaves emit their materialized list (Scan is batched natively). *)
-    List.iter sink (exec_node cat p)
-
 (* Batched streaming implementations.  Each case emits its rows in the
    canonical pipeline order, ticking counters per batch ([M.incr ~n] is k
    single ticks, so totals do not depend on the batch size).  Filters and
    semi/anti probes narrow the incoming batch's selection vector instead
    of copying survivors, and producing operators build owned batches
-   through [Batch.builder].  On a mid-batch exception a batch-granular
+   through [row_builder].  On a mid-batch exception a batch-granular
    tick may count rows past the failing one — error paths only,
-   documented in DESIGN.md.  Only called on streamable nodes. *)
-and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
+   documented in DESIGN.md.  [root] skips the dedup of operators that
+   have one ([run] canonicalizes the root's rows). *)
+and bpush_op ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
     unit =
-  (* Batched counterpart of [dedup_sink] feeding an owned-batch builder:
-     returns the per-row emitter and the final flush.  The root skips the
-     dedup ([run] canonicalizes its rows). *)
-  let dedup_builder () =
-    let bld = Batch.builder bsink in
-    if root then (Batch.add bld, fun () -> Batch.flush bld)
-    else begin
-      let seen = VTbl.create 64 in
-      let emit v =
-        if not (VTbl.mem seen v) then begin
-          VTbl.add seen v ();
-          Batch.add bld v
-        end
-      in
-      (emit, fun () -> Batch.flush bld)
-    end
-  in
   (* Batches narrowed to nothing die here rather than flowing on. *)
   let emit_live b = if Batch.live b > 0 then bsink b in
   match p with
@@ -900,15 +846,8 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
     (* Zero-copy: batches are windows into the catalog's cached row
        array; nothing per row is allocated at the source. *)
     let rs = Catalog.rows_array cat name in
-    let n = Array.length rs in
-    M.incr ~n c_scan_row;
-    let bs = !Batch.size in
-    let off = ref 0 in
-    while !off < n do
-      let len = min bs (n - !off) in
-      bsink (Batch.view rs ~off:!off ~len);
-      off := !off + len
-    done
+    M.incr ~n:(Array.length rs) c_scan_row;
+    windows rs bsink
   | Plan.Filter { var; pred; input; morsel = false } ->
     let vp = Compile.vectorize_pred cat ~var pred in
     bpush cat input (fun b ->
@@ -948,8 +887,8 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
             b;
           out)
     in
-    let emit, flush = dedup_builder () in
-    Array.iter (Array.iter emit) outs;
+    let add, flush = row_builder ~dedup:(not root) bsink in
+    Array.iter (Array.iter add) outs;
     flush ()
   | Plan.MapOp { var; body; input; morsel = false } ->
     let body =
@@ -957,8 +896,8 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
       | Some f -> f
       | None -> Compile.expr1 cat ~var body
     in
-    let emit, flush = dedup_builder () in
-    bpush cat input (Batch.iter (fun row -> emit (body row)));
+    let add, flush = row_builder ~dedup:(not root) bsink in
+    bpush cat input (Batch.iter (fun row -> add (body row)));
     flush ()
   | Plan.ProjectOp (attrs, input) ->
     let sorted = List.sort_uniq String.compare attrs in
@@ -970,12 +909,38 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
          with Value.Type_error _ -> Value.project row attrs)
       else fun row -> Value.project row attrs
     in
-    let emit, flush = dedup_builder () in
-    bpush cat input (Batch.iter (fun row -> emit (proj row)));
+    let add, flush = row_builder ~dedup:(not root) bsink in
+    bpush cat input (Batch.iter (fun row -> add (proj row)));
     flush ()
   | Plan.FlattenOp input ->
-    let emit, flush = dedup_builder () in
-    bpush cat input (Batch.iter (fun row -> List.iter emit (Value.as_set row)));
+    let add, flush = row_builder ~dedup:(not root) bsink in
+    bpush cat input (Batch.iter (fun row -> List.iter add (Value.as_set row)));
+    flush ()
+  | Plan.UnnestOp (a, input) ->
+    let as_row inner =
+      match inner with
+      | Value.VTuple _ -> inner
+      | atom -> Value.tuple [ (a, atom) ]
+    in
+    let add, flush =
+      row_builder ~dedup:(not (root || keyed_apart_from cat a input)) bsink
+    in
+    push cat input (fun row ->
+        let rest = Value.project_away row [ a ] in
+        List.iter
+          (fun inner -> add (Value.concat (as_row inner) rest))
+          (Value.as_set (Value.field row a)));
+    flush ()
+  | Plan.Assembly { cls; ref_attr; into; input } ->
+    (* Writing back into [ref_attr] stays injective: distinct oids
+       dereference to distinct objects. *)
+    let dedup =
+      not (root || String.equal into ref_attr || keyed_apart_from cat into input)
+    in
+    let add, flush = row_builder ~dedup bsink in
+    push cat input (fun row ->
+        let obj = Catalog.deref cat cls (Value.field row ref_attr) in
+        add (Value.except row [ (into, obj) ]));
     flush ()
   | Plan.UnionOp (a, b) when root ->
     bpush cat a bsink;
@@ -983,14 +948,9 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
   | Plan.UnionOp (a, b) ->
     (* Both sides narrow through one shared dedup selection — no copy of
        the surviving rows on either side. *)
-    let seen = VTbl.create 64 in
+    let fresh = first_seen () in
     let dedup_batch bt =
-      Batch.keep_rows bt (fun v ->
-          if VTbl.mem seen v then false
-          else begin
-            VTbl.add seen v ();
-            true
-          end);
+      Batch.keep_rows bt fresh;
       emit_live bt
     in
     bpush cat a dedup_batch;
@@ -1013,120 +973,91 @@ and bpush_node ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
     bpush cat a
       (Batch.iter (fun x -> List.iter (fun y -> Batch.add bld (Value.concat x y)) ys));
     Batch.flush bld
-  | Plan.JoinOp { algo = Plan.Hash; kind; xvar; yvar; keys; residual; left; right }
-    ->
-    (match keys with
-     | [] -> exec_error "hash/sort-merge join without equi keys"
-     | _ :: _ -> ());
-    let residual = residual_fn cat xvar yvar residual in
-    let matches, has_match =
-      match keys with
-      | [ (kx, ky) ] ->
-        (* Single equi key: hash on the key value itself — no one-element
-           key array per row on either side.  [find_all] order (reverse
-           insertion) is key-equality driven, so match lists are identical
-           to the keyed-table path. *)
-        let xkey = Compile.expr1 cat ~var:xvar kx
-        and ykey = Compile.expr1 cat ~var:yvar ky in
-        let tbl = VTbl.create (tbl_size cat right) in
-        push cat right (fun y ->
-            M.incr c_hash_build;
-            VTbl.add tbl (ykey y) y);
-        ( (fun x ->
-            M.incr c_hash_probe;
-            List.filter (residual x) (VTbl.find_all tbl (xkey x))),
-          fun x ->
-            M.incr c_hash_probe;
-            List.exists (residual x) (VTbl.find_all tbl (xkey x)) )
-      | _ ->
-        let xkey = key_fns cat xvar `Left keys
-        and ykey = key_fns cat yvar `Right keys in
-        let tbl = KTbl.create (tbl_size cat right) in
-        push cat right (fun y ->
-            M.incr c_hash_build;
-            KTbl.add tbl (ykey y) y);
-        ( (fun x ->
-            M.incr c_hash_probe;
-            List.filter (residual x) (KTbl.find_all tbl (xkey x))),
-          fun x ->
-            M.incr c_hash_probe;
-            List.exists (residual x) (KTbl.find_all tbl (xkey x)) )
-    in
-    (match kind with
-     | Expr.Inner ->
-       let bld = Batch.builder bsink in
-       bpush cat left
-         (Batch.iter (fun x ->
-              List.iter (fun y -> Batch.add bld (Value.concat x y)) (matches x)));
-       Batch.flush bld
-     | Expr.Semi ->
-       bpush cat left (fun b ->
-           Batch.keep_rows b has_match;
-           emit_live b)
-     | Expr.Anti ->
-       bpush cat left (fun b ->
-           Batch.keep_rows b (fun x -> not (has_match x));
-           emit_live b)
-     | Expr.LeftOuter pad ->
-       let null_row = Value.tuple (List.map (fun a -> (a, Value.VNull)) pad) in
-       let bld = Batch.builder bsink in
-       bpush cat left
-         (Batch.iter (fun x ->
-              match matches x with
-              | [] -> Batch.add bld (Value.concat x null_row)
-              | ms -> List.iter (fun y -> Batch.add bld (Value.concat x y)) ms));
-       Batch.flush bld)
-  | Plan.NestjoinOp
-      {
-        algo = Plan.Hash;
-        keys = _ :: _ as keys;
-        xvar;
-        yvar;
-        residual;
-        body;
-        attr;
-        left;
-        right;
-      } ->
-    let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
-    let residual = residual_fn cat xvar yvar residual in
-    let attach = attach_group body attr in
-    let matches =
-      match keys with
-      | [ (kx, ky) ] ->
-        let xkey = Compile.expr1 cat ~var:xvar kx
-        and ykey = Compile.expr1 cat ~var:yvar ky in
-        let tbl = VTbl.create (tbl_size cat right) in
-        push cat right (fun y ->
-            M.incr c_hash_build;
-            VTbl.add tbl (ykey y) y);
-        fun x ->
-          M.incr c_hash_probe;
-          List.filter (residual x) (VTbl.find_all tbl (xkey x))
-      | _ ->
-        let xkey = key_fns cat xvar `Left keys
-        and ykey = key_fns cat yvar `Right keys in
-        let tbl = KTbl.create (tbl_size cat right) in
-        push cat right (fun y ->
-            M.incr c_hash_build;
-            KTbl.add tbl (ykey y) y);
-        fun x ->
-          M.incr c_hash_probe;
-          List.filter (residual x) (KTbl.find_all tbl (xkey x))
-    in
-    let bld = Batch.builder bsink in
-    bpush cat left (Batch.iter (fun x -> Batch.add bld (attach x (matches x))));
-    Batch.flush bld
   | Plan.RenameOp (pairs, input) ->
     let ren = renamer pairs in
     let bld = Batch.builder bsink in
     bpush cat input (Batch.iter (fun row -> Batch.add bld (ren row)));
     Batch.flush bld
-  | p ->
-    (* No batched form: run the row emitter into a builder. *)
-    let bld = Batch.builder bsink in
-    push_node ~root cat p (Batch.add bld);
-    Batch.flush bld
+  | Plan.JoinOp
+      { algo = (Plan.Hash | Plan.Nested_loop) as algo; kind; xvar; yvar; keys;
+        residual; left; right } ->
+    let probe = equi_probe cat algo ~xvar ~yvar ~keys residual right in
+    emit_join (join_emit kind) probe (bpush cat left) bsink
+  | Plan.NestjoinOp
+      { algo = (Plan.Hash | Plan.Nested_loop) as algo; xvar; yvar; keys;
+        residual; body; attr; left; right } ->
+    let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
+    let probe = equi_probe cat algo ~xvar ~yvar ~keys residual right in
+    emit_join (Group (body, attr)) probe (bpush cat left) bsink
+  | Plan.IndexJoin { kind; xvar; yvar; index; keys; residual; rename; left; _ }
+    ->
+    (match kind with
+     | Expr.LeftOuter _ -> exec_error "index join does not support outer joins"
+     | Expr.Inner | Expr.Semi | Expr.Anti -> ());
+    let probe = index_probe cat ~xvar ~yvar ~index ~keys ~rename residual in
+    emit_join (join_emit kind) probe (bpush cat left) bsink
+  | Plan.MemberJoin { kind; xvar; yvar; xset; elem_var; elem_key; ykey; left; right }
+    ->
+    (* With the element itself as the key, a left row's distinct elements
+       probe distinct keys, whose buckets share no build row: no row is
+       matched twice. *)
+    let distinct =
+      match elem_key with Expr.Var v -> String.equal v elem_var | _ -> false
+    in
+    let xset = Compile.expr1 cat ~var:xvar xset in
+    let elem_key = Compile.expr2 cat ~vars:(elem_var, xvar) elem_key in
+    (* The rows whose key equals a probe key: from a hash table built over
+       the right operand, or — pointer-based — straight from the extent's
+       oid index, one "oid_lookup" per probe and no build.  An extent that
+       lost its oid key since planning ([Catalog.set_rows]) no longer has
+       every row in its oid index, so it is built from its rows. *)
+    let build right =
+      build_table (module VTbl) (tbl_size cat right)
+        (Compile.expr1 cat ~var:yvar ykey) (push cat right)
+    in
+    let find_all, mem =
+      match right with
+      | Plan.Oid_index table when Catalog.oid_key cat table ->
+        let probe = Catalog.deref_opt cat table in
+        ((fun k -> Option.to_list (probe k)), fun k -> Option.is_some (probe k))
+      | Plan.Oid_index table -> build (Plan.Scan table)
+      | Plan.Build right -> build right
+    in
+    let elems x = Value.as_set (xset x) in
+    let matches x = List.concat_map (fun e -> find_all (elem_key e x)) (elems x) in
+    let probe =
+      {
+        matches =
+          (match kind with
+           | Plan.MNest _ when not distinct -> fun x -> dedup (matches x)
+           | _ -> matches);
+        exists = (fun x -> List.exists (fun e -> mem (elem_key e x)) (elems x));
+      }
+    in
+    let emit, dedup =
+      match kind with
+      | Plan.MSemi -> (Semi, false)
+      | Plan.MAnti -> (Anti, false)
+      | Plan.MInner -> (Concat, not (root || distinct))
+      | Plan.MNest { body; attr } ->
+        (Group (Compile.expr2 cat ~vars:(xvar, yvar) body, attr), false)
+    in
+    emit_join ~dedup emit probe (bpush cat left) bsink
+  | Plan.IndexScan _ | Plan.EvalOp _ | Plan.Materialized _
+  | Plan.JoinOp { algo = Plan.Sort_merge | Plan.Partitioned _; _ }
+  | Plan.NestjoinOp { algo = Plan.Sort_merge | Plan.Partitioned _; _ }
+  | Plan.NestOp _ | Plan.DivideOp _ | Plan.Pnhl _ ->
+    (* Leaves without a batched source re-pack their list (breakers do not
+       get here: [bpush] materializes them). *)
+    repack bsink (exec_node ~root cat p)
+
+(* The probe of a resident hash or nested-loop join or nestjoin. *)
+and equi_probe cat algo ~xvar ~yvar ~keys residual right =
+  match algo with
+  | Plan.Hash ->
+    hash_prober cat ~xvar ~yvar ~keys residual ~hint:(tbl_size cat right)
+      (push cat right)
+  | _ -> nl_probe cat ~xvar ~yvar ~keys residual (rows cat right)
 
 (* Morsel-over-batch: buffer [input]'s batches (the breaker the
    concurrent claim requires) and run [task] on each as one pool task;
@@ -1206,24 +1137,6 @@ and profiled_run ~root c cat p =
     Span.add_attr "rows" (Span.AInt sample.out_rows);
     result
 
-(* Hash-set dedup over the memoized [Value.hash], preserving the first
-   occurrence of each element (the caller canonicalizes at the top via
-   [Value.set]); replaces the former [List.sort_uniq Value.compare], whose
-   deep polymorphic comparisons dominated on wide rows. *)
-and dedup vs =
-  match vs with
-  | [] | [ _ ] -> vs
-  | _ ->
-    let seen = VTbl.create 64 in
-    List.filter
-      (fun v ->
-        if VTbl.mem seen v then false
-        else begin
-          VTbl.add seen v ();
-          true
-        end)
-      vs
-
 (* A partitioned hash join or nestjoin ([Plan.Partitioned]).  Both inputs
    are hash-partitioned on the first key into max(partitions,
    ceil(|right| / mem_budget)) partitions.  A left row lands in exactly one
@@ -1251,7 +1164,7 @@ and dedup vs =
    Ticks: "partition_row" per row per partitioning pass, "partition" per
    partition, and the spill counters per file and row. *)
 and exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
-    ~left ~right op =
+    ~left ~right emit =
   if mem_budget <= 0 then
     exec_error "partitioned join: memory budget must be positive";
   let kx0, ky0 =
@@ -1261,14 +1174,17 @@ and exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
   in
   let kx0_s = Compile.expr1_spawner cat ~var:xvar kx0
   and ky0_s = Compile.expr1_spawner cat ~var:yvar ky0 in
-  let xkey_s = key_fns_spawner cat xvar `Left keys
-  and ykey_s = key_fns_spawner cat yvar `Right keys in
-  let residual_s = residual_spawner cat xvar yvar residual in
+  let prober = hash_prober cat ~xvar ~yvar ~keys residual in
   let partitions = max 1 partitions in
-  let build_hint = max 16 (min mem_budget (tbl_size cat right / partitions)) in
+  let hint = max 16 (min mem_budget (tbl_size cat right / partitions)) in
+  (* One pair: its own table and closures, and the emit loop over
+     zero-copy windows of its left rows. *)
   let join_pair xs ys =
-    hash_join_pair ~build_hint (op ()) ~xkey:(xkey_s ()) ~ykey:(ykey_s ())
-      ~residual:(residual_s ()) xs ys
+    let xs = Array.of_list xs in
+    let out = Batch.Vec.create (Array.length xs) in
+    emit_join (emit ()) (prober ~hint (fun f -> List.iter f ys)) (windows xs)
+      (Batch.Vec.push_batch out);
+    Batch.Vec.to_list out
   in
   let run_pairs n pair =
     List.concat (Array.to_list (Pool.run n (par_task "task:partition" pair)))
@@ -1313,74 +1229,42 @@ and exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
     else resident (fun f -> List.iter f ys)
   end
 
-and sort_merge_join cat xvar yvar (kx, ky) residual all_keys xs ys =
-  (* Sort both inputs on the first key; equal-key runs are then joined,
-     checking the remaining keys and residual per pair. *)
-  let kxf = Compile.expr1 cat ~var:xvar kx
-  and kyf = Compile.expr1 cat ~var:yvar ky in
-  let rest_keys = List.tl all_keys in
-  let rxkey = key_fns cat xvar `Left rest_keys
-  and rykey = key_fns cat yvar `Right rest_keys in
-  let residual = residual_fn cat xvar yvar residual in
-  let cmp (a, _) (b, _) =
-    M.incr c_sm_cmp;
-    Value.compare a b
-  in
-  (* [sort_pairs] goes external past the engine memory budget; either way
-     the permutation is the stable in-memory one. *)
-  let xs = sort_pairs cmp (List.map (fun row -> (kxf row, row)) xs) in
-  let ys = sort_pairs cmp (List.map (fun row -> (kyf row, row)) ys) in
-  let pair_ok x y = Key.equal (rxkey x) (rykey y) && residual x y in
-  let rec run_of key acc = function
-    | (k, v) :: rest when Value.equal k key -> run_of key (v :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  let rec merge xs ys acc =
-    match xs, ys with
-    | [], _ | _, [] -> acc
-    | (kx0, _) :: _, (ky0, _) :: _ ->
-      M.incr c_sm_cmp;
-      let c = Value.compare kx0 ky0 in
-      if c < 0 then merge (snd (run_of kx0 [] xs)) ys acc
-      else if c > 0 then merge xs (snd (run_of ky0 [] ys)) acc
-      else
-        let xrun, xs' = run_of kx0 [] xs in
-        let yrun, ys' = run_of ky0 [] ys in
-        let acc =
-          List.fold_left
-            (fun acc x ->
-              List.fold_left
-                (fun acc y ->
-                  if pair_ok x y then Value.concat x y :: acc else acc)
-                acc yrun)
-            acc xrun
-        in
-        merge xs' ys' acc
-  in
-  merge xs ys []
-
-(* Adapted sort-merge join (Section 6.1): sort both inputs on the first
-   key and pair each left run with the matching right run; dangling left
-   tuples get the empty group. *)
-and sort_merge_nestjoin cat xvar yvar keys residual body attr left right =
+(* Sort-merge join ([Concat]) and nestjoin ([Group], the adapted
+   sort-merge of Section 6.1): sort both inputs on the first key, then
+   pair each left run with the equal-key right run, checking the
+   remaining keys and the residual per pair.  A left run without a
+   partner emits nothing, or empty groups.  Rows come out in run order.
+   One "sm_cmp" per comparison of run heads and per sort comparison;
+   [sort_pairs] goes external past the engine memory budget, with the
+   same stable permutation. *)
+and sort_merge cat ~xvar ~yvar ~keys ~residual emit left right =
   let xs = rows cat left and ys = rows cat right in
-  let body = Compile.expr2 cat ~vars:(xvar, yvar) body in
-  let residual = residual_fn cat xvar yvar residual in
-  let attach = attach_group body attr in
-  match keys with
-  | [] -> exec_error "sort-merge nestjoin without equi keys"
-  | (kx, ky) :: rest_keys ->
+  match keys, emit with
+  | [], _ -> exec_error "sort-merge join without equi keys"
+  | _, (Semi | Anti | Outer _) -> exec_error "sort-merge supports only inner joins"
+  | (kx, ky) :: rest_keys, (Concat | Group _) ->
     let kxf = Compile.expr1 cat ~var:xvar kx
     and kyf = Compile.expr1 cat ~var:yvar ky in
     let rxkey = key_fns cat xvar `Left rest_keys
     and rykey = key_fns cat yvar `Right rest_keys in
+    let residual = residual_fn cat xvar yvar residual in
     let cmp (a, _) (b, _) =
       M.incr c_sm_cmp;
       Value.compare a b
     in
     let xs = sort_pairs cmp (List.map (fun row -> (kxf row, row)) xs) in
     let ys = sort_pairs cmp (List.map (fun row -> (kyf row, row)) ys) in
-    let pair_ok x y = Key.equal (rxkey x) (rykey y) && residual x y in
+    let matches yrun x =
+      List.filter (fun y -> Key.equal (rxkey x) (rykey y) && residual x y) yrun
+    in
+    let emit_run xrun yrun acc =
+      List.fold_left
+        (fun acc x ->
+          match emit with
+          | Group (body, attr) -> attach_group body attr x (matches yrun x) :: acc
+          | _ -> List.rev_append (List.map (Value.concat x) (matches yrun x)) acc)
+        acc xrun
+    in
     let rec run_of key acc = function
       | (k, v) :: rest when Value.equal k key -> run_of key (v :: acc) rest
       | rest -> (List.rev acc, rest)
@@ -1388,25 +1272,17 @@ and sort_merge_nestjoin cat xvar yvar keys residual body attr left right =
     let rec merge xs ys acc =
       match xs, ys with
       | [], _ -> List.rev acc
-      | (_, x) :: xs', [] -> merge xs' [] (attach x [] :: acc)
+      | (kx0, _) :: _, [] ->
+        let xrun, xs = run_of kx0 [] xs in
+        merge xs [] (emit_run xrun [] acc)
       | (kx0, _) :: _, (ky0, _) :: _ ->
         M.incr c_sm_cmp;
         let c = Value.compare kx0 ky0 in
-        if c < 0 then
-          let xrun, xs' = run_of kx0 [] xs in
-          merge xs' ys (List.rev_append (List.map (fun x -> attach x []) xrun) acc)
-        else if c > 0 then
-          let _, ys' = run_of ky0 [] ys in
-          merge xs ys' acc
+        if c > 0 then merge xs (snd (run_of ky0 [] ys)) acc
         else
-          let xrun, xs' = run_of kx0 [] xs in
-          let yrun, ys' = run_of ky0 [] ys in
-          let acc =
-            List.fold_left
-              (fun acc x -> attach x (List.filter (pair_ok x) yrun) :: acc)
-              acc xrun
-          in
-          merge xs' ys' acc
+          let xrun, xs = run_of kx0 [] xs in
+          let yrun, ys = if c = 0 then run_of ky0 [] ys else ([], ys) in
+          merge xs ys (emit_run xrun yrun acc)
     in
     merge xs ys []
 

@@ -13,8 +13,12 @@
     single fused loops with no intermediate lists: scans emit zero-copy
     windows over the catalog's row array, filters narrow selection
     vectors instead of copying survivors, and constant-comparison
-    predicates run over decoded typed columns.  Streaming operators
-    without a batched form run as row emitters into a batch builder.
+    predicates run over decoded typed columns.  Every probing join (hash,
+    nested-loop, index and member joins and nestjoins, and each partition
+    pair of a partitioned join) is a right-side probe — which rows match
+    a left row, does any — driven by one match-and-emit loop over left
+    batches: semi- and antijoins narrow the batch's selection vector,
+    joins concatenate, outer joins pad, nestjoins attach the group.
     Pipeline breakers (hash build sides, sort-merge inputs, grouping,
     division, PNHL segments, join partitions, morsel operators' batch
     buffers) materialize only what their semantics require.  Each plan
@@ -34,7 +38,8 @@
     {!Memory.budget}.  Results are bit-identical to the fully resident
     run.
 
-    Counters ticked (see {!Njq_adl.Counters}): ["scan_row"],
+    Counters tick once per logical event, whichever loop runs the
+    operator (see {!Njq_adl.Counters}): ["scan_row"],
     ["filter_eval"], ["hash_build"], ["hash_probe"], ["nl_pair"],
     ["sm_cmp"], ["partition"], ["partition_row"], ["pnhl_partition"],
     ["pnhl_build"], ["pnhl_probe"], plus ["oid_lookup"] from catalog

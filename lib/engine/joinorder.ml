@@ -1,4 +1,4 @@
-(* Cost-based join-order enumeration with DAG-aware selection placement.
+(* Cost-based join-order enumeration.
 
    The rewriter (Core.Strategy) fixes the join order by construction: it
    unnests in source order, so the plan handed to the planner joins
@@ -30,23 +30,16 @@
    region produce structurally identical results (differential-tested in
    test_joinorder.ml).  The pass adopts an enumerated order only when its
    estimated cost is *strictly* below the rewriter order's, so estimation
-   ties keep existing plans byte-stable.
-
-   Selection placement: after the order is fixed, each selection may hoist
-   above ancestor joins.  Under the plain cost model pushdown is optimal
-   (a filter costs its input's cardinality), so the hill-climb is a no-op
-   — until a subplan is shared.  A subtree whose fingerprint is listed in
-   [shared] is charged only its output cardinality (it is materialized
-   once by a batched prepared-query plan); pushing a selection below it
-   would change its fingerprint and forfeit the reuse, and hoisting wins.
-   That is the "Sprinkling Selections over Join DAGs" case. *)
+   ties keep existing plans byte-stable.  Selections stay where the
+   enumeration applies them, at the earliest node that has their
+   attributes: under this cost model pushdown is optimal (a filter costs
+   its input's cardinality). *)
 
 open Njq_adl
 module S = Analysis.S
 
 let use_joinorder = ref true
 let dp_max = 10
-let shared : string list ref = ref []
 
 type region_report = {
   relations : string list;
@@ -55,7 +48,6 @@ type region_report = {
   chosen_cost : float;
   rewriter_cost : float;
   reordered : bool;
-  hoisted : int;
   chosen_fingerprint : string;
   rewriter_fingerprint : string;
 }
@@ -392,35 +384,9 @@ let candidates (r : region) ~avail ~m1 ~m2 p1 p2 : Plan.t list =
         | exception Bail -> None)
       algos
 
-(* ------------------------------------------------------------------ *)
-(* Costing (sharing-aware).                                             *)
-(* ------------------------------------------------------------------ *)
+type ctx = { cat : Catalog.t; stats : Stats.t option }
 
-type ctx = { cat : Catalog.t; stats : Stats.t option; shared_fps : string list }
-
-(* Plan cost, with subtrees whose fingerprint is in [shared_fps] charged
-   only their output cardinality: a shared subplan is computed once
-   elsewhere (batched prepared-query plans), so a candidate only pays for
-   reading its materialized result.  Node-local cost is recovered as the
-   node's cost minus its children's, then summed over the pruned tree. *)
-let shared_cost (ctx : ctx) (p : Plan.t) : float =
-  let stats = ctx.stats in
-  if ctx.shared_fps = [] then Cost.cost ?stats ctx.cat p
-  else
-    let rec go p =
-      if List.mem (Plan.fingerprint p) ctx.shared_fps then
-        Cost.rows_out ?stats ctx.cat p
-      else
-        let kids = Plan.children p in
-        let local =
-          List.fold_left
-            (fun acc k -> acc -. Cost.cost ?stats ctx.cat k)
-            (Cost.cost ?stats ctx.cat p)
-            kids
-        in
-        List.fold_left (fun acc k -> acc +. go k) (Float.max 0.0 local) kids
-    in
-    go p
+let plan_cost (ctx : ctx) p = Cost.cost ?stats:ctx.stats ctx.cat p
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration: DP over subsets, greedy beyond [dp_max].                *)
@@ -433,7 +399,7 @@ let enumerate (ctx : ctx) (r : region) :
   let n = Array.length r.leaves in
   let avail = mk_avail r in
   let considered = ref 0 and pruned = ref 0 in
-  let plan_cost p = shared_cost ctx p in
+  let plan_cost = plan_cost ctx in
   let pick acc cand =
     incr considered;
     let c = plan_cost cand in
@@ -520,82 +486,6 @@ let enumerate (ctx : ctx) (r : region) :
       in
       grow mask0 p0 c0
   end
-
-(* ------------------------------------------------------------------ *)
-(* Selection placement on the chosen tree.                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Single-level hoist moves: a Filter directly under a join-family node
-   moves above it.  Legal from the left side of any join (the output
-   contains the left attributes) and from the right side of inner joins
-   only (semijoin/antijoin/nestjoin outputs carry no right attributes). *)
-let hoist_moves (p0 : Plan.t) : Plan.t list =
-  let out = ref [] in
-  let rec go rebuild p =
-    (match p with
-    | Plan.JoinOp ({ left = Plan.Filter ({ input; _ } as f); _ } as j) ->
-      out :=
-        rebuild
-          (Plan.Filter { f with input = Plan.JoinOp { j with left = input } })
-        :: !out
-    | _ -> ());
-    (match p with
-    | Plan.JoinOp
-        ({ kind = Expr.Inner; right = Plan.Filter ({ input; _ } as f); _ } as
-         j) ->
-      out :=
-        rebuild
-          (Plan.Filter { f with input = Plan.JoinOp { j with right = input } })
-        :: !out
-    | _ -> ());
-    (match p with
-    | Plan.NestjoinOp ({ left = Plan.Filter ({ input; _ } as f); _ } as j) ->
-      out :=
-        rebuild
-          (Plan.Filter
-             { f with input = Plan.NestjoinOp { j with left = input } })
-        :: !out
-    | _ -> ());
-    let kids = Plan.children p in
-    List.iteri
-      (fun i c ->
-        let rebuild' c' =
-          rebuild
-            (Plan.with_children p
-               (List.mapi (fun k ck -> if k = i then c' else ck) kids))
-        in
-        go rebuild' c)
-      kids
-  in
-  go (fun x -> x) p0;
-  !out
-
-(* Hill-climb: take the best strictly-improving hoist until none exists.
-   With no shared subplans pushdown is optimal under this cost model and
-   the loop exits immediately; with sharing, selections migrate above the
-   shared boundary. *)
-let place_selections (ctx : ctx) (p : Plan.t) : Plan.t * int =
-  let hoisted = ref 0 in
-  let rec climb plan cost_now iters =
-    if iters = 0 then plan
-    else
-      let best =
-        List.fold_left
-          (fun acc m ->
-            let c = shared_cost ctx m in
-            match acc with
-            | Some (_, bc) when bc <= c -> acc
-            | _ -> if c < cost_now then Some (m, c) else acc)
-          None (hoist_moves plan)
-      in
-      match best with
-      | Some (m, c) ->
-        incr hoisted;
-        climb m c (iters - 1)
-      | None -> plan
-  in
-  let placed = climb p (shared_cost ctx p) 16 in
-  (placed, !hoisted)
 
 (* ------------------------------------------------------------------ *)
 (* Region extraction and the top-level pass.                            *)
@@ -802,9 +692,9 @@ and try_region ctx p0 =
   | Some r ->
     if not (valid_region r) then None
     else
-      let rcost = shared_cost ctx r.ref_plan in
+      let rcost = plan_cost ctx r.ref_plan in
       let rfp = Plan.fingerprint r.ref_plan in
-      let record ~chosen ~ccost ~considered ~pruned ~hoisted =
+      let record ~chosen ~ccost ~considered ~pruned =
         let cfp = Plan.fingerprint chosen in
         last_report :=
           !last_report
@@ -817,7 +707,6 @@ and try_region ctx p0 =
                 chosen_cost = ccost;
                 rewriter_cost = rcost;
                 reordered = not (String.equal cfp rfp);
-                hoisted;
                 chosen_fingerprint = cfp;
                 rewriter_fingerprint = rfp;
               };
@@ -825,30 +714,24 @@ and try_region ctx p0 =
       in
       (match (try enumerate ctx r with Bail -> None) with
       | None ->
-        record ~chosen:r.ref_plan ~ccost:rcost ~considered:0 ~pruned:0
-          ~hoisted:0;
+        record ~chosen:r.ref_plan ~ccost:rcost ~considered:0 ~pruned:0;
         Some r.ref_plan
-      | Some (cand, _, considered, pruned) ->
-        let cand, hoisted = place_selections ctx cand in
-        let ccost = shared_cost ctx cand in
+      | Some (cand, ccost, considered, pruned) ->
         (* Strictly-cheaper adoption: ties keep the rewriter's plan, so
            estimation noise never churns existing fingerprints. *)
-        let chosen, ccost, hoisted =
-          if ccost < rcost then (cand, ccost, hoisted) else (r.ref_plan, rcost, 0)
-        in
-        record ~chosen ~ccost ~considered ~pruned ~hoisted;
+        let chosen, ccost = if ccost < rcost then (cand, ccost) else (r.ref_plan, rcost) in
+        record ~chosen ~ccost ~considered ~pruned;
         Some chosen)
 
 let optimize ?stats (cat : Catalog.t) (p : Plan.t) : Plan.t =
   last_report := [];
-  if not !use_joinorder then p
-  else transform { cat; stats; shared_fps = !shared } p
+  if not !use_joinorder then p else transform { cat; stats } p
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive order enumeration (differential-test hook).               *)
 (* ------------------------------------------------------------------ *)
 
-let orders ?(limit = 64) ?stats (cat : Catalog.t) (p : Plan.t) : Plan.t list =
+let orders ?(limit = 64) (cat : Catalog.t) (p : Plan.t) : Plan.t list =
   let rec find p =
     if region_root p then Some p else List.find_map find (Plan.children p)
   in
@@ -861,7 +744,6 @@ let orders ?(limit = 64) ?stats (cat : Catalog.t) (p : Plan.t) : Plan.t list =
       let n = Array.length r.leaves in
       if (not (valid_region r)) || n > 8 then []
       else begin
-        ignore stats;
         let avail = mk_avail r in
         let memo = Hashtbl.create 64 in
         let rec plans mask =

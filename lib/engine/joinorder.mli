@@ -1,4 +1,4 @@
-(** Cost-based join-order enumeration with DAG-aware selection placement.
+(** Cost-based join-order enumeration.
 
     A pass between the rewriter-driven logical planning ({!Planner}) and
     access-path selection: it extracts maximal join regions — connected
@@ -16,23 +16,12 @@
     requirement that its key/body attributes be available, and the
     attribute it produces feeds the availability of later selections, so
     "grouping-complete" subsets fall out of the same dependency tracking.
-
-    Selections are then placed on the costed tree rather than always at
-    the leaves: with {!shared} fingerprints (subplans materialized once by
-    a batched prepared-query plan), pushing a selection below the shared
-    node would forfeit reuse, and hoisting it above can win — the
-    "Sprinkling Selections over Join DAGs" case. *)
+    Selections go to the earliest node that has their attributes. *)
 
 open Njq_adl
 
 (** Master switch consulted by {!Planner.plan} (default on). *)
 val use_joinorder : bool ref
-
-(** Fingerprints ({!Plan.fingerprint}) of subplans materialized once and
-    shared (e.g. across a batched prepared-query plan).  A shared subtree
-    is charged only its output cardinality, which is what lets a hoisted
-    selection beat leaf pushdown. *)
-val shared : string list ref
 
 type region_report = {
   relations : string list;  (** leaf labels, rewriter order *)
@@ -41,7 +30,6 @@ type region_report = {
   chosen_cost : float;
   rewriter_cost : float;
   reordered : bool;  (** chosen plan differs from the rewriter's order *)
-  hoisted : int;  (** selections placed above a join by the DAG pass *)
   chosen_fingerprint : string;
   rewriter_fingerprint : string;
 }
@@ -60,4 +48,4 @@ val optimize : ?stats:Stats.t -> Catalog.t -> Plan.t -> Plan.t
     (deduplicated by fingerprint, capped at [limit] per subset) — the
     differential-test hook: each returned plan must produce results
     bit-identical to the input plan.  [[]] when the plan has no region. *)
-val orders : ?limit:int -> ?stats:Stats.t -> Catalog.t -> Plan.t -> Plan.t list
+val orders : ?limit:int -> Catalog.t -> Plan.t -> Plan.t list

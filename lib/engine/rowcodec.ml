@@ -429,8 +429,3 @@ let load_catalog path =
   done;
   Catalog.ensure_oid_above cat next_oid;
   cat
-
-(* Linked into every engine consumer (the executor's spill paths reference
-   this module), so [Catalog.load_binary] is available wherever plans can
-   run. *)
-let () = Catalog.register_binary_loader load_catalog

@@ -82,7 +82,7 @@ val live_spills : unit -> int
     header entry (name, row type string, row count, section byte length)
     followed by the rows as records with a per-table intern pool — the
     section lengths let a reader locate one table without decoding the
-    others.  Loading registers itself as {!Njq_adl.Catalog.load_binary}. *)
+    others. *)
 
 val njqc_magic : string
 

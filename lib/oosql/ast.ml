@@ -73,12 +73,6 @@ and sfw = {
   where : expr option;
 }
 
-let pos_of = function
-  | ELit (_, p) | EParam (_, p)
-  | EVar (_, p) | EPath (_, _, p) | ETuple (_, p) | ESet (_, p)
-  | EBin (_, _, _, p) | ENot (_, p) | EQuant (_, _, _, _, p) | EAgg (_, _, p)
-  | ESfw (_, p) -> p
-
 (* A parsed program: optional schema declarations, then named view
    definitions (the paper's "named intermediate tables", whose expansion
    produces nesting in the from-clause), then an optional query. *)

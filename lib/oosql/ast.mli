@@ -62,8 +62,6 @@ and sfw = {
   where : expr option;
 }
 
-val pos_of : expr -> pos
-
 (** A parsed program: class declarations, named view definitions (the
     paper's "named intermediate tables"), then an optional query. *)
 type program = {

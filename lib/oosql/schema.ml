@@ -15,10 +15,8 @@ let find_class (schema : Ast.schema) name =
   | Some c -> c
   | None -> error "unknown class %s" name
 
+(* Extent name of a class. *)
 let extent_of (schema : Ast.schema) class_name = (find_class schema class_name).extent
-
-let class_of_extent (schema : Ast.schema) extent =
-  List.find_opt (fun c -> String.equal c.Ast.extent extent) schema
 
 (* Map an OOSQL type to an ADL type; class references become TRef of the
    referenced class's extent name (the catalog key). *)

@@ -7,24 +7,11 @@ exception Schema_error of string
 
 val find_class : Ast.schema -> string -> Ast.class_def
 
-(** Extent name of a class. *)
-val extent_of : Ast.schema -> string -> string
-
-(** Class owning an extent, if any. *)
-val class_of_extent : Ast.schema -> string -> Ast.class_def option
-
-(** Map an OOSQL type to an ADL type ([SClass c] becomes
-    [TRef (extent_of c)]). *)
-val vtype_of_sqltype : Ast.schema -> Ast.sqltype -> Njq_adl.Vtype.t
-
 (** Row type of a class's extent: declared attributes plus [oid].  Rejects
     classes declaring a reserved [oid] attribute. *)
 val row_type : Ast.schema -> Ast.class_def -> Njq_adl.Vtype.t
 
 (** A catalog with one empty table per class extension. *)
 val to_catalog : Ast.schema -> Njq_adl.Catalog.t
-
-(** The paper's running supplier–part–delivery schema (Section 2). *)
-val supplier_part_source : string
 
 val supplier_part : unit -> Ast.schema

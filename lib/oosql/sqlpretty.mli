@@ -1,7 +1,5 @@
 (** Pretty-printer for OOSQL abstract syntax.  Output re-parses to the same
     AST (modulo positions); the round trip is tested. *)
 
-val pp : ?ctx:int -> Format.formatter -> Ast.expr -> unit
 val to_string : Ast.expr -> string
-val pp_class : Format.formatter -> Ast.class_def -> unit
 val pp_schema : Format.formatter -> Ast.schema -> unit

@@ -23,6 +23,7 @@ type ctx = {
   extents : (string * Vtype.t) list; (* extent name -> row type *)
 }
 
+(* Build the translation context from a schema. *)
 let make_ctx (schema : Ast.schema) : ctx =
   { schema;
     extents =
@@ -47,6 +48,9 @@ let coerce_date (e1, t1) (e2, t2) =
     ((Expr.Const (Value.date n), Vtype.TDate), (e2, t2))
   | _ -> ((e1, t1), (e2, t2))
 
+(* Translate an expression under variable typings [env], returning the
+   ADL expression and its type; raises [Translate_error] with a source
+   position on ill-typed input. *)
 let rec translate (ctx : ctx) (env : env) (e : Ast.expr) : Expr.t * Vtype.t =
   match e with
   | Ast.ELit (l, _) ->

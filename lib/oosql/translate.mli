@@ -12,18 +12,6 @@ open Njq_adl
 
 exception Translate_error of string * Ast.pos
 
-type ctx
-
-(** Build the translation context from a schema. *)
-val make_ctx : Ast.schema -> ctx
-
-type env = (string * Vtype.t) list
-
-(** Translate an expression under variable typings [env], returning the
-    ADL expression and its type.  Raises {!Translate_error} with a source
-    position on ill-typed input. *)
-val translate : ctx -> env -> Ast.expr -> Expr.t * Vtype.t
-
 (** Translate a closed query under a schema. *)
 val query : Ast.schema -> Ast.expr -> Expr.t * Vtype.t
 

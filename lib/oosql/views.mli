@@ -8,10 +8,6 @@
 
 exception View_error of string * Ast.pos
 
-(** Replace free occurrences of a name by a definition, respecting
-    from-binding and quantifier scopes. *)
-val splice : string -> Ast.expr -> Ast.expr -> Ast.expr
-
 (** Expand all definitions (in order) inside an expression. *)
 val expand : (string * Ast.expr) list -> Ast.expr -> Ast.expr
 

@@ -33,8 +33,6 @@ type db = {
   supplier_oids : int array;
 }
 
-val generate : config -> db
-
 (** Catalog only. *)
 val catalog : config -> Catalog.t
 

@@ -16,13 +16,6 @@ type query = {
           dangling references *)
 }
 
-val q1 : query
-val q2 : query
-val q3_1 : query
-val q3_2 : query
-val q4 : query
-val q5 : query
-val q6 : query
 val all : query list
 
 (** Extended corpus beyond the paper's examples (Section 7's future-work

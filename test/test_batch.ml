@@ -90,8 +90,13 @@ let test_workload_modes_agree () =
 (* Fixed fused plans covering the batch kernels: compiled column
    predicates (int/float/string constants), the single-key hash join
    specialization, semi/anti/outer joins, set ops through the shared
-   dedup sink, nestjoin grouping, renames, and a breaker (sort) fed by a
-   batched input.  Each comes with the ADL it implements. *)
+   dedup selection, nestjoin grouping, renames, and a breaker (sort) fed by a
+   batched input.  Every probing join runs through one match-and-emit
+   loop, so each probe (hash with one key and with two, nested loops,
+   index, member over a build and over the oid index) appears with each
+   join kind it serves, over a filtered left input; unnest and assembly
+   appear with the dedup their inputs need.  Each comes with the ADL it
+   implements. *)
 
 let price_above k p = gt (var p $. "price") (int k)
 
@@ -110,11 +115,27 @@ let live_delivery = ge (count (var "d" $. "supply")) (int 0)
 let supplier_keys_body =
   tuple [ ("soid", var "s" $. "oid"); ("sname", var "s" $. "sname") ]
 
-let probe_adl kind =
+(* Suppliers named below "s3": a residual that leaves some deliveries
+   without a match. *)
+let early_supplier = lt (var "s" $. "sname") (str "s3")
+
+let probe_adl ?residual kind =
+  let pred = Option.fold ~none:probe_pred ~some:(( &&& ) probe_pred) residual in
   Expr.Join
-    { kind; xvar = "d"; yvar = "s"; pred = probe_pred;
+    { kind; xvar = "d"; yvar = "s"; pred;
       left = select "d" (table "DELIVERY") live_delivery;
       right = map_ "s" (table "SUPPLIER") supplier_keys_body }
+
+(* The catalog the fixed plans run on, with the index the index joins
+   probe. *)
+let supplier_oid_index = "supplier_oid"
+
+let fused_catalog () =
+  let cat = Gen.catalog { (Gen.scaled ~seed:1 64) with Gen.dangling_rate = 0.0 } in
+  ignore
+    (Catalog.create_index cat ~name:supplier_oid_index ~table:"SUPPLIER"
+       ~kind:Catalog.Hash_index ~attrs:[ "oid" ] ());
+  cat
 
 let fused_plans () =
   let chain =
@@ -147,11 +168,11 @@ let fused_plans () =
     Plan.Filter { morsel = false;
                   var = "p"; pred = rank_pred; input = Plan.Scan "PART" }
   in
-  let probe algo kind =
+  let probe ?(residual = Expr.true_) algo kind =
     Plan.JoinOp
       { algo; kind; xvar = "d"; yvar = "s";
         keys = [ (var "d" $. "supplier", var "s" $. "soid") ];
-        residual = Expr.true_;
+        residual;
         left =
           Plan.Filter
             { morsel = false;
@@ -196,9 +217,9 @@ let fused_plans () =
                       var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } )
   in
   let nest_pred = eq (var "s" $. "oid") (var "d" $. "supplier") in
-  let nest_plan =
+  let nest_plan algo =
     Plan.NestjoinOp
-      { algo = Plan.Hash; xvar = "s"; yvar = "d";
+      { algo; xvar = "s"; yvar = "d";
         keys = [ (var "s" $. "oid", var "d" $. "supplier") ];
         residual = Expr.true_; body = var "d" $. "date"; attr = "delivered";
         left = Plan.Scan "SUPPLIER"; right = Plan.Scan "DELIVERY" }
@@ -206,6 +227,121 @@ let fused_plans () =
   let nest_adl =
     nestjoin ~x:"s" ~y:"d" ~body:(var "d" $. "date") ~attr:"delivered" nest_pred
       (table "SUPPLIER") (table "DELIVERY")
+  in
+  (* Two-key nestjoin: the KTbl probe under the nestjoin's emit. *)
+  let busy_s = gt (count (var "s" $. "parts_supplied")) (int 2)
+  and busy_d = ge (count (var "d" $. "supply")) (int 2) in
+  let two_key_nest =
+    Plan.NestjoinOp
+      { algo = Plan.Hash; xvar = "s"; yvar = "d";
+        keys = [ (var "s" $. "oid", var "d" $. "supplier"); (busy_s, busy_d) ];
+        residual = Expr.true_; body = var "d" $. "date"; attr = "delivered";
+        left = Plan.Scan "SUPPLIER"; right = Plan.Scan "DELIVERY" }
+  in
+  let two_key_nest_adl =
+    nestjoin ~x:"s" ~y:"d" ~body:(var "d" $. "date") ~attr:"delivered"
+      (nest_pred &&& eq busy_s busy_d)
+      (table "SUPPLIER") (table "DELIVERY")
+  in
+  (* Index joins: each filtered delivery probes SUPPLIER's oid index; the
+     fetched suppliers are renamed apart from the delivery's attributes. *)
+  let index_join kind =
+    Plan.IndexJoin
+      { kind; xvar = "d"; yvar = "s"; table = "SUPPLIER"; index = supplier_oid_index;
+        keys = [ var "d" $. "supplier" ]; residual = early_supplier;
+        rename = [ ("oid", "soid") ];
+        left =
+          Plan.Filter
+            { morsel = false;
+              var = "d"; pred = live_delivery; input = Plan.Scan "DELIVERY" } }
+  in
+  let index_adl kind =
+    Expr.Join
+      { kind; xvar = "d"; yvar = "s"; pred = probe_pred &&& early_supplier;
+        left = select "d" (table "DELIVERY") live_delivery;
+        right = Expr.Rename ([ ("oid", "soid") ], table "SUPPLIER") }
+  in
+  (* Member joins of suppliers (oid renamed apart from PART's) with the
+     parts they supply: over a build of the red parts, and over PART's oid
+     index.  The element itself is the key, so no row matches twice;
+     suppliers with no parts survive the antijoins. *)
+  let not_s1 = neq (var "s" $. "sname") (str "s1") in
+  let suppliers =
+    Plan.Filter
+      { morsel = false; var = "s"; pred = not_s1;
+        input = Plan.RenameOp ([ ("oid", "soid") ], Plan.Scan "SUPPLIER") }
+  in
+  let suppliers_adl =
+    select "s" (Expr.Rename ([ ("oid", "soid") ], table "SUPPLIER")) not_s1
+  in
+  let red_parts =
+    Plan.Filter { morsel = false; var = "p"; pred = red "p"; input = Plan.Scan "PART" }
+  in
+  let supplies = mem (var "p" $. "oid") (var "s" $. "parts_supplied") in
+  let member kind right =
+    Plan.MemberJoin
+      { kind; xvar = "s"; yvar = "p"; xset = var "s" $. "parts_supplied";
+        elem_var = "z"; elem_key = var "z"; ykey = var "p" $. "oid";
+        left = suppliers; right }
+  in
+  let member_adl kind right =
+    match kind with
+    | Plan.MSemi -> semijoin ~x:"s" ~y:"p" supplies suppliers_adl right
+    | Plan.MAnti -> antijoin ~x:"s" ~y:"p" supplies suppliers_adl right
+    | Plan.MInner -> join ~x:"s" ~y:"p" supplies suppliers_adl right
+    | Plan.MNest { body; attr } ->
+      nestjoin ~x:"s" ~y:"p" ~body ~attr supplies suppliers_adl right
+  in
+  let member_cases =
+    List.concat_map
+      (fun (kname, kind) ->
+        [ ( "member_" ^ kname ^ "_build",
+            member kind (Plan.Build red_parts),
+            member_adl kind (select "p" (table "PART") (red "p")) );
+          ( "member_" ^ kname ^ "_oid",
+            member kind (Plan.Oid_index "PART"),
+            member_adl kind (table "PART") ) ])
+      [ ("semi", Plan.MSemi); ("anti", Plan.MAnti); ("inner", Plan.MInner);
+        ("nest", Plan.MNest { body = var "p" $. "pname"; attr = "pnames" }) ]
+  in
+  (* Keyed by a field of the element, a delivery's supply entries can
+     probe one part twice: the inner join dedups its output and the
+     nestjoin each group. *)
+  let deliveries =
+    Plan.Filter
+      { morsel = false; var = "d"; pred = live_delivery;
+        input = Plan.RenameOp ([ ("oid", "did") ], Plan.Scan "DELIVERY") }
+  in
+  let deliveries_adl =
+    select "d" (Expr.Rename ([ ("oid", "did") ], table "DELIVERY")) live_delivery
+  in
+  let by_part kind =
+    Plan.MemberJoin
+      { kind; xvar = "d"; yvar = "p"; xset = var "d" $. "supply"; elem_var = "z";
+        elem_key = var "z" $. "part"; ykey = var "p" $. "oid"; left = deliveries;
+        right = Plan.Build red_parts }
+  in
+  let supplied = exists "z" (var "d" $. "supply") (eq (var "z" $. "part") (var "p" $. "oid")) in
+  let red_adl = select "p" (table "PART") (red "p") in
+  (* An unnest whose input has no key, and an assembly over one: both
+     dedup. *)
+  let supplier_supply =
+    Plan.MapOp
+      { morsel = false; var = "d";
+        body = tuple [ ("supplier", var "d" $. "supplier"); ("supply", var "d" $. "supply") ];
+        input = Plan.Scan "DELIVERY" }
+  in
+  let supplier_supply_adl =
+    map_ "d" (table "DELIVERY")
+      (tuple [ ("supplier", var "d" $. "supplier"); ("supply", var "d" $. "supply") ])
+  in
+  let assembly =
+    Plan.Assembly
+      { cls = "SUPPLIER"; ref_attr = "supplier"; into = "by"; input = supplier_supply }
+  in
+  let assembly_adl =
+    map_ "r" supplier_supply_adl
+      (except (var "r") [ ("by", Expr.Deref ("SUPPLIER", var "r" $. "supplier")) ])
   in
   let rename_plan =
     Plan.RenameOp
@@ -247,22 +383,48 @@ let fused_plans () =
     ( "diff",
       diff_plan,
       diff (table "PART") (select "p" (table "PART") (price_above 5 "p")) );
-    ("nest", nest_plan, nest_adl);
+    ("nest", nest_plan Plan.Hash, nest_adl);
+    ("two_key_nest", two_key_nest, two_key_nest_adl);
+    ("nl_inner", probe Plan.Nested_loop Expr.Inner, probe_adl Expr.Inner);
+    ( "nl_semi",
+      probe ~residual:early_supplier Plan.Nested_loop Expr.Semi,
+      probe_adl ~residual:early_supplier Expr.Semi );
+    ( "nl_anti",
+      probe ~residual:early_supplier Plan.Nested_loop Expr.Anti,
+      probe_adl ~residual:early_supplier Expr.Anti );
+    ( "nl_outer",
+      probe ~residual:early_supplier Plan.Nested_loop outer,
+      probe_adl ~residual:early_supplier outer );
+    ("nl_nest", nest_plan Plan.Nested_loop, nest_adl);
+    ("index_inner", index_join Expr.Inner, index_adl Expr.Inner);
+    ("index_semi", index_join Expr.Semi, index_adl Expr.Semi);
+    ("index_anti", index_join Expr.Anti, index_adl Expr.Anti);
+    ( "member_inner_by_part",
+      by_part Plan.MInner,
+      join ~x:"d" ~y:"p" supplied deliveries_adl red_adl );
+    ( "member_nest_by_part",
+      by_part (Plan.MNest { body = var "p" $. "pname"; attr = "pnames" }),
+      nestjoin ~x:"d" ~y:"p" ~body:(var "p" $. "pname") ~attr:"pnames" supplied
+        deliveries_adl red_adl );
+    ("unnest", Plan.UnnestOp ("supply", supplier_supply),
+     unnest "supply" supplier_supply_adl);
+    ("assembly", assembly, assembly_adl);
     ("rename", rename_plan, rename_adl);
     (* A breaker downstream of batched inputs: sort-merge buffers both
        sides, so batches must materialize correctly at the boundary. *)
     ("sort_join", probe Plan.Sort_merge Expr.Inner, probe_adl Expr.Inner);
     ("flatten", flatten_plan, flatten_adl) ]
+  @ member_cases
 
 let test_fused_plans_agree () =
-  let cat = Gen.catalog { (Gen.scaled ~seed:1 64) with Gen.dangling_rate = 0.0 } in
+  let cat = fused_catalog () in
   List.iter
     (fun (name, plan, adl) -> check_plan name cat ~adl plan)
     (fused_plans ())
 
 (* The same plans with their fused chains cut at every operator edge. *)
 let test_fused_chains_agree () =
-  let cat = Gen.catalog { (Gen.scaled ~seed:1 64) with Gen.dangling_rate = 0.0 } in
+  let cat = fused_catalog () in
   List.iter
     (fun (name, plan, _) ->
       let rows, counters = run_rows cat plan in

@@ -57,7 +57,26 @@ let test_guards () =
     (Exec.Exec_error "partitioned join: memory budget must be positive") (fun () ->
       ignore
         (Exec.run cat
-           (grace ~kind:Expr.Inner ~budget:0 (Plan.Scan "X") (Plan.Scan "Y"))))
+           (grace ~kind:Expr.Inner ~budget:0 (Plan.Scan "X") (Plan.Scan "Y"))));
+  (* A hash table needs an equi key: running a keyless [Hash] join or
+     nestjoin is an error (no planner path emits one). *)
+  let keyless = "hash join without equi keys" in
+  Alcotest.check_raises "keyless hash join rejected" (Exec.Exec_error keyless)
+    (fun () ->
+      ignore
+        (Exec.run cat
+           (Plan.JoinOp
+              { algo = Plan.Hash; kind = Expr.Inner; xvar = "x"; yvar = "y";
+                keys = []; residual = Expr.true_; left = Plan.Scan "X";
+                right = Plan.Scan "Y" })));
+  Alcotest.check_raises "keyless hash nestjoin rejected" (Exec.Exec_error keyless)
+    (fun () ->
+      ignore
+        (Exec.run cat
+           (Plan.NestjoinOp
+              { algo = Plan.Hash; xvar = "x"; yvar = "y"; keys = [];
+                residual = Expr.true_; body = var "y" $. "e"; attr = "g";
+                left = Plan.Scan "X"; right = Plan.Scan "Y" })))
 
 (* Anti join: left rows in partitions with no right rows must survive. *)
 let test_anti_dangling_partitions () =

@@ -135,7 +135,7 @@ let diff_prop g =
   let all_orders =
     with_domains 1 (fun () ->
         with_reorder false (fun () ->
-            Joinorder.orders ~limit:8 ~stats:(Stats.cached cat) cat
+            Joinorder.orders ~limit:8 cat
               (Planner.plan ~cat q)))
   in
   List.iter
@@ -178,7 +178,7 @@ let chain_fixture () =
 let test_fingerprints_distinct () =
   let cat, q = chain_fixture () in
   let p = with_reorder false (fun () -> Planner.plan ~cat q) in
-  let orders = Joinorder.orders ~stats:(Stats.cached cat) cat p in
+  let orders = Joinorder.orders cat p in
   Alcotest.(check bool) "several orders" true (List.length orders >= 3);
   (* pairwise structurally distinct, and fingerprints separate them *)
   let rec pairs = function
@@ -229,9 +229,10 @@ let test_plancache_discipline () =
     (Plan.fingerprint (derive ""))
     (Plan.fingerprint p2)
 
-(* Selection placement: with the unfiltered join subtree marked shared, a
-   leaf-pushed selection hoists above the sharing boundary. *)
-let test_selection_hoist () =
+(* Selection placement: the enumeration applies a selection at the
+   earliest node that has its attributes, so a selection written above a
+   join lands on its leaf. *)
+let test_selection_on_leaf () =
   let rows n = List.init n (fun i -> (i, i)) in
   let cat = mk_catalog [ rows 40; rows 40 ] in
   let stats = Stats.cached cat in
@@ -255,58 +256,26 @@ let test_selection_hoist () =
             };
       }
   in
-  let find_join p =
-    let found = ref None in
-    Plan.iter_nodes
-      (fun n ->
-        match n with
-        | Plan.JoinOp { kind = Expr.Inner; _ } when !found = None ->
-          found := Some n
-        | _ -> ())
-      p;
-    Option.get !found
-  in
-  (* pass 1, no sharing: the filter lands on the T0 leaf (either side) *)
-  let p1 = Joinorder.optimize ~stats cat raw in
-  let j1 = find_join p1 in
+  let p = Joinorder.optimize ~stats cat raw in
+  let join = ref None in
+  Plan.iter_nodes
+    (fun n ->
+      match n with
+      | Plan.JoinOp { kind = Expr.Inner; _ } when !join = None -> join := Some n
+      | _ -> ())
+    p;
   let leaf_filtered = function
     | Plan.Filter { input = Plan.Scan t; _ } -> String.equal t (tn 0)
     | _ -> false
   in
   let pushed =
-    match j1 with
-    | Plan.JoinOp { left; right; _ } ->
+    match !join with
+    | Some (Plan.JoinOp { left; right; _ }) ->
       leaf_filtered left || leaf_filtered right
     | _ -> false
   in
-  Alcotest.(check bool) "no sharing: selection pushed to the leaf" true pushed;
-  (* pass 2: mark the unfiltered join shared; the selection must hoist *)
-  let j_unfiltered =
-    match j1 with
-    | Plan.JoinOp ({ left = Plan.Filter { input; _ }; _ } as j)
-      when leaf_filtered j.left ->
-      Plan.JoinOp { j with left = input }
-    | Plan.JoinOp ({ right = Plan.Filter { input; _ }; _ } as j)
-      when leaf_filtered j.right ->
-      Plan.JoinOp { j with right = input }
-    | _ -> Alcotest.fail "expected filtered leaf under the join"
-  in
-  let prev = !Joinorder.shared in
-  Joinorder.shared := [ Plan.fingerprint j_unfiltered ];
-  Fun.protect
-    ~finally:(fun () -> Joinorder.shared := prev)
-    (fun () ->
-      let p2 = Joinorder.optimize ~stats cat raw in
-      let contains_shared = ref false in
-      Plan.iter_nodes
-        (fun n -> if Plan.equal n j_unfiltered then contains_shared := true)
-        p2;
-      Alcotest.(check bool) "sharing: selection hoisted above the join" true
-        !contains_shared;
-      let r = List.hd !Joinorder.last_report in
-      Alcotest.(check bool) "hoist counted" true (r.Joinorder.hoisted >= 1);
-      check_value "hoisted plan result unchanged" (Exec.run cat raw)
-        (Exec.run cat p2))
+  Alcotest.(check bool) "selection pushed to the leaf" true pushed;
+  check_value "placed plan result unchanged" (Exec.run cat raw) (Exec.run cat p)
 
 let () =
   Alcotest.run "joinorder"
@@ -328,7 +297,7 @@ let () =
         ] );
       ( "placement",
         [
-          Alcotest.test_case "shared subplan hoists selection" `Quick
-            test_selection_hoist;
+          Alcotest.test_case "selection lands on its leaf" `Quick
+            test_selection_on_leaf;
         ] );
     ]

@@ -150,7 +150,7 @@ let test_njqc_roundtrip () =
     (fun () ->
       Rowcodec.save_catalog cat path;
       Alcotest.(check bool) "magic recognized" true (Rowcodec.is_njqc path);
-      let cat' = Catalog.load_binary path in
+      let cat' = Rowcodec.load_catalog path in
       Alcotest.(check (list string)) "tables" (Catalog.table_names cat)
         (Catalog.table_names cat');
       List.iter
@@ -173,7 +173,7 @@ let test_njqc_corrupt () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc
             (Rowcodec.njqc_magic ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"));
-      (match Catalog.load_binary path with
+      (match Rowcodec.load_catalog path with
        | _ -> Alcotest.fail "expected Corrupt"
        | exception Rowcodec.Corrupt _ -> ());
       Alcotest.(check bool) "missing file is not njqc" false
@@ -232,33 +232,44 @@ let test_planner_converts () =
       Alcotest.(check bool) "spill bytes ticked" true (spill_bytes > 0))
 
 (* ------------------------------------------------------------------ *)
-(* Budget differential: partitioned joins and nestjoins at 1 and 4
-   partitions, PNHL and sort-merge give the resident result at every
-   budget, at 1/2/4 domains, with counter totals that do not depend on the
-   domain count. *)
+(* Budget differential: partitioned joins and nestjoins, on one key and on
+   two, at 1 and 4 partitions, PNHL and sort-merge give the resident
+   result at every budget, at 1/2/4 domains, with counter totals that do
+   not depend on the domain count. *)
 
 let xy_keys = [ (var "x" $. "a", var "y" $. "d") ]
 let xy_pred = eq (var "x" $. "a") (var "y" $. "d")
 
-(* Each join family as a plan over its algorithm, with its ADL. *)
+(* A second key, so a partition pair hashes an ordered key array rather
+   than the key value: big sets on the left meet big [e] on the right. *)
+let big_x = gt (count (var "x" $. "c")) (int 3)
+let big_y = gt (var "y" $. "e") (int 5)
+let xy_keys2 = xy_keys @ [ (big_x, big_y) ]
+let xy_pred2 = xy_pred &&& eq big_x big_y
+
+(* Each join family, with one key and with two, as a plan over its
+   algorithm, with its ADL. *)
 let families =
-  [ ( "join",
-      (fun algo ->
-        Plan.JoinOp
-          { algo; kind = Expr.Inner; xvar = "x"; yvar = "y"; keys = xy_keys;
-            residual = Expr.true_; left = Plan.Scan "X"; right = Plan.Scan "Y" }),
-      Expr.Join
-        { kind = Expr.Inner; xvar = "x"; yvar = "y"; pred = xy_pred;
-          left = Expr.Table "X"; right = Expr.Table "Y" } );
-    ( "nestjoin",
-      (fun algo ->
-        Plan.NestjoinOp
-          { algo; xvar = "x"; yvar = "y"; keys = xy_keys; residual = Expr.true_;
-            body = var "y" $. "e"; attr = "g"; left = Plan.Scan "X";
-            right = Plan.Scan "Y" }),
-      Expr.Nestjoin
-        { xvar = "x"; yvar = "y"; pred = xy_pred; body = var "y" $. "e";
-          attr = "g"; left = Expr.Table "X"; right = Expr.Table "Y" } ) ]
+  List.concat_map
+    (fun (suffix, keys, pred) ->
+      [ ( "join" ^ suffix,
+          (fun algo ->
+            Plan.JoinOp
+              { algo; kind = Expr.Inner; xvar = "x"; yvar = "y"; keys;
+                residual = Expr.true_; left = Plan.Scan "X"; right = Plan.Scan "Y" }),
+          Expr.Join
+            { kind = Expr.Inner; xvar = "x"; yvar = "y"; pred;
+              left = Expr.Table "X"; right = Expr.Table "Y" } );
+        ( "nestjoin" ^ suffix,
+          (fun algo ->
+            Plan.NestjoinOp
+              { algo; xvar = "x"; yvar = "y"; keys; residual = Expr.true_;
+                body = var "y" $. "e"; attr = "g"; left = Plan.Scan "X";
+                right = Plan.Scan "Y" }),
+          Expr.Nestjoin
+            { xvar = "x"; yvar = "y"; pred; body = var "y" $. "e";
+              attr = "g"; left = Expr.Table "X"; right = Expr.Table "Y" } ) ])
+    [ ("", xy_keys, xy_pred); (" 2-key", xy_keys2, xy_pred2) ]
 
 let partitioned ~partitions mem_budget = Plan.Partitioned { partitions; mem_budget }
 
