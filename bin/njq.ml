@@ -266,9 +266,20 @@ let make_catalog ?db ?save_db ?schema_file scale seed dangling empty =
     match db, schema_file with
     | Some path, _ ->
       (* Sniff the magic: --db accepts both the textual format and NJQC
-         binary catalogs written by `njq catalog pack`. *)
-      if Njq_engine.Rowcodec.is_njqc path then Njq_engine.Rowcodec.load_catalog path
-      else Serialize.load_catalog_file path
+         binary catalogs written by `njq catalog pack`.  A file that will
+         not load is a one-line error naming it, exit 2. *)
+      (try
+         if Njq_engine.Rowcodec.is_njqc path then
+           Njq_engine.Rowcodec.load_catalog path
+         else Serialize.load_catalog_file path
+       with
+       | Njq_engine.Rowcodec.Corrupt msg | Serialize.Parse_error msg ->
+         Fmt.epr "cannot load catalog %s: %s@." path msg;
+         exit 2
+       | Sys_error msg ->
+         (* already names the file *)
+         Fmt.epr "cannot load catalog: %s@." msg;
+         exit 2)
     | None, Some _ -> Njq_oosql.Schema.to_catalog (load_schema schema_file)
     | None, None ->
       Njq_workload.Generator.catalog
@@ -311,6 +322,9 @@ let or_die f =
     exit 1
   | Value.Type_error msg | Vtype.Type_error msg ->
     Fmt.epr "runtime type error: %s@." msg;
+    exit 1
+  | Eval.Eval_error msg | Njq_engine.Exec.Exec_error msg ->
+    Fmt.epr "runtime error: %s@." msg;
     exit 1
 
 (* ---------------- subcommands ---------------- *)

@@ -8,11 +8,59 @@
    to a table of (possibly complex) objects whose rows carry an [oid] field;
    class references are oid pointers into the referenced extent. *)
 
+(* Oid -> position, by open addressing over two int arrays: monomorphic,
+   no polymorphic hash or compare, no allocation per lookup.  Fibonacci
+   hashing takes the top bits of [oid * k], which spreads contiguous and
+   strided oid ranges alike; the capacity is at least twice the row
+   count, so linear probing stays short.  A negative position marks an
+   empty slot. *)
+module Positions = struct
+  type t = { oids : int array; pos : int array; bits : int }
+
+  let slot t o = (o * 0x9E3779B97F4A7C1) lsr (63 - t.bits)
+
+  let create n =
+    let rec fit b = if 1 lsl b >= 2 * n then b else fit (b + 1) in
+    let bits = fit 4 in
+    { oids = Array.make (1 lsl bits) 0; pos = Array.make (1 lsl bits) (-1); bits }
+
+  (* The position of [o], or -1. *)
+  let find t o =
+    let mask = Array.length t.pos - 1 in
+    let rec go i =
+      let p = Array.unsafe_get t.pos i in
+      if p < 0 || Array.unsafe_get t.oids i = o then p else go ((i + 1) land mask)
+    in
+    go (slot t o)
+
+  (* Map [o] to [p], replacing an earlier position; true if [o] is new. *)
+  let replace t o p =
+    let mask = Array.length t.pos - 1 in
+    let rec go i =
+      if t.pos.(i) < 0 then begin
+        t.oids.(i) <- o;
+        t.pos.(i) <- p;
+        true
+      end
+      else if t.oids.(i) = o then begin
+        t.pos.(i) <- p;
+        false
+      end
+      else go ((i + 1) land mask)
+    in
+    go (slot t o)
+end
+
 type oid_index = {
-  by_oid : (int, Value.t) Hashtbl.t;
+  extent : string; (* the table's name, for the dangling-reference error *)
+  rows : Value.t array; (* the table's [rows_array] *)
+  pos : Positions.t; (* oid -> position in [rows] *)
   oid_key : bool;
       (* every row has an oid and no two rows share one: "oid" is a key of
          the extent *)
+  columns : (string * Value.t array) list Atomic.t;
+      (* per dereferenced attribute, its values aligned with [rows] (see
+         [column]); grows by compare-and-set, dropped with the index *)
 }
 
 type table = {
@@ -25,9 +73,10 @@ type table = {
   mutable changed : int;
       (* catalog epoch of the last [add_table]/[set_rows] of this table *)
   oid_index : oid_index option Atomic.t;
-      (* lazy index on the row's "oid" field, invalidated on updates;
-         published atomically so pool domains can deref concurrently — a
-         lost race rebuilds an identical index, never observes a torn one *)
+      (* lazy index on the row's "oid" field and the attribute columns read
+         through it, invalidated on updates; published atomically so pool
+         domains can deref concurrently — a lost race rebuilds an identical
+         index, never observes a torn one *)
   rows_arr : Value.t array option Atomic.t;
       (* lazy array view of [rows] backing the batched executor's scan
          batches; invalidated by [set_rows], same Atomic publish discipline
@@ -164,26 +213,28 @@ let table_names t =
 
 let cardinality t name = (find t name).card
 
-(* The oid index of extent [name], built on first use.  [Hashtbl.replace]
-   keeps one row per oid, so the build also decides whether "oid" is a key
-   of the extent: it is when the index holds as many entries as the table
-   has rows. *)
+(* The oid index of extent [name], built on first use: each oid's
+   position in [rows_array].  [Positions.replace] keeps one position per
+   oid (the last, as the row list orders them), so the build also decides
+   whether "oid" is a key of the extent: it is when there are as many
+   distinct oids as rows. *)
 let oid_index t name =
   let tbl = find t name in
   match Atomic.get tbl.oid_index with
   | Some idx -> idx
   | None ->
-    let n = tbl.card in
-    let by_oid = Hashtbl.create (max 16 n) in
-    List.iter
-      (function
-        | Value.VTuple fields as row ->
-          (match List.assoc_opt "oid" fields with
-           | Some (Value.VOid o) -> Hashtbl.replace by_oid o row
-           | _ -> ())
+    let rows = rows_array t name in
+    let pos = Positions.create tbl.card and distinct = ref 0 in
+    Array.iteri
+      (fun i row ->
+        match Value.field_opt row "oid" with
+        | Some (Value.VOid o) -> if Positions.replace pos o i then incr distinct
         | _ -> ())
-      tbl.rows;
-    let idx = { by_oid; oid_key = Hashtbl.length by_oid = n } in
+      rows;
+    let idx =
+      { extent = name; rows; pos; oid_key = !distinct = tbl.card;
+        columns = Atomic.make [] }
+    in
     (* Publish after the table is fully built; racing domains may each
        build one, but they are identical and readers see a whole index. *)
     Atomic.set tbl.oid_index (Some idx);
@@ -191,30 +242,77 @@ let oid_index t name =
 
 let oid_key t name = (oid_index t name).oid_key
 
-(* Dereference an oid into extent [name]; builds the index on first use.
-   Every lookup ticks the "oid_lookup" counter so benches can compare
+(* Every dereference ticks the "oid_lookup" counter so benches can compare
    assembly against value-based joins. *)
 let c_oid_lookup = Njq_obs.Metrics.counter "oid_lookup"
 
-let deref t name oid_value =
-  let index = (oid_index t name).by_oid in
+(* The position of the row [oid_value] references: one "oid_lookup" tick,
+   then a type error on a non-oid or a dangling reference. *)
+let position idx oid_value =
   Njq_obs.Metrics.incr c_oid_lookup;
-  match Hashtbl.find_opt index (Value.as_oid oid_value) with
-  | Some row -> row
-  | None ->
-    Value.type_error "dangling reference #%d into %s" (Value.as_oid oid_value) name
+  let o = Value.as_oid oid_value in
+  let p = Positions.find idx.pos o in
+  if p < 0 then Value.type_error "dangling reference #%d into %s" o idx.extent
+  else p
+
+(* Dereference an oid into extent [name]; builds the index on first use. *)
+let deref t name =
+  let idx = oid_index t name in
+  fun oid_value -> idx.rows.(position idx oid_value)
 
 (* Does the oid resolve in extent [name]?  One "oid_lookup" tick, no
    exception on dangling references or non-oid values.  Applied to the
    extent alone it resolves the oid index once, so a pointer-based join
    pays one table probe per element. *)
 let deref_opt t name =
-  let index = (oid_index t name).by_oid in
+  let idx = oid_index t name in
   fun oid_value ->
     Njq_obs.Metrics.incr c_oid_lookup;
     match oid_value with
-    | Value.VOid o -> Hashtbl.find_opt index o
+    | Value.VOid o ->
+      let p = Positions.find idx.pos o in
+      if p < 0 then None else Some idx.rows.(p)
     | _ -> None
+
+(* Held in a column where the row lacks the attribute.  Allocated here and
+   compared with [==] only, so no stored value can be taken for it. *)
+let absent = Value.VString (String.make 1 '-')
+
+let rec find_column a = function
+  | [] -> None
+  | (n, col) :: rest -> if String.equal n a then Some col else find_column a rest
+
+(* Attribute [a] of every row of the index, by position: built on the
+   first dereference of [a] and published beside the oid index.  A domain
+   that loses the publishing race takes the winner's identical column;
+   readers see whole columns. *)
+let column idx a =
+  let rec publish col =
+    let cols = Atomic.get idx.columns in
+    match find_column a cols with
+    | Some built -> built
+    | None ->
+      if Atomic.compare_and_set idx.columns cols ((a, col) :: cols) then col
+      else publish col
+  in
+  match find_column a (Atomic.get idx.columns) with
+  | Some built -> built
+  | None ->
+    publish
+      (Array.map
+         (fun row -> Option.value ~default:absent (Value.field_opt row a))
+         idx.rows)
+
+(* [deref t name] followed by attribute [a]: one position lookup and one
+   column read.  A row without [a] reads [absent] and takes the row path,
+   which raises the same error [Value.field] raises on that row. *)
+let deref_field t name a =
+  let idx = oid_index t name in
+  let col = column idx a in
+  fun oid_value ->
+    let p = position idx oid_value in
+    let v = col.(p) in
+    if v == absent then Value.field idx.rows.(p) a else v
 
 (* ------------------------------------------------------------------ *)
 (* Attribute indexes                                                   *)

@@ -6,12 +6,10 @@
     rows carry an [oid] field; class references are oid pointers into the
     referenced extent. *)
 
-(** An extent's oid index. *)
-type oid_index = {
-  by_oid : (int, Value.t) Hashtbl.t;
-  oid_key : bool;
-      (** every row has an oid and no two rows share one (see {!oid_key}) *)
-}
+(** An extent's oid index: each oid's position in the extent's
+    {!rows_array}, and per dereferenced attribute a column of its values
+    at the same positions. *)
+type oid_index
 
 type table = private {
   name : string;
@@ -23,8 +21,9 @@ type table = private {
   mutable changed : int;
       (** catalog epoch of the table's last {!add_table} or {!set_rows} *)
   oid_index : oid_index option Atomic.t;
-      (** lazy index on the [oid] field, invalidated by {!set_rows};
-          published atomically for concurrent deref from pool domains *)
+      (** lazy index on the [oid] field and its attribute columns,
+          invalidated by {!set_rows}; published atomically for concurrent
+          deref from pool domains *)
   rows_arr : Value.t array option Atomic.t;
       (** lazy array view of [rows] backing batched scans, invalidated by
           {!set_rows}; published atomically, immutable after publish *)
@@ -86,8 +85,8 @@ val row_type : t -> string -> Vtype.t
 (** The type of the table as a whole: a set of its row type. *)
 val table_type : t -> string -> Vtype.t
 
-(** Replace a table's rows (canonicalizes, drops the oid index and every
-    attribute index over the table; bumps the epoch). *)
+(** Replace a table's rows (canonicalizes, drops the oid index with its
+    columns and every attribute index over the table; bumps the epoch). *)
 val set_rows : t -> string -> Value.t list -> unit
 
 (** All extent names, sorted. *)
@@ -97,9 +96,18 @@ val table_names : t -> string list
 val cardinality : t -> string -> int
 
 (** Dereference an oid into the named extent via the (lazily built) oid
-    index, ticking the "oid_lookup" counter.  Raises [Value.Type_error] on
-    dangling references. *)
+    index, ticking the "oid_lookup" counter: the row at the oid's position
+    in {!rows_array}.  Raises [Value.Type_error] on a non-oid and on a
+    dangling reference.  [deref t name] resolves the extent's index once
+    (raising {!Unknown_table} there); apply it to many oids. *)
 val deref : t -> string -> Value.t -> Value.t
+
+(** [deref_field t name a oid] is [Value.field (deref t name oid) a], with
+    the same tick and the same exceptions, read from the extent's column
+    for [a]: [deref_field t name a] resolves the index and builds the
+    column on first use, after which each dereference is one position
+    lookup and one array read. *)
+val deref_field : t -> string -> string -> Value.t -> Value.t
 
 (** Like {!deref} (one ["oid_lookup"] tick) but [None] on dangling
     references and on values that are not oids, without raising.

@@ -58,6 +58,22 @@ let fold_closed cat e : t =
   | v -> fun _ -> v
   | exception exn -> fun _ -> raise exn
 
+(* A catalog access resolved on the closure's first call and kept for its
+   lifetime: [deref⟨C⟩] looks C's oid index up once per compiled closure,
+   not once per row, and an unknown extent still fails only when the
+   expression runs.  Spawned instances share the compiled code across
+   pool domains, hence the [Atomic]; a lost race resolves the same index
+   twice. *)
+let resolve_once f =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some g -> g
+    | None ->
+      let g = f () in
+      Atomic.set cell (Some g);
+      g
+
 let rec compile cat (vars : string list) (e : Expr.t) : t =
   match e with
   | Const v -> fun _ -> v
@@ -80,6 +96,14 @@ let rec compile cat (vars : string list) (e : Expr.t) : t =
   | Tuple fields ->
     let cs = List.map (fun (n, x) -> (n, compile cat vars x)) fields in
     fun env -> Value.tuple (List.map (fun (n, c) -> (n, c env)) cs)
+  | Field (Deref (cls, x), a) ->
+    (* Pointer-based attribute read: one position lookup in C's oid index
+       and one read of C's column for [a] ([Catalog.deref_field]). *)
+    let c = compile cat vars x in
+    let read = resolve_once (fun () -> Catalog.deref_field cat cls a) in
+    fun env ->
+      let r = c env in
+      read () r
   | Field (x, a) ->
     let c = compile cat vars x in
     fun env -> Value.field (c env) a
@@ -238,17 +262,7 @@ let rec compile cat (vars : string list) (e : Expr.t) : t =
       Value.set (List.map row xs)
   | Rename (pairs, src) ->
     let c = compile cat vars src in
-    fun env ->
-      let rename_row row =
-        Value.tuple
-          (List.map
-             (fun (name, v) ->
-               match List.assoc_opt name pairs with
-               | Some name' -> (name', v)
-               | None -> (name, v))
-             (Value.as_tuple row))
-      in
-      Value.set (List.map rename_row (Value.as_set (c env)))
+    fun env -> Value.set (List.map (Value.rename pairs) (Value.as_set (c env)))
   | Unnest (a, src) ->
     let c = compile cat vars src in
     fun env ->
@@ -275,7 +289,10 @@ let rec compile cat (vars : string list) (e : Expr.t) : t =
     fun env -> Eval.eval_agg op (c env)
   | Deref (cls, x) ->
     let c = compile cat vars x in
-    fun env -> Catalog.deref cat cls (c env)
+    let deref = resolve_once (fun () -> Catalog.deref cat cls) in
+    fun env ->
+      let r = c env in
+      deref () r
 
 let expr cat ~vars e = compile cat vars e
 

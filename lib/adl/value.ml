@@ -198,18 +198,49 @@ let as_oid = function
 
 let is_null = function VNull -> true | _ -> false
 
+(* Attribute names are compared with [==] first — a plan's names are
+   usually the very strings its rows were built with — then with
+   [String.equal]; never with the polymorphic [compare] of the stdlib's
+   association-list functions. *)
+let same_name (a : string) b = a == b || String.equal a b
+
+(* The value paired with name [a], or [Not_found]: for lookups where a
+   miss is an error. *)
+let rec find_name a = function
+  | [] -> raise Not_found
+  | (n, x) :: rest -> if same_name n a then x else find_name a rest
+
+(* The value paired with name [a], or [default]: for lookups that
+   usually miss. *)
+let rec find_name_or a default = function
+  | [] -> default
+  | (n, x) :: rest -> if same_name n a then x else find_name_or a default rest
+
+let rec has_name a = function
+  | [] -> false
+  | (n, _) :: rest -> same_name n a || has_name a rest
+
+let rec mem_name a = function
+  | [] -> false
+  | n :: rest -> same_name n a || mem_name a rest
+
 (* [field v a] is the paper's tuple subscription for a single attribute. *)
 let field v a =
   match v with
   | VTuple fs ->
-    (match List.assoc_opt a fs with
-     | Some x -> x
-     | None -> type_error "tuple has no field %s" a)
+    (match find_name a fs with
+     | x -> x
+     | exception Not_found -> type_error "tuple has no field %s" a)
   | _ -> type_error "field %s selected from non-tuple" a
+
+let field_opt v a =
+  match v with
+  | VTuple fs -> (match find_name a fs with x -> Some x | exception Not_found -> None)
+  | _ -> None
 
 let has_field v a =
   match v with
-  | VTuple fs -> List.mem_assoc a fs
+  | VTuple fs -> has_name a fs
   | _ -> false
 
 let field_names v =
@@ -223,9 +254,9 @@ let project v attrs =
   let picked =
     List.map
       (fun a ->
-        match List.assoc_opt a fs with
-        | Some x -> (a, x)
-        | None -> type_error "projection: missing field %s" a)
+        match find_name a fs with
+        | x -> (a, x)
+        | exception Not_found -> type_error "projection: missing field %s" a)
       attrs
   in
   tuple picked
@@ -238,7 +269,7 @@ let project v attrs =
 let of_sorted_fields fields = VTuple fields
 
 (* [project] for attribute lists already sorted and duplicate-free: a single
-   merge walk over the (sorted) tuple fields, no per-row [List.assoc] scans
+   merge walk over the (sorted) tuple fields, no per-row name scans
    and no re-sort in [tuple].  The missing-field error reports the first
    missing attribute in sorted order (callers that must reproduce
    [project]'s source-order message fall back to it on failure). *)
@@ -259,14 +290,14 @@ let project_sorted v attrs =
 (* Tuple subscription dropping attributes instead of keeping them. *)
 let project_away v attrs =
   let fs = as_tuple v in
-  tuple (List.filter (fun (a, _) -> not (List.mem a attrs)) fs)
+  tuple (List.filter (fun (a, _) -> not (mem_name a attrs)) fs)
 
 (* Tuple concatenation, the paper's o operator.  Fields must be disjoint. *)
 let concat a b =
   let fa = as_tuple a and fb = as_tuple b in
   List.iter
     (fun (n, _) ->
-      if List.mem_assoc n fa then type_error "tuple concat: duplicate field %s" n)
+      if has_name n fa then type_error "tuple concat: duplicate field %s" n)
     fb;
   tuple (fa @ fb)
 
@@ -274,14 +305,15 @@ let concat a b =
    and/or extends the tuple with new ones. *)
 let except v updates =
   let fs = as_tuple v in
-  let updated =
-    List.map
-      (fun (n, old) ->
-        match List.assoc_opt n updates with Some x -> (n, x) | None -> (n, old))
-      fs
-  in
-  let added = List.filter (fun (n, _) -> not (List.mem_assoc n fs)) updates in
+  let updated = List.map (fun (n, old) -> (n, find_name_or n old updates)) fs in
+  let added = List.filter (fun (n, _) -> not (has_name n fs)) updates in
   tuple (updated @ added)
+
+(* The paper's rename on one tuple: each field named in [pairs]
+   (old, new) takes its new name, and the fields are re-sorted. *)
+let rename pairs v =
+  tuple
+    (List.map (fun (n, x) -> (find_name_or n n pairs, x)) (as_tuple v))
 
 (* Set operations; operands are canonical so merge-style code would work,
    but sizes here do not warrant it. *)

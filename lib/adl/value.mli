@@ -65,8 +65,14 @@ val as_tuple : t -> (string * t) list
 val as_oid : t -> int
 val is_null : t -> bool
 
-(** [field v a] is tuple subscription for one attribute ([v.a]). *)
+(** [field v a] is tuple subscription for one attribute ([v.a]).  This and
+    every other name lookup in this module compares names with [==], then
+    [String.equal]. *)
 val field : t -> string -> t
+
+(** [field v a] without raising: [None] when [v] is not a tuple or has no
+    field [a]. *)
+val field_opt : t -> string -> t option
 
 val has_field : t -> string -> bool
 
@@ -104,6 +110,11 @@ val concat : t -> t -> t
 (** The paper's [except] operator: update existing fields and/or extend the
     tuple with new ones. *)
 val except : t -> (string * t) list -> t
+
+(** [rename pairs v] renames each field of tuple [v] listed in [pairs] as
+    [(old, new)] and re-sorts the fields (the paper's rename on one row).
+    Raises {!Type_error} on a non-tuple or on a resulting duplicate name. *)
+val rename : (string * string) list -> t -> t
 
 (** {1 Set operators} *)
 

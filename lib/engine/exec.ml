@@ -145,16 +145,7 @@ let index_fetch cat idx (lookup : Plan.index_lookup) =
 
 (* Per-row attribute rename for access paths that absorbed a [RenameOp]
    over the scan they replaced; identity when the pair list is empty. *)
-let renamer pairs =
-  if pairs = [] then Fun.id
-  else fun row ->
-    Value.tuple
-      (List.map
-         (fun (n, v) ->
-           match List.assoc_opt n pairs with
-           | Some n' -> (n', v)
-           | None -> (n, v))
-         (Value.as_tuple row))
+let renamer pairs = if pairs = [] then Fun.id else Value.rename pairs
 
 (* An attribute no two output rows of [p] share a value of, when the plan
    proves one.  Keys start at the scans of extents keyed on "oid"

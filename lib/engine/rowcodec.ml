@@ -368,12 +368,17 @@ let spill_remove sp =
 
 let njqc_magic = "NJQC1"
 
+(* The first four bytes name the format and the fifth its version: a file
+   that starts with "NJQC" is NJQC, so a truncated or foreign-version one
+   fails as [Corrupt] instead of being read as text. *)
+let njqc_family = String.sub njqc_magic 0 4
+
 let is_njqc path =
   match
     In_channel.with_open_bin path (fun ic ->
-        In_channel.really_input_string ic (String.length njqc_magic))
+        In_channel.really_input_string ic (String.length njqc_family))
   with
-  | Some m -> String.equal m njqc_magic
+  | Some m -> String.equal m njqc_family
   | None -> false
   | exception Sys_error _ -> false
 
@@ -405,8 +410,9 @@ let save_catalog (cat : Catalog.t) path =
 let load_catalog path =
   let data = In_channel.with_open_bin path In_channel.input_all in
   let mlen = String.length njqc_magic in
-  if String.length data < mlen || not (String.equal (String.sub data 0 mlen) njqc_magic)
-  then corrupt "%s: not an NJQC file" path;
+  if String.length data < mlen then corrupt "truncated NJQC header"
+  else if not (String.equal (String.sub data 0 mlen) njqc_magic) then
+    corrupt "not an %s file (magic %S)" njqc_magic (String.sub data 0 mlen);
   let hd = decoder ~pos:mlen data in
   let next_oid = read_uvarint hd in
   let ntables = read_uvarint hd in
@@ -416,13 +422,13 @@ let load_catalog path =
     let row_type = Serialize.type_of_string (read_bytes hd (read_uvarint hd)) in
     let nrows = read_uvarint hd in
     let slen = read_uvarint hd in
-    if hd.pos + slen > hd.limit then corrupt "%s: table %s overruns file" path name;
+    if hd.pos + slen > hd.limit then corrupt "table %s overruns file" name;
     let sec = decoder ~pos:hd.pos ~limit:(hd.pos + slen) data in
     let rows = ref [] in
     for _ = 1 to nrows do
       match decode_record sec with
       | Some v -> rows := v :: !rows
-      | None -> corrupt "%s: table %s: fewer rows than header claims" path name
+      | None -> corrupt "table %s: fewer rows than header claims" name
     done;
     hd.pos <- hd.pos + slen;
     Catalog.add_table cat ~name ~row_type (List.rev !rows)

@@ -86,11 +86,14 @@ val live_spills : unit -> int
 
 val njqc_magic : string
 
-(** Does the file start with the NJQC magic?  [false] on unreadable or
-    short files. *)
+(** Does the file start with ["NJQC"], the magic without its version
+    byte?  Such a file is read as NJQC even when short or of another
+    version, so {!load_catalog} reports it as {!Corrupt}.  [false] on
+    unreadable or shorter files. *)
 val is_njqc : string -> bool
 
 val save_catalog : Catalog.t -> string -> unit
 
-(** Raises {!Corrupt} on malformed input. *)
+(** Raises {!Corrupt} on malformed input (the message does not name the
+    file; callers do). *)
 val load_catalog : string -> Catalog.t

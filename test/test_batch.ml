@@ -479,6 +479,47 @@ let test_parallel_modes_agree () =
       check_plan ~sizes:[ 3 ] ~domains:[ 1; 2; 4 ] name cat ~adl plan)
     (fixed @ corpus)
 
+(* Deref paths: EQ1, EQ2 and EQ3.2 read dereferenced attributes through
+   the extents' columns.  Each mode starts with fresh oid indexes (the
+   same rows set again), so at 2 and 4 domains the morsel tasks build
+   and read the columns concurrently; rows, their order and counter
+   totals, "oid_lookup" included, must be those of the reference mode. *)
+
+let test_deref_modes_agree () =
+  let cat = Gen.catalog { (Gen.scaled ~seed:5 256) with Gen.dangling_rate = 0.0 } in
+  let fresh_indexes () =
+    List.iter
+      (fun t -> Catalog.set_rows cat t (Catalog.rows cat t))
+      [ "PART"; "SUPPLIER" ]
+  in
+  List.iter
+    (fun id ->
+      let q = List.find (fun (q : Queries.query) -> String.equal q.id id) Queries.all in
+      let adl = Queries.to_adl q in
+      let plan = Util.parallel (Planner.plan (Strategy.optimize cat adl)) in
+      fresh_indexes ();
+      let ref_rows, ref_counters = reference cat plan in
+      Alcotest.check Util.value (id ^ ": value = Eval") (Eval.run cat adl)
+        (Value.set ref_rows);
+      Alcotest.(check bool) (id ^ ": dereferences") true
+        (List.assoc "oid_lookup" ref_counters > 0);
+      List.iter
+        (fun k ->
+          with_domains k (fun () ->
+              List.iter
+                (fun bs ->
+                  with_batch_size bs (fun () ->
+                      fresh_indexes ();
+                      let rows, counters = run_rows cat plan in
+                      let tag = Printf.sprintf "%s [%d domains, size %d]" id k bs in
+                      Alcotest.check row_list (tag ^ ": rows (and their order)")
+                        ref_rows rows;
+                      Alcotest.check snapshot (tag ^ ": counter totals")
+                        ref_counters counters))
+                [ 1; 3; 256 ]))
+        [ 1; 2; 4 ])
+    [ "EQ1"; "EQ2"; "EQ3.2" ]
+
 (* ------------------------------------------------------------------ *)
 (* Batch module unit tests: view windows, ragged builder tails,
    selection-vector compaction. *)
@@ -585,7 +626,9 @@ let () =
           Alcotest.test_case "fused chains agree (incl. order)" `Quick
             test_fused_chains_agree;
           Alcotest.test_case "parallel interop at 1/2/4 domains" `Quick
-            test_parallel_modes_agree ] );
+            test_parallel_modes_agree;
+          Alcotest.test_case "deref paths at 1/2/4 domains" `Quick
+            test_deref_modes_agree ] );
       ( "batch module",
         [ Alcotest.test_case "view windows" `Quick test_batch_views;
           Alcotest.test_case "builder ragged tail" `Quick

@@ -178,10 +178,125 @@ let deferred_failure () =
   (* forcing it fails in both layers *)
   check_agree cat [] (Expr.And (bool true, boom))
 
+(* ------------------------------------------------------------------ *)
+(* Dereferences: [deref⟨C⟩(r).a] compiles to a read of C's column for [a]
+   ([Catalog.deref_field]).  Against [Eval], the compiled closure must
+   return the same value, or fail with the same exception and message on
+   the same row, and tick "oid_lookup" as often — on catalogs with and
+   without dangling references, where [a] is missing from some rows and
+   [r] is a reference attribute, an element of a reference set, a field
+   of a set element (EQ3.2's [x.part]) or no oid at all. *)
+
+(* The outcome, exception and message included, and the "oid_lookup"
+   ticks spent reaching it, failures too. *)
+let strict_outcome f =
+  Counters.reset ();
+  let outcome =
+    match f () with
+    | v -> Ok v
+    | exception exn -> Error (Printexc.to_string exn)
+  in
+  (outcome, Counters.get "oid_lookup")
+
+(* Every third part loses its color, every fifth gains a note, and one
+   supplier in four loses its name. *)
+let deref_catalog ~seed ~dangling_rate =
+  let cat =
+    Njq_workload.Generator.catalog
+      { (Njq_workload.Generator.scaled ~seed 24) with dangling_rate }
+  in
+  let edit table f =
+    Catalog.set_rows cat table (List.mapi f (Catalog.rows cat table))
+  in
+  edit "PART" (fun i row ->
+      let row = if i mod 3 = 0 then Value.project_away row [ "color" ] else row in
+      if i mod 5 = 0 then Value.except row [ ("note", Value.int i) ] else row);
+  edit "SUPPLIER" (fun i row ->
+      if i mod 4 = 1 then Value.project_away row [ "sname" ] else row);
+  cat
+
+(* [deref⟨C⟩(r).a] over the row variable [x] of extent [src], as a value
+   and as a predicate, for each way of reaching a reference. *)
+let gen_deref_case =
+  let open QCheck.Gen in
+  let open Dsl in
+  let path cls r a = deref cls r $. a in
+  let part_attr = oneofl [ "color"; "pname"; "note"; "oid" ] in
+  let cases =
+    [ (* a reference attribute, into its extent or a wrong one *)
+      map2
+        (fun cls a ->
+          ("DELIVERY", [ path cls (var "x" $. "supplier") a;
+                         eq (path cls (var "x" $. "supplier") a) (str "s1") ]))
+        (oneofl [ "SUPPLIER"; "PART"; "NOWHERE" ])
+        (oneofl [ "sname"; "oid"; "note" ]);
+      (* an element of a reference set *)
+      map
+        (fun a ->
+          ("SUPPLIER",
+           [ map_ "p" (var "x" $. "parts_supplied") (path "PART" (var "p") a);
+             exists "p" (var "x" $. "parts_supplied")
+               (eq (path "PART" (var "p") a) (str "red"));
+             select "p" (var "x" $. "parts_supplied")
+               (eq (path "PART" (var "p") a) (str "red")) ]))
+        part_attr;
+      (* a field of a set element *)
+      map
+        (fun a ->
+          ("DELIVERY",
+           [ exists "y" (var "x" $. "supply")
+               (eq (path "PART" (var "y" $. "part") a) (str "red"));
+             map_ "y" (var "x" $. "supply") (path "PART" (var "y" $. "part") a) ]))
+        part_attr;
+      (* no oid at all *)
+      map2
+        (fun (src, r) a -> (src, [ path "PART" (var "x" $. r) a ]))
+        (oneofl [ ("SUPPLIER", "sname"); ("DELIVERY", "date") ])
+        part_attr ]
+  in
+  triple (oneofl [ 0.0; 0.05 ]) (int_range 1 4) (oneof cases)
+
+let prop_deref_agreement =
+  Util.qcheck ~count:60 "deref paths agree with Eval message for message"
+    (QCheck.make gen_deref_case ~print:(fun (rate, seed, (src, es)) ->
+         Fmt.str "dangling %.2f seed %d over %s: %a" rate seed src
+           Fmt.(list ~sep:semi Pretty.pp)
+           es))
+    (fun (dangling_rate, seed, (src, es)) ->
+      let cat = deref_catalog ~seed ~dangling_rate in
+      List.iter
+        (fun e ->
+          let compiled = Compile.expr1 cat ~var:"x" e in
+          List.iter
+            (fun x ->
+              let reference, ref_work =
+                strict_outcome (fun () -> Eval.eval cat [ ("x", x) ] e)
+              and got, work = strict_outcome (fun () -> compiled x) in
+              let same =
+                match reference, got with
+                | Ok a, Ok b -> Value.equal a b
+                | Error a, Error b -> String.equal a b
+                | _ -> false
+              in
+              if not same then
+                QCheck.Test.fail_reportf "%a on %a:@.eval:     %a@.compiled: %a"
+                  Pretty.pp e Value.pp x
+                  (Fmt.result ~ok:Value.pp ~error:Fmt.string)
+                  reference
+                  (Fmt.result ~ok:Value.pp ~error:Fmt.string)
+                  got;
+              if ref_work <> work then
+                QCheck.Test.fail_reportf "%a on %a: %d oid_lookup, Eval %d"
+                  Pretty.pp e Value.pp x work ref_work)
+            (Catalog.rows cat src))
+        es;
+      true)
+
 let () =
   Alcotest.run "compile"
     [ ( "agreement",
         [ prop_xy_agreement;
+          prop_deref_agreement;
           Alcotest.test_case "paper corpus" `Quick corpus_agree ] );
       ( "edge cases",
         [ Alcotest.test_case "empty set and null (Table 3)" `Quick

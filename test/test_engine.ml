@@ -338,6 +338,78 @@ let test_assembly_index_invalidation () =
   Alcotest.(check int) "resolves again after restore" 1
     (List.length (Value.as_set (assemble_refs cat)))
 
+(* Attribute columns: a compiled [deref⟨PART⟩(r.part).color] reads PART's
+   column for color, built on the first dereference.  [set_rows] must drop
+   it with the oid index: a rerun reads the changed value, and a dropped
+   row is a dangling reference again. *)
+
+let ref_colors = map_ "r" (table "REF") (deref "PART" (var "r" $. "part") $. "color")
+
+let run_map cat adl = Exec.run cat (Planner.plan adl)
+
+let test_column_invalidation () =
+  let cat =
+    ref_catalog
+      [ Value.tuple [ ("part", Value.oid 1); ("tag", Value.string "x") ];
+        Value.tuple [ ("part", Value.oid 3); ("tag", Value.string "y") ] ]
+  in
+  Alcotest.check Util.value "column built" (Value.set [ Value.string "red" ])
+    (run_map cat ref_colors);
+  let parts = Catalog.rows cat "PART" in
+  Catalog.set_rows cat "PART"
+    (Util.part ~oid:1 ~pname:"bolt" ~price:10 ~color:"green"
+    :: List.filter
+         (fun row ->
+           match Value.as_oid (Value.field row "oid") with
+           | 1 | 3 -> false
+           | _ -> true)
+         parts);
+  Catalog.set_rows cat "REF"
+    [ Value.tuple [ ("part", Value.oid 1); ("tag", Value.string "x") ] ];
+  Alcotest.check Util.value "new value read" (Value.set [ Value.string "green" ])
+    (run_map cat ref_colors);
+  Catalog.set_rows cat "REF"
+    [ Value.tuple [ ("part", Value.oid 3); ("tag", Value.string "y") ] ];
+  Alcotest.check_raises "dropped row dangles"
+    (Value.Type_error "dangling reference #3 into PART") (fun () ->
+      ignore (run_map cat ref_colors))
+
+(* An extent whose oid stops being a key: the member join planned onto its
+   oid index falls back to a build, and deref paths read the row the
+   reference evaluator reads, both as [Eval] does. *)
+let test_oid_key_lost () =
+  let cat =
+    ref_catalog
+      [ Value.tuple [ ("part", Value.oid 1); ("tag", Value.string "x") ];
+        Value.tuple [ ("part", Value.oid 2); ("tag", Value.string "y") ] ]
+  in
+  let eq6 =
+    Njq_workload.Queries.to_adl
+      (List.find
+         (fun (q : Njq_workload.Queries.query) -> String.equal q.id "EQ6")
+         Njq_workload.Queries.all)
+  in
+  let eq6_plan = Planner.plan ~cat (Njq_core.Strategy.optimize cat eq6) in
+  let rec onto_oid_index (p : Plan.t) =
+    (match p with
+     | Plan.MemberJoin { right = Plan.Oid_index "PART"; _ } -> true
+     | _ -> false)
+    || List.exists onto_oid_index (Plan.children p)
+  in
+  Alcotest.(check bool) "planned onto PART's oid index" true
+    (onto_oid_index eq6_plan);
+  ignore (run_map cat ref_colors);
+  Alcotest.(check bool) "oid is a key" true (Catalog.oid_key cat "PART");
+  Catalog.set_rows cat "PART"
+    (Util.part ~oid:1 ~pname:"bolt" ~price:10 ~color:"blue"
+    :: Catalog.rows cat "PART");
+  Alcotest.(check bool) "oid is no longer a key" false
+    (Catalog.oid_key cat "PART");
+  Alcotest.check Util.value "deref path = Eval" (Eval.run cat ref_colors)
+    (run_map cat ref_colors);
+  Alcotest.check Util.value "member join = Eval" (Eval.run cat eq6)
+    (Exec.run cat eq6_plan)
+
 (* Counters sanity: hash joins do fewer pair tests than nested loops. *)
 let test_hash_beats_nl_on_counters () =
   let cat =
@@ -380,6 +452,9 @@ let () =
           Alcotest.test_case "non-oid ref_attr raises" `Quick
             test_assembly_non_oid_ref;
           Alcotest.test_case "set_rows invalidates oid index" `Quick
-            test_assembly_index_invalidation ] );
+            test_assembly_index_invalidation;
+          Alcotest.test_case "set_rows invalidates attribute columns" `Quick
+            test_column_invalidation;
+          Alcotest.test_case "oid stops being a key" `Quick test_oid_key_lost ] );
       ( "counters",
         [ Alcotest.test_case "hash beats nested loop" `Quick test_hash_beats_nl_on_counters ] ) ]

@@ -80,6 +80,76 @@ let test_deref_opt_never_raises () =
   Alcotest.(check (list (pair string int))) "one oid_lookup per probe"
     [ ("oid_lookup", List.length probes) ] work
 
+(* The oid index holds each oid's position in [rows_array]: [deref] must
+   return that very row, and [deref_field] its attribute, with one
+   "oid_lookup" tick each, whatever the oids look like. *)
+let test_positional_oid_index () =
+  let cat = Catalog.create () in
+  let row_type = Vtype.tuple [ ("oid", Vtype.TOid); ("v", Vtype.TInt) ] in
+  let r n v = Value.tuple [ ("oid", Value.oid n); ("v", Value.int v) ] in
+  (* Sparse: a power-of-two stride over a wide range. *)
+  Catalog.add_table cat ~name:"S" ~row_type
+    (List.init 64 (fun i -> r ((i * 4096) + 7) i));
+  let rows = Catalog.rows_array cat "S" in
+  let (), work =
+    Counters.measure (fun () ->
+        Array.iter
+          (fun row ->
+            let o = Value.field row "oid" in
+            Alcotest.(check bool) "deref returns the stored row" true
+              (Catalog.deref cat "S" o == row);
+            Alcotest.check Util.value "deref_field reads its column"
+              (Value.field row "v")
+              (Catalog.deref_field cat "S" "v" o))
+          rows)
+  in
+  Alcotest.(check (list (pair string int))) "one oid_lookup per dereference"
+    [ ("oid_lookup", 2 * Array.length rows) ] work;
+  Alcotest.(check bool) "sparse oids are a key" true (Catalog.oid_key cat "S");
+  Alcotest.(check bool) "between two oids" true
+    (Catalog.deref_opt cat "S" (Value.oid 8) = None);
+  (* Scattered and negative oids, enough of them that probe chains form. *)
+  let scattered = List.init 2000 (fun i -> r ((i * i * 7919) - 1_000_000) i) in
+  Catalog.add_table cat ~name:"W" ~row_type scattered;
+  Alcotest.(check bool) "scattered oids are a key" true (Catalog.oid_key cat "W");
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) "scattered oid resolves" true
+        (Catalog.deref cat "W" (Value.field row "oid") == row))
+    scattered;
+  Alcotest.(check int) "misses stay misses" 0
+    (List.length
+       (List.filter_map
+          (fun i -> Catalog.deref_opt cat "W" (Value.oid ((i * i * 7919) - 999_999)))
+          (List.init 2000 Fun.id)));
+  (* Duplicate oids: the last row in canonical order answers, and oid is
+     no key. *)
+  Catalog.add_table cat ~name:"D" ~row_type [ r 1 20; r 1 10; r 2 30 ];
+  Alcotest.(check bool) "duplicate oids are no key" false (Catalog.oid_key cat "D");
+  Alcotest.check Util.value "last duplicate answers" (r 1 20)
+    (Catalog.deref cat "D" (Value.oid 1));
+  Alcotest.check Util.value "its column agrees" (Value.int 20)
+    (Catalog.deref_field cat "D" "v" (Value.oid 1));
+  (* Rows without an oid, or with a non-oid "oid", are not indexed; a row
+     without the attribute raises the row path's error. *)
+  Catalog.add_table cat ~name:"N" ~row_type
+    [ r 1 10;
+      Value.tuple [ ("v", Value.int 5) ];
+      Value.tuple [ ("oid", Value.int 3); ("v", Value.int 3) ];
+      Value.tuple [ ("oid", Value.oid 4) ] ];
+  Alcotest.(check bool) "rows without oids: no key" false (Catalog.oid_key cat "N");
+  Alcotest.check_raises "non-oid oid is not indexed"
+    (Value.Type_error "dangling reference #3 into N") (fun () ->
+      ignore (Catalog.deref cat "N" (Value.oid 3)));
+  Alcotest.check_raises "missing attribute"
+    (Value.Type_error "tuple has no field v") (fun () ->
+      ignore (Catalog.deref_field cat "N" "v" (Value.oid 4)));
+  Alcotest.check_raises "non-oid reference"
+    (Value.Type_error "expected oid, got rank 2") (fun () ->
+      ignore (Catalog.deref_field cat "N" "v" (Value.int 1)));
+  Alcotest.check Util.value "present attribute" (Value.int 10)
+    (Catalog.deref_field cat "N" "v" (Value.oid 1))
+
 (* ---------------- Rules driver ---------------- *)
 
 let incr_rule =
@@ -199,6 +269,8 @@ let () =
           Alcotest.test_case "oids and deref" `Quick test_catalog_oids_and_deref;
           Alcotest.test_case "cardinality follows writes" `Quick
             test_catalog_cardinality;
+          Alcotest.test_case "positional oid index" `Quick
+            test_positional_oid_index;
           Alcotest.test_case "deref_opt never raises" `Quick
             test_deref_opt_never_raises ] );
       ( "rules driver",

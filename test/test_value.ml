@@ -114,6 +114,138 @@ let prop_concat_project_inverse =
       let c = Value.concat ta tb in
       Value.equal (Value.project c [ "l" ]) ta && Value.equal (Value.project c [ "r" ]) tb)
 
+(* Name lookups.  [Value] compares attribute names with [==], then
+   [String.equal]; these references do it the stdlib way, with the
+   association-list functions' polymorphic compare.  Both must give the
+   same result, or the same [Type_error] message, for names that are equal
+   without being physically equal and for names that are missing. *)
+module Reference = struct
+  let field v a =
+    match v with
+    | Value.VTuple fs ->
+      (match List.assoc_opt a fs with
+       | Some x -> x
+       | None -> Value.type_error "tuple has no field %s" a)
+    | _ -> Value.type_error "field %s selected from non-tuple" a
+
+  let has_field v a =
+    match v with Value.VTuple fs -> List.mem_assoc a fs | _ -> false
+
+  let project v attrs =
+    let fs = Value.as_tuple v in
+    Value.tuple
+      (List.map
+         (fun a ->
+           match List.assoc_opt a fs with
+           | Some x -> (a, x)
+           | None -> Value.type_error "projection: missing field %s" a)
+         attrs)
+
+  let project_away v attrs =
+    Value.tuple
+      (List.filter (fun (a, _) -> not (List.mem a attrs)) (Value.as_tuple v))
+
+  let concat a b =
+    let fa = Value.as_tuple a and fb = Value.as_tuple b in
+    List.iter
+      (fun (n, _) ->
+        if List.mem_assoc n fa then
+          Value.type_error "tuple concat: duplicate field %s" n)
+      fb;
+    Value.tuple (fa @ fb)
+
+  let except v updates =
+    let fs = Value.as_tuple v in
+    let updated =
+      List.map
+        (fun (n, old) ->
+          match List.assoc_opt n updates with
+          | Some x -> (n, x)
+          | None -> (n, old))
+        fs
+    in
+    let added = List.filter (fun (n, _) -> not (List.mem_assoc n fs)) updates in
+    Value.tuple (updated @ added)
+end
+
+(* A fresh copy: equal to [s], never physically equal. *)
+let copy s = String.init (String.length s) (String.get s)
+
+let gen_name =
+  QCheck.Gen.(
+    map2
+      (fun n fresh -> if fresh then copy n else n)
+      (oneofl [ "a"; "b"; "color"; "oid"; "pname"; "zz" ])
+      bool)
+
+(* Tuples over a few names (first occurrence wins), now and then a value
+   that is not a tuple. *)
+let gen_tuple =
+  QCheck.Gen.(
+    frequency
+      [ ( 9,
+          map
+            (fun fields ->
+              Value.tuple
+                (List.fold_left
+                   (fun acc (n, v) ->
+                     if List.exists (fun (m, _) -> String.equal m n) acc then acc
+                     else (n, v) :: acc)
+                   [] fields))
+            (list_size (int_range 0 5) (pair gen_name (map Value.int small_nat))) );
+        (1, return (Value.int 3)) ])
+
+let gen_lookup_case =
+  QCheck.Gen.(
+    quad gen_tuple gen_tuple
+      (list_size (int_range 0 3) gen_name)
+      (list_size (int_range 0 3) (pair gen_name (map Value.int small_nat))))
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Value.Type_error m -> Error m
+
+let same_outcome eq a b =
+  match a, b with
+  | Ok x, Ok y -> eq x y
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+let prop_name_lookups =
+  Util.qcheck ~count:1000 "name lookups agree with List.assoc"
+    (QCheck.make gen_lookup_case ~print:(fun (t, u, names, updates) ->
+         Fmt.str "%a / %a / [%s] / %a" Value.pp t Value.pp u
+           (String.concat "; " names) Value.pp
+           (Value.tuple
+              (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) updates))))
+    (fun (t, u, names, updates) ->
+      let agree name eq ours theirs =
+        same_outcome eq (outcome ours) (outcome theirs)
+        || QCheck.Test.fail_reportf "%s disagrees" name
+      in
+      List.for_all
+        (fun a ->
+          agree "field" Value.equal
+            (fun () -> Value.field t a)
+            (fun () -> Reference.field t a)
+          && agree "has_field" Bool.equal
+               (fun () -> Value.has_field t a)
+               (fun () -> Reference.has_field t a))
+        names
+      && agree "project" Value.equal
+           (fun () -> Value.project t names)
+           (fun () -> Reference.project t names)
+      && agree "project_away" Value.equal
+           (fun () -> Value.project_away t names)
+           (fun () -> Reference.project_away t names)
+      && agree "concat" Value.equal
+           (fun () -> Value.concat t u)
+           (fun () -> Reference.concat t u)
+      && agree "except" Value.equal
+           (fun () -> Value.except t updates)
+           (fun () -> Reference.except t updates))
+
 let () =
   Alcotest.run "value"
     [ ( "unit",
@@ -127,6 +259,7 @@ let () =
           Alcotest.test_case "total order" `Quick test_compare_cross_shape ] );
       ( "properties",
         [ prop_compare_reflexive;
+          prop_name_lookups;
           prop_set_idempotent;
           prop_union_commutative;
           prop_union_associative;
