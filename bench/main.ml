@@ -155,7 +155,7 @@ let b1 n =
   [ ("nested-loop", eval_thunk cat adl);
     ("semijoin(hash)", plan_thunk cat (Planner.plan rewritten));
     ("semijoin(nl)",
-     plan_thunk cat (Planner.plan ~algo:(Planner.Force Plan.Nested_loop) rewritten)) ]
+     plan_thunk cat (Planner.plan ~force:Plan.Nested_loop rewritten)) ]
 
 (* B2 — universal / negated nesting: nested loop vs antijoin. *)
 let b2 n =
@@ -185,7 +185,7 @@ let b4 n =
   [ ("nested-loop", eval_thunk cat adl);
     ("nestjoin(hash)", plan_thunk cat (Planner.plan rewritten));
     ("nestjoin(nl)",
-     plan_thunk cat (Planner.plan ~algo:(Planner.Force Plan.Nested_loop) rewritten)) ]
+     plan_thunk cat (Planner.plan ~force:Plan.Nested_loop rewritten)) ]
 
 (* B4b — nestjoin algorithm ablation on an equi-key nestjoin (the member
    join of EQ6 has no equi keys, so the sort-merge comparison uses the
@@ -198,10 +198,10 @@ let b4b n =
       (table "X") (table "Y")
   in
   [ ("nestjoin(nl)",
-     plan_thunk cat (Planner.plan ~algo:(Planner.Force Plan.Nested_loop) nj));
-    ("nestjoin(hash)", plan_thunk cat (Planner.plan ~algo:(Planner.Force Plan.Hash) nj));
+     plan_thunk cat (Planner.plan ~force:Plan.Nested_loop nj));
+    ("nestjoin(hash)", plan_thunk cat (Planner.plan ~force:Plan.Hash nj));
     ("nestjoin(sortmerge)",
-     plan_thunk cat (Planner.plan ~algo:(Planner.Force Plan.Sort_merge) nj)) ]
+     plan_thunk cat (Planner.plan ~force:Plan.Sort_merge nj)) ]
 
 (* B5 — PNHL vs nested loop for materializing set-valued attributes
    (Section 6.2, [DeLa92]), with a partitioned (memory-constrained)
@@ -244,7 +244,7 @@ let b6 n =
   [ ("assembly(deref)", plan_thunk cat (Planner.plan via_deref));
     ("value join(hash)", plan_thunk cat (Planner.plan via_join));
     ("value join(nl)",
-     plan_thunk cat (Planner.plan ~algo:(Planner.Force Plan.Nested_loop) via_join)) ]
+     plan_thunk cat (Planner.plan ~force:Plan.Nested_loop via_join)) ]
 
 (* B7 — quantifier exchange: an existential over a set-valued attribute
    containing an existential over a base table (Rewriting Example 3's
@@ -354,7 +354,8 @@ let b12 n =
    an index access path against the full-scan plan for the same logical
    work: a hash-index point lookup and a sorted-index range scan (both
    chosen by the planner under the cost model — asserted below) vs
-   filter-over-scan, and an index-nested-loop join vs building a hash
+   filter-over-scan (planned with hash forced, which skips access paths),
+   and an index-nested-loop join vs building a hash
    table over the whole inner extent.  The '|' separator asks the sweep
    for result equality only: the counter mix differs by design
    (idx_probe/idx_row instead of scan_row/filter_eval/hash_build), and
@@ -364,11 +365,6 @@ let b12 n =
    translate/rewrite/plan derivation, "cache|hit" derives once and then
    serves the compiled plan from the cache (the span summaries must show
    no derivation spans for it). *)
-let with_indexes flag f () =
-  let prev = !Planner.use_indexes in
-  Planner.use_indexes := flag;
-  Fun.protect ~finally:(fun () -> Planner.use_indexes := prev) f
-
 let b14 n =
   let cat = Gen.catalog (clean n) in
   ignore
@@ -388,11 +384,10 @@ let b14 n =
     select "p" (table "PART")
       (gt (var "p" $. "price") (int 10) &&& lt (var "p" $. "price") (int 30))
   in
-  let plan_with flag e = with_indexes flag (fun () -> Planner.plan ~cat e) () in
-  let point_full = plan_with false point_q in
-  let point_idx = plan_with true point_q in
-  let range_full = plan_with false range_q in
-  let range_idx = plan_with true range_q in
+  let point_full = Planner.plan ~force:Plan.Hash ~cat point_q in
+  let point_idx = Planner.plan ~cat point_q in
+  let range_full = Planner.plan ~force:Plan.Hash ~cat range_q in
+  let range_idx = Planner.plan ~cat range_q in
   (match point_idx with
    | Plan.IndexScan { lookup = Plan.LPoint _; _ } -> ()
    | _ -> failwith "[b14] planner did not pick the point index path");
@@ -722,23 +717,12 @@ let b17_star k n =
   (cat, !q)
 
 (* Both plans are fixed at experiment-build time (outside the measured
-   thunks): the contrast is between plans, not planning. *)
-let b17_plans cat q =
-  let module J = Njq_engine.Joinorder in
-  let prev = !J.use_joinorder in
-  let mk flag =
-    J.use_joinorder := flag;
-    Planner.plan ~cat q
-  in
-  let rw = mk false in
-  let en = mk true in
-  J.use_joinorder := prev;
-  (rw, en)
-
+   thunks): the contrast is between plans, not planning.  Forcing hash
+   skips enumeration, so the rw twin is the written order. *)
 let b17 n =
   List.concat_map
     (fun (name, (cat, q)) ->
-      let rw, en = b17_plans cat q in
+      let rw = Planner.plan ~force:Plan.Hash ~cat q and en = Planner.plan ~cat q in
       [ (name ^ "|rw", plan_thunk cat rw);
         (name ^ "|enum", plan_thunk cat en) ])
     [ ("chain3", b17_chain 3 n);

@@ -353,10 +353,6 @@ let analyze_arg =
              counters and timings (explain analyze)." in
   Arg.(value & flag & info [ "analyze" ] ~doc)
 
-let cost_arg =
-  let doc = "Use cost-based algorithm and build-side choice." in
-  Arg.(value & flag & info [ "cost" ] ~doc)
-
 let json_arg =
   let doc = "Emit a single JSON document: rewrite derivation spans, the \
              physical plan, and with --analyze the per-node estimated vs \
@@ -373,11 +369,6 @@ let adl_flag_arg =
              (the njq adl syntax: join[x,y : p](l, r), ...) instead of \
              OOSQL." in
   Arg.(value & flag & info [ "adl" ] ~doc)
-
-let no_reorder_arg =
-  let doc = "Disable the cost-based join-order enumerator and keep the \
-             rewriter's join order." in
-  Arg.(value & flag & info [ "no-reorder" ] ~doc)
 
 (* The enumerator's per-region reports, as recorded by the planning call
    that produced the displayed plan. *)
@@ -422,8 +413,8 @@ let pp_enumeration ppf regions =
       regions
 
 let explain_cmd =
-  let run q scale seed dangling empty mode analyze cost json trace_out domains
-      indexes raw_adl no_reorder mem_budget =
+  let run q scale seed dangling empty mode analyze json trace_out domains
+      indexes raw_adl mem_budget =
     or_die (fun () ->
         apply_domains domains;
         apply_mem_budget mem_budget;
@@ -445,33 +436,17 @@ let explain_cmd =
                | Error msg ->
                  Fmt.epr "warning: typecheck against catalog failed: %s@." msg);
               let report = Strategy.rewrite ~options:(options_of mode) cat adl in
-              let stats =
-                if cost then Some (Njq_engine.Stats.cached cat) else None
-              in
-              let algo =
-                if cost then Njq_engine.Planner.Cost_based cat
-                else Njq_engine.Planner.Auto
-              in
               let plan =
-                let prev = !Njq_engine.Joinorder.use_joinorder in
-                if no_reorder then Njq_engine.Joinorder.use_joinorder := false;
-                Fun.protect
-                  ~finally:(fun () ->
-                    Njq_engine.Joinorder.use_joinorder := prev)
-                  (fun () ->
-                    Njq_engine.Planner.plan ~algo ~cat
-                      (Njq_engine.Consthoist.hoist cat report.Strategy.output))
+                Njq_engine.Planner.plan ~cat
+                  (Njq_engine.Consthoist.hoist cat report.Strategy.output)
               in
-              let regions =
-                if no_reorder then []
-                else !Njq_engine.Joinorder.last_report
-              in
+              let regions = !Njq_engine.Joinorder.last_report in
               let analysis =
                 if analyze then begin
                   Counters.reset ();
                   let v, prof =
                     Span.with_span "execute" (fun () ->
-                        Njq_engine.Profile.run ?stats cat plan)
+                        Njq_engine.Profile.run cat plan)
                   in
                   Some (v, prof)
                 end
@@ -542,7 +517,7 @@ let explain_cmd =
               (Njq_engine.Rowcodec.temp_dir ());
           Fmt.pr "@.pipelines (~> fused edge, => materialized edge):@.%a"
             Njq_engine.Plan.pp_pipelines plan;
-          if not no_reorder then Fmt.pr "@.%a" pp_enumeration regions;
+          Fmt.pr "@.%a" pp_enumeration regions;
           match analysis with
           | None -> ()
           | Some (v, prof) ->
@@ -558,9 +533,8 @@ let explain_cmd =
        ~doc:"Show the rewrite derivation and the physical plan of a query")
     Term.(
       const run $ query_arg $ scale_arg $ seed_arg $ dangling_arg $ empty_arg
-      $ mode_arg $ analyze_arg $ cost_arg $ json_arg $ trace_out_arg
-      $ domains_arg $ index_arg $ adl_flag_arg
-      $ no_reorder_arg $ mem_budget_arg)
+      $ mode_arg $ analyze_arg $ json_arg $ trace_out_arg
+      $ domains_arg $ index_arg $ adl_flag_arg $ mem_budget_arg)
 
 let refresh_arg =
   let doc = "Recompute statistics even when a cached snapshot exists for \
@@ -621,6 +595,29 @@ let format_arg =
   Arg.(value & opt (enum [ ("adl", `Adl); ("json", `Json); ("csv", `Csv) ]) `Adl
        & info [ "format" ] ~docv:"FMT" ~doc)
 
+(* Prepare a query through the plan cache; returns its plan, whether the
+   plan came from the cache, and the query's type.  The cache derives from
+   the auto-parameterized template (or the normalized text) and must
+   derive exactly it, so one plan serves every constant variation; the
+   template's [?i] placeholders type as anything, so the query's own text
+   is translated first, and a mistyped literal fails on a hit as on a
+   miss.  [parse] turns either text into the query to translate. *)
+let prepare ?(parse = parse_query_text) ?(optimize = true) ~schema ~mode
+    ~options cat text =
+  let translate text = Njq_oosql.Translate.query schema (parse text) in
+  let _, ty = translate text in
+  let plan, hit =
+    Njq_engine.Plancache.find_or_derive_report cat ~options text
+      ~derive:(fun template ->
+        let adl, _ = translate template in
+        let final =
+          if optimize then Strategy.optimize ~options:(options_of mode) cat adl
+          else adl
+        in
+        Njq_engine.Planner.plan ~cat final)
+  in
+  (plan, hit, ty)
+
 let run_cmd =
   let run q scale seed dangling empty mode no_opt counters db save_db format
       schema_file domains indexes qlog slow_ms mem_budget =
@@ -632,21 +629,9 @@ let run_cmd =
         (* Derivation goes through the plan cache so the qlog's hit/miss
            bit is real (the repl and a future server share the entry). *)
         let options = Fmt.str "run/%s/noopt=%b" (mode_name mode) no_opt in
-        let plan, hit =
-          Njq_engine.Plancache.find_or_derive_report cat ~options q
-            ~derive:(fun text ->
-              (* [text] is the cache's auto-parameterized template (or the
-                 normalized query); deriving exactly it keeps the cached
-                 plan reusable across constant-only variations. *)
-              let adl, _ =
-                Njq_oosql.Translate.query (load_schema schema_file)
-                  (parse_query_text text)
-              in
-              let final =
-                if no_opt then adl
-                else Strategy.optimize ~options:(options_of mode) cat adl
-              in
-              Njq_engine.Planner.plan ~cat final)
+        let plan, hit, _ =
+          prepare ~optimize:(not no_opt) ~schema:(load_schema schema_file)
+            ~mode ~options cat q
         in
         let qlog = match qlog with Some _ -> qlog | None -> env_qlog () in
         let slow_ms =
@@ -743,9 +728,6 @@ let repl_cmd =
     let cat = make_catalog scale seed dangling empty in
     let mode = ref Strategy.Nestjoin_always in
     let views : (string * Njq_oosql.Ast.expr) list ref = ref [] in
-    (* Result types keyed like the plan cache, so repeated queries whose
-       derivation is skipped on a cache hit still print their type. *)
-    let types : (string * string, Vtype.t) Hashtbl.t = Hashtbl.create 16 in
     (* With NJQ_QLOG set, one sink stays open for the whole session —
        repeated queries hit the plan cache, so the logged hit/miss bits
        (and `njq top`'s hit rate) are meaningful here. *)
@@ -782,27 +764,14 @@ let repl_cmd =
         let options =
           Fmt.str "%s/v%d" (mode_name !mode) (List.length !views)
         in
-        let tkey = (options, Njq_engine.Plancache.normalize text) in
-        let plan, hit =
-          Njq_engine.Plancache.find_or_derive_report cat ~options text
-            ~derive:(fun dtext ->
-              (* Re-parse the text the cache asks for — the auto-param
-                 template when templating fired — so the cached plan covers
-                 every constant variation of the statement. *)
-              let q =
-                match
-                  (Njq_oosql.Parser.parse_program dtext).Njq_oosql.Ast.query
-                with
-                | Some dq -> dq
-                | None -> q
-              in
-              let q = Njq_oosql.Views.expand !views q in
-              let adl, ty = Njq_oosql.Translate.query schema q in
-              Hashtbl.replace types tkey ty;
-              let final =
-                Strategy.optimize ~options:(options_of !mode) cat adl
-              in
-              Njq_engine.Planner.plan ~cat final)
+        let parse t =
+          Njq_oosql.Views.expand !views
+            (match (Njq_oosql.Parser.parse_program t).Njq_oosql.Ast.query with
+             | Some tq -> tq
+             | None -> q)
+        in
+        let plan, hit, ty =
+          prepare ~parse ~schema ~mode:!mode ~options cat text
         in
         let exec () =
           Counters.reset ();
@@ -816,13 +785,9 @@ let repl_cmd =
               ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit (fun () ->
                 (exec (), 1.0))
         in
-        let pp_ty ppf () =
-          match Hashtbl.find_opt types tkey with
-          | Some ty -> Fmt.pf ppf " of type %a" Vtype.pp ty
-          | None -> ()
-        in
-        Fmt.pr "%a@.(%d rows%a; work: %a)@." Value.pp v
-          (Value.set_size v) pp_ty () Counters.pp_snapshot (Counters.snapshot ())
+        Fmt.pr "%a@.(%d rows of type %a; work: %a)@." Value.pp v
+          (Value.set_size v) Vtype.pp ty Counters.pp_snapshot
+          (Counters.snapshot ())
     in
     let explain text =
       let q = Njq_oosql.Views.expand !views (parse_query_text text) in
@@ -1107,17 +1072,7 @@ let cache_stats_cmd =
         Option.iter
           (fun q ->
             for _ = 1 to max 1 repeat do
-              ignore
-                (Njq_engine.Plancache.find_or_derive cat ~options:"cli" q
-                   ~derive:(fun text ->
-                     let adl, _ =
-                       Njq_oosql.Translate.query schema (parse_query_text text)
-                     in
-                     let final =
-                       Strategy.optimize ~options:(options_of mode) cat adl
-                     in
-                     Njq_engine.Planner.plan ~cat final)
-                  : Njq_engine.Plan.t)
+              ignore (prepare ~schema ~mode ~options:"cli" cat q)
             done)
           q;
         let hits = Njq_engine.Plancache.hits () in

@@ -148,12 +148,18 @@ let fresh_oid t =
    saved catalog so identifiers are never reused. *)
 let ensure_oid_above t n = if t.next_oid < n then t.next_oid <- n
 
-let add_table t ~name ~row_type rows =
+let table_error t ~name ~row_type =
   if Hashtbl.mem t.tables name then
-    invalid_arg (Printf.sprintf "Catalog.add_table: %s already exists" name);
-  (match row_type with
-   | Vtype.TTuple _ -> ()
-   | _ -> invalid_arg "Catalog.add_table: row type must be a tuple type");
+    Some (Printf.sprintf "table %s already exists" name)
+  else
+    match row_type with
+    | Vtype.TTuple _ -> None
+    | _ -> Some (Printf.sprintf "table %s: row type must be a tuple type" name)
+
+let add_table t ~name ~row_type rows =
+  Option.iter
+    (fun msg -> invalid_arg ("Catalog.add_table: " ^ msg))
+    (table_error t ~name ~row_type);
   let rows = List.sort_uniq Value.compare rows in
   t.epoch <- t.epoch + 1;
   Hashtbl.add t.tables name

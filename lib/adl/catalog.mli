@@ -60,9 +60,14 @@ val fresh_oid : t -> int
     catalog, so identifiers are never reused). *)
 val ensure_oid_above : t -> int -> unit
 
-(** [add_table t ~name ~row_type rows] registers an extent.  The row type
-    must be a tuple type; rows are canonicalized.  Raises
-    [Invalid_argument] if the name is taken. *)
+(** Why {!add_table} would refuse the table: its name is taken, or its
+    row type is not a tuple type.  The catalog loaders report it as their
+    own error. *)
+val table_error : t -> name:string -> row_type:Vtype.t -> string option
+
+(** [add_table t ~name ~row_type rows] registers an extent; rows are
+    canonicalized.  Raises [Invalid_argument] with {!table_error}'s
+    message if it refuses the table. *)
 val add_table : t -> name:string -> row_type:Vtype.t -> Value.t list -> unit
 
 val find_opt : t -> string -> table option

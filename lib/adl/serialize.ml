@@ -386,7 +386,9 @@ let load_catalog (text : string) : Catalog.t =
       let line = String.trim line in
       if String.length line = 0 then ()
       else if String.length line > 8 && String.sub line 0 8 = "nextoid " then
-        next_oid := int_of_string (String.trim (String.sub line 8 (String.length line - 8)))
+        (match int_of_string_opt (String.trim (String.sub line 8 (String.length line - 8))) with
+         | Some n -> next_oid := n
+         | None -> fail "line %d: nextoid is not an integer" (lineno + 1))
       else if String.length line > 6 && String.sub line 0 6 = "table " then begin
         (match !current with
          | Some (name, rows) -> flush_rows name rows
@@ -400,6 +402,9 @@ let load_catalog (text : string) : Catalog.t =
             type_of_string
               (String.trim (String.sub rest (colon + 1) (String.length rest - colon - 1)))
           in
+          (match Catalog.table_error cat ~name ~row_type:ty with
+           | Some msg -> fail "line %d: %s" (lineno + 1) msg
+           | None -> ());
           Catalog.add_table cat ~name ~row_type:ty [];
           current := Some (name, [])
       end

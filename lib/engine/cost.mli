@@ -1,7 +1,9 @@
 (** A simple cost model over physical plans: cardinality estimation from
     exact base-table sizes plus textbook selectivity heuristics, and
-    per-operator cost formulas in abstract work units.  Used by
-    [Planner.Cost_based] for algorithm and hash-build-side choice. *)
+    per-operator cost formulas in abstract work units.  Used by the
+    planner's join-order enumeration ({!Joinorder}), access-path choice
+    and execution policies, by {!Serve} to price a batch, and by
+    {!Profile} for its estimates. *)
 
 open Njq_adl
 

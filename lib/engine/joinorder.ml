@@ -38,7 +38,6 @@
 open Njq_adl
 module S = Analysis.S
 
-let use_joinorder = ref true
 let dp_max = 10
 
 type region_report = {
@@ -384,9 +383,9 @@ let candidates (r : region) ~avail ~m1 ~m2 p1 p2 : Plan.t list =
         | exception Bail -> None)
       algos
 
-type ctx = { cat : Catalog.t; stats : Stats.t option }
+type ctx = { cat : Catalog.t; stats : Stats.t }
 
-let plan_cost (ctx : ctx) p = Cost.cost ?stats:ctx.stats ctx.cat p
+let plan_cost (ctx : ctx) p = Cost.cost ~stats:ctx.stats ctx.cat p
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration: DP over subsets, greedy beyond [dp_max].                *)
@@ -723,9 +722,9 @@ and try_region ctx p0 =
         record ~chosen ~ccost ~considered ~pruned;
         Some chosen)
 
-let optimize ?stats (cat : Catalog.t) (p : Plan.t) : Plan.t =
+let optimize ~stats (cat : Catalog.t) (p : Plan.t) : Plan.t =
   last_report := [];
-  if not !use_joinorder then p else transform { cat; stats } p
+  transform { cat; stats } p
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive order enumeration (differential-test hook).               *)

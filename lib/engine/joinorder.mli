@@ -8,6 +8,8 @@
     {!dp_max} relations, greedy nearest-neighbor beyond), costs each with
     the {!Cost} model fed by per-epoch {!Stats}, and adopts the cheapest
     order only when it is strictly cheaper than the rewriter's.
+    {!Planner.plan} runs it whenever it has a catalog and no forced
+    algorithm.
 
     Semijoin/antijoin/nestjoin edges ride along as unary operators over
     the accumulating join result, applied at the earliest point where the
@@ -19,9 +21,6 @@
     Selections go to the earliest node that has their attributes. *)
 
 open Njq_adl
-
-(** Master switch consulted by {!Planner.plan} (default on). *)
-val use_joinorder : bool ref
 
 type region_report = {
   relations : string list;  (** leaf labels, rewriter order *)
@@ -35,14 +34,13 @@ type region_report = {
 }
 
 (** Per-region reports of the most recent {!optimize} call, in plan
-    traversal order; empty when no region was found (or the pass is
-    off). *)
+    traversal order; empty when no region was found. *)
 val last_report : region_report list ref
 
 (** The pass: rewrite every join region of the plan to its cheapest
     enumerated order (strictly-cheaper adoption; ties and estimation
     failures keep the rewriter's plan).  Resets {!last_report}. *)
-val optimize : ?stats:Stats.t -> Catalog.t -> Plan.t -> Plan.t
+val optimize : stats:Stats.t -> Catalog.t -> Plan.t -> Plan.t
 
 (** Every complete enumerated order of the first join region of the plan
     (deduplicated by fingerprint, capped at [limit] per subset) — the

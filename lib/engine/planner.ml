@@ -7,7 +7,7 @@
    falling back to nested loops otherwise.  Scalar expressions and iterator
    parameter expressions stay as ADL and are evaluated per tuple.
 
-   [plan ~force_algo] overrides the choice, which the benches use to compare
+   [plan ~force] overrides the choice, which the benches use to compare
    algorithms on identical logical plans. *)
 
 open Njq_adl
@@ -61,19 +61,14 @@ let member_shape xvar yvar pred =
     Some (xset, z, Var z, g)
   | _ -> None
 
-type algo_choice =
-  | Auto
-  | Force of Plan.join_algo
-  | Cost_based of Catalog.t
-      (* pick the cheapest algorithm per join under the {!Cost} model, and
-         swap inner-join operands so that the smaller side is the hash
-         build side *)
-
-let choose choice keys =
-  match choice with
-  | Force a -> a
-  | Auto | Cost_based _ ->
-    (match keys with [] -> Plan.Nested_loop | _ -> Plan.Hash)
+(* Hash when equi keys exist, nested loops otherwise; [force] names the
+   algorithm of every keyed join.  A join without keys cannot hash or
+   merge, so it runs nested loops whatever is forced. *)
+let choose force keys =
+  match keys, force with
+  | [], _ -> Plan.Nested_loop
+  | _, Some a -> a
+  | _, None -> Plan.Hash
 
 (* Recognize the Section 6.2 materialization pattern — each row's set-valued
    attribute joined with a base table:
@@ -104,15 +99,10 @@ let pnhl_shape (e : Expr.t) =
      | _ -> None)
   | _ -> None
 
-(* Statistics for cost-based choices, computed lazily once per plan call. *)
-type cost_ctx = { cat : Catalog.t; stats : Stats.t Lazy.t }
-
-let plan_cost ctx p = Cost.cost ~stats:(Lazy.force ctx.stats) ctx.cat p
-
 (* Is this expression a set-producing operator we can plan, or a scalar /
    parameter expression that must stay in ADL? *)
-let rec plan_with ?ctx (choice : algo_choice) (e : Expr.t) : Plan.t =
-  let plan = plan_with ?ctx choice in
+let rec plan_with force (e : Expr.t) : Plan.t =
+  let plan = plan_with force in
   match e with
   | Table name -> Plan.Scan name
   | Select { var; pred; src } ->
@@ -144,7 +134,7 @@ let rec plan_with ?ctx (choice : algo_choice) (e : Expr.t) : Plan.t =
     let member =
       (* Membership joins apply when the whole predicate is the membership
          test and an algorithm choice is not forced to nested loop. *)
-      if keys = [] && choice <> Force Plan.Nested_loop then
+      if keys = [] && force <> Some Plan.Nested_loop then
         member_shape xvar yvar pred
       else None
     in
@@ -161,49 +151,13 @@ let rec plan_with ?ctx (choice : algo_choice) (e : Expr.t) : Plan.t =
            left = plan left; right = Plan.Build (plan right) }
      | _ ->
        let lp = plan left and rp = plan right in
-       (match choice with
-        | Cost_based cat when keys <> [] ->
-          let mk algo ~swap =
-            if swap then
-              (* X join Y = Y join X: swap operands, variables and key
-                 sides; the predicate's variables keep binding the same
-                 logical rows.  Only valid for the symmetric inner join. *)
-              Plan.JoinOp
-                { algo; kind; xvar = yvar; yvar = xvar;
-                  keys = List.map (fun (kx, ky) -> (ky, kx)) keys;
-                  residual; left = rp; right = lp }
-            else
-              Plan.JoinOp
-                { algo; kind; xvar; yvar; keys; residual; left = lp; right = rp }
-          in
-          let candidates =
-            mk Plan.Nested_loop ~swap:false
-            :: mk Plan.Hash ~swap:false
-            ::
-            (match kind with
-             | Expr.Inner ->
-               [ mk Plan.Hash ~swap:true; mk Plan.Sort_merge ~swap:false ]
-             | _ -> [])
-          in
-          let cctx =
-            match ctx with
-            | Some c -> c
-            | None -> { cat; stats = lazy (Stats.cached cat) }
-          in
-          List.fold_left
-            (fun best cand ->
-              if plan_cost cctx cand < plan_cost cctx best then cand else best)
-            (List.hd candidates) (List.tl candidates)
-        | _ ->
-          let algo = choose choice keys in
-          (* A hash join without keys cannot run; degrade to nested loop. *)
-          let algo = if keys = [] then Plan.Nested_loop else algo in
-          Plan.JoinOp
-            { algo; kind; xvar; yvar; keys; residual; left = lp; right = rp }))
+       Plan.JoinOp
+         { algo = choose force keys; kind; xvar; yvar; keys; residual;
+           left = lp; right = rp })
   | Nestjoin { xvar; yvar; pred; body; attr; left; right } ->
     let keys, residual = extract_keys xvar yvar pred in
     let member =
-      if keys = [] && choice <> Force Plan.Nested_loop then
+      if keys = [] && force <> Some Plan.Nested_loop then
         member_shape xvar yvar pred
       else None
     in
@@ -214,29 +168,9 @@ let rec plan_with ?ctx (choice : algo_choice) (e : Expr.t) : Plan.t =
            elem_key; ykey; left = plan left; right = Plan.Build (plan right) }
      | None ->
        let lp = plan left and rp = plan right in
-       (match choice with
-        | Cost_based cat when keys <> [] ->
-          let mk algo =
-            Plan.NestjoinOp
-              { algo; xvar; yvar; keys; residual; body; attr;
-                left = lp; right = rp }
-          in
-          let candidates = [ mk Plan.Nested_loop; mk Plan.Hash; mk Plan.Sort_merge ] in
-          let cctx =
-            match ctx with
-            | Some c -> c
-            | None -> { cat; stats = lazy (Stats.cached cat) }
-          in
-          List.fold_left
-            (fun best cand ->
-              if plan_cost cctx cand < plan_cost cctx best then cand else best)
-            (List.hd candidates) (List.tl candidates)
-        | _ ->
-          let algo = choose choice keys in
-          let algo = if keys = [] then Plan.Nested_loop else algo in
-          Plan.NestjoinOp
-            { algo; xvar; yvar; keys; residual; body; attr;
-              left = lp; right = rp }))
+       Plan.NestjoinOp
+         { algo = choose force keys; xvar; yvar; keys; residual; body; attr;
+           left = lp; right = rp })
   | Rename (pairs, src) -> Plan.RenameOp (pairs, plan src)
   | Unnest (a, src) -> Plan.UnnestOp (a, plan src)
   | Nest { attrs; into; src } -> Plan.NestOp { attrs; into; input = plan src }
@@ -250,10 +184,6 @@ let rec plan_with ?ctx (choice : algo_choice) (e : Expr.t) : Plan.t =
 (* ------------------------------------------------------------------ *)
 (* Access-path post-pass: sargable predicates onto catalog indexes      *)
 (* ------------------------------------------------------------------ *)
-
-(* Master switch for the index rewrite ([plan ~cat] consults it); off, the
-   planner emits exactly the full-scan plans of previous versions. *)
-let use_indexes = ref true
 
 (* A lookup expression must be closed: free variables would make the key
    depend on an outer binding the index cannot see.  Parameters are
@@ -392,14 +322,10 @@ let index_join ~rename kind xvar yvar table keys residual left idx =
    bottom-up, keeping a candidate only when the cost model prices it
    strictly below the scan-based original — with statistics, that is what
    makes index paths win only when selective. *)
-let access_paths ?stats cat p =
+let access_paths ~stats cat p =
   if not (Catalog.has_indexes cat) then p
   else begin
-    let cost node =
-      match stats with
-      | Some st -> Cost.cost ~stats:st cat node
-      | None -> Cost.cost cat node
-    in
+    let cost node = Cost.cost ~stats cat node in
     let best original candidates =
       List.fold_left
         (fun best cand -> if cost cand < cost best then cand else best)
@@ -554,48 +480,25 @@ let set_policies cat p =
   in
   if budget = max_int && not parallel then p else go p
 
-let plan ?(algo = Auto) ?cat e =
-  let algo_label =
-    match algo with
-    | Auto -> "auto"
-    | Force _ -> "force"
-    | Cost_based _ -> "cost_based"
-  in
+let plan ?force ?cat e =
+  let algo_label = if Option.is_none force then "auto" else "force" in
   Njq_obs.Span.with_span ~attrs:[ ("algo", Njq_obs.Span.AStr algo_label) ] "plan"
   @@ fun () ->
-  let ctx =
-    match algo with
-    | Cost_based cat -> Some { cat; stats = lazy (Stats.cached cat) }
-    | Auto | Force _ -> None
-  in
-  let p = plan_with ?ctx algo e in
+  let p = plan_with force e in
   let p =
-    (* Join-order enumeration over the rewriter's output, before access
-       paths are chosen (the enumerator reasons over Scan/Filter shapes)
-       — skipped under [Force], whose callers want the rewriter's exact
-       plan with the named algorithm everywhere. *)
-    match cat, algo with
-    | Some c, (Auto | Cost_based _) when !Joinorder.use_joinorder ->
-      Joinorder.optimize ~stats:(Stats.cached c) c p
-    | _ -> p
-  in
-  let p =
-    (* Sargable predicates onto declared indexes — skipped under [Force],
-       whose callers want the named algorithm everywhere. *)
-    match cat, algo with
-    | Some c, (Auto | Cost_based _)
-      when !use_indexes && Catalog.has_indexes c ->
-      access_paths ~stats:(Stats.cached c) c p
-    | _ -> p
-  in
-  let p =
-    (* Member joins onto whole oid-keyed extents probe the oid index, an
-       access path every extent has: same switch and [Force] exemption. *)
-    match cat, algo with
-    | Some c, (Auto | Cost_based _) when !use_indexes -> pointer_joins c p
+    (* The catalog passes, skipped under [force], whose callers want the
+       rewriter's exact plan with the named algorithm everywhere.  Join
+       order comes first: the enumerator reasons over Scan/Filter shapes.
+       Then sargable predicates onto declared indexes, and member joins
+       onto whole oid-keyed extents probe the oid index, an access path
+       every extent has. *)
+    match cat, force with
+    | Some c, None ->
+      let stats = Stats.cached c in
+      pointer_joins c (access_paths ~stats c (Joinorder.optimize ~stats c p))
     | _ -> p
   in
   set_policies cat p
 
 (* End-to-end convenience: hoist uncorrelated subqueries, plan, execute. *)
-let run ?algo cat e = Exec.run cat (plan ?algo ~cat (Consthoist.hoist cat e))
+let run cat e = Exec.run cat (plan ~cat (Consthoist.hoist cat e))

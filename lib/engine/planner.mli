@@ -18,23 +18,18 @@ open Njq_adl
 val extract_keys :
   string -> string -> Expr.t -> (Expr.t * Expr.t) list * Expr.t
 
-type algo_choice =
-  | Auto  (** hash when equi keys exist, nested loop otherwise *)
-  | Force of Plan.join_algo  (** the same algorithm everywhere (ablations) *)
-  | Cost_based of Catalog.t
-      (** pick the cheapest algorithm per join under the {!Cost} model and
-          swap inner-join operands so the smaller side is the hash build
-          side *)
+(** Plan an expression.  Joins with equi keys hash, others run nested
+    loops, and membership shapes become member joins.  Given [cat], three
+    catalog passes follow: join-order enumeration ({!Joinorder}), index
+    access paths for sargable predicates where {!Cost} prices them lower,
+    and member joins onto whole oid-keyed extents that probe the oid index
+    ({!Plan.Oid_index}).
 
-(** Master switch for the {!access_paths} rewrite and for pointer-based
-    member joins ({!Plan.Oid_index}) in {!plan} (default on); off, the
-    planner emits exactly the full-scan, hash-build plans of previous
-    versions. *)
-val use_indexes : bool ref
-
-(** Plan an expression.  [algo] forces a join algorithm everywhere (used by
-    the benchmarks to compare algorithms on identical logical plans);
-    forcing hash/sort-merge degrades to nested loop where no keys exist.
+    [force] names the algorithm of every keyed join (the benchmarks'
+    ablations on identical logical plans) and skips the catalog passes, so
+    [~force:Plan.Hash] is the plan as the rewriter wrote it.  A join
+    without keys runs nested loops whatever is forced, and forcing nested
+    loops also keeps membership joins nested.
 
     Last, one bottom-up pass sets each operator's execution policy.  With
     a bounded {!Memory.budget}, an inner, semi or anti hash join whose
@@ -45,8 +40,8 @@ val use_indexes : bool ref
     resident hash join or nestjoin, filter and map with at least 256
     estimated input rows gets its parallel policy: a fixed partition
     count (2 to 16) or the morsel flag. *)
-val plan : ?algo:algo_choice -> ?cat:Catalog.t -> Expr.t -> Plan.t
+val plan : ?force:Plan.join_algo -> ?cat:Catalog.t -> Expr.t -> Plan.t
 
 (** Hoist uncorrelated subqueries ({!Consthoist}), plan (with [~cat]), and
     execute. *)
-val run : ?algo:algo_choice -> Catalog.t -> Expr.t -> Value.t
+val run : Catalog.t -> Expr.t -> Value.t

@@ -25,7 +25,7 @@ type node = {
   plan : Plan.t;
   label : string;
   depth : int;
-  est_rows : float;  (* Cost.rows_out estimate *)
+  est_rows : float;  (* Cost.rows_out estimate under Stats.cached *)
   actual_rows : int;
   qerror : float;
   calls : int;
@@ -56,9 +56,11 @@ let add_work a b =
   go a b
 
 (* Execute [plan] under a collector and fold the samples back onto the
-   tree.  [stats] sharpens the cardinality estimates (see [Cost]). *)
-let run ?stats (cat : Catalog.t) (plan : Plan.t) : Value.t * node =
+   tree.  The estimates use the statistics the planner costs with, taken
+   after the run. *)
+let run (cat : Catalog.t) (plan : Plan.t) : Value.t * node =
   let result, samples = Exec.collect (fun () -> Exec.run cat plan) in
+  let stats = Stats.cached cat in
   let rec build depth p =
     let mine =
       List.filter (fun (s : Exec.node_sample) -> s.sample_plan == p) samples
@@ -89,7 +91,7 @@ let run ?stats (cat : Catalog.t) (plan : Plan.t) : Value.t * node =
         (fun acc (s : Exec.node_sample) -> acc +. s.major_words)
         0.0 mine
     in
-    let est_rows = Cost.rows_out ?stats cat p in
+    let est_rows = Cost.rows_out ~stats cat p in
     {
       plan = p;
       label = Plan.node_label p;

@@ -16,7 +16,9 @@ type node = {
   plan : Plan.t;
   label : string;
   depth : int;
-  est_rows : float;  (** {!Cost.rows_out} estimate. *)
+  est_rows : float;
+      (** {!Cost.rows_out} estimate under the catalog's statistics, the
+          ones the planner costs with. *)
   actual_rows : int;
   qerror : float;
   calls : int;  (** Executions of this physical node (1 unless shared). *)
@@ -35,8 +37,9 @@ type node = {
 val qerror : est:float -> actual:int -> float
 
 (** Execute the plan with a collector installed and fold the samples onto
-    the plan tree.  [stats] sharpens the estimates (see {!Cost}). *)
-val run : ?stats:Stats.t -> Catalog.t -> Plan.t -> Value.t * node
+    the plan tree.  The estimates read {!Stats.cached}, taken after the
+    run, so profiling ticks no counter the bare run would not. *)
+val run : Catalog.t -> Plan.t -> Value.t * node
 
 (** Pre-order flattening, this node first. *)
 val preorder : node -> node list

@@ -420,6 +420,7 @@ let load_catalog path =
   for _ = 1 to ntables do
     let name = read_bytes hd (read_uvarint hd) in
     let row_type = Serialize.type_of_string (read_bytes hd (read_uvarint hd)) in
+    Option.iter (corrupt "%s") (Catalog.table_error cat ~name ~row_type);
     let nrows = read_uvarint hd in
     let slen = read_uvarint hd in
     if hd.pos + slen > hd.limit then corrupt "table %s overruns file" name;

@@ -1,6 +1,7 @@
 (* Tests for the cost model and cost-based planning: estimates are sane and
-   monotone, the cost-based planner picks hash algorithms where keys exist,
-   swaps the build side onto the smaller operand, and never changes
+   monotone, and planning with a catalog (whose join-order enumeration
+   prices algorithms and operand orders) picks hash algorithms where keys
+   exist, puts the build side on the smaller operand, and never changes
    semantics. *)
 
 open Njq_adl
@@ -55,16 +56,16 @@ let test_selectivity_shapes () =
 let test_cost_prefers_hash () =
   let cat = skewed_catalog ~small:100 ~big:100 in
   let e = inner_join (table "SMALL") (table "BIG") in
-  match Planner.plan ~algo:(Planner.Cost_based cat) e with
+  match Planner.plan ~cat e with
   | Plan.JoinOp { algo = Plan.Hash; _ } -> ()
   | p -> Alcotest.failf "expected a hash join, got %a" Plan.pp p
 
 let test_build_side_swap () =
   let cat = skewed_catalog ~small:4 ~big:4000 in
   (* SMALL join BIG: the executor builds on the right operand, so the
-     cost-based plan must put SMALL on the right. *)
+     catalog plan must put SMALL on the right. *)
   let e = inner_join (table "SMALL") (table "BIG") in
-  (match Planner.plan ~algo:(Planner.Cost_based cat) e with
+  (match Planner.plan ~cat e with
    | Plan.JoinOp { algo = Plan.Hash; right = Plan.Scan "SMALL"; left = Plan.Scan "BIG"; _ } ->
      ()
    | p -> Alcotest.failf "expected swapped build side, got %a" Plan.pp p);
@@ -73,7 +74,7 @@ let test_build_side_swap () =
     join ~x:"y" ~y:"x" (eq (var "y" $. "b") (var "x" $. "a")) (table "BIG")
       (table "SMALL")
   in
-  match Planner.plan ~algo:(Planner.Cost_based cat) e2 with
+  match Planner.plan ~cat e2 with
   | Plan.JoinOp { algo = Plan.Hash; right = Plan.Scan "SMALL"; _ } -> ()
   | p -> Alcotest.failf "expected build side kept, got %a" Plan.pp p
 
@@ -81,8 +82,8 @@ let test_swap_preserves_semantics () =
   let cat = skewed_catalog ~small:5 ~big:50 in
   let e = inner_join (table "SMALL") (table "BIG") in
   let auto = Exec.run cat (Planner.plan e) in
-  let cost_based = Exec.run cat (Planner.plan ~algo:(Planner.Cost_based cat) e) in
-  Alcotest.check Util.value "swap preserves semantics" auto cost_based
+  let catalog = Exec.run cat (Planner.plan ~cat e) in
+  Alcotest.check Util.value "swap preserves semantics" auto catalog
 
 let test_cost_monotone_in_algo () =
   let cat = skewed_catalog ~small:200 ~big:200 in
@@ -106,7 +107,7 @@ let test_cost_based_corpus () =
       let out = Njq_core.Strategy.optimize cat adl in
       Alcotest.check Util.value (q.id ^ " cost-based sound")
         (Eval.run cat adl)
-        (Exec.run cat (Planner.plan ~algo:(Planner.Cost_based cat) out)))
+        (Exec.run cat (Planner.plan ~cat out)))
     Njq_workload.Queries.all
 
 let prop_cost_based_sound =
@@ -117,7 +118,7 @@ let prop_cost_based_sound =
       let q = select "x" (table "X") pred in
       let out = Njq_core.Strategy.optimize cat q in
       Value.equal (Eval.run cat q)
-        (Exec.run cat (Planner.plan ~algo:(Planner.Cost_based cat) out)))
+        (Exec.run cat (Planner.plan ~cat out)))
 
 let () =
   Alcotest.run "cost"

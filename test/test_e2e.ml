@@ -66,8 +66,8 @@ let test_all_grouping_modes () =
         Queries.all)
     [ Strategy.Nestjoin_always; Strategy.Flat_join_when_safe; Strategy.Outerjoin ]
 
-(* The cost-based planner with constant hoisting (the Planner.run path)
-   agrees with the reference on the whole corpus. *)
+(* Catalog planning with constant hoisting (the Planner.run path) agrees
+   with the reference on the whole corpus. *)
 let test_cost_based_hoisted () =
   let cat = Gen.catalog (clean Gen.default_config) in
   List.iter
@@ -76,7 +76,7 @@ let test_cost_based_hoisted () =
       let out = Strategy.optimize cat adl in
       Alcotest.check Util.value (q.id ^ " cost-based + hoisted")
         (Eval.run cat adl)
-        (Planner.run ~algo:(Planner.Cost_based cat) cat out))
+        (Planner.run cat out))
     (Queries.all @ Queries.extended)
 
 (* Disabling every optimization must still produce correct plans (pure

@@ -28,8 +28,8 @@ let prop_join_algos =
         (fun (_, kind) ->
           let e = join_expr kind in
           let expected = Eval.run cat e in
-          let nl = Exec.run cat (Planner.plan ~algo:(Planner.Force Plan.Nested_loop) e) in
-          let hash = Exec.run cat (Planner.plan ~algo:(Planner.Force Plan.Hash) e) in
+          let nl = Exec.run cat (Planner.plan ~force:Plan.Nested_loop e) in
+          let hash = Exec.run cat (Planner.plan ~force:Plan.Hash e) in
           Value.equal expected nl && Value.equal expected hash)
         all_kinds)
 
@@ -38,7 +38,7 @@ let prop_sort_merge =
     (fun tables ->
       let cat = Util.xy_catalog tables in
       let e = join_expr Expr.Inner in
-      let sm = Exec.run cat (Planner.plan ~algo:(Planner.Force Plan.Sort_merge) e) in
+      let sm = Exec.run cat (Planner.plan ~force:Plan.Sort_merge e) in
       Value.equal (Eval.run cat e) sm)
 
 let prop_nestjoin_algos =
@@ -50,9 +50,9 @@ let prop_nestjoin_algos =
           (table "X") (table "Y")
       in
       let expected = Eval.run cat e in
-      let nl = Exec.run cat (Planner.plan ~algo:(Planner.Force Plan.Nested_loop) e) in
-      let hash = Exec.run cat (Planner.plan ~algo:(Planner.Force Plan.Hash) e) in
-      let sm = Exec.run cat (Planner.plan ~algo:(Planner.Force Plan.Sort_merge) e) in
+      let nl = Exec.run cat (Planner.plan ~force:Plan.Nested_loop e) in
+      let hash = Exec.run cat (Planner.plan ~force:Plan.Hash e) in
+      let sm = Exec.run cat (Planner.plan ~force:Plan.Sort_merge e) in
       Value.equal expected nl && Value.equal expected hash
       && Value.equal expected sm)
 
@@ -420,13 +420,13 @@ let test_hash_beats_nl_on_counters () =
       (eq (var "d" $. "supplier") (var "s" $. "oid"))
       (table "DELIVERY") (table "SUPPLIER")
   in
-  let count_for algo key =
+  let count_for force key =
     Counters.reset ();
-    ignore (Exec.run cat (Planner.plan ~algo e));
+    ignore (Exec.run cat (Planner.plan ~force e));
     Counters.get key
   in
-  let nl_pairs = count_for (Planner.Force Plan.Nested_loop) "nl_pair" in
-  let probes = count_for (Planner.Force Plan.Hash) "hash_probe" in
+  let nl_pairs = count_for Plan.Nested_loop "nl_pair" in
+  let probes = count_for Plan.Hash "hash_probe" in
   Alcotest.(check bool)
     (Printf.sprintf "probes (%d) < nl pairs (%d)" probes nl_pairs)
     true

@@ -150,11 +150,6 @@ let test_multi_attr_and_invalidation () =
 (* ------------------------------------------------------------------ *)
 (* Planner selection *)
 
-let with_indexes flag f =
-  let prev = !Planner.use_indexes in
-  Planner.use_indexes := flag;
-  Fun.protect ~finally:(fun () -> Planner.use_indexes := prev) f
-
 let workload_cat n = Gen.catalog { (Gen.scaled ~seed:11 n) with Gen.dangling_rate = 0.0 }
 
 let test_planner_picks_point () =
@@ -176,13 +171,9 @@ let test_planner_picks_point () =
    | Plan.IndexScan { residual; _ } ->
      Alcotest.(check bool) "residual kept" false (Expr.is_true residual)
    | p -> Alcotest.failf "expected IndexScan with residual, got %a" Plan.pp p);
-  (* Master switch and forced algorithms keep the scan plans. *)
-  with_indexes false (fun () ->
-      match Planner.plan ~cat q with
-      | Plan.Filter { input = Plan.Scan "PART"; _ } -> ()
-      | p -> Alcotest.failf "use_indexes=false: got %a" Plan.pp p);
-  match Planner.plan ~algo:(Planner.Force Plan.Hash) ~cat q with
-  | Plan.Filter _ -> ()
+  (* A forced algorithm keeps the scan plan. *)
+  match Planner.plan ~force:Plan.Hash ~cat q with
+  | Plan.Filter { input = Plan.Scan "PART"; _ } -> ()
   | p -> Alcotest.failf "forced algo must skip access paths, got %a" Plan.pp p
 
 let test_planner_picks_range () =
@@ -348,15 +339,8 @@ let test_pointer_respects_switches () =
   let built p =
     match member_right p with Some (Plan.Build _) -> true | _ -> false
   in
-  let prev = !Planner.use_indexes in
-  Planner.use_indexes := false;
-  let off =
-    Fun.protect ~finally:(fun () -> Planner.use_indexes := prev) (fun () ->
-        Planner.plan ~cat e)
-  in
-  Alcotest.(check bool) "use_indexes off keeps the build" true (built off);
   Alcotest.(check bool) "Force keeps the build" true
-    (built (Planner.plan ~algo:(Planner.Force Plan.Hash) ~cat e));
+    (built (Planner.plan ~force:Plan.Hash ~cat e));
   Alcotest.(check bool) "no catalog keeps the build" true (built (Planner.plan e));
   (* A filtered right operand keeps its hash build too. *)
   let filtered =

@@ -27,11 +27,6 @@ let with_domains k f =
   Pool.set_domains k;
   Fun.protect ~finally:(fun () -> Pool.set_domains prev) f
 
-let with_reorder flag f =
-  let prev = !Joinorder.use_joinorder in
-  Joinorder.use_joinorder := flag;
-  Fun.protect ~finally:(fun () -> Joinorder.use_joinorder := prev) f
-
 (* ------------------------------------------------------------------ *)
 (* Random 3-6 relation join graphs.  Relation [i] carries attributes
    a<i>/b<i> (globally distinct names, the rename discipline the
@@ -134,15 +129,13 @@ let diff_prop g =
   let reference = Eval.run cat q in
   let all_orders =
     with_domains 1 (fun () ->
-        with_reorder false (fun () ->
-            Joinorder.orders ~limit:8 cat
-              (Planner.plan ~cat q)))
+        Joinorder.orders ~limit:8 cat (Planner.plan ~force:Plan.Hash ~cat q))
   in
   List.iter
     (fun d ->
       with_domains d (fun () ->
-          let p_rw = with_reorder false (fun () -> Planner.plan ~cat q) in
-          let p_en = with_reorder true (fun () -> Planner.plan ~cat q) in
+          let p_rw = Planner.plan ~force:Plan.Hash ~cat q in
+          let p_en = Planner.plan ~cat q in
           check_value "rewriter order" reference (Exec.run cat p_rw);
           check_value "enumerated order" reference (Exec.run cat p_en);
           List.iteri
@@ -177,7 +170,7 @@ let chain_fixture () =
 
 let test_fingerprints_distinct () =
   let cat, q = chain_fixture () in
-  let p = with_reorder false (fun () -> Planner.plan ~cat q) in
+  let p = Planner.plan ~force:Plan.Hash ~cat q in
   let orders = Joinorder.orders cat p in
   Alcotest.(check bool) "several orders" true (List.length orders >= 3);
   (* pairwise structurally distinct, and fingerprints separate them *)
@@ -198,7 +191,7 @@ let test_fingerprints_distinct () =
 
 let test_reorder_wins () =
   let cat, q = chain_fixture () in
-  let p_en = with_reorder true (fun () -> Planner.plan ~cat q) in
+  let p_en = Planner.plan ~cat q in
   let report = !Joinorder.last_report in
   Alcotest.(check bool) "one region" true (List.length report = 1);
   let r = List.hd report in
@@ -210,15 +203,55 @@ let test_reorder_wins () =
   Alcotest.(check string) "fingerprint surfaced" (Plan.fingerprint p_en)
     r.Joinorder.chosen_fingerprint;
   (* and the reorder is results-invisible *)
-  let p_rw = with_reorder false (fun () -> Planner.plan ~cat q) in
+  let p_rw = Planner.plan ~force:Plan.Hash ~cat q in
   Alcotest.(check bool) "fingerprints differ" false
     (String.equal (Plan.fingerprint p_rw) (Plan.fingerprint p_en));
   check_value "same result" (Exec.run cat p_rw) (Exec.run cat p_en)
 
+(* Past the DP's ten relations the enumerator goes greedy.  An 11-relation
+   chain with a selective filter on its last-written relation: the written
+   order joins full-size intermediates first, so the greedy order wins.
+   At 300 rows per relation the two-domain plans take parallel
+   policies. *)
+let test_greedy_chain () =
+  let k = 11 and n = 300 in
+  let cat = mk_catalog (List.init k (fun _ -> List.init n (fun j -> (j, j)))) in
+  let leaf i =
+    if i = k - 1 then
+      select "s" (table (tn i)) (lt (var "s" $. bn i) (int (n / 8)))
+    else table (tn i)
+  in
+  let q = ref (leaf 0) in
+  for i = 1 to k - 1 do
+    q :=
+      join ~x:"x" ~y:"y" (eq (var "x" $. an (i - 1)) (var "y" $. an i)) !q
+        (leaf i)
+  done;
+  let q = !q in
+  let reference = Eval.run cat q in
+  List.iter
+    (fun d ->
+      with_domains d (fun () ->
+          let p_en = Planner.plan ~cat q in
+          (match !Joinorder.last_report with
+           | [ r ] ->
+             Alcotest.(check int) "eleven relations" k
+               (List.length r.Joinorder.relations);
+             Alcotest.(check bool) "considered some plans" true
+               (r.Joinorder.considered > 0);
+             Alcotest.(check bool) "reordered" true r.Joinorder.reordered
+           | rs -> Alcotest.failf "expected one region, got %d" (List.length rs));
+          let p_rw = Planner.plan ~force:Plan.Hash ~cat q in
+          check_value (Printf.sprintf "greedy order (d=%d)" d) reference
+            (Exec.run cat p_en);
+          check_value (Printf.sprintf "written order (d=%d)" d) reference
+            (Exec.run cat p_rw)))
+    [ 1; 2 ]
+
 let test_plancache_discipline () =
   let cat, q = chain_fixture () in
   Plancache.clear ();
-  let derive _ = with_reorder true (fun () -> Planner.plan ~cat q) in
+  let derive _ = Planner.plan ~cat q in
   let p1, hit1 = Plancache.find_or_derive_report cat "joinorder-q" ~derive in
   let p2, hit2 = Plancache.find_or_derive_report cat "joinorder-q" ~derive in
   Alcotest.(check bool) "first is a miss" false hit1;
@@ -292,6 +325,8 @@ let () =
             test_fingerprints_distinct;
           Alcotest.test_case "chain reorder wins and is surfaced" `Quick
             test_reorder_wins;
+          Alcotest.test_case "greedy order past the DP limit" `Quick
+            test_greedy_chain;
           Alcotest.test_case "plan cache serves enumerated plans" `Quick
             test_plancache_discipline;
         ] );

@@ -260,7 +260,9 @@ let test_profile_hand_built () =
     (fun (n : Profile.node) ->
       Alcotest.(check int) (n.label ^ " executed once") 1 n.calls;
       Alcotest.(check bool) (n.label ^ " est matches cost model") true
-        (Float.equal n.est_rows (Njq_engine.Cost.rows_out cat n.plan));
+        (Float.equal n.est_rows
+           (Njq_engine.Cost.rows_out ~stats:(Njq_engine.Stats.cached cat) cat
+              n.plan));
       Alcotest.(check (float 1e-9))
         (n.label ^ " qerror consistent")
         (Profile.qerror ~est:n.est_rows ~actual:n.actual_rows)

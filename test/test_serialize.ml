@@ -99,6 +99,24 @@ let test_catalog_file_roundtrip () =
         (Value.set (Catalog.rows cat "SUPPLIER"))
         (Value.set (Catalog.rows cat' "SUPPLIER")))
 
+(* A repeated table section, a non-tuple row type and a non-integer oid
+   counter are parse errors naming the line, like every other malformed
+   catalog text. *)
+let test_catalog_malformed () =
+  let rejects name text line =
+    match S.load_catalog text with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception S.Parse_error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names line %d: %s" name line msg)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "line %d:" line) msg)
+  in
+  let part = "table PART : (oid : oid, pname : string)\n" in
+  rejects "repeated table" (part ^ "= (oid = #1, pname = \"a\")\n" ^ part) 3;
+  rejects "non-tuple row type" "nextoid 2\ntable T : int\n" 2;
+  rejects "non-integer oid counter" "nextoid x\n" 1
+
 let test_json () =
   let v =
     Value.tuple
@@ -172,5 +190,6 @@ let () =
         [ Alcotest.test_case "round trip" `Quick test_type_roundtrip ] );
       ( "catalogs",
         [ Alcotest.test_case "round trip" `Quick test_catalog_roundtrip;
-          Alcotest.test_case "file round trip" `Quick test_catalog_file_roundtrip ] );
+          Alcotest.test_case "file round trip" `Quick test_catalog_file_roundtrip;
+          Alcotest.test_case "malformed rejected" `Quick test_catalog_malformed ] );
       ("properties", [ prop_value_roundtrip ]) ]

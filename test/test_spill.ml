@@ -167,15 +167,34 @@ let test_njqc_roundtrip () =
 
 let test_njqc_corrupt () =
   let path = Filename.temp_file "njq-test-bad" ".njqc" in
+  let rejects what contents =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc contents);
+    match Rowcodec.load_catalog path with
+    | _ -> Alcotest.failf "expected Corrupt for %s" what
+    | exception Rowcodec.Corrupt _ -> ()
+  in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (Rowcodec.njqc_magic ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"));
-      (match Rowcodec.load_catalog path with
-       | _ -> Alcotest.fail "expected Corrupt"
-       | exception Rowcodec.Corrupt _ -> ());
+      rejects "an overlong varint"
+        (Rowcodec.njqc_magic ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff");
+      (* A one-table file; its oid counter and table count are one varint
+         byte each. *)
+      let one = Catalog.create () in
+      Catalog.add_table one ~name:"DELIVERY"
+        ~row_type:(Vtype.tuple [ ("a", Vtype.TInt) ])
+        [ Value.tuple [ ("a", Value.int 1) ] ];
+      Rowcodec.save_catalog one path;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let m = String.length Rowcodec.njqc_magic + 2 in
+      Alcotest.(check char) "one table" '\001' bytes.[m - 1];
+      let header = String.sub bytes 0 (m - 1) in
+      let table = String.sub bytes m (String.length bytes - m) in
+      rejects "a header listing DELIVERY twice"
+        (header ^ "\002" ^ table ^ table);
+      (* name, row type, no rows, an empty section *)
+      rejects "a scalar row type" (header ^ "\001\008DELIVERY\003int\000\000");
       Alcotest.(check bool) "missing file is not njqc" false
         (Rowcodec.is_njqc "njq__no_such_file"))
 

@@ -104,8 +104,8 @@ let test_estimate_accuracy () =
   in
   check_accuracy "equi join" join_plan actual_join
 
-(* Statistics never change plan SEMANTICS, only cost numbers: cost-based
-   planning with stats still agrees with the reference. *)
+(* Statistics never change plan SEMANTICS, only cost numbers: planning
+   with the catalog's stats still agrees with the reference. *)
 let test_stats_cost_planning () =
   let cat = Njq_workload.Generator.xy_catalog ~seed:9 64 in
   let q =
@@ -113,7 +113,7 @@ let test_stats_cost_planning () =
       (exists "y" (table "Y") (eq (var "x" $. "a") (var "y" $. "d")))
   in
   let out = Njq_core.Strategy.optimize cat q in
-  let plan = Njq_engine.Planner.plan ~algo:(Njq_engine.Planner.Cost_based cat) out in
+  let plan = Njq_engine.Planner.plan ~cat out in
   Alcotest.check Util.value "cost-based with stats sound" (Eval.run cat q)
     (Njq_engine.Exec.run cat plan)
 
