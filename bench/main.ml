@@ -596,8 +596,7 @@ type coldstart = {
 
 let spill_counter_keys =
   [ "scan_row"; "hash_build"; "hash_probe"; "pnhl_build"; "sm_cmp";
-    "spill_part"; "spill_row"; "spill_bytes"; "ext_sort_run";
-    "ext_sort_merge" ]
+    "spill_part"; "spill_row"; "spill_bytes" ]
 
 let coldstart_stats () =
   let cat = Gen.catalog (clean (4 * !bench_scale)) in
@@ -732,35 +731,24 @@ let b17 n =
       ("star4", b17_star 4 n);
       ("star6", b17_star 6 n) ]
 
-(* B18 — larger-than-memory execution: the same three spill-capable
-   operators (Grace join, PNHL, sort-merge join) run fully resident
-   ("family|inf") and at 10% / 1% memory budgets ("family|10pct",
-   "family|1pct").  The '|' groups ask the sweep for result equality
-   only: the budgeted runs pay extra partitioning and spill-file work by
-   design, but the rows that come out must be bit-identical — the
-   larger-than-memory differential at bench level.  The JSON report adds
-   a "spill" section (computed once at bench_scale, like b16's "serve"):
-   per-variant counter snapshots — json_check --bench requires the core
-   work (scan_row, hash_build/hash_probe, pnhl_build) invariant across
-   budgets, zero spill counters at |inf and nonzero spill (resp.
-   external-sort) counters at |1pct — plus a catalog cold-start contrast
-   timing the textual parse against the NJQC binary load of the same
-   catalog, where the binary load must be strictly faster. *)
-let with_budget b f () =
-  let prev = !Njq_engine.Memory.budget in
-  Njq_engine.Memory.budget := b;
-  Fun.protect ~finally:(fun () -> Njq_engine.Memory.budget := prev) f
-
+(* B18 — larger-than-memory execution: the two spill-capable operators
+   (Grace join, PNHL) run fully resident ("family|inf") and at 10% / 1%
+   memory budgets ("family|10pct", "family|1pct").  The '|' groups ask
+   the sweep for result equality only: the budgeted runs pay extra
+   partitioning and spill-file work by design, but the rows that come out
+   must be bit-identical — the larger-than-memory differential at bench
+   level.  The JSON report adds a "spill" section (computed once at
+   bench_scale, like b16's "serve"): per-variant counter snapshots —
+   json_check --bench requires the core work (scan_row,
+   hash_build/hash_probe, pnhl_build) invariant across budgets, zero
+   spill counters at |inf and nonzero spill counters at |1pct — plus a
+   catalog cold-start contrast timing the textual parse against the NJQC
+   binary load of the same catalog, where the binary load must be
+   strictly faster. *)
 let b18_grace budget =
   Plan.JoinOp
     { algo = Plan.Partitioned { partitions = 1; mem_budget = budget };
       kind = Expr.Inner; xvar = "x"; yvar = "y";
-      keys = [ (var "x" $. "a", var "y" $. "d") ]; residual = Expr.true_;
-      left = Plan.Scan "X"; right = Plan.Scan "Y" }
-
-let b18_smj =
-  Plan.JoinOp
-    { algo = Plan.Sort_merge; kind = Expr.Inner; xvar = "x"; yvar = "y";
       keys = [ (var "x" $. "a", var "y" $. "d") ]; residual = Expr.true_;
       left = Plan.Scan "X"; right = Plan.Scan "Y" }
 
@@ -773,8 +761,7 @@ let b18 n =
   List.concat_map
     (fun (tag, budget) ->
       [ ("grace|" ^ tag, plan_thunk catxy (b18_grace budget));
-        ("pnhl|" ^ tag, plan_thunk scat (pnhl_plan ~budget));
-        ("extsort|" ^ tag, with_budget budget (plan_thunk catxy b18_smj)) ])
+        ("pnhl|" ^ tag, plan_thunk scat (pnhl_plan ~budget)) ])
     budgets
 
 (* B19 — the serve plans of the repo benchmark (perfbench's serve

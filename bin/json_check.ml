@@ -25,13 +25,12 @@
    the rewriter order, strictly less on the chain6 groups.  The b18
    larger-than-memory experiment must carry a "spill" section whose
    per-variant counter snapshots show, for each operator family
-   (grace/pnhl/extsort) across the inf/10pct/1pct budget variants,
+   (grace/pnhl) across the inf/10pct/1pct budget variants,
    budget-invariant core work (scan_row, hash_build/hash_probe,
-   pnhl_build), zero spill and external-sort counters on the resident
-   |inf run, and nonzero spill (resp. external-sort run/merge) counters
-   at the 1% budget; its "coldstart" record must show the NJQC binary
-   catalog load strictly faster than the textual parse of the same
-   catalog.
+   pnhl_build), zero spill counters on the resident |inf run, and
+   nonzero spill counters at the 1% budget; its "coldstart" record must
+   show the NJQC binary catalog load strictly faster than the textual
+   parse of the same catalog.
 
    With --baseline BASE, the perf-regression gate: BASE and FILE are two
    BENCH_engine.json documents; they must agree on experiment ids and
@@ -407,22 +406,15 @@ let check_bench file =
                   if field inf k <> 0.0 then
                     fail "%s: %s: %s|inf ticked %s (%.0f) with no budget" file
                       ctx fam k (field inf k))
-                [ "spill_part"; "spill_row"; "spill_bytes"; "ext_sort_run";
-                  "ext_sort_merge" ];
+                [ "spill_part"; "spill_row"; "spill_bytes" ];
               let _, tight = List.nth budgeted 1 in
-              let must_tick ks =
-                List.iter
-                  (fun k ->
-                    if not (field tight k > 0.0) then
-                      fail "%s: %s: %s|1pct did not tick %s" file ctx fam k)
-                  ks
-              in
-              if String.equal fam "extsort" then
-                must_tick [ "ext_sort_run"; "ext_sort_merge" ]
-              else must_tick [ "spill_part"; "spill_bytes" ])
+              List.iter
+                (fun k ->
+                  if not (field tight k > 0.0) then
+                    fail "%s: %s: %s|1pct did not tick %s" file ctx fam k)
+                [ "spill_part"; "spill_bytes" ])
             [ ("grace", [ "scan_row"; "hash_build"; "hash_probe" ]);
-              ("pnhl", [ "scan_row"; "pnhl_build" ]);
-              ("extsort", [ "scan_row" ]) ];
+              ("pnhl", [ "scan_row"; "pnhl_build" ]) ];
           let cs = get ctx "coldstart" s in
           let num k = as_num (ctx ^ " coldstart " ^ k) (get ctx k cs) in
           List.iter

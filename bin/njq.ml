@@ -83,9 +83,10 @@ let mem_budget_arg =
     "Engine memory budget in build-side rows, with an optional k or m \
      suffix (e.g. 1k = 1024 rows).  A hash-join build side estimated past \
      the budget is Grace-partitioned to temp files under NJQ_TMPDIR and \
-     processed one resident partition at a time; sort inputs past it use \
-     an external sort.  Results are identical at every budget.  Unset \
-     means unlimited (everything stays resident)."
+     processed one resident partition at a time, and PNHL splits its \
+     build table into segments of at most this many rows.  Results are \
+     identical at every budget.  Unset means unlimited (everything stays \
+     resident)."
   in
   Arg.(value & opt (some string) None
        & info [ "mem-budget" ] ~docv:"N[k|m]" ~doc)
@@ -133,16 +134,10 @@ let slow_ms_arg =
   in
   Arg.(value & opt (some float) None & info [ "slow-ms" ] ~docv:"MS" ~doc)
 
-(* Work counters from the legacy facade as qlog fields, plus their sum —
-   the deterministic cost of the query. *)
-let work_fields () =
-  let work = Counters.snapshot () in
-  (work, List.fold_left (fun acc (_, n) -> acc + n) 0 work)
-
-(* Execute [run ()] (which must reset counters itself just before the
-   measured region), timing wall/CPU and the GC word deltas, and append
-   one event to [sink].  [max_qerror] is produced by the runner (1.0 when
-   it did not profile). *)
+(* Execute [run ()], timing wall/CPU and taking the work-counter and GC
+   word deltas, and append one event to [sink]; the event's work total is
+   the deterministic cost of the query.  [max_qerror] is produced by the
+   runner (1.0 when it did not profile). *)
 let log_query ?(queue_ns = 0) ?(batch = 1) sink ~slow_ms ~query ~fingerprint
     ~hit run =
   (* [Gc.counters] (not [quick_stat]) reads the live young pointer, so
@@ -150,11 +145,11 @@ let log_query ?(queue_ns = 0) ?(batch = 1) sink ~slow_ms ~query ~fingerprint
   let min0, _, maj0 = Gc.counters () in
   let cpu0 = Clock.cpu_seconds () in
   let t0 = Clock.now_ns () in
-  let v, max_qerror = run () in
+  let (v, max_qerror), work = Counters.measure run in
   let wall_ns = Clock.elapsed_ns t0 in
   let cpu_ns = int_of_float ((Clock.cpu_seconds () -. cpu0) *. 1e9) in
   let min1, _, maj1 = Gc.counters () in
-  let work, work_total = work_fields () in
+  let work_total = List.fold_left (fun acc (_, n) -> acc + n) 0 work in
   let spilled =
     match List.assoc_opt "spill_bytes" work with Some n -> n | None -> 0
   in
@@ -306,25 +301,31 @@ let parse_query_text q =
     Fmt.epr "no query in input@.";
     exit 1
 
-let or_die f =
-  try f () with
+(* Print the one-line report of an error in a query or its execution;
+   any other exception is a bug and propagates. *)
+let report = function
   | Njq_oosql.Parser.Parse_error (msg, pos) ->
     Fmt.epr "parse error at line %d, column %d: %s@." pos.Njq_oosql.Ast.line
-      pos.Njq_oosql.Ast.col msg;
-    exit 1
+      pos.Njq_oosql.Ast.col msg
   | Njq_oosql.Lexer.Lex_error (msg, pos) ->
     Fmt.epr "lexical error at line %d, column %d: %s@." pos.Njq_oosql.Ast.line
-      pos.Njq_oosql.Ast.col msg;
-    exit 1
+      pos.Njq_oosql.Ast.col msg
   | Njq_oosql.Translate.Translate_error (msg, pos) ->
     Fmt.epr "type error at line %d, column %d: %s@." pos.Njq_oosql.Ast.line
-      pos.Njq_oosql.Ast.col msg;
-    exit 1
+      pos.Njq_oosql.Ast.col msg
+  | Adlsyntax.Parse_error msg -> Fmt.epr "ADL parse error: %s@." msg
+  | Catalog.Unknown_table t -> Fmt.epr "unknown table %s@." t
   | Value.Type_error msg | Vtype.Type_error msg ->
-    Fmt.epr "runtime type error: %s@." msg;
-    exit 1
+    Fmt.epr "runtime type error: %s@." msg
   | Eval.Eval_error msg | Njq_engine.Exec.Exec_error msg ->
-    Fmt.epr "runtime error: %s@." msg;
+    Fmt.epr "runtime error: %s@." msg
+  | e -> raise e
+
+(* Run a command: a reported error exits 1. *)
+let or_die f =
+  try f () with
+  | e ->
+    report e;
     exit 1
 
 (* ---------------- subcommands ---------------- *)
@@ -511,8 +512,7 @@ let explain_cmd =
           if not (Njq_engine.Memory.unlimited ()) then
             Fmt.pr
               "@.mem budget: %d build-side rows — over-budget hash joins \
-               run as Grace joins with spill partitions under %s; \
-               over-budget sorts go external@."
+               run as Grace joins with spill partitions under %s@."
               !Njq_engine.Memory.budget
               (Njq_engine.Rowcodec.temp_dir ());
           Fmt.pr "@.pipelines (~> fused edge, => materialized edge):@.%a"
@@ -637,17 +637,15 @@ let run_cmd =
         let slow_ms =
           match slow_ms with Some _ -> slow_ms | None -> env_slow_ms ()
         in
+        Counters.reset ();
         let v =
           match qlog with
-          | None ->
-            Counters.reset ();
-            Njq_engine.Exec.run cat plan
+          | None -> Njq_engine.Exec.run cat plan
           | Some path ->
             (* Profiled execution: the event records the worst per-node
                cardinality q-error alongside the costs. *)
             with_qlog ~path ~slow_ms ~query:q
               ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit (fun () ->
-                Counters.reset ();
                 let v, prof = Njq_engine.Profile.run cat plan in
                 (v, Njq_engine.Profile.max_qerror prof))
         in
@@ -675,28 +673,24 @@ let adl_cmd =
         apply_domains domains;
         apply_mem_budget mem_budget;
         let cat = make_catalog ?db ?schema_file scale seed dangling empty in
-        (match Adlsyntax.of_string q with
-         | adl ->
-           (match Typecheck.check_closed cat adl with
-            | Error msg ->
-              Fmt.epr "type error: %s@." msg;
-              exit 1
-            | Ok ty ->
-              let final =
-                if no_opt then adl
-                else Strategy.optimize ~options:(options_of mode) cat adl
-              in
-              Fmt.pr "-- type: %a@." Vtype.pp ty;
-              if not (Expr.equal final adl) then
-                Fmt.pr "-- rewritten: %s@." (Adlsyntax.to_string final);
-              Counters.reset ();
-              let v = Njq_engine.Planner.run cat final in
-              Fmt.pr "%a@.(%d rows)@." Value.pp v (Value.set_size v);
-              if counters then
-                Fmt.pr "counters: %a@." Counters.pp_snapshot (Counters.snapshot ()))
-         | exception Adlsyntax.Parse_error msg ->
-           Fmt.epr "ADL parse error: %s@." msg;
-           exit 1))
+        let adl = Adlsyntax.of_string q in
+        match Typecheck.check_closed cat adl with
+        | Error msg ->
+          Fmt.epr "type error: %s@." msg;
+          exit 1
+        | Ok ty ->
+          let final =
+            if no_opt then adl
+            else Strategy.optimize ~options:(options_of mode) cat adl
+          in
+          Fmt.pr "-- type: %a@." Vtype.pp ty;
+          if not (Expr.equal final adl) then
+            Fmt.pr "-- rewritten: %s@." (Adlsyntax.to_string final);
+          Counters.reset ();
+          let v = Njq_engine.Planner.run cat final in
+          Fmt.pr "%a@.(%d rows)@." Value.pp v (Value.set_size v);
+          if counters then
+            Fmt.pr "counters: %a@." Counters.pp_snapshot (Counters.snapshot ()))
   in
   Cmd.v
     (Cmd.info "adl"
@@ -773,21 +767,20 @@ let repl_cmd =
         let plan, hit, ty =
           prepare ~parse ~schema ~mode:!mode ~options cat text
         in
-        let exec () =
-          Counters.reset ();
-          Njq_engine.Exec.run cat plan
-        in
-        let v =
-          match qsink with
-          | None -> exec ()
-          | Some sink ->
-            log_query sink ~slow_ms ~query:text
-              ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit (fun () ->
-                (exec (), 1.0))
+        (* The statement's work is the counters' delta over its
+           execution: zeroing the registry would zero the plan cache's
+           hit and miss counts too. *)
+        let v, work =
+          Counters.measure (fun () ->
+              match qsink with
+              | None -> Njq_engine.Exec.run cat plan
+              | Some sink ->
+                log_query sink ~slow_ms ~query:text
+                  ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit
+                  (fun () -> (Njq_engine.Exec.run cat plan, 1.0)))
         in
         Fmt.pr "%a@.(%d rows of type %a; work: %a)@." Value.pp v
-          (Value.set_size v) Vtype.pp ty Counters.pp_snapshot
-          (Counters.snapshot ())
+          (Value.set_size v) Vtype.pp ty Counters.pp_snapshot work
     in
     let explain text =
       let q = Njq_oosql.Views.expand !views (parse_query_text text) in
@@ -821,15 +814,9 @@ let repl_cmd =
              Fmt.pr "ok@."
            end
            else execute text
-         with
-         | Njq_oosql.Parser.Parse_error (msg, pos) ->
-           Fmt.pr "parse error at %d:%d: %s@." pos.Njq_oosql.Ast.line
-             pos.Njq_oosql.Ast.col msg
-         | Njq_oosql.Translate.Translate_error (msg, pos) ->
-           Fmt.pr "type error at %d:%d: %s@." pos.Njq_oosql.Ast.line
-             pos.Njq_oosql.Ast.col msg
-         | Value.Type_error msg | Vtype.Type_error msg ->
-           Fmt.pr "runtime type error: %s@." msg);
+         with e ->
+           (* Reported as the commands report it; the session goes on. *)
+           report e);
         loop ()
     in
     Fun.protect ~finally:(fun () -> Option.iter Qlog.close qsink) loop

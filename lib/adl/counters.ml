@@ -27,11 +27,17 @@ let snapshot () = M.counter_snapshot ()
    computed inside a measured region). *)
 let without_counting f = M.with_disabled f
 
-(* Run [f ()] on fresh counters and return its result with the snapshot. *)
+(* Run [f ()] and return its result with the counters it ticked, as
+   deltas sorted by name.  The registry is not zeroed, so counters kept
+   across measured regions (the plan cache's hits and misses) survive. *)
 let measure f =
-  reset ();
+  let before = snapshot () in
   let x = f () in
-  (x, snapshot ())
+  let ticked (name, n) =
+    let d = n - Option.value ~default:0 (List.assoc_opt name before) in
+    if d = 0 then None else Some (name, d)
+  in
+  (x, List.filter_map ticked (snapshot ()))
 
 let pp_snapshot ppf snap =
   Fmt.list ~sep:Fmt.sp (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v) ppf snap

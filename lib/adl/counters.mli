@@ -17,8 +17,8 @@ val snapshot : unit -> (string * int) list
 (** Run with counting temporarily disabled. *)
 val without_counting : (unit -> 'a) -> 'a
 
-(** [measure f] runs [f] on fresh counters and returns its result with the
-    final snapshot. *)
+(** [measure f] runs [f] and returns its result with the counters it
+    ticked: their deltas, sorted by name, without zeroing the registry. *)
 val measure : (unit -> 'a) -> 'a * (string * int) list
 
 val pp_snapshot : Format.formatter -> (string * int) list -> unit

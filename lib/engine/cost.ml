@@ -319,15 +319,12 @@ let rec join_algo_cost algo l r =
    hash join is charged the same against the engine budget, because the
    planner partitions it when the budget binds: charging this in the
    model is what makes the join-order enumerator prefer orders whose
-   build sides stay resident.  A sort input past the budget pays the same
-   for external run generation + K-way merge. *)
+   build sides stay resident.  Sort-merge and nested loops build no
+   table, so they never spill. *)
 let spill_io = 2.0
 
 let spill_charge ~budget ~build ~probe =
   if build > float_of_int budget then spill_io *. (build +. probe) else 0.0
-
-let ext_sort_charge rows =
-  if rows > float_of_int !Memory.budget then spill_io *. rows else 0.0
 
 (* Spill charge of a join or nestjoin by algorithm; a resident hash
    nestjoin is never partitioned by the budget, so it is not charged. *)
@@ -337,8 +334,7 @@ let join_spill ~nest algo l r =
   | Plan.Hash -> spill_charge ~budget:!Memory.budget ~build:r ~probe:l
   | Plan.Partitioned { mem_budget; _ } ->
     spill_charge ~budget:mem_budget ~build:r ~probe:l
-  | Plan.Sort_merge -> ext_sort_charge l +. ext_sort_charge r
-  | Plan.Nested_loop -> 0.0
+  | Plan.Sort_merge | Plan.Nested_loop -> 0.0
 
 (* Estimated cost in abstract work units (comparable to the Counters
    totals). *)

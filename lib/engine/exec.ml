@@ -45,23 +45,23 @@
    depend on neither the batch size nor the pool size (see DESIGN.md
    sections 7 and 8).
 
-   Larger-than-memory execution: when a partitioned join's build side or
-   a PNHL build table is past its budget, its partitions are spill files
-   ([Rowcodec]) written on the calling domain (re-split there on key
-   skew) and read back by pool tasks, so at K domains up to K
-   partitions are resident; the sort-merge paths switch to an external
-   run-generation + K-way merge sort when an input exceeds
-   [Memory.budget].  Spilling never changes results: partition assignment
-   and merge order reproduce the in-memory permutations exactly.
+   Larger-than-memory execution: spilling is a policy the plan carries
+   (a partitioned join's and PNHL's [mem_budget]).  When a partitioned
+   join's build side or a PNHL build table is past its budget, its
+   partitions are spill files ([Rowcodec]) written on the calling domain
+   (re-split there on key skew) and read back by pool tasks, so at K
+   domains up to K partitions are resident.  Spilling never changes
+   results: partition assignment reproduces the in-memory permutations
+   exactly.  Sort-merge has no build table to bound; it sorts its
+   resident inputs in memory.
 
    Work counters (see [Njq_adl.Counters]): "scan_row", "filter_eval",
    "hash_build", "hash_probe", "nl_pair", "sm_cmp", "partition" (per
    partition of a partitioned join), "partition_row" (per row per
    partitioning pass), "pnhl_partition", "pnhl_build", "pnhl_probe", plus
    "oid_lookup" from [Catalog.deref].  Spill activity ticks "spill_part"
-   (per spilled partition, segment or run; a join partition without rows
-   creates no file), "spill_row" and "spill_bytes" (per encoded row),
-   "ext_sort_run" (per sorted run) and "ext_sort_merge" (per merged row). *)
+   (per spilled partition or segment; a join partition without rows
+   creates no file), "spill_row" and "spill_bytes" (per encoded row). *)
 
 open Njq_adl
 
@@ -204,8 +204,6 @@ let c_pnhl_probe = M.counter "pnhl_probe"
 let c_spill_part = M.counter "spill_part"
 let c_spill_row = M.counter "spill_row"
 let c_spill_bytes = M.counter "spill_bytes"
-let c_ext_sort_run = M.counter "ext_sort_run"
-let c_ext_sort_merge = M.counter "ext_sort_merge"
 
 (* Wall-time distribution of individual pool tasks (join partitions,
    PNHL segments, morsel batches), recorded per domain and merged at pool
@@ -231,20 +229,21 @@ let par_task name task i =
     finish ();
     raise exn
 
-(* Partition of a key among [n]: its hash salted by the partitioning
-   depth (0 for the first pass, so a skewed partition splits differently
-   when it is partitioned again), made non-negative ([Value.hash] can go
-   negative through multiplicative overflow). *)
-let bucket ~depth n key =
-  ((Value.hash key lxor (depth * 0x9e3779b1)) land max_int) mod n
+(* Partition of a row among [n] by its key's hash, salted by the
+   partitioning depth (0 for the first pass, so a skewed partition splits
+   differently when it is partitioned again), made non-negative
+   ([Value.hash] can go negative through multiplicative overflow).  One
+   "partition_row" tick per routed row. *)
+let hash_route ~depth n key row =
+  M.incr c_partition_row;
+  ((Value.hash (key row) lxor (depth * 0x9e3779b1)) land max_int) mod n
 
-(* Hash-partition the rows [feed] produces into [n] lists, in arrival
-   order. *)
-let route_rows n key feed =
+(* Partition the rows [feed] produces into [n] lists by [route], in
+   arrival order. *)
+let route_rows n route feed =
   let parts = Array.make n [] in
   feed (fun row ->
-      M.incr c_partition_row;
-      let b = bucket ~depth:0 n (key row) in
+      let b = route row in
       parts.(b) <- row :: parts.(b));
   Array.map List.rev parts
 
@@ -262,48 +261,35 @@ let tbl_size ?cap cat p =
 (* Spill helpers                                                           *)
 (* ---------------------------------------------------------------------- *)
 
-(* Write one row to a spill file, charging the spill counters. *)
-let spill_row sp row =
-  let bytes = Rowcodec.spill_add sp row in
-  M.incr c_spill_row;
-  M.incr ~n:bytes c_spill_bytes
+(* Release spill files; each is removed at most once, so a file a task
+   already read back and removed is not touched again. *)
+let remove_partitions sps = Array.iter (Option.iter Rowcodec.spill_remove) sps
 
-(* Spill [rows_] into ceil(n / mem_budget) files of at most [mem_budget]
-   rows each, preserving row order (file s holds rows [s * mem_budget ..)).
-   Used by PNHL, whose segments are contiguous row ranges. *)
-let spill_segments ~mem_budget rows_ =
-  let n_rows = List.length rows_ in
-  let nsegs = (n_rows + mem_budget - 1) / mem_budget in
-  let sps =
-    Array.init nsegs (fun _ -> Rowcodec.spill_create ~prefix:"njq-pnhl" ())
-  in
-  M.incr ~n:nsegs c_spill_part;
-  List.iteri (fun i row -> spill_row sps.(i / mem_budget) row) rows_;
-  sps
-
-(* The spilling counterpart of [route_rows]: one file per partition,
-   created with its first row, so an empty partition costs no file (it
-   still counts as a spilled partition).  A raise while [feed] runs
-   removes the files written so far. *)
-let spill_partitions ~depth n key feed =
+(* The spilling counterpart of [route_rows], and the one spill writer:
+   each row goes to the file of partition [route row], created with its
+   first row, so an empty partition costs no file (it still counts as a
+   spilled partition).  A raise while [feed] runs removes the files
+   written so far. *)
+let spill_partitions n route feed =
   let sps = Array.make n None in
-  let file b =
-    match sps.(b) with
-    | Some sp -> sp
-    | None ->
-      let sp = Rowcodec.spill_create ~prefix:"njq-part" () in
-      sps.(b) <- Some sp;
-      sp
+  let write row =
+    let b = route row in
+    let sp =
+      match sps.(b) with
+      | Some sp -> sp
+      | None ->
+        let sp = Rowcodec.spill_create ~prefix:"njq-part" () in
+        sps.(b) <- Some sp;
+        sp
+    in
+    M.incr c_spill_row;
+    M.incr ~n:(Rowcodec.spill_add sp row) c_spill_bytes
   in
   M.incr ~n c_spill_part;
-  match
-    feed (fun row ->
-        M.incr c_partition_row;
-        spill_row (file (bucket ~depth n (key row))) row)
-  with
+  match feed write with
   | () -> sps
   | exception e ->
-    Array.iter (Option.iter Rowcodec.spill_remove) sps;
+    remove_partitions sps;
     raise e
 
 (* Read back a spilled partition and release its disk space. *)
@@ -314,88 +300,6 @@ let read_partition sps b =
     let rows = Rowcodec.spill_read sp in
     Rowcodec.spill_remove sp;
     rows
-
-(* External merge sort for the sort-merge join paths.  Runs are contiguous
-   [budget]-row chunks of the input, each sorted in memory with the
-   caller's comparator ([List.sort], stable) and spilled; the K-way merge
-   picks the smallest head, breaking ties toward the earliest run.  Because
-   runs are contiguous input chunks and ties resolve to the earliest run,
-   the merged output is exactly the stable-sort permutation [List.sort cmp]
-   would produce — spilling cannot change join results.  Only the K run
-   heads are decoded at once; each run's remaining rows stay as undecoded
-   bytes.  Comparator ticks ("sm_cmp" in the callers) differ from the
-   in-memory sort's — external sorting changes the comparison schedule, not
-   the outcome. *)
-let external_sort_pairs budget cmp pairs =
-  let rec chunks rest =
-    match rest with
-    | [] -> []
-    | _ ->
-      let rec take n acc = function
-        | rest when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | p :: rest -> take (n - 1) (p :: acc) rest
-      in
-      let chunk, rest = take budget [] rest in
-      chunk :: chunks rest
-  in
-  let spill_run chunk =
-    let sp = Rowcodec.spill_create ~prefix:"njq-sort" () in
-    M.incr c_ext_sort_run;
-    M.incr c_spill_part;
-    List.iter
-      (fun (k, v) -> spill_row sp (Value.of_sorted_fields [ ("k", k); ("v", v) ]))
-      (List.sort cmp chunk);
-    sp
-  in
-  let runs = Array.of_list (List.map spill_run (chunks pairs)) in
-  Fun.protect
-    ~finally:(fun () -> Array.iter Rowcodec.spill_remove runs)
-    (fun () ->
-      let decs = Array.map Rowcodec.spill_decoder runs in
-      let next dec =
-        match Rowcodec.decode_record dec with
-        | Some (Value.VTuple [ ("k", k); ("v", v) ]) -> Some (k, v)
-        | Some _ -> raise (Rowcodec.Corrupt "external sort: malformed run record")
-        | None -> None
-      in
-      let heads = Array.map next decs in
-      let out = ref [] in
-      let merging = ref true in
-      while !merging do
-        let best = ref (-1) in
-        Array.iteri
-          (fun i h ->
-            match h with
-            | None -> ()
-            | Some p ->
-              if !best = -1 then best := i
-              else begin
-                match heads.(!best) with
-                | Some q -> if cmp p q < 0 then best := i
-                | None -> assert false
-              end)
-          heads;
-        if !best = -1 then merging := false
-        else begin
-          let i = !best in
-          match heads.(i) with
-          | Some p ->
-            M.incr c_ext_sort_merge;
-            out := p :: !out;
-            heads.(i) <- next decs.(i)
-          | None -> assert false
-        end
-      done;
-      List.rev !out)
-
-(* Sort keyed pairs for a sort-merge join: in memory when the input fits
-   the engine budget ({!Memory.budget}), externally otherwise.  Both paths
-   produce the identical (stable) permutation. *)
-let sort_pairs cmp pairs =
-  let budget = !Memory.budget in
-  if budget = max_int || List.length pairs <= budget then List.sort cmp pairs
-  else external_sort_pairs budget cmp pairs
 
 (* Allocation counters: cumulative minor- and major-heap words (the major
    figure includes promotions, like [Gc.stat]'s); [Gc.counters] reads
@@ -1186,9 +1090,9 @@ and exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
        partition order, a skewed partition replaced by its split. *)
     let rec split ~depth xfeed yfeed nys =
       let n = max (if depth = 0 then partitions else 1) ((nys - 1) / mem_budget + 1) in
-      let ysp = spill_partitions ~depth n (ky0_s ()) yfeed in
+      let ysp = spill_partitions n (hash_route ~depth n (ky0_s ())) yfeed in
       files := ysp :: !files;
-      let xsp = spill_partitions ~depth n (kx0_s ()) xfeed in
+      let xsp = spill_partitions n (hash_route ~depth n (kx0_s ())) xfeed in
       files := xsp :: !files;
       M.incr ~n c_partition;
       List.init n Fun.id
@@ -1199,16 +1103,16 @@ and exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
                split ~depth:(depth + 1) (fun f -> List.iter f xs) (fun f -> List.iter f ys) nys_b
              else [ (xsp, ysp, b) ])
     in
-    let remove = Array.iter (Option.iter Rowcodec.spill_remove) in
-    Fun.protect ~finally:(fun () -> List.iter remove !files) @@ fun () ->
+    Fun.protect ~finally:(fun () -> List.iter remove_partitions !files) @@ fun () ->
     let pairs = Array.of_list (split ~depth:0 xfeed (fun f -> List.iter f ys) nys) in
     run_pairs (Array.length pairs) (fun i ->
         let xsp, ysp, b = pairs.(i) in
         join_pair (read_partition xsp b) (read_partition ysp b))
   in
   let resident yfeed =
-    let yparts = route_rows partitions (ky0_s ()) yfeed in
-    let xparts = route_rows partitions (kx0_s ()) (push cat left) in
+    let route key = hash_route ~depth:0 partitions (key ()) in
+    let yparts = route_rows partitions (route ky0_s) yfeed in
+    let xparts = route_rows partitions (route kx0_s) (push cat left) in
     M.incr ~n:partitions c_partition;
     run_pairs partitions (fun b -> join_pair xparts.(b) yparts.(b))
   in
@@ -1225,9 +1129,9 @@ and exec_partitioned cat ~partitions ~mem_budget ~xvar ~yvar ~keys ~residual
    pair each left run with the equal-key right run, checking the
    remaining keys and the residual per pair.  A left run without a
    partner emits nothing, or empty groups.  Rows come out in run order.
-   One "sm_cmp" per comparison of run heads and per sort comparison;
-   [sort_pairs] goes external past the engine memory budget, with the
-   same stable permutation. *)
+   One "sm_cmp" per comparison of run heads and per sort comparison.
+   The inputs are resident lists, so the sorts run in memory: there is no
+   build table for a budget to bound. *)
 and sort_merge cat ~xvar ~yvar ~keys ~residual emit left right =
   let xs = rows cat left and ys = rows cat right in
   match keys, emit with
@@ -1243,8 +1147,8 @@ and sort_merge cat ~xvar ~yvar ~keys ~residual emit left right =
       M.incr c_sm_cmp;
       Value.compare a b
     in
-    let xs = sort_pairs cmp (List.map (fun row -> (kxf row, row)) xs) in
-    let ys = sort_pairs cmp (List.map (fun row -> (kyf row, row)) ys) in
+    let xs = List.sort cmp (List.map (fun row -> (kxf row, row)) xs) in
+    let ys = List.sort cmp (List.map (fun row -> (kyf row, row)) ys) in
     let matches yrun x =
       List.filter (fun y -> Key.equal (rxkey x) (rykey y) && residual x y) yrun
     in
@@ -1320,22 +1224,24 @@ and exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
            partial))
   in
   (* A build table that fits is one resident segment.  Past the budget,
-     the segments are spilled on the calling domain (spill counters cannot
-     depend on the pool size); each pool task then reads back — and
-     unlinks — its own file, so concurrent tasks never share a decoder,
-     and at K domains up to K segments are resident. *)
+     the i-th row goes to segment i / mem_budget, spilled on the calling
+     domain (spill counters cannot depend on the pool size); each pool
+     task then reads back — and unlinks — its own file, so at K domains up
+     to K segments are resident. *)
+  let nys = List.length ys in
   let partials =
-    if ys = [] then [||]
-    else if List.length ys <= mem_budget then run_tasks 1 (fun _ -> ys)
+    if nys = 0 then [||]
+    else if nys <= mem_budget then run_tasks 1 (fun _ -> ys)
     else begin
-      let spills = spill_segments ~mem_budget ys in
-      Fun.protect
-        ~finally:(fun () -> Array.iter Rowcodec.spill_remove spills)
-        (fun () ->
-          run_tasks (Array.length spills) (fun s ->
-              let segment = Rowcodec.spill_read spills.(s) in
-              Rowcodec.spill_remove spills.(s);
-              segment))
+      let nsegs = ((nys - 1) / mem_budget) + 1 in
+      let i = ref (-1) in
+      let route _ =
+        incr i;
+        !i / mem_budget
+      in
+      let sps = spill_partitions nsegs route (fun f -> List.iter f ys) in
+      Fun.protect ~finally:(fun () -> remove_partitions sps) (fun () ->
+          run_tasks nsegs (read_partition sps))
     end
   in
   let group i = Array.fold_left (fun acc partial -> partial.(i) @ acc) [] partials in

@@ -33,18 +33,16 @@
     partitions to {!Rowcodec} temp files on the calling domain (a
     partition skewed past twice the budget is split again there first);
     pool tasks read them back one partition each, so at K domains up to K
-    partitions are resident.  The sort-merge paths
-    switch to an external run-generation + K-way merge sort past
-    {!Memory.budget}.  Results are bit-identical to the fully resident
-    run.
+    partitions are resident.  Results are bit-identical to the fully
+    resident run.  Sort-merge sorts its resident inputs in memory.
 
     Counters tick once per logical event, whichever loop runs the
     operator (see {!Njq_adl.Counters}): ["scan_row"],
     ["filter_eval"], ["hash_build"], ["hash_probe"], ["nl_pair"],
     ["sm_cmp"], ["partition"], ["partition_row"], ["pnhl_partition"],
     ["pnhl_build"], ["pnhl_probe"], plus ["oid_lookup"] from catalog
-    dereferencing; spilling adds ["spill_part"], ["spill_row"],
-    ["spill_bytes"], ["ext_sort_run"] and ["ext_sort_merge"]. *)
+    dereferencing; spilling adds ["spill_part"], ["spill_row"] and
+    ["spill_bytes"]. *)
 
 open Njq_adl
 

@@ -4,24 +4,18 @@
    engine: the number of build-side rows any single operator may hold
    resident at once.  It defaults to [max_int] (everything fits, no
    operator spills) and is set per invocation from the CLI/serve
-   [--mem-budget] option.  It is the only budget: three layers consult
-   it.
+   [--mem-budget] option.  It is the only budget, and two layers read it:
 
    - {!Planner}'s policy pass partitions keyed hash joins whose estimated
      build side exceeds it ([Plan.Partitioned] carrying it), and clamps
      PNHL's [mem_budget] to it;
    - {!Cost} charges spill I/O for over-budget builds, steering the
-     join-order enumerator toward non-spilling orders;
-   - {!Exec}'s sort-merge paths switch to external run-generation +
-     K-way merge sort when an input exceeds the budget.
+     join-order enumerator toward non-spilling orders.
 
+   [Exec] never reads it: spilling is a policy value the plan carries.
    The bound is per partition, not per pool: spilled partitions run as
    pool tasks, so at K domains up to K partitions (each within the
-   budget) are resident at once.
-
-   The knob lives in its own module (below both [Cost] and [Exec]) because
-   [Exec] depends on [Cost] for cardinality hints — either of them owning
-   the reference would force a cycle. *)
+   budget) are resident at once. *)
 
 let budget : int ref = ref max_int
 

@@ -5,9 +5,9 @@
     Defaults to [max_int] (everything fits, nothing spills); set per
     invocation from the CLI [--mem-budget] option.  It is the engine's
     only budget: {!Planner} partitions over-budget hash joins by it
-    ({!Plan.Partitioned}) and clamps PNHL budgets to it, {!Cost} charges
-    spill I/O for over-budget builds, and {!Exec}'s sorts go external past
-    it.
+    ({!Plan.Partitioned}) and clamps PNHL budgets to it, and {!Cost}
+    charges spill I/O for over-budget builds.  The executor reads only
+    the budgets the plan carries.
 
     The bound holds per partition: spilled partitions and PNHL segments
     run as {!Pool.run} tasks, so at K domains up to K of them, each

@@ -1,8 +1,8 @@
 (* Compact binary codec for [Value.t] rows, the engine's physical wire
    format.  Two consumers share it:
 
-   - spill files: when an operator's build side exceeds the memory budget
-     ({!Memory.budget}), Grace/PNHL partitions and external-sort runs are
+   - spill files: when a partitioned join's build side or a PNHL build
+     table exceeds the budget its plan carries, its partitions are
      written as streams of length-prefixed records to temp files and read
      back one resident partition at a time;
    - the NJQC binary catalog format ({!save_catalog}/{!load_catalog}),
@@ -277,14 +277,22 @@ let unregister_path path = with_registry (fun () -> Hashtbl.remove live path)
 
 let live_spills () = with_registry (fun () -> Hashtbl.length live)
 
+(* A spill holds no file descriptor between writes: encoded rows are
+   staged in its own buffer and appended to the file with one
+   open-write-close whenever [spill_chunk] bytes (an [out_channel]'s
+   buffer size) are staged, and at seal.  A spilling operator writes all
+   its partitions at once, so a descriptor per open partition would run
+   into the process's descriptor limit. *)
+let spill_chunk = 65536
+
 type spill = {
   sp_path : string;
-  mutable sp_oc : out_channel option;  (* open while writing; sealed on read *)
+  mutable sp_sealed : bool;  (* read back or removed: no more rows *)
   mutable sp_removed : bool;
       (* unlinked: the temp name may since belong to another spill file,
          of this process or another one sharing the directory *)
   sp_enc : encoder;
-  sp_out : Buffer.t;  (* staging for one record's bytes *)
+  sp_staged : Buffer.t;  (* encoded rows not yet in the file *)
   mutable sp_rows : int;
   mutable sp_bytes : int;
 }
@@ -293,10 +301,10 @@ let spill_create ?(prefix = "njq-spill") () =
   let path = Filename.temp_file ~temp_dir:(temp_dir ()) prefix ".rows" in
   register_path path;
   { sp_path = path;
-    sp_oc = Some (open_out_bin path);
+    sp_sealed = false;
     sp_removed = false;
     sp_enc = encoder ();
-    sp_out = Buffer.create 256;
+    sp_staged = Buffer.create 256;
     sp_rows = 0;
     sp_bytes = 0 }
 
@@ -304,42 +312,38 @@ let spill_path sp = sp.sp_path
 let spill_rows sp = sp.sp_rows
 let spill_bytes sp = sp.sp_bytes
 
+let append_staged sp =
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o600
+    sp.sp_path (fun oc -> Buffer.output_buffer oc sp.sp_staged);
+  Buffer.clear sp.sp_staged
+
 let spill_add sp v =
-  let oc =
-    match sp.sp_oc with
-    | Some oc -> oc
-    | None -> invalid_arg "Rowcodec.spill_add: spill already sealed"
-  in
-  Buffer.clear sp.sp_out;
-  let n = encode_record sp.sp_enc sp.sp_out v in
-  Buffer.output_buffer oc sp.sp_out;
+  if sp.sp_sealed then invalid_arg "Rowcodec.spill_add: spill already sealed";
+  let n = encode_record sp.sp_enc sp.sp_staged v in
+  if Buffer.length sp.sp_staged >= spill_chunk then append_staged sp;
   sp.sp_rows <- sp.sp_rows + 1;
   sp.sp_bytes <- sp.sp_bytes + n;
   n
 
+(* Write out what is staged and release the staging buffer. *)
 let seal sp =
-  match sp.sp_oc with
-  | Some oc ->
-    close_out oc;
-    sp.sp_oc <- None
-  | None -> ()
-
-(* Streaming read-back: the file's bytes are resident but rows decode on
-   demand — the external sort merges K runs holding only K head values. *)
-let spill_decoder sp =
-  seal sp;
-  let data = In_channel.with_open_bin sp.sp_path In_channel.input_all in
-  decoder data
+  if not sp.sp_sealed then begin
+    sp.sp_sealed <- true;
+    if Buffer.length sp.sp_staged > 0 then append_staged sp;
+    Buffer.reset sp.sp_staged
+  end
 
 let spill_read sp =
-  let dec = spill_decoder sp in
+  seal sp;
+  let dec = decoder (In_channel.with_open_bin sp.sp_path In_channel.input_all) in
   let rec go acc =
     match decode_record dec with Some v -> go (v :: acc) | None -> List.rev acc
   in
   go []
 
 let spill_remove sp =
-  seal sp;
+  sp.sp_sealed <- true;
+  Buffer.reset sp.sp_staged;
   if not sp.sp_removed then begin
     sp.sp_removed <- true;
     unregister_path sp.sp_path;

@@ -1,7 +1,7 @@
 (** Compact binary codec for {!Njq_adl.Value.t} rows: length-prefixed
     records with varint ints and per-stream string interning.  Backs the
-    executor's spill files (join partitions, PNHL segments, external-sort
-    runs) and the NJQC binary catalog format.
+    executor's spill files (join partitions, PNHL segments) and the NJQC
+    binary catalog format.
 
     Streams are stateful in both directions (the intern pool grows as
     records are written); records must be decoded in encode order within
@@ -46,11 +46,12 @@ type spill
 (** Directory spill files are created in. *)
 val temp_dir : unit -> string
 
-(** Create an empty spill file open for writing. *)
+(** Create an empty spill file.  It holds no open descriptor: rows are
+    staged in memory and appended to the file 64 KiB at a time. *)
 val spill_create : ?prefix:string -> unit -> spill
 
 (** Append one row; returns the encoded size in bytes.  Raises
-    [Invalid_argument] after the spill has been read back. *)
+    [Invalid_argument] after the spill has been read back or removed. *)
 val spill_add : spill -> Value.t -> int
 
 val spill_path : spill -> string
@@ -61,16 +62,13 @@ val spill_rows : spill -> int
 (** Bytes written so far (record length prefixes included). *)
 val spill_bytes : spill -> int
 
-(** Seal the writer and stream the rows back in write order. *)
-val spill_decoder : spill -> decoder
-
 (** Seal the writer and read all rows back, in write order. *)
 val spill_read : spill -> Value.t list
 
-(** Seal, unlink and unregister; ignores a missing file.  Idempotent:
-    only the first call unlinks, so a second call (an operator's cleanup
-    after a task already removed the file) never deletes a file that has
-    since taken the same temp name. *)
+(** Seal, drop the rows still staged, unlink and unregister; ignores a
+    missing file.  Idempotent: only the first call unlinks, so a second
+    call (an operator's cleanup after a task already removed the file)
+    never deletes a file that has since taken the same temp name. *)
 val spill_remove : spill -> unit
 
 (** Spill files currently registered (for hygiene tests). *)

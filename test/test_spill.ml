@@ -1,7 +1,7 @@
 (* Larger-than-memory execution: rowcodec round trips, spill-file hygiene
    under mid-operator exceptions, NJQC binary catalog round trips, and
    budget-differential equivalence of the spilling operators (partitioned
-   joins and nestjoins, PNHL, external sort) across budgets, partition
+   joins and nestjoins, PNHL) and of sort-merge across budgets, partition
    counts and domain counts. *)
 
 open Njq_adl
@@ -66,15 +66,18 @@ let prop_rowcodec_roundtrip =
       && List.for_all2 Value.equal rows back)
 
 let test_spill_roundtrip () =
+  (* Enough rows to append several 64 KiB chunks before the seal. *)
+  let n = 20_000 in
   let rows =
-    List.init 100 (fun i ->
+    List.init n (fun i ->
         Value.tuple
           [ ("k", Value.int i); ("v", Value.string (string_of_int i)) ])
   in
   let sp = Rowcodec.spill_create ~prefix:"njq-test" () in
   List.iter (fun r -> ignore (Rowcodec.spill_add sp r)) rows;
-  Alcotest.(check int) "rows counted" 100 (Rowcodec.spill_rows sp);
-  Alcotest.(check bool) "bytes counted" true (Rowcodec.spill_bytes sp > 0);
+  Alcotest.(check int) "rows counted" n (Rowcodec.spill_rows sp);
+  Alcotest.(check bool) "bytes counted" true
+    (Rowcodec.spill_bytes sp > 2 * 65536);
   Alcotest.(check (list Util.value)) "write order preserved" rows
     (Rowcodec.spill_read sp);
   Rowcodec.spill_remove sp;
@@ -370,25 +373,25 @@ let test_budget_differential () =
                 ~finally:(fun () -> Memory.budget := prev)
                 (fun () ->
                   Alcotest.check Util.value
-                    (Fmt.str "extsort d%d b%d" domains budget)
+                    (Fmt.str "sort-merge d%d b%d" domains budget)
                     expected_smj (Exec.run xy smj_plan)))
             [ max_int; 10; 1 ])
         [ 1; 2; 4 ])
 
-let test_external_sort_counters () =
+(* Sort-merge has no build table for a budget to bound: under the engine
+   budget it sorts its resident inputs in memory and writes no file. *)
+let test_sort_merge_resident () =
   let xy = Njq_workload.Generator.xy_catalog ~seed:77 64 in
+  let expected = Exec.run xy smj_plan in
   let prev = !Memory.budget in
   Fun.protect
     ~finally:(fun () -> Memory.budget := prev)
     (fun () ->
       Memory.budget := 10;
       Counters.reset ();
-      ignore (Exec.run xy smj_plan);
-      Alcotest.(check bool) "runs generated" true
-        (Counters.get "ext_sort_run" > 0);
-      Alcotest.(check bool) "merge ticked" true
-        (Counters.get "ext_sort_merge" > 0);
-      Alcotest.(check int) "no files left" 0 (Rowcodec.live_spills ()))
+      Alcotest.check Util.value "resident rows" expected (Exec.run xy smj_plan);
+      Alcotest.(check int) "nothing spilled" 0 (Counters.get "spill_part");
+      Alcotest.(check int) "no live spill files" 0 (Rowcodec.live_spills ()))
 
 let prop_spill_differential =
   Util.qcheck ~count:100 "spilling operators match in-memory"
@@ -430,7 +433,7 @@ let () =
             test_planner_converts;
           Alcotest.test_case "differential across budgets and domains" `Quick
             test_budget_differential;
-          Alcotest.test_case "external sort counters" `Quick
-            test_external_sort_counters ] );
+          Alcotest.test_case "sort-merge sorts in memory" `Quick
+            test_sort_merge_resident ] );
       ( "properties",
         [ prop_rowcodec_roundtrip; prop_spill_differential ] ) ]
