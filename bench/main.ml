@@ -53,31 +53,22 @@ type work_cell = {
 (* One warmup run before measuring: [Value.hash] memoizes on the shared
    catalog rows, so without it the first variant measured would be charged
    all the memo misses and the allocation deltas would depend on variant
-   order.
-
-   The allocation delta is measured twice and the minimum kept, each time
-   after an explicit [Gc.minor ()]: OCaml 5.1's [Gc.counters] sporadically
-   over-reports by up to a minor-heap's worth when a minor collection
-   lands inside the measured region, and starting from an empty minor
-   arena keeps collections out of regions that allocate less than the
-   arena.  Run-to-run allocation is deterministic (the thunks are), so the
-   minimum is the true figure whenever at least one probe is clean. *)
+   order.  The minor figure is [Gc.minor_words], which counts every word
+   however many minor collections land in the run; [Gc.counters] is read
+   for the major figure only, as on OCaml 5.1 its minor figure counts the
+   words since the last minor collection at an eighth.  The run starts
+   from an empty minor heap, so what it promotes does not depend on what
+   the variant before it left there. *)
 let work f =
   ignore (f ());
-  Gc.minor ();
-  let minor0, _, major0 = Gc.counters () in
-  ignore (f ());
-  let minor1, _, major1 = Gc.counters () in
   Counters.reset ();
   Gc.minor ();
-  let minor2, _, major2 = Gc.counters () in
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
   let result = f () in
-  let minor3, _, major3 = Gc.counters () in
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
   let snap = Counters.snapshot () in
   let total = List.fold_left (fun acc (_, v) -> acc + v) 0 snap in
-  ( { w_total = total;
-      w_minor = Float.min (minor1 -. minor0) (minor3 -. minor2);
-      w_major = Float.min (major1 -. major0) (major3 -. major2) },
+  ( { w_total = total; w_minor = minor1 -. minor0; w_major = major1 -. major0 },
     result )
 
 let print_work_table ~id ~title ~variants rows =

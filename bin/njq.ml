@@ -140,15 +140,16 @@ let slow_ms_arg =
    runner (1.0 when it did not profile). *)
 let log_query ?(queue_ns = 0) ?(batch = 1) sink ~slow_ms ~query ~fingerprint
     ~hit run =
-  (* [Gc.counters] (not [quick_stat]) reads the live young pointer, so
-     sub-minor-collection allocations are visible in the deltas. *)
-  let min0, _, maj0 = Gc.counters () in
+  (* [Gc.minor_words] counts allocations since the last minor collection
+     in full; on OCaml 5.1 [Gc.counters]'s minor figure counts them at an
+     eighth, so only its major figure is read. *)
+  let min0 = Gc.minor_words () and _, _, maj0 = Gc.counters () in
   let cpu0 = Clock.cpu_seconds () in
   let t0 = Clock.now_ns () in
   let (v, max_qerror), work = Counters.measure run in
   let wall_ns = Clock.elapsed_ns t0 in
   let cpu_ns = int_of_float ((Clock.cpu_seconds () -. cpu0) *. 1e9) in
-  let min1, _, maj1 = Gc.counters () in
+  let min1 = Gc.minor_words () and _, _, maj1 = Gc.counters () in
   let work_total = List.fold_left (fun acc (_, n) -> acc + n) 0 work in
   let spilled =
     match List.assoc_opt "spill_bytes" work with Some n -> n | None -> 0
@@ -287,6 +288,20 @@ let make_catalog ?db ?save_db ?schema_file scale seed dangling empty =
 
 let options_of mode =
   { Strategy.default_options with Strategy.grouping_mode = mode }
+
+(* The one derivation of the query commands (serving plans its templates
+   in [Serve]), so `run`, the REPL and the plan cache execute the plan
+   `explain` shows: rewrite under [mode] (skipped with [~optimize:false],
+   as --no-opt asks), hoist closed subqueries to constants, and plan
+   against the catalog.  Returns the rewrite report with the plan. *)
+let derive ?(optimize = true) ~mode cat adl =
+  let report =
+    if optimize then Strategy.rewrite ~options:(options_of mode) cat adl
+    else { Strategy.input = adl; output = adl; phases = [] }
+  in
+  ( report,
+    Njq_engine.Planner.plan ~cat
+      (Njq_engine.Consthoist.hoist cat report.Strategy.output) )
 
 (* Parse query text that may include view definitions (define v as ...;). *)
 let parse_query_text q =
@@ -436,11 +451,7 @@ let explain_cmd =
                | Ok _ -> ()
                | Error msg ->
                  Fmt.epr "warning: typecheck against catalog failed: %s@." msg);
-              let report = Strategy.rewrite ~options:(options_of mode) cat adl in
-              let plan =
-                Njq_engine.Planner.plan ~cat
-                  (Njq_engine.Consthoist.hoist cat report.Strategy.output)
-              in
+              let report, plan = derive ~mode cat adl in
               let regions = !Njq_engine.Joinorder.last_report in
               let analysis =
                 if analyze then begin
@@ -609,12 +620,7 @@ let prepare ?(parse = parse_query_text) ?(optimize = true) ~schema ~mode
   let plan, hit =
     Njq_engine.Plancache.find_or_derive_report cat ~options text
       ~derive:(fun template ->
-        let adl, _ = translate template in
-        let final =
-          if optimize then Strategy.optimize ~options:(options_of mode) cat adl
-          else adl
-        in
-        Njq_engine.Planner.plan ~cat final)
+        snd (derive ~optimize ~mode cat (fst (translate template))))
   in
   (plan, hit, ty)
 
@@ -679,15 +685,13 @@ let adl_cmd =
           Fmt.epr "type error: %s@." msg;
           exit 1
         | Ok ty ->
-          let final =
-            if no_opt then adl
-            else Strategy.optimize ~options:(options_of mode) cat adl
-          in
+          let report, plan = derive ~optimize:(not no_opt) ~mode cat adl in
+          let final = report.Strategy.output in
           Fmt.pr "-- type: %a@." Vtype.pp ty;
           if not (Expr.equal final adl) then
             Fmt.pr "-- rewritten: %s@." (Adlsyntax.to_string final);
           Counters.reset ();
-          let v = Njq_engine.Planner.run cat final in
+          let v = Njq_engine.Exec.run cat plan in
           Fmt.pr "%a@.(%d rows)@." Value.pp v (Value.set_size v);
           if counters then
             Fmt.pr "counters: %a@." Counters.pp_snapshot (Counters.snapshot ()))
@@ -785,9 +789,8 @@ let repl_cmd =
     let explain text =
       let q = Njq_oosql.Views.expand !views (parse_query_text text) in
       let adl, _ = Njq_oosql.Translate.query schema q in
-      let report = Strategy.rewrite ~options:(options_of !mode) cat adl in
-      Fmt.pr "%a@.plan: %a@." Strategy.pp_report report Njq_engine.Plan.pp
-        (Njq_engine.Planner.plan ~cat report.Strategy.output)
+      let report, plan = derive ~mode:!mode cat adl in
+      Fmt.pr "%a@.plan: %a@." Strategy.pp_report report Njq_engine.Plan.pp plan
     in
     let rec loop () =
       match read_statement () with
@@ -880,7 +883,7 @@ let parse_param_value s =
      | None -> Value.string s)
 
 let serve_cmd =
-  let run q scale seed dangling empty mode no_opt db schema_file domains
+  let run q scale seed dangling empty mode db schema_file domains
       indexes clients requests burst window no_batching params
       json qlog slow_ms mem_budget =
     or_die (fun () ->
@@ -891,11 +894,11 @@ let serve_cmd =
         let schema = load_schema schema_file in
         let translate text =
           let adl, _ = Njq_oosql.Translate.query schema (parse_query_text text) in
-          if no_opt then adl else Strategy.optimize ~options:(options_of mode) cat adl
+          Strategy.optimize ~options:(options_of mode) cat adl
         in
         let h =
           Njq_engine.Serve.prepare cat
-            ~options:(Fmt.str "serve/%s/noopt=%b" (mode_name mode) no_opt)
+            ~options:(Fmt.str "serve/%s" (mode_name mode))
             ~translate q
         in
         let vectors =
@@ -1029,7 +1032,7 @@ let serve_cmd =
              per window, replies route back per client")
     Term.(
       const run $ template_arg $ scale_arg $ seed_arg $ dangling_arg
-      $ empty_arg $ mode_arg $ no_opt_arg $ db_arg $ schema_arg $ domains_arg
+      $ empty_arg $ mode_arg $ db_arg $ schema_arg $ domains_arg
       $ index_arg $ clients_arg $ requests_arg $ burst_arg
       $ window_arg $ no_batching_arg $ params_arg $ json_arg $ qlog_arg
       $ slow_ms_arg $ mem_budget_arg)

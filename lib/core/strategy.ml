@@ -20,21 +20,13 @@ type grouping_mode =
   | Outerjoin (* use the outer-join repair instead of the nestjoin *)
 
 type options = {
-  enable_relational : bool;
-  enable_attr_unnest : bool;
-  enable_grouping : bool;
   enable_division : bool;
       (* unnest universal quantification with the division operator instead
          of the antijoin (ablation; Section 5.2.1) *)
   grouping_mode : grouping_mode;
 }
 
-let default_options =
-  { enable_relational = true;
-    enable_attr_unnest = true;
-    enable_grouping = true;
-    enable_division = false;
-    grouping_mode = Nestjoin_always }
+let default_options = { enable_division = false; grouping_mode = Nestjoin_always }
 
 type phase_trace = {
   phase : string;
@@ -86,15 +78,9 @@ let rewrite ?(options = default_options) (cat : Catalog.t) (e : Expr.t) : report
         if options.enable_division then relational_rules_with_division
         else relational_rules
       in
-      let e1, phases =
-        if options.enable_relational then
-          run_phase cat "relational" rules e phases
-        else (e, phases)
-      in
+      let e1, phases = run_phase cat "relational" rules e phases in
       let e2, phases =
-        if options.enable_attr_unnest then
-          run_phase cat "attribute-unnest" Attrunnest.rules e1 phases
-        else (e1, phases)
+        run_phase cat "attribute-unnest" Attrunnest.rules e1 phases
       in
       if Expr.equal e2 e then (e2, phases) else relational_loop e2 phases (fuel - 1)
   in
@@ -102,15 +88,10 @@ let rewrite ?(options = default_options) (cat : Catalog.t) (e : Expr.t) : report
   (* Phase 3: grouping-style unnesting (nestjoin / guarded flat join /
      outer join), then another relational pass over what it produced. *)
   let e2, phases =
-    if options.enable_grouping then
-      let e2, phases =
-        run_phase cat "grouping" (grouping_rules options.grouping_mode) e1 phases
-      in
-      if options.enable_relational && not (Expr.equal e2 e1) then
-        let e3, phases = relational_loop e2 phases 32 in
-        (e3, phases)
-      else (e2, phases)
-    else (e1, phases)
+    let g, phases =
+      run_phase cat "grouping" (grouping_rules options.grouping_mode) e1 phases
+    in
+    if Expr.equal g e1 then (g, phases) else relational_loop g phases 32
   in
   (* Final cleanup: classical algebraic reductions (projection-join
      reduction, pushdowns through unions) that shrink intermediate results

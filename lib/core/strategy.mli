@@ -19,9 +19,6 @@ type grouping_mode =
   | Outerjoin  (** outer-join repair instead of the nestjoin *)
 
 type options = {
-  enable_relational : bool;
-  enable_attr_unnest : bool;
-  enable_grouping : bool;
   enable_division : bool;
       (** unnest universal quantification with the division operator
           instead of the antijoin (ablation; Section 5.2.1) *)

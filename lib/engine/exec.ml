@@ -301,13 +301,15 @@ let read_partition sps b =
     Rowcodec.spill_remove sp;
     rows
 
-(* Allocation counters: cumulative minor- and major-heap words (the major
-   figure includes promotions, like [Gc.stat]'s); [Gc.counters] reads
-   three globals without walking the heap, so the brackets themselves
-   perturb nothing. *)
+(* Allocation counters: cumulative minor- and major-heap words of the
+   calling domain (the major figure includes promotions, like
+   [Gc.stat]'s).  Neither reading walks the heap, so the brackets perturb
+   nothing.  The minor figure is [Gc.minor_words]: on OCaml 5.1,
+   [Gc.counters] counts the words allocated since the last minor
+   collection at an eighth. *)
 let alloc_words () =
-  let minor, _promoted, major = Gc.counters () in
-  (minor, major)
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
 
 (* --------------------------------------------------------------------- *)
 (* Non-perturbing per-operator profiling                                  *)

@@ -2,23 +2,19 @@
 
     A pass between the rewriter-driven logical planning ({!Planner}) and
     access-path selection: it extracts maximal join regions — connected
-    subtrees of inner joins with semijoin/antijoin/nestjoin edges and
-    selections — from the rewriter's output plan, enumerates alternative
-    join orders bottom-up (dynamic programming over relation subsets up to
-    {!dp_max} relations, greedy nearest-neighbor beyond), costs each with
-    the {!Cost} model fed by per-epoch {!Stats}, and adopts the cheapest
-    order only when it is strictly cheaper than the rewriter's.
-    {!Planner.plan} runs it whenever it has a catalog and no forced
-    algorithm.
+    subtrees of inner equi-joins and selections over leaves with known
+    attributes — from the rewriter's output plan, enumerates alternative
+    join orders bottom-up (dynamic programming over relation subsets),
+    costs each with the {!Cost} model fed by per-epoch {!Stats}, and
+    adopts the cheapest order only when it is strictly cheaper than the
+    rewriter's.  {!Planner.plan} runs it whenever it has a catalog and no
+    forced algorithm.
 
-    Semijoin/antijoin/nestjoin edges ride along as unary operators over
-    the accumulating join result, applied at the earliest point where the
-    attributes they need are available; a nestjoin's ordering constraint —
-    the grouping side must survive into the result — is exactly the
-    requirement that its key/body attributes be available, and the
-    attribute it produces feeds the availability of later selections, so
-    "grouping-complete" subsets fall out of the same dependency tracking.
-    Selections go to the earliest node that has their attributes. *)
+    Selections go to the earliest node that has their attributes.  Any
+    other operator, a semijoin, antijoin or nestjoin included, ends a
+    region; the pass still reorders the regions in its operands.  A
+    region of more than ten relations keeps its written order (reported
+    with [considered = 0]). *)
 
 open Njq_adl
 
@@ -42,8 +38,9 @@ val last_report : region_report list ref
     failures keep the rewriter's plan).  Resets {!last_report}. *)
 val optimize : stats:Stats.t -> Catalog.t -> Plan.t -> Plan.t
 
-(** Every complete enumerated order of the first join region of the plan
-    (deduplicated by fingerprint, capped at [limit] per subset) — the
-    differential-test hook: each returned plan must produce results
-    bit-identical to the input plan.  [[]] when the plan has no region. *)
+(** The input plan with its first join region replaced by each complete
+    enumerated order of that region (deduplicated by fingerprint, capped
+    at [limit] per subset) — the differential-test hook: each returned
+    plan must produce results bit-identical to the input plan.  [[]] when
+    the plan has no region or the region has more than eight relations. *)
 val orders : ?limit:int -> Catalog.t -> Plan.t -> Plan.t list

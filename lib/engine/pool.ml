@@ -19,11 +19,12 @@
    order is the task order no matter which domain ran what.
 
    Sizing semantics.  [set_domains] (CLI [--domains], env [NJQ_DOMAINS])
-   fixes the *configured* parallelism.  The pool lazily grows its worker
-   set to the largest configuration seen, but a job only ever admits
-   [domains () - 1] workers (the [max_workers] cap), so shrinking the
-   configuration — as the scaling bench does between variants — behaves as
-   if the extra workers did not exist.
+   fixes the *configured* parallelism.  The next parallel [run] spawns
+   the workers the configuration lacks; shrinking the configuration — as
+   the scaling bench does between variants — joins every worker, so no
+   idle domain is left for each later stop-the-world minor collection to
+   wait on, and the next parallel [run] spawns the smaller set.  A job
+   admits at most [domains () - 1] workers (the [max_workers] cap).
 
    Safety properties:
    - [run] called with [domains () <= 1], with [ntasks <= 1], from a
@@ -140,9 +141,24 @@ let ensure_workers k =
     incr spawned
   done
 
+let shutdown () =
+  Mutex.lock mu;
+  shutting_down := true;
+  Condition.broadcast work_cv;
+  Mutex.unlock mu;
+  List.iter Domain.join !workers;
+  workers := [];
+  spawned := 0;
+  shutting_down := false
+
+let () = at_exit (fun () -> if !spawned > 0 then shutdown ())
+
 let set_domains n =
   let n = max 1 n in
-  configured := n
+  configured := n;
+  if n - 1 < !spawned then shutdown ()
+
+let live_workers () = !spawned
 
 (* ------------------------------------------------------------------ *)
 (* Running a batch                                                     *)
@@ -203,15 +219,3 @@ let run n f =
     || !(Domain.DLS.get in_parallel_key)
   then run_sequential n f
   else run_parallel n f
-
-let shutdown () =
-  Mutex.lock mu;
-  shutting_down := true;
-  Condition.broadcast work_cv;
-  Mutex.unlock mu;
-  List.iter Domain.join !workers;
-  workers := [];
-  spawned := 0;
-  shutting_down := false
-
-let () = at_exit (fun () -> if !spawned > 0 then shutdown ())

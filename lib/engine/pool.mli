@@ -12,9 +12,13 @@
 val domains : unit -> int
 
 (** Set the configured domain count (clamped to >= 1).  Growing spawns
-    missing workers lazily on the next parallel {!run}; shrinking caps how
-    many existing workers a job admits — it does not stop domains. *)
+    missing workers lazily on the next parallel {!run}; shrinking joins
+    every worker, and the next parallel {!run} spawns the smaller set.
+    Call it from the main domain, between jobs. *)
 val set_domains : int -> unit
+
+(** Worker domains alive now (the main domain not counted). *)
+val live_workers : unit -> int
 
 (** The domain count [NJQ_DOMAINS] requests, ignoring {!set_domains}. *)
 val default_domains : unit -> int

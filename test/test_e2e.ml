@@ -59,7 +59,7 @@ let test_all_grouping_modes () =
       List.iter
         (fun (q : Queries.query) ->
           let adl = Queries.to_adl q in
-          let options = { Strategy.default_options with Strategy.grouping_mode = mode } in
+          let options = { Strategy.enable_division = false; grouping_mode = mode } in
           Alcotest.check Util.value (q.id ^ " under mode")
             (Eval.run cat adl)
             (run_pipeline ~options cat adl))
@@ -79,23 +79,15 @@ let test_cost_based_hoisted () =
         (Planner.run cat out))
     (Queries.all @ Queries.extended)
 
-(* Disabling every optimization must still produce correct plans (pure
-   nested-loop execution through the planner fallback). *)
+(* The unrewritten query, which --no-opt plans, must still produce
+   correct plans (nested-loop execution through the planner fallback). *)
 let test_no_optimization () =
   let cat = Gen.catalog (clean Gen.default_config) in
-  let options =
-    { Strategy.enable_relational = false;
-      Strategy.enable_attr_unnest = false;
-      Strategy.enable_grouping = false;
-      Strategy.enable_division = false;
-      Strategy.grouping_mode = Strategy.Nestjoin_always }
-  in
   List.iter
     (fun (q : Queries.query) ->
       let adl = Queries.to_adl q in
       Alcotest.check Util.value (q.id ^ " unoptimized")
-        (Eval.run cat adl)
-        (run_pipeline ~options cat adl))
+        (Eval.run cat adl) (Planner.run cat adl))
     Queries.all
 
 (* Rewriting is idempotent: optimizing an already-optimized query changes

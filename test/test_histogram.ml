@@ -77,23 +77,23 @@ let prop_aggregates_exact =
       && H.max_value h = List.fold_left max (-1) vs)
 
 (* Recording must not allocate: it runs per query and per parallel task.
-   [Gc.counters] flushes the young pointer, so a zero minor delta is a
-   real measurement, not a stale one. *)
+   [Gc.minor_words] counts the words since the last minor collection in
+   full, so a zero minor delta is a real measurement, not a stale one. *)
 let test_record_allocation_free () =
   let h = H.create () in
   (* warm up: first records touch every code path *)
   for i = 0 to 999 do
     H.record h (i * 37)
   done;
-  let min0, _, _ = Gc.counters () in
+  let min0 = Gc.minor_words () in
   for i = 0 to 9_999 do
     H.record h (i * 53)
   done;
-  let min1, _, _ = Gc.counters () in
+  let min1 = Gc.minor_words () in
   let delta = min1 -. min0 in
-  (* the [Gc.counters] probe itself costs a few words; recording must
-     stay O(1) total, nowhere near the >=2 words/record a boxing bug
-     would cost (20k+ words here) *)
+  (* the probe itself costs a few words; recording must stay O(1)
+     total, nowhere near the >=2 words/record a boxing bug would cost
+     (20k+ words here) *)
   if delta > 64.0 then
     Alcotest.failf "recording allocated %.0f minor words over 10k records"
       delta

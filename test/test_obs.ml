@@ -332,6 +332,31 @@ let test_profile_non_perturbing_counters () =
   in
   Alcotest.(check (list (pair string int))) "same counters" bare profiled
 
+(* The per-node minor words of a profiled run add up to what the run
+   allocated.  The run starts from an empty minor heap and fits in it, so
+   a reading that undercounts the words since the last minor collection
+   would show here in full. *)
+let test_profile_minor_words () =
+  let cat =
+    Njq_workload.Generator.catalog (Njq_workload.Generator.scaled ~seed:1 2048)
+  in
+  let plan = semijoin_plan () in
+  let prev = Njq_engine.Pool.domains () in
+  Njq_engine.Pool.set_domains 1;
+  Fun.protect ~finally:(fun () -> Njq_engine.Pool.set_domains prev) @@ fun () ->
+  ignore (Exec.rows cat plan);
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let _, samples = Exec.collect (fun () -> Exec.rows cat plan) in
+  let allocated = Gc.minor_words () -. w0 in
+  let summed =
+    List.fold_left (fun acc (s : Exec.node_sample) -> acc +. s.minor_words) 0.0
+      samples
+  in
+  if Float.abs (summed -. allocated) > 0.1 *. allocated then
+    Alcotest.failf "nodes sum to %.0f minor words, the run allocated %.0f"
+      summed allocated
+
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -357,4 +382,6 @@ let () =
           Alcotest.test_case "matches subtree rows on workload" `Quick
             test_profile_matches_subtree_rows;
           Alcotest.test_case "non-perturbing counters" `Quick
-            test_profile_non_perturbing_counters ] ) ]
+            test_profile_non_perturbing_counters;
+          Alcotest.test_case "node minor words sum to the run's" `Quick
+            test_profile_minor_words ] ) ]

@@ -209,6 +209,22 @@ let test_hash_memo_across_domains () =
         (fun i h -> Alcotest.(check int) (Printf.sprintf "hash %d" i) h got.(i))
         expected)
 
+(* Shrinking the pool joins its surplus workers, so no idle domain stays
+   for every later stop-the-world minor collection to wait on; a pool
+   grown and run keeps the workers its configuration asks for. *)
+let test_shrink_joins_workers () =
+  let prev = Pool.domains () in
+  Fun.protect ~finally:(fun () -> Pool.set_domains prev) @@ fun () ->
+  let run () = ignore (Pool.run 8 (fun i -> i * i)) in
+  Pool.set_domains 4;
+  run ();
+  Alcotest.(check int) "grown to 4 and run" 3 (Pool.live_workers ());
+  Pool.set_domains 1;
+  Alcotest.(check int) "shrunk to 1" 0 (Pool.live_workers ());
+  Pool.set_domains 2;
+  run ();
+  Alcotest.(check int) "grown to 2 and run" 1 (Pool.live_workers ())
+
 (* ------------------------------------------------------------------ *)
 (* Property: random rewritten query plans, with every parallel policy set,
    agree with the sequential engine at every pool size. *)
@@ -240,5 +256,7 @@ let () =
           Alcotest.test_case "parallelize above threshold only" `Quick
             test_parallelize_applies_above_threshold;
           Alcotest.test_case "hash memo across domains" `Quick
-            test_hash_memo_across_domains ] );
+            test_hash_memo_across_domains;
+          Alcotest.test_case "shrinking joins surplus workers" `Quick
+            test_shrink_joins_workers ] );
       ("properties", [ prop_parallel_differential ]) ]
