@@ -33,6 +33,8 @@ module Exec = Njq_engine.Exec
 module Plan = Njq_engine.Plan
 module Pool = Njq_engine.Pool
 module Serve = Njq_engine.Serve
+module Metrics = Njq_obs.Metrics
+module Json = Njq_obs.Json
 
 let scales = ref [ 32; 64; 128; 256 ]
 let bench_scale = ref 128
@@ -43,7 +45,7 @@ let json_out = ref "BENCH_engine.json"
 (* ------------------------------------------------------------------ *)
 
 (* Per-variant measurement record for the work tables: deterministic
-   counter totals plus the Gc allocation deltas of one run. *)
+   counter totals plus the allocation of one run. *)
 type work_cell = {
   w_total : int;
   w_minor : float;
@@ -53,22 +55,15 @@ type work_cell = {
 (* One warmup run before measuring: [Value.hash] memoizes on the shared
    catalog rows, so without it the first variant measured would be charged
    all the memo misses and the allocation deltas would depend on variant
-   order.  The minor figure is [Gc.minor_words], which counts every word
-   however many minor collections land in the run; [Gc.counters] is read
-   for the major figure only, as on OCaml 5.1 its minor figure counts the
-   words since the last minor collection at an eighth.  The run starts
-   from an empty minor heap, so what it promotes does not depend on what
-   the variant before it left there. *)
+   order.  The run starts from an empty minor heap, so what it promotes
+   does not depend on what the variant before it left there. *)
 let work f =
   ignore (f ());
-  Counters.reset ();
   Gc.minor ();
-  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
-  let result = f () in
-  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
-  let snap = Counters.snapshot () in
-  let total = List.fold_left (fun acc (_, v) -> acc + v) 0 snap in
-  ( { w_total = total; w_minor = minor1 -. minor0; w_major = major1 -. major0 },
+  let result, u = Metrics.measure f in
+  ( { w_total = List.fold_left (fun acc (_, v) -> acc + v) 0 u.work;
+      w_minor = u.minor_words;
+      w_major = u.major_words },
     result )
 
 let print_work_table ~id ~title ~variants rows =
@@ -806,14 +801,12 @@ let spill_stats () =
       (fun (name, f) ->
         (* One warmup run (Value.hash memos), then one counted run. *)
         ignore (f ());
-        Counters.reset ();
-        let v = f () in
-        let snap = Counters.snapshot () in
+        let v, u = Metrics.measure f in
         { sp_variant = name;
           sp_rows = Value.set_size v;
           sp_work =
             List.map
-              (fun k -> (k, Option.value ~default:0 (List.assoc_opt k snap)))
+              (fun k -> (k, Option.value ~default:0 (List.assoc_opt k u.work)))
               spill_counter_keys })
       (b18 !bench_scale)
   in
@@ -884,35 +877,6 @@ let run_bechamel selected =
     !bench_scale;
   List.iter (fun (name, ns) -> Fmt.pr "  %-48s %12.0f ns@." name ns) rows;
   rows
-
-(* ------------------------------------------------------------------ *)
-(* JSON report                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Hand-rolled writer — enough JSON for flat records of strings, ints and
-   floats; no dependency beyond the stdlib. *)
-module Json = struct
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let str s = Printf.sprintf "\"%s\"" (escape s)
-  let num f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f
-  let arr xs = "[" ^ String.concat ", " xs ^ "]"
-
-  let obj fields =
-    "{" ^ String.concat ", " (List.map (fun (k, v) -> str k ^ ": " ^ v) fields) ^ "}"
-end
 
 (* ------------------------------------------------------------------ *)
 (* Span summaries                                                      *)
@@ -1010,41 +974,45 @@ let domains_of_variant v =
     int_of_string_opt (String.sub v lp (String.length v - lp))
   else None
 
+(* ------------------------------------------------------------------ *)
+(* JSON report                                                         *)
+(* ------------------------------------------------------------------ *)
+
 let write_json ~path ~work_results ~time_rows ~span_rows ~latency_rows
     ~serve_rows ~spill_rows =
   let experiment (id, title, variants, rows) =
     let spans =
       match List.assoc_opt id span_rows with
-      | None -> Json.arr []
+      | None -> Json.List []
       | Some vs ->
-        Json.arr
+        Json.List
           (List.map
              (fun (vname, entries) ->
-               Json.obj
-                 [ ("variant", Json.str vname);
+               Json.Obj
+                 [ ("variant", Json.Str vname);
                    ("spans",
-                    Json.arr
+                    Json.List
                       (List.map
                          (fun (name, count, total_ns) ->
-                           Json.obj
-                             [ ("name", Json.str name);
-                               ("count", string_of_int count);
-                               ("total_ns", string_of_int total_ns) ])
+                           Json.Obj
+                             [ ("name", Json.Str name);
+                               ("count", Json.Int count);
+                               ("total_ns", Json.Int total_ns) ])
                          entries)) ])
              vs)
     in
     let work =
-      Json.arr
+      Json.List
         (List.map
            (fun (n, cells) ->
-             Json.obj
-               [ ("n", string_of_int n);
+             Json.Obj
+               [ ("n", Json.Int n);
                  ("totals",
-                  Json.arr (List.map (fun c -> string_of_int c.w_total) cells));
+                  Json.List (List.map (fun c -> Json.Int c.w_total) cells));
                  ("minor_words",
-                  Json.arr (List.map (fun c -> Json.num c.w_minor) cells));
+                  Json.List (List.map (fun c -> Json.Float c.w_minor) cells));
                  ("major_words",
-                  Json.arr (List.map (fun c -> Json.num c.w_major) cells)) ])
+                  Json.List (List.map (fun c -> Json.Float c.w_major) cells)) ])
            rows)
     in
     (* A "time" key with an empty array reads as data that silently went
@@ -1055,19 +1023,19 @@ let write_json ~path ~work_results ~time_rows ~span_rows ~latency_rows
       | [] -> []
       | rows ->
         [ ("time",
-           Json.arr
+           Json.List
              (List.map
                 (fun (variant, ns) ->
                   let base =
-                    [ ("variant", Json.str variant);
-                      ("ns_per_run", Json.num ns) ]
+                    [ ("variant", Json.Str variant);
+                      ("ns_per_run", Json.Float ns) ]
                   in
                   let fields =
                     match domains_of_variant variant with
-                    | Some k -> base @ [ ("domains", string_of_int k) ]
+                    | Some k -> base @ [ ("domains", Json.Int k) ]
                     | None -> base
                   in
-                  Json.obj fields)
+                  Json.Obj fields)
                 rows)) ]
     in
     let latency =
@@ -1075,17 +1043,17 @@ let write_json ~path ~work_results ~time_rows ~span_rows ~latency_rows
       | None | Some [] -> []
       | Some vs ->
         [ ("latency",
-           Json.arr
+           Json.List
              (List.map
                 (fun (vname, h) ->
                   let module H = Njq_obs.Histogram in
-                  Json.obj
-                    [ ("variant", Json.str vname);
-                      ("samples", string_of_int (H.count h));
-                      ("p50_ns", string_of_int (H.p50 h));
-                      ("p90_ns", string_of_int (H.p90 h));
-                      ("p99_ns", string_of_int (H.p99 h));
-                      ("max_ns", string_of_int (H.max_value h)) ])
+                  Json.Obj
+                    [ ("variant", Json.Str vname);
+                      ("samples", Json.Int (H.count h));
+                      ("p50_ns", Json.Int (H.p50 h));
+                      ("p90_ns", Json.Int (H.p90 h));
+                      ("p99_ns", Json.Int (H.p99 h));
+                      ("max_ns", Json.Int (H.max_value h)) ])
                 vs)) ]
     in
     let serve =
@@ -1093,69 +1061,65 @@ let write_json ~path ~work_results ~time_rows ~span_rows ~latency_rows
       | None | Some [] -> []
       | Some rows ->
         [ ("serve",
-           Json.arr
+           Json.List
              (List.map
                 (fun r ->
-                  Json.obj
-                    [ ("domains", string_of_int r.sv_domains);
-                      ("mode", Json.str r.sv_mode);
-                      ("requests", string_of_int r.sv_requests);
-                      ("batches", string_of_int r.sv_batches);
-                      ("mean_batch", Json.num r.sv_mean_batch);
-                      ("queries_per_s", Json.num r.sv_qps);
-                      ("queue_p50_ns", string_of_int r.sv_queue_p50);
-                      ("queue_p99_ns", string_of_int r.sv_queue_p99);
-                      ("service_p50_ns", string_of_int r.sv_service_p50);
-                      ("service_p99_ns", string_of_int r.sv_service_p99);
-                      ("latency_p50_ns", string_of_int r.sv_lat_p50);
-                      ("latency_p99_ns", string_of_int r.sv_lat_p99) ])
+                  Json.Obj
+                    [ ("domains", Json.Int r.sv_domains);
+                      ("mode", Json.Str r.sv_mode);
+                      ("requests", Json.Int r.sv_requests);
+                      ("batches", Json.Int r.sv_batches);
+                      ("mean_batch", Json.Float r.sv_mean_batch);
+                      ("queries_per_s", Json.Float r.sv_qps);
+                      ("queue_p50_ns", Json.Int r.sv_queue_p50);
+                      ("queue_p99_ns", Json.Int r.sv_queue_p99);
+                      ("service_p50_ns", Json.Int r.sv_service_p50);
+                      ("service_p99_ns", Json.Int r.sv_service_p99);
+                      ("latency_p50_ns", Json.Int r.sv_lat_p50);
+                      ("latency_p99_ns", Json.Int r.sv_lat_p99) ])
                 rows)) ]
     in
     let spill =
       match List.assoc_opt id spill_rows with
       | None -> []
       | Some (cells, cs) ->
-        (* NB: the per-variant array is keyed "cells", not "variants" —
-           tools/baseline_check scans the raw document for "variants"
-           keys to enumerate the gated experiment variants, and must not
-           pick up the spill breakdown's field names. *)
         [ ("spill",
-           Json.obj
+           Json.Obj
              [ ("cells",
-                Json.arr
+                Json.List
                   (List.map
                      (fun c ->
-                       Json.obj
-                         (("variant", Json.str c.sp_variant)
-                          :: ("rows", string_of_int c.sp_rows)
+                       Json.Obj
+                         (("variant", Json.Str c.sp_variant)
+                          :: ("rows", Json.Int c.sp_rows)
                           :: List.map
-                               (fun (k, v) -> (k, string_of_int v))
+                               (fun (k, v) -> (k, Json.Int v))
                                c.sp_work))
                      cells));
                ("coldstart",
-                Json.obj
-                  [ ("rows", string_of_int cs.cs_rows);
-                    ("text_bytes", string_of_int cs.cs_text_bytes);
-                    ("njqc_bytes", string_of_int cs.cs_njqc_bytes);
-                    ("text_ns", string_of_int cs.cs_text_ns);
-                    ("njqc_ns", string_of_int cs.cs_njqc_ns) ]) ]) ]
+                Json.Obj
+                  [ ("rows", Json.Int cs.cs_rows);
+                    ("text_bytes", Json.Int cs.cs_text_bytes);
+                    ("njqc_bytes", Json.Int cs.cs_njqc_bytes);
+                    ("text_ns", Json.Int cs.cs_text_ns);
+                    ("njqc_ns", Json.Int cs.cs_njqc_ns) ]) ]) ]
     in
-    Json.obj
-      ([ ("id", Json.str id);
-         ("title", Json.str title);
-         ("variants", Json.arr (List.map Json.str variants));
+    Json.Obj
+      ([ ("id", Json.Str id);
+         ("title", Json.Str title);
+         ("variants", Json.List (List.map (fun v -> Json.Str v) variants));
          ("work", work) ]
       @ time @ latency @ serve @ spill
       @ [ ("spans", spans) ])
   in
   let doc =
-    Json.obj
-      [ ("bench_scale", string_of_int !bench_scale);
-        ("scales", Json.arr (List.map string_of_int !scales));
-        ("experiments", Json.arr (List.map experiment work_results)) ]
+    Json.Obj
+      [ ("bench_scale", Json.Int !bench_scale);
+        ("scales", Json.List (List.map (fun n -> Json.Int n) !scales));
+        ("experiments", Json.List (List.map experiment work_results)) ]
   in
   let oc = open_out path in
-  output_string oc doc;
+  output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc;
   Fmt.pr "@.wrote %s@." path

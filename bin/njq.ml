@@ -17,6 +17,7 @@ module Span = Njq_obs.Span
 module Json = Njq_obs.Json
 module Qlog = Njq_obs.Qlog
 module Clock = Njq_obs.Clock
+module Metrics = Njq_obs.Metrics
 
 let schema = Njq_workload.Queries.schema
 
@@ -105,6 +106,24 @@ let counters_arg =
   let doc = "Print work counters after execution." in
   Arg.(value & flag & info [ "counters" ] ~doc)
 
+(* A file named on the command line that cannot be opened, read or
+   written: one line naming it, exit 2, like a catalog that will not
+   load.  [Sys_error] from an open starts with the path; from reading a
+   directory it does not name the file at all. *)
+let file_error ~what path msg =
+  let prefix = path ^ ": " in
+  let msg =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix)
+        (String.length msg - String.length prefix)
+    else msg
+  in
+  Fmt.epr "cannot %s %s: %s@." what path msg;
+  exit 2
+
+let on_file ~what path f =
+  try f () with Sys_error msg -> file_error ~what path msg
+
 (* ---------------- query log ---------------- *)
 
 let env_qlog () =
@@ -134,28 +153,16 @@ let slow_ms_arg =
   in
   Arg.(value & opt (some float) None & info [ "slow-ms" ] ~docv:"MS" ~doc)
 
-(* Execute [run ()], timing wall/CPU and taking the work-counter and GC
-   word deltas, and append one event to [sink]; the event's work total is
-   the deterministic cost of the query.  [max_qerror] is produced by the
-   runner (1.0 when it did not profile). *)
-let log_query ?(queue_ns = 0) ?(batch = 1) sink ~slow_ms ~query ~fingerprint
-    ~hit run =
-  (* [Gc.minor_words] counts allocations since the last minor collection
-     in full; on OCaml 5.1 [Gc.counters]'s minor figure counts them at an
-     eighth, so only its major figure is read. *)
-  let min0 = Gc.minor_words () and _, _, maj0 = Gc.counters () in
-  let cpu0 = Clock.cpu_seconds () in
-  let t0 = Clock.now_ns () in
-  let (v, max_qerror), work = Counters.measure run in
-  let wall_ns = Clock.elapsed_ns t0 in
-  let cpu_ns = int_of_float ((Clock.cpu_seconds () -. cpu0) *. 1e9) in
-  let min1 = Gc.minor_words () and _, _, maj1 = Gc.counters () in
-  let work_total = List.fold_left (fun acc (_, n) -> acc + n) 0 work in
-  let spilled =
-    match List.assoc_opt "spill_bytes" work with Some n -> n | None -> 0
-  in
+let open_qlog ?slow_ms path =
+  on_file ~what:"open query log" path (fun () -> Qlog.open_sink ?slow_ms path)
+
+(* Append one event for a measured query to [sink]; the event's work
+   total is the deterministic cost of the query.  [max_qerror] is 1.0
+   when the run did not profile. *)
+let log_query sink ~slow_ms ~query ~fingerprint ~hit ~max_qerror v
+    (u : Metrics.usage) =
   let slow =
-    match slow_ms with Some t -> Clock.ns_to_ms wall_ns >= t | None -> false
+    match slow_ms with Some t -> Clock.ns_to_ms u.wall_ns >= t | None -> false
   in
   Qlog.log sink
     { Qlog.ts_ns = Clock.now_ns ();
@@ -163,30 +170,22 @@ let log_query ?(queue_ns = 0) ?(batch = 1) sink ~slow_ms ~query ~fingerprint
       fingerprint;
       cache = (if hit then "hit" else "miss");
       rows = Value.set_size v;
-      work;
-      work_total;
-      minor_words = min1 -. min0;
-      major_words = maj1 -. maj0;
-      wall_ns;
-      cpu_ns;
-      queue_ns;
-      batch;
+      work = u.work;
+      work_total = List.fold_left (fun acc (_, n) -> acc + n) 0 u.work;
+      minor_words = u.minor_words;
+      major_words = u.major_words;
+      wall_ns = u.wall_ns;
+      cpu_ns = int_of_float (u.cpu_s *. 1e9);
+      queue_ns = 0;
+      batch = 1;
       max_qerror;
-      spilled;
+      spilled = Option.value ~default:0 (List.assoc_opt "spill_bytes" u.work);
       slow };
   if slow then
     Fmt.epr "slow query: %.3f ms (>= %.1f ms) fp=%s@."
-      (Clock.ns_to_ms wall_ns)
+      (Clock.ns_to_ms u.wall_ns)
       (Option.value ~default:0.0 slow_ms)
-      fingerprint;
-  v
-
-(* One-shot variant for [njq run]: open the sink, log, close. *)
-let with_qlog ~path ~slow_ms ~query ~fingerprint ~hit run =
-  let sink = Qlog.open_sink ?slow_ms path in
-  Fun.protect
-    ~finally:(fun () -> Qlog.close sink)
-    (fun () -> log_query sink ~slow_ms ~query ~fingerprint ~hit run)
+      fingerprint
 
 let schema_arg =
   let doc = "Load class definitions from a file instead of the built-in \
@@ -255,7 +254,8 @@ let load_schema = function
   | None -> schema
   | Some path ->
     Njq_oosql.Parser.parse_schema
-      (In_channel.with_open_text path In_channel.input_all)
+      (on_file ~what:"read schema" path (fun () ->
+           In_channel.with_open_text path In_channel.input_all))
 
 let make_catalog ?db ?save_db ?schema_file scale seed dangling empty =
   let cat =
@@ -269,13 +269,9 @@ let make_catalog ?db ?save_db ?schema_file scale seed dangling empty =
            Njq_engine.Rowcodec.load_catalog path
          else Serialize.load_catalog_file path
        with
-       | Njq_engine.Rowcodec.Corrupt msg | Serialize.Parse_error msg ->
-         Fmt.epr "cannot load catalog %s: %s@." path msg;
-         exit 2
+       | Njq_engine.Rowcodec.Corrupt msg | Serialize.Parse_error msg
        | Sys_error msg ->
-         (* already names the file *)
-         Fmt.epr "cannot load catalog: %s@." msg;
-         exit 2)
+         file_error ~what:"load catalog" path msg)
     | None, Some _ -> Njq_oosql.Schema.to_catalog (load_schema schema_file)
     | None, None ->
       Njq_workload.Generator.catalog
@@ -283,7 +279,11 @@ let make_catalog ?db ?save_db ?schema_file scale seed dangling empty =
           dangling_rate = dangling;
           empty_rate = empty }
   in
-  Option.iter (Serialize.save_catalog_file cat) save_db;
+  Option.iter
+    (fun path ->
+      on_file ~what:"save database" path (fun () ->
+          Serialize.save_catalog_file cat path))
+    save_db;
   cat
 
 let options_of mode =
@@ -454,14 +454,10 @@ let explain_cmd =
               let report, plan = derive ~mode cat adl in
               let regions = !Njq_engine.Joinorder.last_report in
               let analysis =
-                if analyze then begin
-                  Counters.reset ();
-                  let v, prof =
-                    Span.with_span "execute" (fun () ->
-                        Njq_engine.Profile.run cat plan)
-                  in
-                  Some (v, prof)
-                end
+                if analyze then
+                  Some
+                    (Span.with_span "execute" (fun () ->
+                         Njq_engine.Profile.run cat plan))
                 else None
               in
               (report, plan, regions, analysis))
@@ -475,7 +471,8 @@ let explain_cmd =
         in
         Option.iter
           (fun path ->
-            Njq_obs.Export.write_chrome_trace path spans;
+            on_file ~what:"write trace" path (fun () ->
+                Njq_obs.Export.write_chrome_trace path spans);
             if not json then Fmt.pr "trace written to %s@." path)
           trace_out;
         if json then begin
@@ -643,17 +640,23 @@ let run_cmd =
         let slow_ms =
           match slow_ms with Some _ -> slow_ms | None -> env_slow_ms ()
         in
-        Counters.reset ();
-        let v =
+        let v, u =
           match qlog with
-          | None -> Njq_engine.Exec.run cat plan
+          | None -> Metrics.measure (fun () -> Njq_engine.Exec.run cat plan)
           | Some path ->
             (* Profiled execution: the event records the worst per-node
                cardinality q-error alongside the costs. *)
-            with_qlog ~path ~slow_ms ~query:q
-              ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit (fun () ->
-                let v, prof = Njq_engine.Profile.run cat plan in
-                (v, Njq_engine.Profile.max_qerror prof))
+            let sink = open_qlog ?slow_ms path in
+            Fun.protect
+              ~finally:(fun () -> Qlog.close sink)
+              (fun () ->
+                let (v, prof), u =
+                  Metrics.measure (fun () -> Njq_engine.Profile.run cat plan)
+                in
+                log_query sink ~slow_ms ~query:q
+                  ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit
+                  ~max_qerror:(Njq_engine.Profile.max_qerror prof) v u;
+                (v, u))
         in
         (match format with
          | `Adl ->
@@ -661,8 +664,7 @@ let run_cmd =
            Fmt.pr "(%d rows)@." (Value.set_size v)
          | `Json -> print_endline (Serialize.value_to_json v)
          | `Csv -> print_string (Serialize.rows_to_csv v));
-        if counters then
-          Fmt.pr "counters: %a@." Counters.pp_snapshot (Counters.snapshot ()))
+        if counters then Fmt.pr "counters: %a@." Metrics.pp_counts u.work)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a query against a generated database")
@@ -690,11 +692,9 @@ let adl_cmd =
           Fmt.pr "-- type: %a@." Vtype.pp ty;
           if not (Expr.equal final adl) then
             Fmt.pr "-- rewritten: %s@." (Adlsyntax.to_string final);
-          Counters.reset ();
-          let v = Njq_engine.Exec.run cat plan in
+          let v, u = Metrics.measure (fun () -> Njq_engine.Exec.run cat plan) in
           Fmt.pr "%a@.(%d rows)@." Value.pp v (Value.set_size v);
-          if counters then
-            Fmt.pr "counters: %a@." Counters.pp_snapshot (Counters.snapshot ()))
+          if counters then Fmt.pr "counters: %a@." Metrics.pp_counts u.work)
   in
   Cmd.v
     (Cmd.info "adl"
@@ -730,7 +730,7 @@ let repl_cmd =
        repeated queries hit the plan cache, so the logged hit/miss bits
        (and `njq top`'s hit rate) are meaningful here. *)
     let slow_ms = env_slow_ms () in
-    let qsink = Option.map (Qlog.open_sink ?slow_ms) (env_qlog ()) in
+    let qsink = Option.map (open_qlog ?slow_ms) (env_qlog ()) in
     Fmt.pr
       "njq repl — supplier-part-delivery database with %d rows per extent.@.\
        Terminate queries with ';'.  Directives: :explain <query>;  \
@@ -771,20 +771,15 @@ let repl_cmd =
         let plan, hit, ty =
           prepare ~parse ~schema ~mode:!mode ~options cat text
         in
-        (* The statement's work is the counters' delta over its
-           execution: zeroing the registry would zero the plan cache's
-           hit and miss counts too. *)
-        let v, work =
-          Counters.measure (fun () ->
-              match qsink with
-              | None -> Njq_engine.Exec.run cat plan
-              | Some sink ->
-                log_query sink ~slow_ms ~query:text
-                  ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit
-                  (fun () -> (Njq_engine.Exec.run cat plan, 1.0)))
-        in
+        let v, u = Metrics.measure (fun () -> Njq_engine.Exec.run cat plan) in
+        Option.iter
+          (fun sink ->
+            log_query sink ~slow_ms ~query:text
+              ~fingerprint:(Njq_engine.Plan.fingerprint plan) ~hit
+              ~max_qerror:1.0 v u)
+          qsink;
         Fmt.pr "%a@.(%d rows of type %a; work: %a)@." Value.pp v
-          (Value.set_size v) Vtype.pp ty Counters.pp_snapshot work
+          (Value.set_size v) Vtype.pp ty Metrics.pp_counts u.work
     in
     let explain text =
       let q = Njq_oosql.Views.expand !views (parse_query_text text) in
@@ -919,16 +914,22 @@ let serve_cmd =
         let params ~client ~seq =
           (h, vectors.((client + seq) mod Array.length vectors))
         in
-        let iterated0 = Counters.get "serve_batch_iterated" in
-        let t0 = Clock.now_ns () in
-        let replies =
-          Njq_engine.Serve.run ~batching:(not no_batching) ~window ~burst
-            ~clients ~requests ~params ()
+        let qlog = match qlog with Some _ -> qlog | None -> env_qlog () in
+        let slow_ms =
+          match slow_ms with Some _ -> slow_ms | None -> env_slow_ms ()
         in
-        let wall_ns = Clock.elapsed_ns t0 in
+        let sink = Option.map (open_qlog ?slow_ms) qlog in
+        let replies, u =
+          Metrics.measure (fun () ->
+              Njq_engine.Serve.run ~batching:(not no_batching) ~window ~burst
+                ~clients ~requests ~params ())
+        in
+        let wall_ns = u.wall_ns in
         (* Batches the scheduler ran as one bound plan per invocation
            because the cost model priced that below the batched plan. *)
-        let iterated = Counters.get "serve_batch_iterated" - iterated0 in
+        let iterated =
+          Option.value ~default:0 (List.assoc_opt "serve_batch_iterated" u.work)
+        in
         let module H = Njq_obs.Histogram in
         let queue = H.create () and service = H.create () in
         let rows = ref 0 and inv_batch = ref 0.0 in
@@ -949,13 +950,8 @@ let serve_cmd =
            serving-specific fields; the shared batch execution cost shows
            up as each member's service time.  Per-request work counters
            are not attributable inside a merged batch, so they stay 0. *)
-        let qlog = match qlog with Some _ -> qlog | None -> env_qlog () in
-        let slow_ms =
-          match slow_ms with Some _ -> slow_ms | None -> env_slow_ms ()
-        in
         Option.iter
-          (fun path ->
-            let sink = Qlog.open_sink ?slow_ms path in
+          (fun sink ->
             Fun.protect
               ~finally:(fun () -> Qlog.close sink)
               (fun () ->
@@ -986,7 +982,7 @@ let serve_cmd =
                         spilled = 0;
                         slow })
                   replies))
-          qlog;
+          sink;
         if json then
           print_endline
             (Json.to_string ~pretty:true
@@ -1116,7 +1112,8 @@ let catalog_pack_cmd =
             0 tables
         in
         let t0 = Clock.now_ns () in
-        Njq_engine.Rowcodec.save_catalog cat out;
+        on_file ~what:"write catalog" out (fun () ->
+            Njq_engine.Rowcodec.save_catalog cat out);
         let pack_ns = Clock.elapsed_ns t0 in
         let bytes =
           In_channel.with_open_bin out (fun ic ->
@@ -1180,11 +1177,9 @@ let load_qlog path =
          Fmt.epr "no query log: pass a file or set NJQ_QLOG@.";
          exit 1)
   in
-  if not (Sys.file_exists path) then begin
-    Fmt.epr "query log %s does not exist@." path;
-    exit 1
-  end;
-  let events, bad = Qlog.read_file path in
+  let events, bad =
+    on_file ~what:"read query log" path (fun () -> Qlog.read_file path)
+  in
   if bad > 0 then Fmt.epr "warning: %d malformed line(s) skipped@." bad;
   events
 

@@ -14,6 +14,7 @@
    Run with: dune exec examples/delivery_audit.exe *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 module Gen = Njq_workload.Generator
 
 let schema = Njq_workload.Queries.schema
@@ -58,9 +59,9 @@ let () =
       { cls = "SUPPLIER"; ref_attr = "supplier"; into = "supplier";
         input = Njq_engine.Plan.Scan "DELIVERY" }
   in
-  Counters.reset ();
+  Metrics.reset_counters ();
   let via_assembly = Njq_engine.Exec.run cat assembly_plan in
-  let assembly_work = Counters.snapshot () in
+  let assembly_work = Metrics.counter_snapshot () in
 
   (* The equivalent value-based formulation: a nestjoin on oid equality and
      a repack (each delivery has exactly one supplier). *)
@@ -80,13 +81,13 @@ let () =
          (except (var "d")
             [ ("supplier", deref "SUPPLIER" (var "d" $. "supplier")) ]))
   in
-  Counters.reset ();
+  Metrics.reset_counters ();
   let via_join = Njq_engine.Exec.run cat join_plan in
-  let join_work = Counters.snapshot () in
+  let join_work = Metrics.counter_snapshot () in
   Fmt.pr "Q3 materialize supplier into deliveries:@.";
   Fmt.pr "  assembly operator : %d rows, work %a@." (Value.set_size via_assembly)
-    Counters.pp_snapshot assembly_work;
+    Metrics.pp_counts assembly_work;
   Fmt.pr "  per-tuple deref   : %d rows, work %a@." (Value.set_size via_join)
-    Counters.pp_snapshot join_work;
+    Metrics.pp_counts join_work;
   (* Results agree modulo the attribute holding the object. *)
   assert (Value.set_size via_assembly = Value.set_size via_join)

@@ -4,6 +4,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 
 let () =
   (* 1. A schema, in OOSQL.  Each class extension becomes a base table with
@@ -62,10 +63,10 @@ let () =
   (* 6. Plan and execute, with work counters. *)
   let plan = Njq_engine.Planner.plan report.Njq_core.Strategy.output in
   Fmt.pr "Physical plan:@.  %a@.@." Njq_engine.Plan.pp plan;
-  Counters.reset ();
+  Metrics.reset_counters ();
   let result = Njq_engine.Exec.run cat plan in
   Fmt.pr "Result: %a@." Value.pp result;
-  Fmt.pr "Work:   %a@.@." Counters.pp_snapshot (Counters.snapshot ());
+  Fmt.pr "Work:   %a@.@." Metrics.pp_counts (Metrics.counter_snapshot ());
 
   (* 7. Sanity: the optimizer must agree with naive nested-loop semantics. *)
   let reference = Eval.run cat adl in

@@ -12,6 +12,7 @@
    Run with: dune exec examples/referential_integrity.exe *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 module Gen = Njq_workload.Generator
 
 let () =
@@ -32,23 +33,23 @@ let () =
   let adl, _ = Njq_oosql.Translate.query_string Njq_workload.Queries.schema query in
 
   (* Nested-loop execution *)
-  Counters.reset ();
+  Metrics.reset_counters ();
   let naive = Eval.run cat adl in
-  let naive_work = Counters.get "nl_pred_eval" in
+  let naive_work = Metrics.get "nl_pred_eval" in
 
   (* Optimized execution *)
   let report = Njq_core.Strategy.rewrite cat adl in
   Fmt.pr "Rewritten ADL:@.  %a@.@." Pretty.pp report.Njq_core.Strategy.output;
   let plan = Njq_engine.Planner.plan report.Njq_core.Strategy.output in
   Fmt.pr "Plan:@.  %a@.@." Njq_engine.Plan.pp plan;
-  Counters.reset ();
+  Metrics.reset_counters ();
   let optimized = Njq_engine.Exec.run cat plan in
-  let opt_snapshot = Counters.snapshot () in
+  let opt_snapshot = Metrics.counter_snapshot () in
 
   assert (Value.equal naive optimized);
   Fmt.pr "Violating suppliers: %d@.@." (Value.set_size optimized);
   Fmt.pr "Nested-loop predicate evaluations : %d@." naive_work;
-  Fmt.pr "Set-oriented plan work            : %a@." Counters.pp_snapshot
+  Fmt.pr "Set-oriented plan work            : %a@." Metrics.pp_counts
     opt_snapshot;
   let opt_total = List.fold_left (fun acc (_, v) -> acc + v) 0 opt_snapshot in
   Fmt.pr "Speedup in touched units          : %.1fx@."

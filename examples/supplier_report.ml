@@ -15,6 +15,7 @@
    Run with: dune exec examples/supplier_report.exe *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 module Gen = Njq_workload.Generator
 module Strategy = Njq_core.Strategy
 
@@ -35,12 +36,12 @@ let () =
   let report = Strategy.rewrite cat adl in
   Fmt.pr "Rewritten (nestjoin):@.  %a@.@." Pretty.pp report.Strategy.output;
 
-  Counters.reset ();
+  Metrics.reset_counters ();
   let result =
     Njq_engine.Exec.run cat (Njq_engine.Planner.plan report.Strategy.output)
   in
   Fmt.pr "Computed %d supplier rows; work: %a@.@." (Value.set_size result)
-    Counters.pp_snapshot (Counters.snapshot ());
+    Metrics.pp_counts (Metrics.counter_snapshot ());
 
   (* Print the first few report rows. *)
   let rows = Value.as_set result in

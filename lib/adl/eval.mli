@@ -6,7 +6,7 @@
 
     Work accounting: evaluating an iterator's parameter function ticks the
     ["nl_pred_eval"] counter; drawing a tuple from an operand ticks
-    ["nl_tuple_visit"] (see {!Counters}). *)
+    ["nl_tuple_visit"] (see {!Njq_obs.Metrics}). *)
 
 type env = (string * Value.t) list
 

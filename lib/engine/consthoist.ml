@@ -17,10 +17,12 @@ open Njq_adl
 open Expr
 
 (* Is this a set-producing expression worth hoisting: closed, uses a base
-   table, and not already a constant? *)
+   table, and not already a constant?  A bare extent is a constant
+   reference already: [Compile] reads its rows for free, and a literal
+   copy of them would only swell the plan's text and fingerprint. *)
 let hoistable e =
   match e with
-  | Const _ -> false
+  | Const _ | Table _ -> false
   | _ -> Analysis.uses_base_table e && Analysis.is_closed e
 
 (* Replace maximal hoistable subexpressions of a parameter expression. *)
@@ -48,3 +50,8 @@ let rec hoist_expr (cat : Catalog.t) (e : Expr.t) : Expr.t =
   | _ -> map_children (hoist_expr cat) e
 
 let hoist cat e = Njq_obs.Span.with_span "consthoist" (fun () -> hoist_expr cat e)
+
+(* The same pass over a planned template whose literals were just bound
+   ([Plancache]): a subquery they close is hoisted as if it had been
+   written closed. *)
+let hoist_plan cat p = Plan.map_exprs (hoist_in_param cat) p

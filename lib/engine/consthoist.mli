@@ -7,5 +7,11 @@
 open Njq_adl
 
 (** One-pass hoist; the result is equivalent for the catalog it was
-    evaluated against. *)
+    evaluated against.  A bare extent ([Table]) is left as it is: it is
+    already a constant reference. *)
 val hoist : Catalog.t -> Expr.t -> Expr.t
+
+(** {!hoist} over a plan's expressions, for a cached template whose
+    literals were just bound: the plan then hoists what the plan of the
+    literal text would. *)
+val hoist_plan : Catalog.t -> Plan.t -> Plan.t

@@ -336,8 +336,8 @@ let join_spill ~nest algo l r =
     spill_charge ~budget:mem_budget ~build:r ~probe:l
   | Plan.Sort_merge | Plan.Nested_loop -> 0.0
 
-(* Estimated cost in abstract work units (comparable to the Counters
-   totals). *)
+(* Estimated cost in abstract work units (comparable to the work-counter
+   totals of [Njq_obs.Metrics]). *)
 let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
   let cost ?stats:s cat p =
     cost ?stats:(match s with Some _ -> s | None -> stats) cat p

@@ -15,5 +15,5 @@ val selectivity : Expr.t -> float
 val rows_out : ?stats:Stats.t -> Catalog.t -> Plan.t -> float
 
 (** Estimated total cost (monotone in input sizes; comparable to the
-    {!Njq_adl.Counters} totals in spirit, not calibrated). *)
+    {!Njq_obs.Metrics} work-counter totals in spirit, not calibrated). *)
 val cost : ?stats:Stats.t -> Catalog.t -> Plan.t -> float

@@ -55,7 +55,7 @@
    exactly.  Sort-merge has no build table to bound; it sorts its
    resident inputs in memory.
 
-   Work counters (see [Njq_adl.Counters]): "scan_row", "filter_eval",
+   Work counters (see [Njq_obs.Metrics]): "scan_row", "filter_eval",
    "hash_build", "hash_probe", "nl_pair", "sm_cmp", "partition" (per
    partition of a partitioned join), "partition_row" (per row per
    partitioning pass), "pnhl_partition", "pnhl_build", "pnhl_probe", plus
@@ -184,8 +184,7 @@ let keyed_apart_from cat a input =
 
 (* Work counters, interned once into registry handles so the inner loops
    pay a flag read and a field add per tick instead of a string-hashtable
-   probe (see [Njq_obs.Metrics]).  [Counters.get]/[snapshot] still see
-   these — both doors share the same cells. *)
+   probe (see [Njq_obs.Metrics]). *)
 module M = Njq_obs.Metrics
 module Clock = Njq_obs.Clock
 module Span = Njq_obs.Span
@@ -301,86 +300,36 @@ let read_partition sps b =
     Rowcodec.spill_remove sp;
     rows
 
-(* Allocation counters: cumulative minor- and major-heap words of the
-   calling domain (the major figure includes promotions, like
-   [Gc.stat]'s).  Neither reading walks the heap, so the brackets perturb
-   nothing.  The minor figure is [Gc.minor_words]: on OCaml 5.1,
-   [Gc.counters] counts the words allocated since the last minor
-   collection at an eighth. *)
-let alloc_words () =
-  let _, _, major = Gc.counters () in
-  (Gc.minor_words (), major)
-
 (* --------------------------------------------------------------------- *)
 (* Non-perturbing per-operator profiling                                  *)
 (*                                                                        *)
 (* When a collector is installed (see [collect]), the [rows] dispatcher   *)
-(* brackets every plan-node execution with clock, counter and allocation  *)
-(* readings and records one [node_sample] per node — the plan tree itself *)
-(* executes unchanged, so row counts, counter totals and algorithmic      *)
-(* behaviour are exactly those of an unprofiled run.  Children charge     *)
-(* their inclusive totals to the parent frame, so exclusive (self) time,  *)
-(* work and allocation fall out by subtraction.  A fused chain runs as   *)
-(* one loop: the node that owns the loop                                  *)
-(* (the one [rows] was called on) gets the bracketed sample, and every    *)
-(* operator fused into it still records a sample with its exact output    *)
-(* row count but zero time/work/allocation — the owner's exclusive        *)
-(* figures cover the whole fused loop (documented in [Profile]).          *)
-(* Samples are keyed by the physical identity of the [Plan.t] node;       *)
-(* [Profile] joins them back to the tree.                                 *)
+(* measures every plan-node execution ([Njq_obs.Metrics.measure]) and     *)
+(* records one [node_sample] per node — the plan tree itself executes     *)
+(* unchanged, so row counts, counter totals and algorithmic behaviour are *)
+(* exactly those of an unprofiled run.  Each open node has a frame that   *)
+(* its children charge their inclusive usage to as they finish, so        *)
+(* exclusive (self) time, work and allocation fall out by subtraction.    *)
+(* A fused chain runs as one loop: the node that owns the loop (the one   *)
+(* [rows] was called on) gets the measured sample, and every operator     *)
+(* fused into it still records a sample with its exact output row count   *)
+(* and zero usage — the owner's exclusive figures cover the whole fused   *)
+(* loop (documented in [Profile]).  Samples are keyed by the physical     *)
+(* identity of the [Plan.t] node; [Profile] joins them back to the tree.  *)
 (* --------------------------------------------------------------------- *)
 
 type node_sample = {
   sample_plan : Plan.t;  (* physical node identity, compare with [==] *)
   out_rows : int;
-  wall_ns : int;  (* exclusive of children *)
-  cpu_s : float;  (* exclusive of children *)
-  incl_wall_ns : int;
-  incl_cpu_s : float;
-  work : (string * int) list;  (* exclusive counter deltas, sorted *)
-  minor_words : float;  (* Gc.minor_words delta, exclusive of children *)
-  major_words : float;  (* Gc.major_words delta, exclusive of children *)
-}
-
-type frame = {
-  mutable f_child_wall : int;
-  mutable f_child_cpu : float;
-  mutable f_child_work : (string * int) list;  (* children-inclusive, summed *)
-  mutable f_child_minor : float;
-  mutable f_child_major : float;
+  usage : M.usage;  (* exclusive of children *)
 }
 
 type collector = {
   mutable samples : node_sample list;  (* reverse completion order *)
-  mutable stack : frame list;
+  mutable stack : M.usage ref list;  (* open frames: their children's usage *)
 }
 
 let collector : collector option ref = ref None
-
-(* Pointwise sum / difference of sorted counter-delta assoc lists. *)
-let merge_work op a b =
-  let rec go a b =
-    match a, b with
-    | [], rest -> List.filter_map (fun (k, v) -> op0 k v) rest
-    | rest, [] -> rest
-    | (ka, va) :: ta, (kb, vb) :: tb ->
-      let c = String.compare ka kb in
-      if c < 0 then (ka, va) :: go ta b
-      else if c > 0 then (
-        match op0 kb vb with
-        | Some kv -> kv :: go a tb
-        | None -> go a tb)
-      else
-        let v = op va vb in
-        if v = 0 then go ta tb else (ka, v) :: go ta tb
-  and op0 k v =
-    let v = op 0 v in
-    if v = 0 then None else Some (k, v)
-  in
-  go a b
-
-let add_work = merge_work ( + )
-let sub_work = merge_work ( - )
 
 (* ---------------------------------------------------------------------- *)
 (* Probes and the match-and-emit loop                                      *)
@@ -710,20 +659,7 @@ and bpush cat p bsink =
   if Plan.streams_output p then bpush_stream cat p bsink else repack bsink (rows cat p)
 
 and record_streamed c p n =
-  let sample =
-    {
-      sample_plan = p;
-      out_rows = n;
-      wall_ns = 0;
-      cpu_s = 0.0;
-      incl_wall_ns = 0;
-      incl_cpu_s = 0.0;
-      work = [];
-      minor_words = 0.0;
-      major_words = 0.0;
-    }
-  in
-  c.samples <- sample :: c.samples
+  c.samples <- { sample_plan = p; out_rows = n; usage = M.zero } :: c.samples
 
 (* Batched streaming implementations.  Each case emits its rows in the
    canonical pipeline order, ticking counters per batch ([M.incr ~n] is k
@@ -978,61 +914,22 @@ and profiled ~root c cat p =
   else profiled_run ~root c cat p
 
 and profiled_run ~root c cat p =
-  let snap0 = M.counter_snapshot () in
-  let minor0, major0 = alloc_words () in
-  let cpu0 = Clock.cpu_seconds () in
-  let t0 = Clock.now_ns () in
-  let fr =
-    {
-      f_child_wall = 0;
-      f_child_cpu = 0.0;
-      f_child_work = [];
-      f_child_minor = 0.0;
-      f_child_major = 0.0;
-    }
+  let outer = c.stack in
+  let children = ref M.zero in
+  c.stack <- children :: outer;
+  let result, usage =
+    Fun.protect
+      ~finally:(fun () -> c.stack <- outer)
+      (fun () -> M.measure (fun () -> exec_node ~root cat p))
   in
-  c.stack <- fr :: c.stack;
-  let pop () =
-    match c.stack with
-    | top :: rest when top == fr -> c.stack <- rest
-    | other -> c.stack <- (match other with _ :: r -> r | [] -> [])
-  in
-  match exec_node ~root cat p with
-  | exception e ->
-    pop ();
-    raise e
-  | result ->
-    let incl_wall = Clock.elapsed_ns t0 in
-    let incl_cpu = Clock.cpu_seconds () -. cpu0 in
-    let minor1, major1 = alloc_words () in
-    let incl_minor = minor1 -. minor0 in
-    let incl_major = major1 -. major0 in
-    let incl_work = sub_work (M.counter_snapshot ()) snap0 in
-    pop ();
-    (match c.stack with
-     | parent :: _ ->
-       parent.f_child_wall <- parent.f_child_wall + incl_wall;
-       parent.f_child_cpu <- parent.f_child_cpu +. incl_cpu;
-       parent.f_child_work <- add_work parent.f_child_work incl_work;
-       parent.f_child_minor <- parent.f_child_minor +. incl_minor;
-       parent.f_child_major <- parent.f_child_major +. incl_major
-     | [] -> ());
-    let sample =
-      {
-        sample_plan = p;
-        out_rows = List.length result;
-        wall_ns = incl_wall - fr.f_child_wall;
-        cpu_s = incl_cpu -. fr.f_child_cpu;
-        incl_wall_ns = incl_wall;
-        incl_cpu_s = incl_cpu;
-        work = sub_work incl_work fr.f_child_work;
-        minor_words = incl_minor -. fr.f_child_minor;
-        major_words = incl_major -. fr.f_child_major;
-      }
-    in
-    c.samples <- sample :: c.samples;
-    Span.add_attr "rows" (Span.AInt sample.out_rows);
-    result
+  (match outer with
+   | parent :: _ -> parent := M.add !parent usage
+   | [] -> ());
+  let out_rows = List.length result in
+  c.samples <-
+    { sample_plan = p; out_rows; usage = M.sub usage !children } :: c.samples;
+  Span.add_attr "rows" (Span.AInt out_rows);
+  result
 
 (* A partitioned hash join or nestjoin ([Plan.Partitioned]).  Both inputs
    are hash-partitioned on the first key into max(partitions,

@@ -37,7 +37,7 @@
     resident run.  Sort-merge sorts its resident inputs in memory.
 
     Counters tick once per logical event, whichever loop runs the
-    operator (see {!Njq_adl.Counters}): ["scan_row"],
+    operator (see {!Njq_obs.Metrics}): ["scan_row"],
     ["filter_eval"], ["hash_build"], ["hash_probe"], ["nl_pair"],
     ["sm_cmp"], ["partition"], ["partition_row"], ["pnhl_partition"],
     ["pnhl_build"], ["pnhl_probe"], plus ["oid_lookup"] from catalog
@@ -69,16 +69,8 @@ type node_sample = {
   sample_plan : Plan.t;
       (** The executed node; identity is physical — compare with [==]. *)
   out_rows : int;
-  wall_ns : int;  (** Monotonic wall time exclusive of children. *)
-  cpu_s : float;  (** CPU time exclusive of children. *)
-  incl_wall_ns : int;
-  incl_cpu_s : float;
-  work : (string * int) list;
-      (** Counter deltas exclusive of children, sorted by name. *)
-  minor_words : float;
-      (** [Gc.minor_words] delta exclusive of children. *)
-  major_words : float;
-      (** [Gc.major_words] delta exclusive of children. *)
+  usage : Njq_obs.Metrics.usage;
+      (** What the node used, exclusive of its children. *)
 }
 
 (** [collect f] runs [f] with a collector installed and returns its result

@@ -151,8 +151,8 @@ type t =
     }
   | EvalOp of Expr.t (* fallback: reference (nested-loop) evaluation *)
   | Materialized of Value.t list
-      (* an already-computed intermediate result; produced by the
-         instrumented executor, never by the planner *)
+      (* an already-computed, duplicate-free row list; the serving layer
+         splices its parameter table in as one, never the planner *)
 
 (* Right operand of a [MemberJoin]: a plan whose rows are hashed on
    [ykey], or — when the elements are oids into a whole extent keyed on

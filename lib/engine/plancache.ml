@@ -61,7 +61,7 @@ let normalize text =
 (* collects the literal values.  The cache stores the template's       *)
 (* (parameterized) plan; each call binds the collected constants back  *)
 (* in with [Plan.map_exprs], a pure tree rebuild far cheaper than the  *)
-(* derivation pipeline.                                                *)
+(* derivation pipeline, and hoists the subqueries they close.          *)
 (*                                                                     *)
 (* Guards, all falling back to exact-text caching (today's behavior):  *)
 (* - texts already containing '?' are explicit prepared templates;     *)
@@ -150,12 +150,14 @@ let parameterize (text : string) : string * Value.t list =
   | [] -> (text, [])
   | vs -> (Buffer.contents buf, List.rev vs)
 
-(* Bind extracted constants back into a parameterized plan. *)
-let bind_consts consts plan =
+(* Bind extracted constants back into a parameterized plan, then hoist
+   what they close: a subquery with a literal in it is a parameterized
+   one in the template, which [Consthoist] could not hoist. *)
+let bind_consts cat consts plan =
   if consts = [] then plan
   else
     let map = List.mapi (fun i v -> (Expr.param_name i, Expr.Const v)) consts in
-    Plan.map_exprs (Analysis.subst map) plan
+    Consthoist.hoist_plan cat (Plan.map_exprs (Analysis.subst map) plan)
 
 let clear () = Hashtbl.reset table
 let size () = Hashtbl.length table
@@ -206,7 +208,7 @@ let find_or_derive_report (cat : Catalog.t) ?(options = "") text
     M.incr c_hit;
     incr tick;
     e.stamp <- !tick;
-    (bind_consts consts e.plan, true)
+    (bind_consts cat consts e.plan, true)
   | None ->
     M.incr c_miss;
     if consts = [] then begin
@@ -221,7 +223,7 @@ let find_or_derive_report (cat : Catalog.t) ?(options = "") text
       match derive template with
       | plan ->
         store key plan;
-        (bind_consts consts plan, false)
+        (bind_consts cat consts plan, false)
       | exception _ ->
         let plan = derive text in
         store { key with text } plan;

@@ -13,10 +13,12 @@
    task indexes with an atomic fetch-and-add — the morsel-driven discipline
    of Leis et al.: cheap dynamic load balancing with no per-task channel or
    queue.  Each participant flushes its metrics shard ([Njq_obs.Metrics])
-   when it runs out of tasks, so counter totals are exact by the time [run]
-   returns.  Determinism is the caller's business and is easy: tasks write
-   results into their own index of a preallocated array, so the output
-   order is the task order no matter which domain ran what.
+   when it runs out of tasks, and each worker reports the words it
+   allocated, so by the time [run] returns counter totals are exact and a
+   measured run counts every domain's allocation.  Determinism is the
+   caller's business and is easy: tasks write results into their own
+   index of a preallocated array, so the output order is the task order
+   no matter which domain ran what.
 
    Sizing semantics.  [set_domains] (CLI [--domains], env [NJQ_DOMAINS])
    fixes the *configured* parallelism.  The next parallel [run] spawns
@@ -121,7 +123,7 @@ let worker_loop () =
         job.admitted <- job.admitted + 1;
         job.active <- job.active + 1;
         Mutex.unlock mu;
-        drain job;
+        Njq_obs.Metrics.worker_share (fun () -> drain job);
         Mutex.lock mu;
         job.active <- job.active - 1;
         if job.active = 0 then Condition.broadcast done_cv;

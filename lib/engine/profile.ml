@@ -32,7 +32,7 @@ type node = {
   wall_ns : int;  (* exclusive of children, summed over calls *)
   cpu_s : float;
   work : (string * int) list;
-  minor_words : float;  (* Gc minor-heap words, exclusive, summed *)
+  minor_words : float;  (* every domain's minor words, exclusive, summed *)
   major_words : float;
   children : node list;
 }
@@ -42,18 +42,6 @@ type node = {
 let qerror ~est ~actual =
   let est = Float.max 1.0 est and actual = Float.max 1.0 (float_of_int actual) in
   Float.max (est /. actual) (actual /. est)
-
-let add_work a b =
-  let rec go a b =
-    match a, b with
-    | [], rest | rest, [] -> rest
-    | (ka, va) :: ta, (kb, vb) :: tb ->
-      let c = String.compare ka kb in
-      if c < 0 then (ka, va) :: go ta b
-      else if c > 0 then (kb, vb) :: go a tb
-      else (ka, va + vb) :: go ta tb
-  in
-  go a b
 
 (* Execute [plan] under a collector and fold the samples back onto the
    tree.  The estimates use the statistics the planner costs with, taken
@@ -65,31 +53,14 @@ let run (cat : Catalog.t) (plan : Plan.t) : Value.t * node =
     let mine =
       List.filter (fun (s : Exec.node_sample) -> s.sample_plan == p) samples
     in
-    let calls = List.length mine in
     let actual_rows =
       if depth = 0 then Value.set_size result
       else match List.rev mine with [] -> 0 | last :: _ -> last.Exec.out_rows
     in
-    let wall_ns =
-      List.fold_left (fun acc (s : Exec.node_sample) -> acc + s.wall_ns) 0 mine
-    in
-    let cpu_s =
-      List.fold_left (fun acc (s : Exec.node_sample) -> acc +. s.cpu_s) 0.0 mine
-    in
-    let work =
+    let u =
       List.fold_left
-        (fun acc (s : Exec.node_sample) -> add_work acc s.work)
-        [] mine
-    in
-    let minor_words =
-      List.fold_left
-        (fun acc (s : Exec.node_sample) -> acc +. s.minor_words)
-        0.0 mine
-    in
-    let major_words =
-      List.fold_left
-        (fun acc (s : Exec.node_sample) -> acc +. s.major_words)
-        0.0 mine
+        (fun acc (s : Exec.node_sample) -> Njq_obs.Metrics.add acc s.usage)
+        Njq_obs.Metrics.zero mine
     in
     let est_rows = Cost.rows_out ~stats cat p in
     {
@@ -99,12 +70,12 @@ let run (cat : Catalog.t) (plan : Plan.t) : Value.t * node =
       est_rows;
       actual_rows;
       qerror = qerror ~est:est_rows ~actual:actual_rows;
-      calls;
-      wall_ns;
-      cpu_s;
-      work;
-      minor_words;
-      major_words;
+      calls = List.length mine;
+      wall_ns = u.wall_ns;
+      cpu_s = u.cpu_s;
+      work = u.work;
+      minor_words = u.minor_words;
+      major_words = u.major_words;
       children = List.map (build (depth + 1)) (Plan.children p);
     }
   in

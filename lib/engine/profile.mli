@@ -26,8 +26,8 @@ type node = {
   cpu_s : float;  (** CPU time exclusive of children. *)
   work : (string * int) list;  (** Counter deltas exclusive of children. *)
   minor_words : float;
-      (** Minor-heap words allocated, exclusive of children, summed over
-          calls. *)
+      (** Minor-heap words allocated on every domain, exclusive of
+          children, summed over calls. *)
   major_words : float;  (** Major-heap words (incl. promotions). *)
   children : node list;
 }

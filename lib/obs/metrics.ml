@@ -1,13 +1,10 @@
 (* The metrics registry: named counters and histograms with
-   *pre-interned handles*.
+   *pre-interned handles*, and [measure], the one measurement of a run.
 
-   The legacy [Njq_adl.Counters] interface looks a counter up in a string
-   hashtable on every tick — a hash of the name plus a table probe on the
-   hottest paths of the engine (per probe, per pair, per spill).  Here a
-   counter is interned once into a handle holding the mutable cell
-   directly; [incr] is a bounds-free add guarded by one flag read.  The
-   string-keyed interface survives on top of interning, so existing call
-   sites and the [Counters] facade keep working unchanged.
+   A counter is interned once into a handle holding the mutable cell
+   directly, so a tick on the engine's hot paths (per probe, per pair,
+   per spill) is a field add guarded by one flag read, not a hash of the
+   name and a table probe.
 
    Counters hold plain [int]s (work units); histograms hold latency or
    size distributions.
@@ -26,17 +23,13 @@
    domain also shards while armed, because its increments would otherwise
    race with worker flushes. *)
 
-type counter = { c_id : int; c_name : string; mutable c_value : int }
+type counter = { c_id : int; mutable c_value : int }
 
 (* A named latency/allocation distribution.  The main histogram belongs
    to the main domain like counter cells do; sharded observations land in
    per-domain scratch histograms and merge on flush (exact: histogram
    merge is pointwise bucket addition). *)
-type hist = { h_id : int; h_name : string; h_main : Histogram.t }
-
-(* One flag for the whole registry: [Counters.without_counting] brackets
-   oracle computations inside measured regions. *)
-let enabled = ref true
+type hist = { h_id : int; h_main : Histogram.t }
 
 (* Interning and shard flushes synchronize on one mutex.  Hot paths never
    take it: they go through pre-interned handles, and the sharded-add path
@@ -51,19 +44,12 @@ let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 let hists : (string, hist) Hashtbl.t = Hashtbl.create 16
 let next_id = ref 0
 
-(* Parallel-section counter deltas attributed per domain id, accumulated
-   at shard-flush time (under [reg_mu]).  Sequential main-domain ticks
-   are deliberately absent: this table answers "which domain did the
-   parallel work", not "what was the total" — totals live in the main
-   cells. *)
-let domain_work : (int, (string, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8
-
 let counter name =
   with_reg (fun () ->
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
-        let c = { c_id = !next_id; c_name = name; c_value = 0 } in
+        let c = { c_id = !next_id; c_value = 0 } in
         incr next_id;
         Hashtbl.add counters name c;
         c)
@@ -73,8 +59,7 @@ let histogram name =
       match Hashtbl.find_opt hists name with
       | Some h -> h
       | None ->
-        let h = { h_id = !next_id; h_name = name; h_main = Histogram.create () }
-        in
+        let h = { h_id = !next_id; h_main = Histogram.create () } in
         incr next_id;
         Hashtbl.add hists name h;
         h)
@@ -118,26 +103,11 @@ let shard_hist_add h v n =
 let flush_local () =
   let tbl = Domain.DLS.get shard_key in
   if Hashtbl.length tbl > 0 then begin
-    let did = (Domain.self () :> int) in
     with_reg (fun () ->
-        let attributed =
-          match Hashtbl.find_opt domain_work did with
-          | Some t -> t
-          | None ->
-            let t = Hashtbl.create 16 in
-            Hashtbl.add domain_work did t;
-            t
-        in
         Hashtbl.iter
           (fun _ cell ->
             match cell with
-            | C (c, r) ->
-              c.c_value <- c.c_value + !r;
-              let prev =
-                Option.value ~default:0
-                  (Hashtbl.find_opt attributed c.c_name)
-              in
-              Hashtbl.replace attributed c.c_name (prev + !r)
+            | C (c, r) -> c.c_value <- c.c_value + !r
             | H (h, scratch) -> Histogram.merge_into ~into:h.h_main scratch)
           tbl);
     Hashtbl.reset tbl
@@ -154,36 +124,30 @@ let exit_parallel () =
 (* ------------------------------------------------------------------ *)
 
 let incr ?(n = 1) c =
-  if !enabled then
-    if not !sharded then c.c_value <- c.c_value + n else shard_counter_add c n
+  if not !sharded then c.c_value <- c.c_value + n else shard_counter_add c n
 
 let value c = c.c_value
+let get name = value (counter name)
 
 (* Record [v] into a histogram.  Sequentially this writes the main
    histogram (main-domain-only, like counter cells); inside a parallel
    section it lands in the domain's scratch histogram and merges exactly
    on flush. *)
 let observe ?(n = 1) h v =
-  if !enabled then
-    if not !sharded then Histogram.record ~n h.h_main v
-    else shard_hist_add h v n
+  if not !sharded then Histogram.record ~n h.h_main v
+  else shard_hist_add h v n
 
 (* The merged main histogram.  Only read this outside parallel sections
    (shards may still hold samples while one is open). *)
 let hist_value h = h.h_main
 
 (* Zero every handle.  Handles stay interned (their identity is the point),
-   so snapshots filter zero-valued entries to keep the "only what was
-   ticked" reading of the legacy interface. *)
+   so snapshots leave out zero-valued entries: they list what was ticked. *)
 let reset_counters () = Hashtbl.iter (fun _ c -> c.c_value <- 0) counters
-
-let reset_histograms () = Hashtbl.iter (fun _ h -> Histogram.clear h.h_main) hists
-let reset_domain_work () = with_reg (fun () -> Hashtbl.reset domain_work)
 
 let reset () =
   reset_counters ();
-  reset_histograms ();
-  reset_domain_work ()
+  Hashtbl.iter (fun _ h -> Histogram.clear h.h_main) hists
 
 let counter_snapshot () =
   Hashtbl.fold
@@ -191,26 +155,91 @@ let counter_snapshot () =
     counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Parallel-section counter deltas per domain id:
-   [(domain_id, [(counter, delta)])], both levels sorted.  Summing a
-   counter across domains gives exactly its sharded (parallel)
-   contribution to the main cell. *)
-let counter_snapshot_by_domain () =
-  with_reg (fun () ->
-      Hashtbl.fold
-        (fun did tbl acc ->
-          let rows =
-            Hashtbl.fold
-              (fun name v acc -> if v <> 0 then (name, v) :: acc else acc)
-              tbl []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          in
-          if rows = [] then acc else (did, rows) :: acc)
-        domain_work []
-      |> List.sort (fun (a, _) (b, _) -> compare a b))
+let pp_counts ppf counts =
+  Fmt.list ~sep:Fmt.sp (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v) ppf counts
 
-(* Run [f] with the registry ignoring increments and records. *)
-let with_disabled f =
-  let saved = !enabled in
-  enabled := false;
-  Fun.protect ~finally:(fun () -> enabled := saved) f
+(* ------------------------------------------------------------------ *)
+(* Measuring a run                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type usage = {
+  work : (string * int) list;
+  minor_words : float;
+  major_words : float;
+  wall_ns : int;
+  cpu_s : float;
+}
+
+let zero =
+  { work = []; minor_words = 0.0; major_words = 0.0; wall_ns = 0; cpu_s = 0.0 }
+
+(* Pointwise [op] of two counter lists sorted by name; zeros drop out. *)
+let merge_counts op a b =
+  let keep k v rest = if v = 0 then rest else (k, v) :: rest in
+  let rec go a b =
+    match a, b with
+    | [], [] -> []
+    | (k, v) :: t, [] -> keep k (op v 0) (go t [])
+    | [], (k, v) :: t -> keep k (op 0 v) (go [] t)
+    | (ka, va) :: ta, (kb, vb) :: tb ->
+      let c = String.compare ka kb in
+      if c < 0 then keep ka (op va 0) (go ta b)
+      else if c > 0 then keep kb (op 0 vb) (go a tb)
+      else keep ka (op va vb) (go ta tb)
+  in
+  go a b
+
+let combine iop fop a b =
+  { work = merge_counts iop a.work b.work;
+    minor_words = fop a.minor_words b.minor_words;
+    major_words = fop a.major_words b.major_words;
+    wall_ns = iop a.wall_ns b.wall_ns;
+    cpu_s = fop a.cpu_s b.cpu_s }
+
+let add = combine ( + ) ( +. )
+let sub = combine ( - ) ( -. )
+
+(* Cumulative minor- and major-heap words of the calling domain (the major
+   figure includes promotions, like [Gc.stat]'s).  Neither reading walks
+   the heap, so a bracket perturbs nothing.  The minor figure is
+   [Gc.minor_words]: on OCaml 5.1 [Gc.counters] counts the words allocated
+   since the last minor collection at an eighth.  Both figures are the
+   calling domain's only, so the pool's workers report theirs below. *)
+let alloc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
+(* Words the pool's worker domains allocated in their shares of jobs.
+   A worker adds its share before the pool join returns, so a [measure]
+   around a parallel operator includes it. *)
+let worker_minor = Atomic.make 0
+let worker_major = Atomic.make 0
+
+let worker_share f =
+  let minor0, major0 = alloc_words () in
+  f ();
+  let minor1, major1 = alloc_words () in
+  ignore (Atomic.fetch_and_add worker_minor (int_of_float (minor1 -. minor0)));
+  ignore (Atomic.fetch_and_add worker_major (int_of_float (major1 -. major0)))
+
+let all_words () =
+  let minor, major = alloc_words () in
+  ( minor +. float_of_int (Atomic.get worker_minor),
+    major +. float_of_int (Atomic.get worker_major) )
+
+let measure f =
+  let work0 = counter_snapshot () in
+  let minor0, major0 = all_words () in
+  let cpu0 = Clock.cpu_seconds () in
+  let t0 = Clock.now_ns () in
+  let x = f () in
+  let wall_ns = Clock.elapsed_ns t0 in
+  let cpu_s = Clock.cpu_seconds () -. cpu0 in
+  let minor1, major1 = all_words () in
+  let work = merge_counts ( - ) (counter_snapshot ()) work0 in
+  ( x,
+    { work;
+      minor_words = minor1 -. minor0;
+      major_words = major1 -. major0;
+      wall_ns;
+      cpu_s } )

@@ -1,10 +1,9 @@
 (** The metrics registry: named counters and histograms with
-    pre-interned handles.
+    pre-interned handles, and {!measure}, the one measurement of a run.
 
     Interning a name once yields a handle holding the mutable cell
     directly, so hot paths pay one flag read and one add per tick instead
-    of a string-hashtable probe.  The registry is process-global; the
-    legacy {!Njq_adl.Counters} facade delegates here.
+    of a string-hashtable probe.  The registry is process-global.
 
     Domain safety: sequential execution increments the main cells
     directly; inside a parallel section (bracketed by {!enter_parallel} /
@@ -20,6 +19,9 @@ val counter : string -> counter
 
 val incr : ?n:int -> counter -> unit
 val value : counter -> int
+
+(** [get name] is the value of the counter named [name]. *)
+val get : string -> int
 
 (** {2 Histograms} *)
 
@@ -39,22 +41,38 @@ val hist_value : hist -> Histogram.t
 (** Zero all counters (handles stay interned). *)
 val reset_counters : unit -> unit
 
-(** {!reset_counters}, zero all histograms, and clear the per-domain
-    parallel-work attribution table. *)
+(** {!reset_counters} and zero all histograms. *)
 val reset : unit -> unit
 
 (** Non-zero counters, sorted by name. *)
 val counter_snapshot : unit -> (string * int) list
 
-(** Parallel-section counter deltas attributed per domain id, as
-    [(domain_id, [(counter, delta)])] with both levels sorted.
-    Sequential main-domain ticks are not attributed — summing one
-    counter over all domains gives its sharded (parallel) contribution
-    to the main total, not the whole total. *)
-val counter_snapshot_by_domain : unit -> (int * (string * int) list) list
+(** A counter list as [name=value] pairs separated by breakable spaces. *)
+val pp_counts : Format.formatter -> (string * int) list -> unit
 
-(** Run with the registry ignoring increments and observations. *)
-val with_disabled : (unit -> 'a) -> 'a
+(** {2 Measuring a run} *)
+
+type usage = {
+  work : (string * int) list;
+      (** Counter deltas, sorted by name, zeros left out. *)
+  minor_words : float;  (** Minor-heap words allocated, on every domain. *)
+  major_words : float;
+      (** Major-heap words allocated (promotions included), on every
+          domain. *)
+  wall_ns : int;  (** Monotonic wall time. *)
+  cpu_s : float;  (** Process CPU time. *)
+}
+
+val zero : usage
+val add : usage -> usage -> usage
+val sub : usage -> usage -> usage
+
+(** [measure f] runs [f] and returns its result with what it used: the
+    counters it ticked (the registry is not zeroed, so counters kept
+    across runs, such as the plan cache's hits, survive), the words
+    allocated by the calling domain and by the pool's workers in the
+    jobs it ran, and its wall and CPU time.  Measurements nest. *)
+val measure : (unit -> 'a) -> 'a * usage
 
 (** {2 Parallel sections}
 
@@ -73,3 +91,8 @@ val exit_parallel : unit -> unit
     the registry mutex).  Each pool participant calls this when it
     finishes its share of a job. *)
 val flush_local : unit -> unit
+
+(** [worker_share f] runs a pool worker's share of a job and adds the
+    words the calling domain allocated in it to what {!measure} reports.
+    The worker must call it before the pool join returns. *)
+val worker_share : (unit -> unit) -> unit

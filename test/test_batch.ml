@@ -20,6 +20,7 @@
    kernels, parallel plans, and random rewritten plans. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Gen = Njq_workload.Generator
 module Queries = Njq_workload.Queries
@@ -44,9 +45,9 @@ let snapshot = Alcotest.(list (pair string int))
 let row_list = Alcotest.(list Util.value)
 
 let run_rows cat plan =
-  Counters.reset ();
+  Metrics.reset_counters ();
   let rows = Exec.rows cat plan in
-  (rows, Counters.snapshot ())
+  (rows, Metrics.counter_snapshot ())
 
 (* The reference mode: the default batch size on one domain. *)
 let reference cat plan =

@@ -4,6 +4,7 @@
    ranges, VNull from outer-join padding) and binder shadowing. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 
 let eval_outcome f =
   match f () with
@@ -160,7 +161,7 @@ let no_interpreter_ticks () =
   in
   let f = Compile.expr1 cat ~var:"x" e in
   let row = Value.tuple [ ("price", Value.int 10) ] in
-  let _, counts = Counters.measure (fun () -> f row) in
+  let _, { Metrics.work = counts; _ } = Metrics.measure (fun () -> f row) in
   let count name = try List.assoc name counts with Not_found -> 0 in
   Alcotest.(check int) "nl_pred_eval" 0 (count "nl_pred_eval");
   Alcotest.(check int) "nl_tuple_visit" 0 (count "nl_tuple_visit")
@@ -190,13 +191,13 @@ let deferred_failure () =
 (* The outcome, exception and message included, and the "oid_lookup"
    ticks spent reaching it, failures too. *)
 let strict_outcome f =
-  Counters.reset ();
+  Metrics.reset_counters ();
   let outcome =
     match f () with
     | v -> Ok v
     | exception exn -> Error (Printexc.to_string exn)
   in
-  (outcome, Counters.get "oid_lookup")
+  (outcome, Metrics.get "oid_lookup")
 
 (* Every third part loses its color, every fifth gains a note, and one
    supplier in four loses its name. *)

@@ -3,7 +3,10 @@
 
 open Njq_adl
 open Dsl
+module Metrics = Njq_obs.Metrics
 module Consthoist = Njq_engine.Consthoist
+module Plan = Njq_engine.Plan
+module Plancache = Njq_engine.Plancache
 
 let cat () = Util.small_catalog ()
 
@@ -11,6 +14,11 @@ let rec contains p e =
   p e || Expr.fold_children (fun acc c -> acc || contains p c) false e
 
 let has_table e = contains (function Expr.Table _ -> true | _ -> false) e
+
+let has_substring ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
 let red_oids =
   map_ "p" (select "p" (table "PART") (eq (var "p" $. "color") (str "red")))
@@ -43,10 +51,11 @@ let test_keeps_correlated () =
          (mem (var "p" $. "oid") (var "s" $. "parts_supplied")))
   in
   let hoisted = Consthoist.hoist cat correlated in
-  (* The quantifier range (Table PART) is itself closed, so it is hoisted
-     to its row set; the correlated predicate around it must remain. *)
+  (* The quantifier range (Table PART) is closed but already a constant
+     reference, so it stays; the correlated predicate around it must
+     remain. *)
   (match hoisted with
-   | Expr.Select { pred = Expr.Quant (Expr.Exists, _, Expr.Const (Value.VSet _), _); _ } ->
+   | Expr.Select { pred = Expr.Quant (Expr.Exists, _, Expr.Table "PART", _); _ } ->
      ()
    | e -> Alcotest.failf "unexpected shape %a" Pretty.pp e);
   Alcotest.check Util.value "semantics preserved" (Eval.run cat correlated)
@@ -75,15 +84,48 @@ let test_work_reduction () =
       (set_neq (inter (var "s" $. "parts_supplied") red_oids) empty)
   in
   let work e =
-    Counters.reset ();
+    Metrics.reset_counters ();
     ignore (Eval.run cat e);
-    Counters.get "nl_pred_eval"
+    Metrics.get "nl_pred_eval"
   in
   let before = work q and after = work (Consthoist.hoist cat q) in
   Alcotest.(check bool)
     (Printf.sprintf "hoisting removes per-tuple evaluation (%d -> %d)" before after)
     true
     (after * 10 < before)
+
+(* The plan cache derives a template with [3] turned into [?0], so the
+   count subquery is closed only once the literal is bound: it must then
+   be hoisted, and the cached plan must be the plan of the literal text.
+   The template keeps the extent [PART] symbolic. *)
+let test_cache_hoists_after_binding () =
+  let cat = cat () in
+  let derive text =
+    let adl, _ =
+      Njq_oosql.Translate.query_string Njq_workload.Queries.schema text
+    in
+    Njq_engine.Planner.plan ~cat
+      (Consthoist.hoist cat (Njq_core.Strategy.optimize cat adl))
+  in
+  let text =
+    "select p.pname from p in PART where p.price > count(select q from q in \
+     PART where q.price > 3)"
+  in
+  let cached, _ =
+    Plancache.find_or_derive_report cat ~options:"consthoist" text ~derive
+  in
+  Alcotest.(check string) "cached plan = plan of the literal text"
+    (Plan.to_string (derive text)) (Plan.to_string cached);
+  let template =
+    Plan.to_string
+      (derive
+         "select p.pname from p in PART where p.price > count(select q from q \
+          in PART where q.price > ?0)")
+  in
+  Alcotest.(check bool)
+    ("template keeps the extent: " ^ template)
+    true
+    (has_substring ~sub:"q.price > ?0](PART)" template)
 
 let prop_hoist_sound =
   Util.qcheck ~count:200 "hoisting preserves semantics"
@@ -98,6 +140,8 @@ let () =
     [ ( "hoisting",
         [ Alcotest.test_case "uncorrelated hoisted" `Quick test_hoists_uncorrelated;
           Alcotest.test_case "correlated kept" `Quick test_keeps_correlated;
+          Alcotest.test_case "cache hoists after binding" `Quick
+            test_cache_hoists_after_binding;
           Alcotest.test_case "operands untouched" `Quick test_operands_untouched;
           Alcotest.test_case "work reduction" `Quick test_work_reduction ] );
       ("properties", [ prop_hoist_sound ]) ]

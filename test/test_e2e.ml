@@ -4,6 +4,7 @@
    database configurations and grouping modes. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 module Strategy = Njq_core.Strategy
 module Planner = Njq_engine.Planner
 module Gen = Njq_workload.Generator
@@ -106,16 +107,16 @@ let test_scaled_work_reduction () =
   let cat = Gen.catalog (clean (Gen.scaled ~seed:11 128)) in
   let q = Queries.to_adl (Queries.find "EQ5") in
   let nested_work =
-    Counters.reset ();
+    Metrics.reset_counters ();
     ignore (Eval.run cat q);
-    Counters.get "nl_pred_eval"
+    Metrics.get "nl_pred_eval"
   in
   let rewritten = Strategy.optimize cat q in
   let set_oriented_work =
-    Counters.reset ();
+    Metrics.reset_counters ();
     ignore (Njq_engine.Exec.run cat (Planner.plan rewritten));
-    Counters.get "nl_pred_eval" + Counters.get "hash_probe"
-    + Counters.get "hash_build" + Counters.get "filter_eval"
+    Metrics.get "nl_pred_eval" + Metrics.get "hash_probe"
+    + Metrics.get "hash_build" + Metrics.get "filter_eval"
   in
   Alcotest.(check bool)
     (Printf.sprintf "set-oriented %d << nested %d" set_oriented_work nested_work)

@@ -3,6 +3,7 @@
    dedicated tests for the member join, PNHL and assembly operators. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Plan = Njq_engine.Plan
 module Exec = Njq_engine.Exec
@@ -179,12 +180,12 @@ let test_pnhl_partitioning_invariant () =
   let full = Exec.run cat (pnhl_plan ~budget:100000) in
   List.iter
     (fun budget ->
-      Counters.reset ();
+      Metrics.reset_counters ();
       let partitioned = Exec.run cat (pnhl_plan ~budget) in
       Alcotest.check Util.value
         (Printf.sprintf "budget %d gives same result" budget)
         full partitioned;
-      let parts = Counters.get "pnhl_partition" in
+      let parts = Metrics.get "pnhl_partition" in
       let expected_parts =
         (Catalog.cardinality cat "PART" + budget - 1) / budget
       in
@@ -221,9 +222,9 @@ let test_pnhl_autoplan () =
   Alcotest.check Util.value "pnhl plan result" (Eval.run cat q) (Exec.run cat plan);
   (* and it does far less parameter-evaluation work *)
   let work f =
-    Counters.reset ();
+    Metrics.reset_counters ();
     ignore (f ());
-    List.fold_left (fun acc (_, v) -> acc + v) 0 (Counters.snapshot ())
+    List.fold_left (fun acc (_, v) -> acc + v) 0 (Metrics.counter_snapshot ())
   in
   let nested = work (fun () -> Eval.run cat q) in
   let pnhl = work (fun () -> Exec.run cat plan) in
@@ -242,9 +243,9 @@ let test_pnhl_planner_budget () =
   let cat = Njq_workload.Generator.catalog cfg in
   let q = Njq_workload.Queries.materialize_parts_query in
   let run () =
-    Counters.reset ();
+    Metrics.reset_counters ();
     let v = Exec.run cat (Planner.plan ~cat q) in
-    (v, Counters.get "spill_part", Counters.get "pnhl_partition")
+    (v, Metrics.get "spill_part", Metrics.get "pnhl_partition")
   in
   let v, spills, segments = run () in
   Alcotest.(check int) "no spill without a budget" 0 spills;
@@ -421,9 +422,9 @@ let test_hash_beats_nl_on_counters () =
       (table "DELIVERY") (table "SUPPLIER")
   in
   let count_for force key =
-    Counters.reset ();
+    Metrics.reset_counters ();
     ignore (Exec.run cat (Planner.plan ~force e));
-    Counters.get key
+    Metrics.get key
   in
   let nl_pairs = count_for Plan.Nested_loop "nl_pair" in
   let probes = count_for Plan.Hash "hash_probe" in

@@ -9,6 +9,7 @@
    fixed fused plans the same way. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Gen = Njq_workload.Generator
 module Queries = Njq_workload.Queries
@@ -20,9 +21,9 @@ let snapshot = Alcotest.(list (pair string int))
 let row_list = Alcotest.(list Util.value)
 
 let run_fused cat plan =
-  Counters.reset ();
+  Metrics.reset_counters ();
   let rows = Exec.rows cat plan in
-  (rows, Counters.snapshot ())
+  (rows, Metrics.counter_snapshot ())
 
 let test_workload_fused_vs_materialized () =
   let cat = Gen.catalog { (Gen.scaled ~seed:7 48) with Gen.dangling_rate = 0.0 } in

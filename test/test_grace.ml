@@ -4,6 +4,7 @@
    accounting, and guard rails. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Plan = Njq_engine.Plan
 module Exec = Njq_engine.Exec
@@ -39,11 +40,11 @@ let test_matches_hash_join () =
 
 let test_partition_count () =
   let cat = Njq_workload.Generator.xy_catalog ~seed:12 64 in
-  Counters.reset ();
+  Metrics.reset_counters ();
   ignore (Exec.run cat (grace ~kind:Expr.Inner ~budget:16 (Plan.Scan "X") (Plan.Scan "Y")));
-  Alcotest.(check int) "ceil(64/16) partitions" 4 (Counters.get "partition");
+  Alcotest.(check int) "ceil(64/16) partitions" 4 (Metrics.get "partition");
   Alcotest.(check int) "each row partitioned once" 128
-    (Counters.get "partition_row")
+    (Metrics.get "partition_row")
 
 let test_guards () =
   let cat = Njq_workload.Generator.xy_catalog ~seed:12 8 in
@@ -116,11 +117,11 @@ let test_skew_resplit () =
       (fun domains ->
         Njq_engine.Pool.set_domains domains;
         Fun.protect ~finally:(fun () -> Njq_engine.Pool.set_domains 1) @@ fun () ->
-        Counters.reset ();
+        Metrics.reset_counters ();
         let got = Exec.run cat plan in
         Alcotest.check Util.value (Fmt.str "skewed join at %d domains" domains) expected got;
         Alcotest.(check int) "no spill file left" 0 (Njq_engine.Rowcodec.live_spills ());
-        Counters.snapshot ())
+        Metrics.counter_snapshot ())
       [ 1; 2; 4 ]
   in
   let first = List.hd runs in

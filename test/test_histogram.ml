@@ -76,9 +76,7 @@ let prop_aggregates_exact =
       && H.min_value h = List.fold_left min max_int vs
       && H.max_value h = List.fold_left max (-1) vs)
 
-(* Recording must not allocate: it runs per query and per parallel task.
-   [Gc.minor_words] counts the words since the last minor collection in
-   full, so a zero minor delta is a real measurement, not a stale one. *)
+(* Recording must not allocate: it runs per query and per parallel task. *)
 let test_record_allocation_free () =
   let h = H.create () in
   (* warm up: first records touch every code path *)
@@ -115,26 +113,15 @@ let test_sharded_observe_exact () =
     (H.equal expected (M.hist_value h));
   M.reset ()
 
-(* Parallel-section counter deltas attributed per domain sum to the
-   sharded contribution that reached the main cells. *)
-let test_domain_attribution_sums () =
+(* Counter increments from every domain of a parallel section reach the
+   main cell exactly. *)
+let test_sharded_counter_exact () =
   M.reset ();
   let c = M.counter "test_domain_attr" in
   Pool.set_domains 3;
   ignore (Pool.run 4 (fun s -> M.incr ~n:(s + 1) c));
   Pool.set_domains (Pool.default_domains ());
   Alcotest.(check int) "main total" 10 (M.value c);
-  let by_domain = M.counter_snapshot_by_domain () in
-  let attributed =
-    List.fold_left
-      (fun acc (_, cs) ->
-        List.fold_left
-          (fun acc (name, n) ->
-            if String.equal name "test_domain_attr" then acc + n else acc)
-          acc cs)
-      0 by_domain
-  in
-  Alcotest.(check int) "attributed = sharded total" 10 attributed;
   M.reset ()
 
 (* ---------------- query log ---------------- *)
@@ -250,8 +237,8 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "pool-sharded observe is exact" `Quick
             test_sharded_observe_exact;
-          Alcotest.test_case "per-domain attribution sums" `Quick
-            test_domain_attribution_sums ] );
+          Alcotest.test_case "pool-sharded counter total is exact" `Quick
+            test_sharded_counter_exact ] );
       ( "qlog",
         [ Alcotest.test_case "event JSON round trip" `Quick
             test_event_json_roundtrip;

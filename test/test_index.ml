@@ -14,6 +14,7 @@
      and catalog-epoch invalidation. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Gen = Njq_workload.Generator
 module Strategy = Njq_core.Strategy
@@ -285,7 +286,7 @@ let test_pointer_ticks () =
   List.iter
     (fun name ->
       let planned = Planner.plan ~cat (List.assoc name pointer_queries) in
-      let _, work = Counters.measure (fun () -> Exec.run cat planned) in
+      let _, { Metrics.work; _ } = Metrics.measure (fun () -> Exec.run cat planned) in
       let count k = Option.value ~default:0 (List.assoc_opt k work) in
       Alcotest.(check int) (name ^ ": no hash build") 0 (count "hash_build");
       Alcotest.(check int) (name ^ ": no hash probe") 0 (count "hash_probe");

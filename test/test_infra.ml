@@ -2,6 +2,7 @@
    driver, counters, and the pretty-printers (ADL and plans). *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 
 (* ---------------- Catalog ---------------- *)
@@ -72,8 +73,8 @@ let test_deref_opt_never_raises () =
   Catalog.add_table cat ~name:"T" ~row_type
     [ Value.tuple [ ("oid", Value.oid 1); ("v", Value.int 10) ] ];
   let probes = [ Value.oid 1; Value.oid 7; Value.int 1; Value.string "x"; Value.VNull ] in
-  let hits, work =
-    Counters.measure (fun () ->
+  let hits, { Metrics.work; _ } =
+    Metrics.measure (fun () ->
         List.filter_map (Catalog.deref_opt cat "T") probes)
   in
   Alcotest.(check int) "only the live oid resolves" 1 (List.length hits);
@@ -91,8 +92,8 @@ let test_positional_oid_index () =
   Catalog.add_table cat ~name:"S" ~row_type
     (List.init 64 (fun i -> r ((i * 4096) + 7) i));
   let rows = Catalog.rows_array cat "S" in
-  let (), work =
-    Counters.measure (fun () ->
+  let (), { Metrics.work; _ } =
+    Metrics.measure (fun () ->
         Array.iter
           (fun row ->
             let o = Value.field row "oid" in
@@ -197,19 +198,18 @@ let test_driver_fuel () =
 (* ---------------- Counters ---------------- *)
 
 let test_counters () =
-  Counters.reset ();
-  Counters.tick "a";
-  Counters.tick ~n:4 "a";
-  Counters.tick "b";
-  Alcotest.(check int) "a" 5 (Counters.get "a");
-  Alcotest.(check int) "unknown" 0 (Counters.get "zz");
+  Metrics.reset_counters ();
+  let tick ?n name = Metrics.incr ?n (Metrics.counter name) in
+  tick "a";
+  tick ~n:4 "a";
+  tick "b";
+  Alcotest.(check int) "a" 5 (Metrics.get "a");
+  Alcotest.(check int) "unknown" 0 (Metrics.get "zz");
   Alcotest.(check (list (pair string int))) "snapshot sorted"
-    [ ("a", 5); ("b", 1) ] (Counters.snapshot ());
-  Counters.without_counting (fun () -> Counters.tick "a");
-  Alcotest.(check int) "disabled ticks ignored" 5 (Counters.get "a");
-  let x, snap = Counters.measure (fun () -> Counters.tick "c"; 42) in
+    [ ("a", 5); ("b", 1) ] (Metrics.counter_snapshot ());
+  let x, { Metrics.work; _ } = Metrics.measure (fun () -> tick "c"; 42) in
   Alcotest.(check int) "measure result" 42 x;
-  Alcotest.(check (list (pair string int))) "measure snapshot" [ ("c", 1) ] snap
+  Alcotest.(check (list (pair string int))) "measure snapshot" [ ("c", 1) ] work
 
 (* ---------------- Pretty-printers ---------------- *)
 

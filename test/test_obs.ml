@@ -1,10 +1,10 @@
 (* Tests for the observability layer: span nesting and ordering, exporter
-   JSON well-formedness, the Counters facade over the metrics registry
-   (with a micro-check that interned handles beat string ticks), q-error
-   math, and — the load-bearing property — that the non-perturbing
-   per-operator profile reports, for every node, exactly the row count of
-   executing that node's subtree on its own, on the paper's query
-   workload. *)
+   JSON well-formedness, [Metrics.measure] (counter deltas, and the words
+   the pool's workers allocate), a micro-check that interned handles beat
+   interning per tick, q-error math, and — the load-bearing property —
+   that the non-perturbing per-operator profile reports, for every node,
+   exactly the row count of executing that node's subtree on its own, on
+   the paper's query workload. *)
 
 open Njq_adl
 open Dsl
@@ -169,33 +169,54 @@ let test_chrome_trace_wellformed () =
       events
   | _ -> Alcotest.fail "no traceEvents array"
 
-(* ---------------- Counters facade over the registry ---------------- *)
+(* ---------------- Measuring a run ---------------- *)
 
-let test_counters_delegation () =
-  Counters.reset ();
-  Counters.tick ~n:5 "obs_a";
-  Counters.tick "obs_b";
+(* [measure] reports the counters its run ticked as deltas, nests, and
+   leaves the registry's totals alone. *)
+let test_measure_counter_deltas () =
+  Metrics.reset_counters ();
+  let a = Metrics.counter "obs_a" in
+  Metrics.incr ~n:5 a;
+  let (), outer =
+    Metrics.measure (fun () ->
+        let (), inner =
+          Metrics.measure (fun () ->
+              Metrics.incr a;
+              Metrics.incr (Metrics.counter "obs_c"))
+        in
+        Alcotest.(check (list (pair string int)))
+          "inner" [ ("obs_a", 1); ("obs_c", 1) ] inner.work;
+        Metrics.incr ~n:2 a)
+  in
   Alcotest.(check (list (pair string int)))
-    "snapshot" [ ("obs_a", 5); ("obs_b", 1) ] (Counters.snapshot ());
-  (* Both doors share the same cell. *)
-  Alcotest.(check int) "registry sees ticks" 5
-    (Metrics.value (Metrics.counter "obs_a"));
-  Metrics.incr ~n:2 (Metrics.counter "obs_a");
-  Alcotest.(check int) "facade sees handle increments" 7 (Counters.get "obs_a");
-  Counters.without_counting (fun () ->
-      Counters.tick "obs_a";
-      Metrics.incr (Metrics.counter "obs_b"));
-  Alcotest.(check int) "without_counting suppresses facade" 7
-    (Counters.get "obs_a");
-  Alcotest.(check int) "without_counting suppresses handles" 1
-    (Counters.get "obs_b");
-  let (), snap = Counters.measure (fun () -> Counters.tick "obs_c") in
-  Alcotest.(check (list (pair string int))) "measure" [ ("obs_c", 1) ] snap;
-  Counters.reset ()
+    "outer" [ ("obs_a", 3); ("obs_c", 1) ] outer.work;
+  Alcotest.(check int) "registry total" 8 (Metrics.get "obs_a");
+  Metrics.reset_counters ()
+
+(* [Gc.minor_words] counts the calling domain only: a run whose pool
+   tasks allocate must still be charged their words, whichever domain
+   ran them.  Each task conses [cells] small blocks of three words. *)
+let test_measure_counts_workers () =
+  let tasks = 32 and cells = 20_000 in
+  let rec build n acc = if n = 0 then acc else build (n - 1) (n :: acc) in
+  let prev = Njq_engine.Pool.domains () in
+  Njq_engine.Pool.set_domains 2;
+  Fun.protect ~finally:(fun () -> Njq_engine.Pool.set_domains prev)
+  @@ fun () ->
+  let kept, u =
+    Metrics.measure (fun () ->
+        Njq_engine.Pool.run tasks (fun _ -> Sys.opaque_identity (build cells [])))
+  in
+  let expected = float_of_int (3 * cells * tasks) in
+  Alcotest.(check int) "tasks ran" tasks (Array.length kept);
+  if u.minor_words < expected then
+    Alcotest.failf "measured %.0f minor words, the tasks allocated %.0f"
+      u.minor_words expected
 
 (* Interned handles must beat string ticks on the hot path: the handle
-   increment is a flag read plus a field add, the string path re-hashes and
-   re-probes per call.  Best-of-3 over 1M iterations keeps this robust. *)
+   increment is a flag read plus a field add, interning per tick re-hashes
+   and re-probes per call.  Best-of-3 over 1M iterations keeps this
+   robust. *)
 let test_interned_beats_string () =
   let iters = 1_000_000 in
   let h = Metrics.counter "obs_micro_interned" in
@@ -206,7 +227,7 @@ let test_interned_beats_string () =
   in
   let stringly () =
     for _ = 1 to iters do
-      Counters.tick "obs_micro_string"
+      Metrics.incr (Metrics.counter "obs_micro_string")
     done
   in
   let time f =
@@ -220,7 +241,7 @@ let test_interned_beats_string () =
   in
   let ti = best interned in
   let ts = best stringly in
-  Counters.reset ();
+  Metrics.reset_counters ();
   Alcotest.(check bool)
     (Printf.sprintf "interned %d ns < string %d ns" ti ts)
     true (ti < ts)
@@ -326,36 +347,58 @@ let test_profile_matches_subtree_rows () =
 let test_profile_non_perturbing_counters () =
   let cat = Util.small_catalog () in
   let plan = semijoin_plan () in
-  let _, bare = Counters.measure (fun () -> Exec.run cat plan) in
-  let _, profiled =
-    Counters.measure (fun () -> fst (Profile.run cat plan))
+  let _, { Metrics.work = bare; _ } = Metrics.measure (fun () -> Exec.run cat plan) in
+  let _, { Metrics.work = profiled; _ } =
+    Metrics.measure (fun () -> fst (Profile.run cat plan))
   in
   Alcotest.(check (list (pair string int))) "same counters" bare profiled
 
-(* The per-node minor words of a profiled run add up to what the run
-   allocated.  The run starts from an empty minor heap and fits in it, so
-   a reading that undercounts the words since the last minor collection
-   would show here in full. *)
+(* The per-node minor words of a profiled run add up to what [measure]
+   says the run allocated.  The run starts from an empty minor heap and
+   fits in it, so a reading that undercounts the words since the last
+   minor collection would show here in full.  At two domains a
+   partitioned join's pairs run on the pool: the sum must include the
+   worker's words, and the run must allocate as much as at one domain,
+   where the same pairs run on the calling domain. *)
 let test_profile_minor_words () =
   let cat =
     Njq_workload.Generator.catalog (Njq_workload.Generator.scaled ~seed:1 2048)
   in
-  let plan = semijoin_plan () in
-  let prev = Njq_engine.Pool.domains () in
-  Njq_engine.Pool.set_domains 1;
-  Fun.protect ~finally:(fun () -> Njq_engine.Pool.set_domains prev) @@ fun () ->
-  ignore (Exec.rows cat plan);
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  let _, samples = Exec.collect (fun () -> Exec.rows cat plan) in
-  let allocated = Gc.minor_words () -. w0 in
-  let summed =
-    List.fold_left (fun acc (s : Exec.node_sample) -> acc +. s.minor_words) 0.0
-      samples
+  let join =
+    Njq_engine.Plan.JoinOp
+      { algo =
+          Njq_engine.Plan.Partitioned { partitions = 8; mem_budget = max_int };
+        kind = Expr.Semi; xvar = "s"; yvar = "d";
+        keys = [ (var "s" $. "oid", var "d" $. "supplier") ];
+        residual = Expr.true_; left = Njq_engine.Plan.Scan "SUPPLIER";
+        right = Njq_engine.Plan.Scan "DELIVERY" }
   in
-  if Float.abs (summed -. allocated) > 0.1 *. allocated then
-    Alcotest.failf "nodes sum to %.0f minor words, the run allocated %.0f"
-      summed allocated
+  let prev = Njq_engine.Pool.domains () in
+  Fun.protect ~finally:(fun () -> Njq_engine.Pool.set_domains prev) @@ fun () ->
+  let profiled ~domains plan =
+    Njq_engine.Pool.set_domains domains;
+    ignore (Exec.rows cat plan);
+    Gc.minor ();
+    let (_, samples), u =
+      Metrics.measure (fun () -> Exec.collect (fun () -> Exec.rows cat plan))
+    in
+    let summed =
+      List.fold_left
+        (fun acc (s : Exec.node_sample) -> acc +. s.usage.minor_words)
+        0.0 samples
+    in
+    if Float.abs (summed -. u.minor_words) > 0.1 *. u.minor_words then
+      Alcotest.failf
+        "%d domain(s): nodes sum to %.0f minor words, the run allocated %.0f"
+        domains summed u.minor_words;
+    u.minor_words
+  in
+  ignore (profiled ~domains:1 (semijoin_plan ()));
+  let one = profiled ~domains:1 join in
+  let two = profiled ~domains:2 join in
+  if two < 0.9 *. one then
+    Alcotest.failf "the join allocates %.0f minor words at 2 domains, %.0f at 1"
+      two one
 
 let () =
   Alcotest.run "obs"
@@ -372,8 +415,10 @@ let () =
           Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_wellformed ] );
       ( "metrics",
-        [ Alcotest.test_case "counters delegate to registry" `Quick
-            test_counters_delegation;
+        [ Alcotest.test_case "measure reports counter deltas" `Quick
+            test_measure_counter_deltas;
+          Alcotest.test_case "measure counts the pool's workers" `Quick
+            test_measure_counts_workers;
           Alcotest.test_case "interned beats string tick" `Slow
             test_interned_beats_string ] );
       ( "profile",

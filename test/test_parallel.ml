@@ -9,6 +9,7 @@
    the sequential plans it emitted before this layer existed. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Gen = Njq_workload.Generator
 module Queries = Njq_workload.Queries
@@ -48,17 +49,17 @@ let test_workload_parallel_matches_sequential () =
     (fun (q : Queries.query) ->
       let rewritten = Strategy.optimize cat (Queries.to_adl q) in
       let seq_plan = Planner.plan rewritten in
-      Counters.reset ();
+      Metrics.reset_counters ();
       let expected = Exec.run cat seq_plan in
-      let seq_counters = Counters.snapshot () in
+      let seq_counters = Metrics.counter_snapshot () in
       let par_plan = Util.parallel seq_plan in
       let reference = ref None in
       List.iter
         (fun k ->
           with_domains k (fun () ->
-              Counters.reset ();
+              Metrics.reset_counters ();
               let got = Exec.run cat par_plan in
-              let snap = Counters.snapshot () in
+              let snap = Metrics.counter_snapshot () in
               Alcotest.check Util.value
                 (Printf.sprintf "%s value at %d domains" q.Queries.id k)
                 expected got;
@@ -107,11 +108,11 @@ let test_fixed_plan_pool_invariance () =
     List.map
       (fun k ->
         with_domains k (fun () ->
-            Counters.reset ();
+            Metrics.reset_counters ();
             let v =
               Value.set [ Exec.run cat join_plan; Exec.run cat pnhl_plan ]
             in
-            (k, v, Counters.snapshot ())))
+            (k, v, Metrics.counter_snapshot ())))
       pool_sizes
   in
   match outcomes with

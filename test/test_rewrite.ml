@@ -5,6 +5,7 @@
    checked against the reference evaluator on randomized databases. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Strategy = Njq_core.Strategy
 module Normalize = Njq_core.Normalize
@@ -394,16 +395,16 @@ let test_work_reduction () =
       let adl = Njq_workload.Queries.to_adl (Njq_workload.Queries.find id) in
       let out = strategy cat adl in
       let w_nested =
-        Counters.reset ();
+        Metrics.reset_counters ();
         ignore (Eval.run cat adl);
-        Counters.get "nl_pred_eval"
+        Metrics.get "nl_pred_eval"
       in
       let w_engine =
-        Counters.reset ();
+        Metrics.reset_counters ();
         ignore (Njq_engine.Exec.run cat (Njq_engine.Planner.plan out));
-        Counters.get "nl_pred_eval" + Counters.get "nl_pair"
-        + Counters.get "hash_probe" + Counters.get "hash_build"
-        + Counters.get "filter_eval"
+        Metrics.get "nl_pred_eval" + Metrics.get "nl_pair"
+        + Metrics.get "hash_probe" + Metrics.get "hash_build"
+        + Metrics.get "filter_eval"
       in
       if w_engine >= w_nested then
         Alcotest.failf "%s: set-oriented plan does more work (%d >= %d)" id

@@ -5,6 +5,7 @@
    counts and domain counts. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 open Dsl
 module Plan = Njq_engine.Plan
 module Exec = Njq_engine.Exec
@@ -243,10 +244,10 @@ let test_planner_converts () =
       in
       Alcotest.(check bool) "hash join partitioned by the budget" true
         (has_grace plan);
-      Counters.reset ();
+      Metrics.reset_counters ();
       let v = Exec.run cat plan in
-      let spill_part = Counters.get "spill_part" in
-      let spill_bytes = Counters.get "spill_bytes" in
+      let spill_part = Metrics.get "spill_part" in
+      let spill_bytes = Metrics.get "spill_bytes" in
       Memory.budget := prev;
       let expected = Exec.run cat (Njq_engine.Planner.plan ~cat q) in
       Alcotest.check Util.value "same result as unlimited" expected v;
@@ -347,11 +348,11 @@ let test_budget_differential () =
                   List.iter
                     (fun partitions ->
                       let tag = Fmt.str "%s p%d b%d" label partitions budget in
-                      Counters.reset ();
+                      Metrics.reset_counters ();
                       let got =
                         Exec.run cat (plan (partitioned ~partitions budget))
                       in
-                      let snap = Counters.snapshot () in
+                      let snap = Metrics.counter_snapshot () in
                       Alcotest.check Util.value
                         (Fmt.str "%s d%d" tag domains)
                         expected got;
@@ -388,9 +389,9 @@ let test_sort_merge_resident () =
     ~finally:(fun () -> Memory.budget := prev)
     (fun () ->
       Memory.budget := 10;
-      Counters.reset ();
+      Metrics.reset_counters ();
       Alcotest.check Util.value "resident rows" expected (Exec.run xy smj_plan);
-      Alcotest.(check int) "nothing spilled" 0 (Counters.get "spill_part");
+      Alcotest.(check int) "nothing spilled" 0 (Metrics.get "spill_part");
       Alcotest.(check int) "no live spill files" 0 (Rowcodec.live_spills ()))
 
 let prop_spill_differential =

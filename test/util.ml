@@ -2,6 +2,7 @@
    catalogs, and QCheck generators for random databases and values. *)
 
 open Njq_adl
+module Metrics = Njq_obs.Metrics
 
 let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
 
@@ -214,9 +215,9 @@ let rec materialize_edges cat plan =
          cs)
 
 let run_materialized cat plan =
-  Counters.reset ();
+  Metrics.reset_counters ();
   let rows = Njq_engine.Exec.rows cat (materialize_edges cat plan) in
-  (rows, Counters.snapshot ())
+  (rows, Metrics.counter_snapshot ())
 
 (* Run [f], mapping an evaluation or type error to [Error ()]. *)
 let outcome f =

@@ -16,93 +16,39 @@ let fail fmt =
       exit 1)
     fmt
 
-(* Minimal extraction — enough to pull "id" and "variants" out of each
-   experiment without depending on the library: find every experiment
-   object's id string and variant-name strings in order.  The baseline is
-   machine-written by bench/main.ml, so the shapes are fixed. *)
 let read_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | s -> s
   | exception Sys_error msg -> fail "%s" msg
 
-(* Scan [src] for ["key": "value"] and ["key": [ "v1", "v2", ... ]]
-   occurrences of the given keys, preserving document order. *)
-let baseline_pairs src =
-  let n = String.length src in
-  let pairs = ref [] in
-  let cur_id = ref None in
-  let rec skip_ws i = if i < n && (src.[i] = ' ' || src.[i] = '\n' || src.[i] = '\t' || src.[i] = '\r') then skip_ws (i + 1) else i in
-  let parse_str i =
-    (* i points at the opening quote *)
-    let buf = Buffer.create 16 in
-    let rec go i =
-      if i >= n then fail "unterminated string in baseline"
-      else
-        match src.[i] with
-        | '"' -> (Buffer.contents buf, i + 1)
-        | '\\' when i + 1 < n ->
-          Buffer.add_char buf src.[i + 1];
-          go (i + 2)
-        | c ->
-          Buffer.add_char buf c;
-          go (i + 1)
-    in
-    go (i + 1)
+(* The (experiment id, variant) pairs of the baseline, in document order:
+   [experiments[].id] with each name in its [variants]. *)
+let baseline_pairs path =
+  let module Json = Njq_obs.Json in
+  let doc =
+    match Json.of_string (read_file path) with
+    | doc -> doc
+    | exception Json.Parse_error msg -> fail "%s: %s" path msg
   in
-  let looking_at i s =
-    let l = String.length s in
-    i + l <= n && String.equal (String.sub src i l) s
+  let experiments =
+    match Json.member "experiments" doc with
+    | Some (Json.List es) -> es
+    | _ -> fail "%s: no \"experiments\" array" path
   in
-  let i = ref 0 in
-  while !i < n do
-    if looking_at !i "\"id\"" then begin
-      let j = skip_ws (!i + 4) in
-      if j < n && src.[j] = ':' then begin
-        let j = skip_ws (j + 1) in
-        if j < n && src.[j] = '"' then begin
-          let id, j' = parse_str j in
-          cur_id := Some id;
-          i := j'
-        end
-        else i := j
-      end
-      else i := j
-    end
-    else if looking_at !i "\"variants\"" then begin
-      let j = skip_ws (!i + 10) in
-      if j < n && src.[j] = ':' then begin
-        let j = skip_ws (j + 1) in
-        if j < n && src.[j] = '[' then begin
-          let j = ref (j + 1) in
-          let vs = ref [] in
-          let stop = ref false in
-          while not !stop do
-            let k = skip_ws !j in
-            if k >= n then fail "unterminated variants array in baseline"
-            else if src.[k] = ']' then begin
-              j := k + 1;
-              stop := true
-            end
-            else if src.[k] = '"' then begin
-              let v, k' = parse_str k in
-              vs := v :: !vs;
-              j := k'
-            end
-            else j := k + 1
-          done;
-          (match !cur_id with
-           | Some id ->
-             List.iter (fun v -> pairs := (id, v) :: !pairs) (List.rev !vs)
-           | None -> fail "variants array before any \"id\" in baseline");
-          i := !j
-        end
-        else i := j
-      end
-      else i := j
-    end
-    else incr i
-  done;
-  List.rev !pairs
+  List.concat_map
+    (fun e ->
+      match Json.member "id" e, Json.member "variants" e with
+      | Some (Json.Str id), Some (Json.List vs) ->
+        List.map
+          (function
+            | Json.Str v -> (id, v)
+            | _ -> fail "%s: experiment %s has a variant that is not a string"
+                     path id)
+          vs
+      | _ ->
+        fail "%s: an experiment lacks a string \"id\" or a \"variants\" list"
+          path)
+    experiments
 
 let read_listing ic =
   let rec go acc =
@@ -127,7 +73,7 @@ let () =
     | [ _; p ] -> p
     | _ -> fail "usage: bench --list ... | baseline_check BASELINE.json"
   in
-  let committed = baseline_pairs (read_file baseline_path) in
+  let committed = baseline_pairs baseline_path in
   let live = read_listing In_channel.stdin in
   if live = [] then fail "empty variant listing on stdin";
   let show (id, v) = Printf.sprintf "%s/%s" id v in
