@@ -408,7 +408,9 @@ let b14 n =
     Njq_obs.Span.with_span "plan" (fun () -> Planner.plan ~cat final)
   in
   let prepared () =
-    Njq_engine.Plancache.find_or_derive cat ~options:"b14" text ~derive
+    fst
+      (Njq_engine.Plancache.find_or_derive cat ~options:"b14" text
+         ~derive:(fun () -> derive text))
   in
   [ ("point|scan", plan_thunk cat point_full);
     ("point|idx", plan_thunk cat point_idx);
@@ -424,7 +426,7 @@ let b14 n =
 
 (* B16 — prepared-query serving: K=16 invocations of one prepared
    template executed one-at-a-time ("serve|one": bind constants into the
-   cached parameterized plan, run K times) vs merged into one set-oriented
+   template's cached plan, run K times) vs merged into one set-oriented
    batch ("serve|batch": parameter vectors become a parameter table, the
    template body runs once as a join against it — the paper's nested-loop
    → join move applied to the invocation stream).  Both variants combine

@@ -286,22 +286,11 @@ let make_catalog ?db ?save_db ?schema_file scale seed dangling empty =
     save_db;
   cat
 
+(* The strategy options of a grouping mode, for [Planner.derive]: every
+   query command derives its plan there, so `run`, the REPL and the plan
+   cache execute the plan `explain` shows. *)
 let options_of mode =
   { Strategy.default_options with Strategy.grouping_mode = mode }
-
-(* The one derivation of the query commands (serving plans its templates
-   in [Serve]), so `run`, the REPL and the plan cache execute the plan
-   `explain` shows: rewrite under [mode] (skipped with [~optimize:false],
-   as --no-opt asks), hoist closed subqueries to constants, and plan
-   against the catalog.  Returns the rewrite report with the plan. *)
-let derive ?(optimize = true) ~mode cat adl =
-  let report =
-    if optimize then Strategy.rewrite ~options:(options_of mode) cat adl
-    else { Strategy.input = adl; output = adl; phases = [] }
-  in
-  ( report,
-    Njq_engine.Planner.plan ~cat
-      (Njq_engine.Consthoist.hoist cat report.Strategy.output) )
 
 (* Parse query text that may include view definitions (define v as ...;). *)
 let parse_query_text q =
@@ -451,7 +440,9 @@ let explain_cmd =
                | Ok _ -> ()
                | Error msg ->
                  Fmt.epr "warning: typecheck against catalog failed: %s@." msg);
-              let report, plan = derive ~mode cat adl in
+              let report, plan =
+                Njq_engine.Planner.derive ~options:(options_of mode) cat adl
+              in
               let regions = !Njq_engine.Joinorder.last_report in
               let analysis =
                 if analyze then
@@ -603,21 +594,17 @@ let format_arg =
   Arg.(value & opt (enum [ ("adl", `Adl); ("json", `Json); ("csv", `Csv) ]) `Adl
        & info [ "format" ] ~docv:"FMT" ~doc)
 
-(* Prepare a query through the plan cache; returns its plan, whether the
-   plan came from the cache, and the query's type.  The cache derives from
-   the auto-parameterized template (or the normalized text) and must
-   derive exactly it, so one plan serves every constant variation; the
-   template's [?i] placeholders type as anything, so the query's own text
-   is translated first, and a mistyped literal fails on a hit as on a
-   miss.  [parse] turns either text into the query to translate. *)
-let prepare ?(parse = parse_query_text) ?(optimize = true) ~schema ~mode
-    ~options cat text =
-  let translate text = Njq_oosql.Translate.query schema (parse text) in
-  let _, ty = translate text in
+(* Prepare a query through the plan cache: translate it once (a mistyped
+   literal fails here, on a hit as on a miss) and, on a miss, derive the
+   plan of that translation.  [text] keys the cache.  Returns the plan,
+   whether it came from the cache, and the query's type. *)
+let prepare ?(optimize = true) ~schema ~mode ~options cat text query =
+  let adl, ty = Njq_oosql.Translate.query schema query in
   let plan, hit =
-    Njq_engine.Plancache.find_or_derive_report cat ~options text
-      ~derive:(fun template ->
-        snd (derive ~optimize ~mode cat (fst (translate template))))
+    Njq_engine.Plancache.find_or_derive cat ~options text ~derive:(fun () ->
+        snd
+          (Njq_engine.Planner.derive ~optimize ~options:(options_of mode) cat
+             adl))
   in
   (plan, hit, ty)
 
@@ -634,7 +621,7 @@ let run_cmd =
         let options = Fmt.str "run/%s/noopt=%b" (mode_name mode) no_opt in
         let plan, hit, _ =
           prepare ~optimize:(not no_opt) ~schema:(load_schema schema_file)
-            ~mode ~options cat q
+            ~mode ~options cat q (parse_query_text q)
         in
         let qlog = match qlog with Some _ -> qlog | None -> env_qlog () in
         let slow_ms =
@@ -687,7 +674,10 @@ let adl_cmd =
           Fmt.epr "type error: %s@." msg;
           exit 1
         | Ok ty ->
-          let report, plan = derive ~optimize:(not no_opt) ~mode cat adl in
+          let report, plan =
+            Njq_engine.Planner.derive ~optimize:(not no_opt)
+              ~options:(options_of mode) cat adl
+          in
           let final = report.Strategy.output in
           Fmt.pr "-- type: %a@." Vtype.pp ty;
           if not (Expr.equal final adl) then
@@ -762,14 +752,9 @@ let repl_cmd =
         let options =
           Fmt.str "%s/v%d" (mode_name !mode) (List.length !views)
         in
-        let parse t =
-          Njq_oosql.Views.expand !views
-            (match (Njq_oosql.Parser.parse_program t).Njq_oosql.Ast.query with
-             | Some tq -> tq
-             | None -> q)
-        in
         let plan, hit, ty =
-          prepare ~parse ~schema ~mode:!mode ~options cat text
+          prepare ~schema ~mode:!mode ~options cat text
+            (Njq_oosql.Views.expand !views q)
         in
         let v, u = Metrics.measure (fun () -> Njq_engine.Exec.run cat plan) in
         Option.iter
@@ -784,7 +769,9 @@ let repl_cmd =
     let explain text =
       let q = Njq_oosql.Views.expand !views (parse_query_text text) in
       let adl, _ = Njq_oosql.Translate.query schema q in
-      let report, plan = derive ~mode:!mode cat adl in
+      let report, plan =
+        Njq_engine.Planner.derive ~options:(options_of !mode) cat adl
+      in
       Fmt.pr "%a@.plan: %a@." Strategy.pp_report report Njq_engine.Plan.pp plan
     in
     let rec loop () =
@@ -1022,7 +1009,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Serve concurrent invocations of a prepared parameterized query \
+       ~doc:"Serve concurrent invocations of a prepared query with parameters \
              through the batching scheduler: client domains issue bursts, \
              outstanding invocations merge into one set-oriented execution \
              per window, replies route back per client")
@@ -1058,7 +1045,9 @@ let cache_stats_cmd =
         Option.iter
           (fun q ->
             for _ = 1 to max 1 repeat do
-              ignore (prepare ~schema ~mode ~options:"cli" cat q)
+              ignore
+                (prepare ~schema ~mode ~options:"cli" cat q
+                   (parse_query_text q))
             done)
           q;
         let hits = Njq_engine.Plancache.hits () in

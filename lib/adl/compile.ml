@@ -355,95 +355,6 @@ let pred2_spawner cat ~vars e =
     fun va vb -> Value.as_bool (f va vb)
 
 (* ------------------------------------------------------------------ *)
-(* Vectorizable single-variable predicates                             *)
-(*                                                                     *)
-(* The batched executor ([Njq_engine.Batch]) wants filter predicates   *)
-(* as data, not closures: a comparison of one row attribute against a  *)
-(* constant can then run over a decoded column buffer with no boxed    *)
-(* boolean per row, and And/Or/Not combine such kernels per row.       *)
-(* [vectorize_pred] translates the vectorizable fragment — And/Or/Not  *)
-(* over [row.attr CMP closed] leaves — into that IR; anything else     *)
-(* becomes an opaque compiled row predicate, so the IR is total and    *)
-(* observationally equivalent to [pred1] (same results, same           *)
-(* exceptions, same one-time evaluation of closed subexpressions).     *)
-(* ------------------------------------------------------------------ *)
-
-type vpred =
-  | VpTrue
-  | VpFalse
-  | VpCmp of Expr.cmp * string * Value.t  (* row.attr CMP constant *)
-  | VpAnd of vpred * vpred
-  | VpOr of vpred * vpred
-  | VpNot of vpred
-  | VpOpaque of (Value.t -> bool)  (* compiled fallback, applied per row *)
-
-(* Comparison with the operands swapped — NOT negation ([Expr.flip] is the
-   negation): [a op b] iff [b (swap_cmp op) a]. *)
-let swap_cmp = function
-  | Eq -> Eq
-  | Neq -> Neq
-  | Lt -> Gt
-  | Le -> Ge
-  | Gt -> Lt
-  | Ge -> Le
-
-(* A leaf [row.attr CMP other] (operands already oriented): the non-row side
-   must denote a constant.  [Const] embeds directly (like [compile]'s
-   [Const] case, no interpreter ticks); a closed expression evaluates once
-   now (exactly what [fold_closed] would do), with a failure deferred to the
-   first per-row use, preserving short-circuit behavior. *)
-let vleaf cat var whole op attr other =
-  match other with
-  | Const c -> VpCmp (op, attr, c)
-  | _ when Analysis.is_closed other ->
-    (match Eval.run cat other with
-     | c -> VpCmp (op, attr, c)
-     | exception exn -> VpOpaque (fun _ -> raise exn))
-  | _ -> VpOpaque (pred1 cat ~var whole)
-
-let rec vectorize cat var (e : Expr.t) : vpred =
-  match e with
-  | Const (Value.VBool true) -> VpTrue
-  | Const (Value.VBool false) -> VpFalse
-  | Const v -> VpOpaque (fun _ -> Value.as_bool v)
-  | _ when Analysis.is_closed e ->
-    (* Mirrors [compile]'s closed-folding: evaluate once, defer failures
-       (including a non-boolean result) to the first use. *)
-    (match Eval.run cat e with
-     | Value.VBool true -> VpTrue
-     | Value.VBool false -> VpFalse
-     | v -> VpOpaque (fun _ -> Value.as_bool v)
-     | exception exn -> VpOpaque (fun _ -> raise exn))
-  | And (a, b) -> VpAnd (vectorize cat var a, vectorize cat var b)
-  | Or (a, b) -> VpOr (vectorize cat var a, vectorize cat var b)
-  | Not a -> VpNot (vectorize cat var a)
-  | Cmp (op, Field (Var v, a), rhs) when String.equal v var ->
-    vleaf cat var e op a rhs
-  | Cmp (op, lhs, Field (Var v, a)) when String.equal v var ->
-    vleaf cat var e (swap_cmp op) a lhs
-  | _ -> VpOpaque (pred1 cat ~var e)
-
-let vectorize_pred cat ~var e = vectorize cat var e
-
-(* Syntactic check, no evaluation: [true] guarantees [vectorize_pred]
-   produces only constants, column comparisons and effect-free opaque
-   closures (constant or deferred-raise) — i.e. a kernel with no compiled
-   slot buffer, safe to share across pool domains.  Used by the parallel
-   batched operators to decide between one shared kernel and per-domain
-   spawned row predicates. *)
-let rec vectorizable ~var (e : Expr.t) =
-  match e with
-  | Const _ -> true
-  | _ when Analysis.is_closed e -> true
-  | And (a, b) | Or (a, b) -> vectorizable ~var a && vectorizable ~var b
-  | Not a -> vectorizable ~var a
-  | Cmp (_, Field (Var v, _), rhs) when String.equal v var ->
-    (match rhs with Const _ -> true | _ -> Analysis.is_closed rhs)
-  | Cmp (_, lhs, Field (Var v, _)) when String.equal v var ->
-    (match lhs with Const _ -> true | _ -> Analysis.is_closed lhs)
-  | _ -> false
-
-(* ------------------------------------------------------------------ *)
 (* Row makers                                                          *)
 (*                                                                     *)
 (* A map body that is a tuple literal with distinct field names can     *)

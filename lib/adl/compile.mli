@@ -62,34 +62,6 @@ val expr2_spawner :
 val pred2_spawner :
   Catalog.t -> vars:string * string -> Expr.t -> unit -> Value.t -> Value.t -> bool
 
-(** {1 Vectorizable predicates}
-
-    The batched executor wants single-variable filter predicates as data:
-    a comparison of one row attribute against a constant runs over a
-    decoded column buffer with no boxed boolean per row, and And/Or/Not
-    combine such kernels.  [vectorize_pred] is total — non-vectorizable
-    subtrees become opaque compiled row predicates — and observationally
-    equivalent to {!pred1}: same results, same exceptions, same one-time
-    evaluation of closed subexpressions. *)
-
-type vpred =
-  | VpTrue
-  | VpFalse
-  | VpCmp of Expr.cmp * string * Value.t
-      (** [row.attr CMP constant], operands already oriented *)
-  | VpAnd of vpred * vpred
-  | VpOr of vpred * vpred  (** right side evaluated only when the left fails *)
-  | VpNot of vpred
-  | VpOpaque of (Value.t -> bool)  (** compiled fallback, applied per row *)
-
-val vectorize_pred : Catalog.t -> var:string -> Expr.t -> vpred
-
-(** Syntactic (non-evaluating) check: [true] guarantees {!vectorize_pred}
-    yields a kernel with no compiled slot buffer — safe to share across
-    pool domains.  Parallel batched operators use it to choose between one
-    shared kernel and per-domain spawned row predicates. *)
-val vectorizable : var:string -> Expr.t -> bool
-
 (** {1 Row makers}
 
     [expr1_rowmaker cat ~var e] is a fast-path variant of {!expr1} for map

@@ -43,7 +43,7 @@ let rec eval (cat : Catalog.t) (env : env) (e : Expr.t) : Value.t =
   | Var x -> lookup env x
   (* Unbound unless the caller supplied a binding under "?i" (the serve
      layer substitutes parameters away before execution; the env path
-     supports direct evaluation of parameterized expressions in tests). *)
+     supports direct evaluation of expressions with parameters in tests). *)
   | Param i -> lookup env (Expr.param_name i)
   | Table name -> Value.VSet (Catalog.rows cat name)
   | Tuple fields ->

@@ -3,7 +3,7 @@
    The paper replaces repeated nested-loop invocation of a subquery with
    one set-oriented join; this module replays that move at the traffic
    layer (Guravannavar's batching of repeated procedure/query calls).
-   Given a parameterized query e(?0, ..., ?n-1) and K outstanding
+   Given a query with parameters e(?0, ..., ?n-1) and K outstanding
    invocations, we form a *parameter table*
 
      { (__cid = c_k, __p0 = v_k0, ..., __pn-1 = v_kn-1) | k < K }

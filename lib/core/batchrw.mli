@@ -1,5 +1,5 @@
 (** Set-oriented batching of prepared-query invocations: K runs of a
-    parameterized query become one map over a parameter table — a
+    query with parameters become one map over a parameter table — a
     correlated subquery the Section 4 strategy unnests into joins, the
     paper's nested-loop → join move applied to the invocation batch. *)
 

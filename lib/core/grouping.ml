@@ -21,7 +21,7 @@ open Expr
 
 type variant = Unsafe | Guarded | Outerjoin
 
-(* Core transform, parameterized by join kind and group cleanup. *)
+(* Core transform; [variant] gives the join kind and group cleanup. *)
 let transform cat ~variant e =
   match e with
   | Select { var = x; pred; src } ->

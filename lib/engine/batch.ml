@@ -1,10 +1,8 @@
 (* Column batches with selection vectors for the push-based executor.
 
-   Pushing one row at a time pays per-row taxes that have nothing to do
-   with the query: a boxed [Value.VBool] per compiled predicate
-   evaluation, a [List.sort] inside [Value.tuple] per mapped row, an
-   assoc scan per projected attribute.  A batch amortizes those taxes
-   over N rows:
+   Pushing one row at a time pays a consumer call per row at every fused
+   edge, and a filter would copy its survivors.  A batch amortizes the
+   call over N rows and copies nothing:
 
    - the physical rows stay [Value.t] (the reference semantics — batches
      materialize back to plain rows at pipeline breakers and the root);
@@ -13,19 +11,8 @@
      allocation at all);
    - filters do not copy survivors: they mark them in a *selection vector*
      of physical indices, which only ever shrinks as a batch flows through
-     consecutive filters;
-   - predicate leaves of the form [row.attr CMP const] ([Compile.vpred])
-     run over a decoded *typed column*: int/oid/date and float attributes
-     decode into [Bigarray] buffers whose payload lives outside the OCaml
-     minor heap, genuinely mixed attributes fall back to a boxed column,
-     and each comparison produces an unboxed [bool] — no [VBool] per row.
-
-   Decoding is per batch and failure-safe: if extracting an attribute
-   raises (missing field, non-tuple row), the kernel falls back to per-row
-   evaluation so the exception surfaces on exactly the row where [Eval]
-   would raise it.  Comparisons themselves are pure
-   ([Value.compare] is total), so a successful decode cannot change
-   results, only their cost. *)
+     consecutive filters; a filter tests each live row with its compiled
+     predicate ([Compile.pred1]) through [keep_rows]. *)
 
 open Njq_adl
 
@@ -100,155 +87,6 @@ let keep b f =
   end
 
 let keep_rows b f = keep b (fun j -> f (get b j))
-
-(* ------------------------------------------------------------------ *)
-(* Typed columns                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type int_col = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type float_col =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* A decoded attribute over the batch's live rows (dense: position [j] is
-   live position [j]).  Int-like atoms share the int representation but
-   keep their constructor tag in the variant; a [Bigarray] payload lives
-   outside the OCaml heap, so a decoded column costs a constant few minor
-   words regardless of row count.  [CBox] is the boxed tag column for
-   genuinely mixed attributes. *)
-type col =
-  | CInt of int_col
-  | CFloat of float_col
-  | COid of int_col
-  | CDate of int_col
-  | CBox of Value.t array
-
-exception Mixed
-
-(* Decode attribute [attr] over the live rows, choosing the representation
-   from the first row and demoting to [CBox] when a later row deviates.
-   [None] when extraction itself fails anywhere — the caller must then
-   evaluate per row so the error surfaces on the right row. *)
-let column b attr =
-  let n = live b in
-  if n = 0 then Some (CBox [||])
-  else
-    match Value.field (get b 0) attr with
-    | exception Value.Type_error _ -> None
-    | v0 ->
-      (try
-         let box () = CBox (Array.init n (fun j -> Value.field (get b j) attr)) in
-         match v0 with
-         | Value.VInt _ | Value.VOid _ | Value.VDate _ ->
-           let arr = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-           (try
-              for j = 0 to n - 1 do
-                arr.{j} <-
-                  (match v0, Value.field (get b j) attr with
-                   | Value.VInt _, Value.VInt x
-                   | Value.VOid _, Value.VOid x
-                   | Value.VDate _, Value.VDate x ->
-                     x
-                   | _ -> raise Mixed)
-              done;
-              Some
-                (match v0 with
-                 | Value.VInt _ -> CInt arr
-                 | Value.VOid _ -> COid arr
-                 | _ -> CDate arr)
-            with Mixed -> Some (box ()))
-         | Value.VFloat _ ->
-           let arr =
-             Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
-           in
-           (try
-              for j = 0 to n - 1 do
-                arr.{j} <-
-                  (match Value.field (get b j) attr with
-                   | Value.VFloat x -> x
-                   | _ -> raise Mixed)
-              done;
-              Some (CFloat arr)
-            with Mixed -> Some (box ()))
-         | _ -> Some (box ())
-       with Value.Type_error _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Predicate kernels                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_int (op : Expr.cmp) (a : int) b =
-  match op with
-  | Expr.Eq -> a = b
-  | Expr.Neq -> a <> b
-  | Expr.Lt -> a < b
-  | Expr.Le -> a <= b
-  | Expr.Gt -> a > b
-  | Expr.Ge -> a >= b
-
-let test_ord (op : Expr.cmp) c =
-  match op with
-  | Expr.Eq -> c = 0
-  | Expr.Neq -> c <> 0
-  | Expr.Lt -> c < 0
-  | Expr.Le -> c <= 0
-  | Expr.Gt -> c > 0
-  | Expr.Ge -> c >= 0
-
-(* Compile a vectorizable predicate against one batch: columns referenced
-   by comparison leaves decode once per batch, And/Or/Not short-circuit per
-   row exactly like the compiled row closures ([And]'s right side runs only
-   when the left holds, [Or]'s only when the left fails).  A leaf whose
-   column and constant have different shapes is constant — [Value.compare]
-   across constructors is a rank comparison — so the whole batch answers
-   with one precomputed bool. *)
-let rec kernel b (vp : Compile.vpred) : int -> bool =
-  match vp with
-  | Compile.VpTrue -> fun _ -> true
-  | Compile.VpFalse -> fun _ -> false
-  | Compile.VpNot p ->
-    let k = kernel b p in
-    fun j -> not (k j)
-  | Compile.VpAnd (p, q) ->
-    let kp = kernel b p and kq = kernel b q in
-    fun j -> kp j && kq j
-  | Compile.VpOr (p, q) ->
-    let kp = kernel b p and kq = kernel b q in
-    fun j -> kp j || kq j
-  | Compile.VpOpaque f -> fun j -> f (get b j)
-  | Compile.VpCmp (op, attr, c) ->
-    (match column b attr with
-     | None ->
-       (* Extraction fails somewhere: evaluate per row so the error
-          surfaces on exactly the row [Eval] raises on. *)
-       fun j -> Eval.eval_cmp op (Value.field (get b j) attr) c
-     | Some (CInt arr) ->
-       (match c with
-        | Value.VInt k -> fun j -> test_int op arr.{j} k
-        | _ ->
-          let ans = Eval.eval_cmp op (Value.VInt 0) c in
-          fun _ -> ans)
-     | Some (COid arr) ->
-       (match c with
-        | Value.VOid k -> fun j -> test_int op arr.{j} k
-        | _ ->
-          let ans = Eval.eval_cmp op (Value.VOid 0) c in
-          fun _ -> ans)
-     | Some (CDate arr) ->
-       (match c with
-        | Value.VDate k -> fun j -> test_int op arr.{j} k
-        | _ ->
-          let ans = Eval.eval_cmp op (Value.VDate 0) c in
-          fun _ -> ans)
-     | Some (CFloat arr) ->
-       (match c with
-        | Value.VFloat k -> fun j -> test_ord op (Float.compare arr.{j} k)
-        | _ ->
-          let ans = Eval.eval_cmp op (Value.VFloat 0.) c in
-          fun _ -> ans)
-     | Some (CBox arr) -> fun j -> Eval.eval_cmp op arr.(j) c)
-
-let keep_vpred vp b = keep b (kernel b vp)
 
 (* ------------------------------------------------------------------ *)
 (* Builders                                                            *)

@@ -2,11 +2,10 @@
 
     A batch is a window of N physical [Value.t] rows flowing through a
     fused pipeline in one push.  Filters mark survivors in a {e selection
-    vector} instead of copying rows; predicate comparison leaves run over
-    {e typed column buffers} ([Bigarray] payloads off the OCaml heap, one
-    unboxed [bool] per comparison — no [VBool] boxing per row).  Rows stay
-    [Value.t] throughout: batches materialize back to plain rows at
-    pipeline breakers and the result root, so the reference semantics of
+    vector} instead of copying rows, testing each live row with the
+    filter's compiled predicate ({!keep_rows}).  Rows stay [Value.t]
+    throughout: batches materialize back to plain rows at pipeline
+    breakers and the result root, so the reference semantics of
     {!Njq_adl.Value} is untouched. *)
 
 open Njq_adl
@@ -51,14 +50,6 @@ val keep : t -> (int -> bool) -> unit
 
 (** {!keep} over rows rather than positions. *)
 val keep_rows : t -> (Value.t -> bool) -> unit
-
-(** {1 Predicate kernels} *)
-
-(** [keep_vpred vp b] narrows [b] to the live rows satisfying [vp]:
-    comparison leaves decode their attribute once per batch into a typed
-    column, and And/Or/Not short-circuit per row exactly like the compiled
-    row closures. *)
-val keep_vpred : Compile.vpred -> t -> unit
 
 (** {1 Builders} *)
 

@@ -51,7 +51,3 @@ let rec hoist_expr (cat : Catalog.t) (e : Expr.t) : Expr.t =
 
 let hoist cat e = Njq_obs.Span.with_span "consthoist" (fun () -> hoist_expr cat e)
 
-(* The same pass over a planned template whose literals were just bound
-   ([Plancache]): a subquery they close is hoisted as if it had been
-   written closed. *)
-let hoist_plan cat p = Plan.map_exprs (hoist_in_param cat) p

@@ -11,7 +11,3 @@ open Njq_adl
     already a constant reference. *)
 val hoist : Catalog.t -> Expr.t -> Expr.t
 
-(** {!hoist} over a plan's expressions, for a cached template whose
-    literals were just bound: the plan then hoists what the plan of the
-    literal text would. *)
-val hoist_plan : Catalog.t -> Plan.t -> Plan.t

@@ -25,8 +25,8 @@
    ([Plan.streams_output]) pushes [Batch.t] column batches into its
    consumer, so a Scan -> Filter -> Map -> probe chain runs as one fused
    loop with no intermediate lists: scans cut zero-copy windows out of the
-   catalog's row array, filters narrow selection vectors, and comparison
-   predicates run over decoded typed columns.  Pipeline breakers
+   catalog's row array and filters narrow selection vectors with their
+   compiled predicates.  Pipeline breakers
    materialize only where semantics demand it: hash build sides (straight
    into the table, no build list), sort-merge inputs, NestOp grouping,
    division, PNHL segments, join partitions and morsel operators' batch
@@ -682,28 +682,19 @@ and bpush_op ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
     M.incr ~n:(Array.length rs) c_scan_row;
     windows rs bsink
   | Plan.Filter { var; pred; input; morsel = false } ->
-    let vp = Compile.vectorize_pred cat ~var pred in
+    let pred = Compile.pred1 cat ~var pred in
     bpush cat input (fun b ->
         M.incr ~n:(Batch.live b) c_filter_eval;
-        Batch.keep_vpred vp b;
+        Batch.keep_rows b pred;
         emit_live b)
   | Plan.Filter { var; pred; input; morsel = true } ->
-    (* A kernel that closes over no per-instance slot buffer
-       ([Compile.vectorizable]) is shared by every task. *)
-    let narrow =
-      if Compile.vectorizable ~var pred then
-        let vp = Compile.vectorize_pred cat ~var pred in
-        fun () b -> Batch.keep_vpred vp b
-      else
-        let pred_s = Compile.pred1_spawner cat ~var pred in
-        fun () ->
-          let pred = pred_s () in
-          fun b -> Batch.keep_rows b pred
-    in
+    (* Each task mints its own predicate instance: a compiled closure's
+       slot buffer is not shared between domains. *)
+    let pred_s = Compile.pred1_spawner cat ~var pred in
     let batches, _ =
       morsels cat input (fun b ->
           M.incr ~n:(Batch.live b) c_filter_eval;
-          narrow () b)
+          Batch.keep_rows b (pred_s ()))
     in
     Array.iter emit_live batches
   | Plan.MapOp { var; body; input; morsel = true } ->

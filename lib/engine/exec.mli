@@ -11,9 +11,9 @@
     {!Plan.streams_output} holds push {!Batch} column batches into their
     consumer, so chains like [Scan -> Filter -> Map -> hash probe] run as
     single fused loops with no intermediate lists: scans emit zero-copy
-    windows over the catalog's row array, filters narrow selection
-    vectors instead of copying survivors, and constant-comparison
-    predicates run over decoded typed columns.  Every probing join (hash,
+    windows over the catalog's row array, and filters narrow selection
+    vectors with their compiled predicates instead of copying survivors.
+    Every probing join (hash,
     nested-loop, index and member joins and nestjoins, and each partition
     pair of a partitioned join) is a right-side probe — which rows match
     a left row, does any — driven by one match-and-emit loop over left

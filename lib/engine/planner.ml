@@ -500,5 +500,15 @@ let plan ?force ?cat e =
   in
   set_policies cat p
 
+(* The one derivation of a query's plan: rewrite under [options] (skipped
+   with [~optimize:false]), hoist closed subqueries to constants, and plan
+   against the catalog. *)
+let derive ?(optimize = true) ?options cat e =
+  let report =
+    if optimize then Njq_core.Strategy.rewrite ?options cat e
+    else { Njq_core.Strategy.input = e; output = e; phases = [] }
+  in
+  (report, plan ~cat (Consthoist.hoist cat report.Njq_core.Strategy.output))
+
 (* End-to-end convenience: hoist uncorrelated subqueries, plan, execute. *)
 let run cat e = Exec.run cat (plan ~cat (Consthoist.hoist cat e))

@@ -42,6 +42,19 @@ val extract_keys :
     count (2 to 16) or the morsel flag. *)
 val plan : ?force:Plan.join_algo -> ?cat:Catalog.t -> Expr.t -> Plan.t
 
+(** The one derivation of a query's plan, shared by every command, the
+    plan cache's callers and {!Serve}: rewrite under [options]
+    ({!Njq_core.Strategy.rewrite}; skipped with [~optimize:false], which
+    returns a report with no phases), hoist closed subqueries to constants
+    ({!Consthoist.hoist}), and {!plan} against [cat].  Returns the rewrite
+    report with the plan. *)
+val derive :
+  ?optimize:bool ->
+  ?options:Njq_core.Strategy.options ->
+  Catalog.t ->
+  Expr.t ->
+  Njq_core.Strategy.report * Plan.t
+
 (** Hoist uncorrelated subqueries ({!Consthoist}), plan (with [~cat]), and
     execute. *)
 val run : Catalog.t -> Expr.t -> Value.t

@@ -1,9 +1,12 @@
 (* Concurrent prepared-query serving with set-oriented parameter batching.
 
-   A prepared handle keeps a parameterized template (explicit ?0 ?1 ...
+   A prepared handle keeps a template with parameters (explicit ?0 ?1 ...
    placeholders) plus the closure that turns template text into an ADL
-   expression.  Plans are always resolved through the plan cache, so the
-   handle survives catalog epoch bumps by re-deriving lazily, and two
+   expression.  Both of its plans come from the one derivation every
+   command uses ([Planner.derive]: rewrite, hoist closed subqueries,
+   plan), so a closed subquery in a template is a constant evaluated once
+   per derivation.  Plans are always resolved through the plan cache, so
+   the handle survives catalog epoch bumps by re-deriving lazily, and two
    cache entries exist per handle:
 
    - the one-at-a-time plan: derived from the template itself, still
@@ -71,28 +74,24 @@ let prepare cat ?(options = "") ~translate text =
 let text h = h.text
 let nparams h = h.nparams
 
-let derive_pipeline h text =
-  Planner.plan ~cat:h.cat (Njq_core.Strategy.optimize h.cat (h.translate text))
-
-(* The parameterized one-at-a-time plan, through the cache (re-derives
-   after any catalog epoch bump). *)
+(* The one-at-a-time plan: the shared derivation ([Planner.derive]) of
+   the template, still holding its [Expr.Param] leaves, through the cache
+   (re-derives after any catalog epoch bump). *)
 let plan_one h =
-  Plancache.find_or_derive_report h.cat ~options:(h.options ^ ";serve")
-    h.text
-    ~derive:(fun text -> derive_pipeline h text)
+  Plancache.find_or_derive h.cat ~options:(h.options ^ ";serve") h.text
+    ~derive:(fun () -> snd (Planner.derive h.cat (h.translate h.text)))
 
-(* The batched plan over the handle's parameter table, through the cache
-   under its own options key. *)
+(* The batched plan over the handle's parameter table, derived the same
+   way and cached under its own options key. *)
 let plan_batched h =
-  Plancache.find_or_derive_report h.cat
+  Plancache.find_or_derive h.cat
     ~options:(h.options ^ ";serve-batch;" ^ h.params_table)
     h.text
-    ~derive:(fun text ->
-      let body = h.translate text in
-      let batched =
-        B.batched ~params_table:h.params_table ~nparams:h.nparams body
-      in
-      Planner.plan ~cat:h.cat (Njq_core.Strategy.optimize h.cat batched))
+    ~derive:(fun () ->
+      let body = h.translate h.text in
+      snd
+        (Planner.derive h.cat
+           (B.batched ~params_table:h.params_table ~nparams:h.nparams body)))
 
 let fingerprint h = Plan.fingerprint (fst (plan_one h))
 

@@ -1,12 +1,15 @@
 (** Concurrent prepared-query serving with set-oriented parameter
     batching.
 
-    A {!prepared} handle is a parameterized query template (explicit
-    [?0 ?1 ...] placeholders) bound to a catalog.  Handles execute two
-    ways, with bit-identical per-invocation results:
+    A {!prepared} handle is a query template with parameters (explicit
+    [?0 ?1 ...] placeholders) bound to a catalog.  Both of its plans are
+    derived by {!Planner.derive}, the derivation every command uses, so a
+    closed subquery of the template is a constant evaluated once per
+    derivation.  Handles execute two ways, with bit-identical
+    per-invocation results:
 
     - {!exec_one}: substitute the parameter vector into the cached
-      parameterized plan ({!Plan.map_exprs}) and run it — K invocations
+      template's plan ({!Plan.map_exprs}) and run it — K invocations
       cost K full executions.
     - {!exec_batch}: merge the K outstanding parameter vectors into a
       parameter table and run the template {e once}, set-oriented — or,
@@ -59,12 +62,13 @@ val text : prepared -> string
 (** Number of parameters ([1 +] the highest placeholder index). *)
 val nparams : prepared -> int
 
-(** Fingerprint of the (parameterized) one-at-a-time plan — the qlog
-    join key for every invocation of this handle, batched or not. *)
+(** Fingerprint of the one-at-a-time plan, [?i] leaves and all — the qlog
+    join key for every invocation of this handle, batched or not, and the
+    fingerprint of [Planner.derive] on the template's translation. *)
 val fingerprint : prepared -> string
 
 (** Execute one invocation: bind the parameter vector into the cached
-    parameterized plan and run it.  Also reports whether the plan came
+    template's plan and run it.  Also reports whether the plan came
     from the cache.  Raises [Invalid_argument] on a parameter-count
     mismatch. *)
 val exec_one : prepared -> Value.t list -> Value.t * bool

@@ -156,7 +156,7 @@ let counter_snapshot () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let pp_counts ppf counts =
-  Fmt.list ~sep:Fmt.sp (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v) ppf counts
+  Fmt.list ~sep:(Fmt.any " ") (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v) ppf counts
 
 (* ------------------------------------------------------------------ *)
 (* Measuring a run                                                     *)

@@ -47,7 +47,8 @@ val reset : unit -> unit
 (** Non-zero counters, sorted by name. *)
 val counter_snapshot : unit -> (string * int) list
 
-(** A counter list as [name=value] pairs separated by breakable spaces. *)
+(** A counter list as [name=value] pairs separated by plain spaces, on
+    one line. *)
 val pp_counts : Format.formatter -> (string * int) list -> unit
 
 (** {2 Measuring a run} *)

@@ -17,7 +17,7 @@
      corpus and random plans the same way).
 
    Covered: the whole paper workload, fixed fused plans over the batch
-   kernels, parallel plans, and random rewritten plans. *)
+   operators, parallel plans, and random rewritten plans. *)
 
 open Njq_adl
 module Metrics = Njq_obs.Metrics
@@ -88,8 +88,8 @@ let test_workload_modes_agree () =
     (Queries.all @ Queries.extended)
 
 (* ------------------------------------------------------------------ *)
-(* Fixed fused plans covering the batch kernels: compiled column
-   predicates (int/float/string constants), the single-key hash join
+(* Fixed fused plans covering the batch operators: filters comparing
+   against int/float/string constants, the single-key hash join
    specialization, semi/anti/outer joins, set ops through the shared
    dedup selection, nestjoin grouping, renames, and a breaker (sort) fed by a
    batched input.  Every probing join runs through one match-and-emit
@@ -154,16 +154,16 @@ let fused_plans () =
                 { morsel = false;
                   var = "p"; pred = price_above 5 "p"; input = Plan.Scan "PART" } } )
   in
-  (* Column kernel on a string attribute plus a conjunction: exercises
-     the boxed-column fallback and per-row short-circuit. *)
+  (* A string comparison in a conjunction: the selection vector narrows
+     with the conjunction's per-row short-circuit. *)
   let str_pred =
     eq (var "p" $. "color") (str "red") &&& lt (var "p" $. "price") (int 9)
   in
   let str_filter =
     Plan.Filter { morsel = false; var = "p"; pred = str_pred; input = Plan.Scan "PART" }
   in
-  (* Comparing an int column against a string constant: the kernel must
-     fold the rank comparison to a constant, same as Eval would. *)
+  (* Comparing an int attribute against a string constant: a rank
+     comparison, answered as Eval answers it. *)
   let rank_pred = lt (var "p" $. "price") (str "zzz") in
   let mixed_rank =
     Plan.Filter { morsel = false;
@@ -577,8 +577,8 @@ let test_project_sorted_agrees () =
 
 (* ------------------------------------------------------------------ *)
 (* Properties on random XY predicates and tables.  The first: both the
-   rewritten plan and the bare Filter(Scan) (whose predicate goes through
-   the column kernels unrewritten) return Eval's value — or fail where
+   rewritten plan and the bare Filter(Scan) (whose predicate the filter
+   compiles unrewritten) return Eval's value — or fail where
    Eval fails — and the rewritten plan's rows and counters at a ragged
    batch size are those of the default size.  The second: with one-row
    batches, the rewritten plan's rows, their order and counter totals

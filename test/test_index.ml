@@ -10,8 +10,9 @@
    - Differential properties: IndexScan is observationally equal to
      Filter(Scan) — same rows, same order — and IndexJoin to the
      hash/nested-loop join it replaces, at 1/2/4 domains.
-   - Plancache: hit/miss accounting, LRU eviction, text normalization
-     and catalog-epoch invalidation. *)
+   - Plancache: hit/miss accounting, LRU eviction, text normalization,
+     catalog-epoch invalidation, and the pool size and memory budget in
+     the key. *)
 
 open Njq_adl
 module Metrics = Njq_obs.Metrics
@@ -494,15 +495,18 @@ let test_plancache_hit_miss () =
   let cat = Util.small_catalog () in
   let h0 = Plancache.hits () and m0 = Plancache.misses () in
   let derived = ref 0 in
-  let derive n _ = incr derived; dummy_plan n in
-  let p1 = Plancache.find_or_derive cat "select 1" ~derive:(derive 1) in
-  let p2 = Plancache.find_or_derive cat "select 1" ~derive:(derive 99) in
+  let derive n () = incr derived; dummy_plan n in
+  let p1, hit1 = Plancache.find_or_derive cat "select 1" ~derive:(derive 1) in
+  let p2, hit2 = Plancache.find_or_derive cat "select 1" ~derive:(derive 99) in
   Alcotest.(check int) "derived once" 1 !derived;
+  Alcotest.(check (pair bool bool)) "miss, then hit" (false, true) (hit1, hit2);
   Alcotest.(check bool) "hit returns the stored plan" true (p1 == p2);
   Alcotest.(check int) "one hit" 1 (Plancache.hits () - h0);
   Alcotest.(check int) "one miss" 1 (Plancache.misses () - m0);
   (* Whitespace-insensitive keys. *)
-  let p3 = Plancache.find_or_derive cat "  select \n  1  " ~derive:(derive 99) in
+  let p3, _ =
+    Plancache.find_or_derive cat "  select \n  1  " ~derive:(derive 99)
+  in
   Alcotest.(check bool) "normalized text hits" true (p1 == p3);
   (* A different options string is a different prepared statement. *)
   ignore (Plancache.find_or_derive cat ~options:"other" "select 1" ~derive:(derive 2));
@@ -517,28 +521,28 @@ let test_plancache_lru_eviction () =
     ~finally:(fun () -> Plancache.capacity := prev)
     (fun () ->
       let e0 = Plancache.evictions () in
-      ignore (Plancache.find_or_derive cat "q1" ~derive:(fun _ -> dummy_plan 1));
-      ignore (Plancache.find_or_derive cat "q2" ~derive:(fun _ -> dummy_plan 2));
+      ignore (Plancache.find_or_derive cat "q1" ~derive:(fun () -> dummy_plan 1));
+      ignore (Plancache.find_or_derive cat "q2" ~derive:(fun () -> dummy_plan 2));
       (* Touch q1 so q2 is the least recently used entry. *)
-      ignore (Plancache.find_or_derive cat "q1" ~derive:(fun _ -> dummy_plan 9));
-      ignore (Plancache.find_or_derive cat "q3" ~derive:(fun _ -> dummy_plan 3));
+      ignore (Plancache.find_or_derive cat "q1" ~derive:(fun () -> dummy_plan 9));
+      ignore (Plancache.find_or_derive cat "q3" ~derive:(fun () -> dummy_plan 3));
       Alcotest.(check int) "capacity respected" 2 (Plancache.size ());
       Alcotest.(check int) "one eviction" 1 (Plancache.evictions () - e0);
       let rederived = ref false in
       ignore
         (Plancache.find_or_derive cat "q1"
-           ~derive:(fun _ -> rederived := true; dummy_plan 1));
+           ~derive:(fun () -> rederived := true; dummy_plan 1));
       Alcotest.(check bool) "recently used q1 survived" false !rederived;
       ignore
         (Plancache.find_or_derive cat "q2"
-           ~derive:(fun _ -> rederived := true; dummy_plan 2));
+           ~derive:(fun () -> rederived := true; dummy_plan 2));
       Alcotest.(check bool) "LRU q2 was evicted" true !rederived)
 
 let test_plancache_epoch_invalidation () =
   Plancache.clear ();
   let cat = Util.small_catalog () in
   let derived = ref 0 in
-  let derive _ = incr derived; dummy_plan 1 in
+  let derive () = incr derived; dummy_plan 1 in
   ignore (Plancache.find_or_derive cat "q" ~derive);
   ignore (Plancache.find_or_derive cat "q" ~derive);
   Alcotest.(check int) "cached across calls" 1 !derived;
@@ -553,6 +557,57 @@ let test_plancache_epoch_invalidation () =
   ignore (Plancache.find_or_derive cat "q" ~derive);
   ignore (Plancache.find_or_derive cat2 "q" ~derive);
   Alcotest.(check int) "cache is per catalog" 2 !derived
+
+(* Planning reads the pool size (parallel policies) and the memory
+   budget (spill policies and costs), so both are part of the key: a plan
+   derived at 1 domain must not serve 2, nor an unlimited budget a
+   bounded one. *)
+let test_plancache_domains_budget () =
+  Plancache.clear ();
+  let cat = Gen.catalog { (Gen.scaled ~seed:3 512) with Gen.dangling_rate = 0.0 } in
+  let text = "select p.pname from p in PART where p.price < 20" in
+  let q =
+    fst (Njq_oosql.Translate.query_string Njq_workload.Queries.schema text)
+  in
+  let derived = ref 0 in
+  let derive () =
+    incr derived;
+    snd (Planner.derive cat q)
+  in
+  let parallel p =
+    let n = ref 0 in
+    Plan.iter_nodes
+      (function
+        | Plan.Filter { morsel = true; _ }
+        | Plan.MapOp { morsel = true; _ }
+        | Plan.JoinOp { algo = Plan.Partitioned _; _ }
+        | Plan.NestjoinOp { algo = Plan.Partitioned _; _ } -> incr n
+        | _ -> ())
+      p;
+    !n > 0
+  in
+  let p1, _ = with_domains 1 (fun () -> Plancache.find_or_derive cat text ~derive) in
+  Alcotest.(check bool) "1-domain plan is sequential" false (parallel p1);
+  let p2, hit =
+    with_domains 2 (fun () -> Plancache.find_or_derive cat text ~derive)
+  in
+  Alcotest.(check bool) "2 domains miss the 1-domain plan" false hit;
+  Alcotest.(check bool) "2-domain plan carries a parallel policy" true
+    (parallel p2);
+  let _, hit =
+    with_domains 1 (fun () -> Plancache.find_or_derive cat text ~derive)
+  in
+  Alcotest.(check bool) "1 domain hits its own plan" true hit;
+  let prev = !Njq_engine.Memory.budget in
+  Njq_engine.Memory.budget := 100;
+  let _, hit =
+    Fun.protect
+      ~finally:(fun () -> Njq_engine.Memory.budget := prev)
+      (fun () ->
+        with_domains 1 (fun () -> Plancache.find_or_derive cat text ~derive))
+  in
+  Alcotest.(check bool) "a bounded budget misses" false hit;
+  Alcotest.(check int) "three derivations" 3 !derived
 
 let () =
   Alcotest.run "index"
@@ -591,4 +646,6 @@ let () =
             test_plancache_hit_miss;
           Alcotest.test_case "LRU eviction" `Quick test_plancache_lru_eviction;
           Alcotest.test_case "epoch invalidation" `Quick
-            test_plancache_epoch_invalidation ] ) ]
+            test_plancache_epoch_invalidation;
+          Alcotest.test_case "domains and budget split the key" `Quick
+            test_plancache_domains_budget ] ) ]

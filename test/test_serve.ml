@@ -5,11 +5,10 @@
    result bit-identical to running that invocation alone
    ([Serve.exec_one]) — for K in {1,4,16,64} at 1/2/4 pool domains —
    and the in-process concurrent driver
-   routes every client's replies correctly.  Alongside: the plan cache's
-   auto-parameterization (constant-differing queries share one plan, with
-   the date-literal and index guards), epoch invalidation when the
-   catalog changes under a configured pool, and the query log's
-   flush-on-exit hook.
+   routes every client's replies correctly.  Alongside: serve derives
+   its plans the way the CLI does (closed subqueries hoisted), the plan
+   cache keys on exact text, epoch invalidation when the catalog changes
+   under a configured pool, and the query log's flush-on-exit hook.
 
    The qlog fork test must run before anything spawns domains (the pool,
    the serve driver): forking a process that owns live domains would
@@ -206,8 +205,7 @@ let literal_text text v =
   let i = find 0 in
   String.sub text 0 i ^ lit ^ String.sub text (i + 2) (String.length text - i - 2)
 
-let serve_plan cat text =
-  Planner.plan ~cat (Strategy.optimize cat (translate text))
+let serve_plan cat text = snd (Planner.derive cat (translate text))
 
 let labels p =
   let acc = ref [] in
@@ -380,58 +378,56 @@ let test_epoch_invalidation_under_pool () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Plan-cache auto-parameterization                                    *)
+(* One derivation, cached by its exact text                            *)
 (* ------------------------------------------------------------------ *)
 
-let derive_for cat count text =
-  incr count;
-  Planner.plan ~cat (Strategy.optimize cat (translate text))
+(* Serve's plans come from the derivation every command uses, so a
+   template's closed subquery is a constant evaluated once per
+   derivation, not once per invocation. *)
+let test_serve_derives_like_cli () =
+  let cat =
+    Njq_workload.Generator.catalog (Njq_workload.Generator.scaled ~seed:5 256)
+  in
+  Plancache.clear ();
+  let text =
+    {|select p.pname from p in PART where p.color = ?0 and p.price > count(select q from q in PART where q.color = "red")|}
+  in
+  let h = Serve.prepare cat ~translate text in
+  Alcotest.(check string) "fingerprint of the shared derivation"
+    (Njq_engine.Plan.fingerprint (snd (Planner.derive cat (translate text))))
+    (Serve.fingerprint h);
+  let red = [ Value.string "red" ] in
+  let (v, hit), u = Njq_obs.Metrics.measure (fun () -> Serve.exec_one h red) in
+  Alcotest.(check bool) "exec_one hits the cached plan" true hit;
+  Alcotest.(check int) "no nested-loop tuple visits" 0
+    (Option.value ~default:0 (List.assoc_opt "nl_tuple_visit" u.work));
+  Alcotest.check Util.value "rows of the literal query"
+    (Eval.run cat (translate (literal_text text (List.hd red))))
+    v
 
-let test_autoparam_shares_plans () =
+let derive_for cat count text () =
+  incr count;
+  snd (Planner.derive cat (translate text))
+
+(* Whitespace variants of one text share an entry; texts that differ in a
+   constant are different queries, each with its own plan and rows. *)
+let test_keyed_by_exact_text () =
   let cat = Util.small_catalog () in
   Plancache.clear ();
   let derived = ref 0 in
-  let h0 = Plancache.hits () in
   let run q =
-    Exec.run cat (Plancache.find_or_derive cat q ~derive:(derive_for cat derived))
+    Exec.run cat
+      (fst (Plancache.find_or_derive cat q ~derive:(derive_for cat derived q)))
   in
   let v20 = run "select p.pname from p in PART where p.price < 20" in
+  let v20' = run "select p.pname\n  from p in PART  where p.price < 20 " in
+  Alcotest.(check int) "whitespace variants derive once" 1 !derived;
   let v7 = run "select p.pname from p in PART where p.price < 7" in
-  Alcotest.(check int) "constant-differing queries derive once" 1 !derived;
-  Alcotest.(check int) "second query is a cache hit" 1 (Plancache.hits () - h0);
-  (* The template hit must still bind each call's own constant. *)
+  Alcotest.(check int) "another constant derives its own plan" 2 !derived;
+  Alcotest.(check int) "two entries" 2 (Plancache.size ());
   Alcotest.check Util.value "threshold 20" (pnames [ "bolt"; "nut" ]) v20;
+  Alcotest.check Util.value "variant of threshold 20" v20 v20';
   Alcotest.check Util.value "threshold 7" (pnames [ "nut" ]) v7
-
-let test_autoparam_guards () =
-  (* Date-shaped integer literals stay in the text (translation-time
-     coercion needs them); other numerics extract. *)
-  let check_id text =
-    let t, cs = Plancache.parameterize text in
-    Alcotest.(check string) ("unchanged: " ^ text) text t;
-    Alcotest.(check int) ("no constants: " ^ text) 0 (List.length cs)
-  in
-  check_id "select d from d in DELIVERY where d.date = 940101";
-  check_id "x = 19940101";
-  check_id "name = \"has 5 inside\"";
-  check_id "select q1.a from q1 in T2";
-  let t, cs = Plancache.parameterize "price < 25 and price > 2.5" in
-  Alcotest.(check string) "numerics extract" "price < ?0 and price > ?1" t;
-  Alcotest.(check bool) "extracted values" true
-    (cs = [ Value.int 25; Value.float 2.5 ]);
-  (* Indexed catalogs keep literals so sargable planning sees them. *)
-  let cat = Util.small_catalog () in
-  Plancache.clear ();
-  ignore
-    (Catalog.create_index cat ~name:"part_price" ~table:"PART"
-       ~attrs:[ "price" ] ~kind:Catalog.Hash_index ());
-  let derived = ref 0 in
-  let run q =
-    ignore (Plancache.find_or_derive cat q ~derive:(derive_for cat derived))
-  in
-  run "select p.pname from p in PART where p.price < 20";
-  run "select p.pname from p in PART where p.price < 7";
-  Alcotest.(check int) "indexed catalog derives per constant" 2 !derived
 
 (* ------------------------------------------------------------------ *)
 
@@ -456,8 +452,8 @@ let () =
       ( "invalidation",
         [ Alcotest.test_case "epoch bump under pool at 1/2/4 domains" `Quick
             test_epoch_invalidation_under_pool ] );
-      ( "autoparam",
-        [ Alcotest.test_case "constant-differing queries share a plan" `Quick
-            test_autoparam_shares_plans;
-          Alcotest.test_case "date/index/string guards" `Quick
-            test_autoparam_guards ] ) ]
+      ( "exact text",
+        [ Alcotest.test_case "serve derives like the CLI" `Quick
+            test_serve_derives_like_cli;
+          Alcotest.test_case "one entry per text" `Quick
+            test_keyed_by_exact_text ] ) ]
