@@ -160,7 +160,7 @@ let add_table t ~name ~row_type rows =
   Option.iter
     (fun msg -> invalid_arg ("Catalog.add_table: " ^ msg))
     (table_error t ~name ~row_type);
-  let rows = List.sort_uniq Value.compare rows in
+  let rows = Value.as_set (Value.set rows) in
   t.epoch <- t.epoch + 1;
   Hashtbl.add t.tables name
     { name; row_type; rows; card = List.length rows; changed = t.epoch;
@@ -200,7 +200,7 @@ let table_type t name = Vtype.TSet (row_type t name)
 
 let set_rows t name rows =
   let tbl = find t name in
-  let rows = List.sort_uniq Value.compare rows in
+  let rows = Value.as_set (Value.set rows) in
   tbl.rows <- rows;
   tbl.card <- List.length rows;
   Atomic.set tbl.oid_index None;

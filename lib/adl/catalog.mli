@@ -66,7 +66,8 @@ val ensure_oid_above : t -> int -> unit
 val table_error : t -> name:string -> row_type:Vtype.t -> string option
 
 (** [add_table t ~name ~row_type rows] registers an extent; rows are
-    canonicalized.  Raises [Invalid_argument] with {!table_error}'s
+    canonicalized by {!Value.set} (rows already in canonical order cost a
+    linear check).  Raises [Invalid_argument] with {!table_error}'s
     message if it refuses the table. *)
 val add_table : t -> name:string -> row_type:Vtype.t -> Value.t list -> unit
 
@@ -90,8 +91,9 @@ val row_type : t -> string -> Vtype.t
 (** The type of the table as a whole: a set of its row type. *)
 val table_type : t -> string -> Vtype.t
 
-(** Replace a table's rows (canonicalizes, drops the oid index with its
-    columns and every attribute index over the table; bumps the epoch). *)
+(** Replace a table's rows (canonicalizes by {!Value.set}, drops the oid
+    index with its columns and every attribute index over the table; bumps
+    the epoch). *)
 val set_rows : t -> string -> Value.t list -> unit
 
 (** All extent names, sorted. *)

@@ -194,9 +194,41 @@ let conjoin = function
   | p :: ps -> List.fold_left (fun acc q -> And (acc, q)) p ps
 
 (* Fresh-variable supply for capture-avoiding substitution and for rewrite
-   rules that introduce binders. *)
+   rules that introduce binders.  A derivation restarts the numbering
+   ([restart_fresh]), so one query gets the same fresh names, and its plan
+   the same fingerprint, whatever the process derived before. *)
 let fresh_counter = ref 0
 
 let fresh_var prefix =
   incr fresh_counter;
   Printf.sprintf "%s_%d" prefix !fresh_counter
+
+(* The [n] that ends a name [prefix_n], or 0. *)
+let name_number name =
+  match String.rindex_opt name '_' with
+  | None -> 0
+  | Some i ->
+    let digits = String.sub name (i + 1) (String.length name - i - 1) in
+    if String.for_all (fun ch -> ch >= '0' && ch <= '9') digits then
+      Option.value ~default:0 (int_of_string_opt digits)
+    else 0
+
+(* The largest [name_number] of a variable, binder or attribute in [e]. *)
+let rec max_name_number acc e =
+  let names =
+    match e with
+    | Var x | Quant (_, x, _, _) | Map { var = x; _ } | Select { var = x; _ }
+    | Field (_, x) | Unnest (x, _) -> [ x ]
+    | Join { kind = LeftOuter pad; xvar; yvar; _ } -> xvar :: yvar :: pad
+    | Join { xvar; yvar; _ } -> [ xvar; yvar ]
+    | Nestjoin { xvar; yvar; attr; _ } -> [ xvar; yvar; attr ]
+    | Tuple fs | Except (_, fs) -> List.map fst fs
+    | TupleProj (_, attrs) | Project (attrs, _) -> attrs
+    | Nest { attrs; into; _ } -> into :: attrs
+    | Rename (pairs, _) -> List.concat_map (fun (a, b) -> [ a; b ]) pairs
+    | _ -> []
+  in
+  let acc = List.fold_left (fun acc x -> max acc (name_number x)) acc names in
+  fold_children max_name_number acc e
+
+let restart_fresh e = fresh_counter := max_name_number 0 e

@@ -121,5 +121,12 @@ val conjoin : t list -> t
 (** {1 Fresh variables} *)
 
 (** Fresh-name supply for capture-avoiding substitution and rewrite rules
-    that introduce binders. *)
+    that introduce binders: [fresh_var p] is [p_n] for the next [n]. *)
 val fresh_var : string -> string
+
+(** [restart_fresh e] restarts the numbering of {!fresh_var} just above
+    every [n] that ends a name [p_n] in [e] (variables, binders and
+    attributes), so later fresh names cannot clash with [e]'s.  Called
+    where a derivation begins: the names it makes, and so its plan's
+    fingerprint, then depend on its input alone. *)
+val restart_fresh : t -> unit

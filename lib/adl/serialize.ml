@@ -428,69 +428,203 @@ let load_catalog (text : string) : Catalog.t =
 (* ------------------------------------------------------------------ *)
 
 (* JSON rendering: tuples become objects, sets arrays; oids and dates are
-   tagged objects so the representation stays lossless.  Everything but a
-   finite float goes straight into the buffer, with no format string
-   interpreted per value; field names are quoted as [%S] would, with
-   [String.escaped]. *)
+   tagged objects so the representation stays lossless.
+
+   One pass writes the value into fixed 64 KiB chunks, joined once at the
+   end, so a large result is never copied while it grows.  Ints, oids and
+   dates are written straight into the chunk, with no [string_of_int]; a
+   string is scanned once, and each run of it that needs no escape is
+   copied whole; a finite float is the one value rendered through a format
+   string ([%.17g]).  Field names and string values go through the same
+   escaper.
+
+   Tuples at one place in the value (the root, the value of a field, the
+   elements of a set) usually carry the same field names, so each place
+   keeps the rendered prefixes ([{"a": ], [, "b": ], ...) of the last tuple
+   written there, and one place per field below it.  The next tuple there
+   reuses them while its names are the same ([==], then [String.equal]), and
+   renders them afresh when they differ.  Places are built per call and
+   nothing outlives it, so the writer holds no global state and is safe
+   on any domain. *)
+
+let chunk_size = 65536
+
+type out = {
+  mutable chunk : Bytes.t;
+  mutable pos : int;
+  mutable filled : (Bytes.t * int) list; (* earlier chunks, newest first *)
+  mutable filled_len : int;
+}
+
+let out_create size =
+  { chunk = Bytes.create size; pos = 0; filled = []; filled_len = 0 }
+
+let next_chunk o =
+  o.filled <- (o.chunk, o.pos) :: o.filled;
+  o.filled_len <- o.filled_len + o.pos;
+  o.chunk <- Bytes.create chunk_size;
+  o.pos <- 0
+
+(* [add_char] and [needs_escape] run per byte; without [@inline], ocamlopt
+   (no flambda) would call them. *)
+let[@inline] add_char o ch =
+  if o.pos = Bytes.length o.chunk then next_chunk o;
+  Bytes.unsafe_set o.chunk o.pos ch;
+  o.pos <- o.pos + 1
+
+(* [len] bytes of [s] from [off], split across chunks where one fills. *)
+let rec add_sub o s off len =
+  let room = Bytes.length o.chunk - o.pos in
+  if len <= room then begin
+    Bytes.unsafe_blit_string s off o.chunk o.pos len;
+    o.pos <- o.pos + len
+  end
+  else begin
+    Bytes.unsafe_blit_string s off o.chunk o.pos room;
+    o.pos <- o.pos + room;
+    next_chunk o;
+    add_sub o s (off + room) (len - room)
+  end
+
+let add_string o s = add_sub o s 0 (String.length s)
+
+let contents o =
+  match o.filled with
+  | [] -> Bytes.sub_string o.chunk 0 o.pos
+  | filled ->
+    let r = Bytes.create (o.filled_len + o.pos) in
+    Bytes.blit o.chunk 0 r o.filled_len o.pos;
+    let put off (chunk, len) =
+      Bytes.blit chunk 0 r (off - len) len;
+      off - len
+    in
+    ignore (List.fold_left put o.filled_len filled);
+    Bytes.unsafe_to_string r
+
+(* Integers are written through their negation, which every int has
+   ([min_int] has no positive counterpart).  [neg_digits m 1 (-10)] counts
+   the digits of [m <= 0] against -10, -100, ..., -10^18 with no division,
+   and [put_neg] writes them backwards from index [i], one division by 10
+   per digit. *)
+let rec neg_digits m d p =
+  if m > p then d else if d = 18 then 19 else neg_digits m (d + 1) (p * 10)
+
+let rec put_neg b i m =
+  let q = m / 10 in
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + (q * 10) - m));
+  if q < 0 then put_neg b (i - 1) q
+
+(* An int takes at most 20 bytes: a sign and 19 digits. *)
+let add_int o n =
+  if o.pos > Bytes.length o.chunk - 20 then next_chunk o;
+  let m = if n < 0 then (add_char o '-'; n) else -n in
+  let last = o.pos + neg_digits m 1 (-10) - 1 in
+  put_neg o.chunk last m;
+  o.pos <- last + 1
+
 let hex_digit n = "0123456789abcdef".[n land 15]
 
-let rec write_json buf (v : Value.t) =
+let add_escape o ch =
+  match ch with
+  | '"' -> add_string o "\\\""
+  | '\\' -> add_string o "\\\\"
+  | '\n' -> add_string o "\\n"
+  | '\t' -> add_string o "\\t"
+  | '\r' -> add_string o "\\r"
+  | ch ->
+    add_string o "\\u00";
+    add_char o (hex_digit (Char.code ch lsr 4));
+    add_char o (hex_digit (Char.code ch))
+
+let[@inline] needs_escape ch = ch < ' ' || ch = '"' || ch = '\\'
+
+(* The JSON string body of [s], in one scan: an escape for each byte that
+   needs one, and each run between them copied whole. *)
+let add_escaped o s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let ch = String.unsafe_get s i in
+    if needs_escape ch then begin
+      add_sub o s !start (i - !start);
+      add_escape o ch;
+      start := i + 1
+    end
+  done;
+  add_sub o s !start (String.length s - !start)
+
+type place = {
+  mutable names : string array;
+  mutable prefixes : string array; (* [{"a": ] first, then [, "b": ] *)
+  mutable below : place array; (* the place of each field's value *)
+}
+
+let new_place () = { names = [||]; prefixes = [||]; below = [||] }
+
+let render_prefix i name =
+  let o = out_create (String.length name + 6) in
+  add_string o (if i = 0 then "{\"" else ", \"");
+  add_escaped o name;
+  add_string o "\": ";
+  contents o
+
+let reshape place fields =
+  place.names <- Array.of_list (List.map fst fields);
+  place.prefixes <- Array.mapi render_prefix place.names;
+  place.below <- Array.map (fun _ -> new_place ()) place.names
+
+let rec write_json o place (v : Value.t) =
   match v with
-  | Value.VNull -> Buffer.add_string buf "null"
-  | Value.VBool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Value.VInt n -> Buffer.add_string buf (string_of_int n)
+  | Value.VNull -> add_string o "null"
+  | Value.VBool b -> add_string o (if b then "true" else "false")
+  | Value.VInt n -> add_int o n
   | Value.VFloat f ->
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    else Buffer.add_string buf "null"
+    add_string o (if Float.is_finite f then Printf.sprintf "%.17g" f else "null")
   | Value.VString s ->
-    Buffer.add_char buf '"';
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf "\\u00";
-          Buffer.add_char buf (hex_digit (Char.code ch lsr 4));
-          Buffer.add_char buf (hex_digit (Char.code ch))
-        | ch -> Buffer.add_char buf ch)
-      s;
-    Buffer.add_char buf '"'
+    add_char o '"';
+    add_escaped o s;
+    add_char o '"'
   | Value.VDate d ->
-    Buffer.add_string buf "{\"$date\": ";
-    Buffer.add_string buf (string_of_int d);
-    Buffer.add_char buf '}'
+    add_string o "{\"$date\": ";
+    add_int o d;
+    add_char o '}'
   | Value.VOid n ->
-    Buffer.add_string buf "{\"$oid\": ";
-    Buffer.add_string buf (string_of_int n);
-    Buffer.add_char buf '}'
+    add_string o "{\"$oid\": ";
+    add_int o n;
+    add_char o '}'
+  | Value.VTuple [] -> add_string o "{}"
   | Value.VTuple fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (name, fv) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (String.escaped name);
-        Buffer.add_string buf "\": ";
-        write_json buf fv)
-      fields;
-    Buffer.add_char buf '}'
-  | Value.VSet elems ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i ev ->
-        if i > 0 then Buffer.add_string buf ", ";
-        write_json buf ev)
-      elems;
-    Buffer.add_char buf ']'
+    write_fields o place fields 0 fields;
+    add_char o '}'
+  | Value.VSet [] -> add_string o "[]"
+  | Value.VSet (x :: xs) ->
+    add_char o '[';
+    write_json o place x;
+    write_elems o place xs;
+    add_char o ']'
+
+(* A set's elements share the set's place. *)
+and write_elems o place = function
+  | [] -> ()
+  | x :: xs ->
+    add_string o ", ";
+    write_json o place x;
+    write_elems o place xs
+
+and write_fields o place all i = function
+  | [] -> ()
+  | (name, v) :: rest ->
+    if i >= Array.length place.names
+       || (let n = Array.unsafe_get place.names i in
+           not (n == name || String.equal n name))
+    then reshape place all;
+    add_string o (Array.unsafe_get place.prefixes i);
+    write_json o (Array.unsafe_get place.below i) v;
+    write_fields o place all (i + 1) rest
 
 let value_to_json v =
-  let buf = Buffer.create 64 in
-  write_json buf v;
-  Buffer.contents buf
+  let o = out_create chunk_size in
+  write_json o (new_place ()) v;
+  contents o
 
 (* CSV rendering of a set of tuples: a header line from the first row's
    (sorted) field names, then one line per row.  Nested values are rendered

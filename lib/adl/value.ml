@@ -41,18 +41,24 @@ let rank = function
   | VTuple _ -> 7
   | VSet _ -> 8
 
+(* A value compared with itself is equal at once, and field names that
+   are the same string skip [String.compare]: rows of one extent or one
+   operator share their name strings, and a result's rows often share
+   nested sets. *)
 let rec compare a b =
-  match a, b with
-  | VNull, VNull -> 0
-  | VBool x, VBool y -> Bool.compare x y
-  | VInt x, VInt y -> Int.compare x y
-  | VFloat x, VFloat y -> Float.compare x y
-  | VString x, VString y -> String.compare x y
-  | VDate x, VDate y -> Int.compare x y
-  | VOid x, VOid y -> Int.compare x y
-  | VTuple xs, VTuple ys -> compare_fields xs ys
-  | VSet xs, VSet ys -> compare_lists xs ys
-  | _ -> Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match a, b with
+    | VNull, VNull -> 0
+    | VBool x, VBool y -> Bool.compare x y
+    | VInt x, VInt y -> Int.compare x y
+    | VFloat x, VFloat y -> Float.compare x y
+    | VString x, VString y -> String.compare x y
+    | VDate x, VDate y -> Int.compare x y
+    | VOid x, VOid y -> Int.compare x y
+    | VTuple xs, VTuple ys -> compare_fields xs ys
+    | VSet xs, VSet ys -> compare_lists xs ys
+    | _ -> Int.compare (rank a) (rank b)
 
 and compare_fields xs ys =
   match xs, ys with
@@ -60,7 +66,7 @@ and compare_fields xs ys =
   | [], _ :: _ -> -1
   | _ :: _, [] -> 1
   | (n1, v1) :: xs', (n2, v2) :: ys' ->
-    let c = String.compare n1 n2 in
+    let c = if n1 == n2 then 0 else String.compare n1 n2 in
     if c <> 0 then c
     else
       let c = compare v1 v2 in
@@ -161,9 +167,17 @@ let tuple fields =
   check sorted;
   VTuple sorted
 
+(* Sets are often built in canonical order already (an extent read back
+   from NJQC, a decoded nested set, a root whose rows come out sorted),
+   so one linear pass checks for strictly ascending neighbours and keeps
+   such a list as it is; anything else is sorted and deduplicated. *)
+let rec ascending = function
+  | x :: (y :: _ as rest) -> compare x y < 0 && ascending rest
+  | _ -> true
+
 let set elements =
-  let sorted = List.sort_uniq compare elements in
-  VSet sorted
+  if ascending elements then VSet elements
+  else VSet (List.sort_uniq compare elements)
 
 let empty_set = VSet []
 

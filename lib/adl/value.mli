@@ -45,7 +45,9 @@ val hash : t -> int
     duplicate field names. *)
 val tuple : (string * t) list -> t
 
-(** [set elements] sorts and deduplicates. *)
+(** [set elements] sorts and deduplicates.  A list already strictly
+    ascending under {!compare} is kept as it is ([==]), after one linear
+    check. *)
 val set : t list -> t
 
 val empty_set : t

@@ -1142,7 +1142,8 @@ and exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left
 
 (* Execute a plan, returning its result as a canonical set value.
    [Value.set] sorts and dedups the root's rows, so the root runs without
-   a dedup of its own. *)
+   a dedup of its own; rows that come out already in canonical order (a
+   [select d] over an extent, EQ3.2 and EQ5) cost it one linear check. *)
 let run cat p = Value.set (rows ~root:true cat p)
 
 (* Exported without [?root]: any node's rows, duplicate-free. *)

@@ -8,7 +8,11 @@
 
    Epoch participation makes invalidation free: any catalog change
    ([add_table]/[set_rows]/[create_index]) bumps the epoch, so stale
-   entries simply stop being addressable and age out through the LRU.
+   entries simply stop being addressable.  No entry may pin what no lookup
+   can reach (a plan with a hoisted constant holds its catalog's rows):
+   each plan is held through an ephemeron keyed on its catalog, so a
+   catalog nothing else references frees its plans, and a miss drops the
+   same catalog's entries for older epochs.
 
    The cache is process-global and main-domain only (the CLI, REPL and
    bench all derive plans on the main domain); hits, misses and evictions
@@ -33,7 +37,10 @@ type key = {
   text : string; (* normalized query text *)
 }
 
-type entry = { plan : Plan.t; mutable stamp : int (* recency *) }
+type entry = {
+  plan : (Catalog.t, Plan.t) Ephemeron.K1.t;
+  mutable stamp : int; (* recency *)
+}
 
 let table : (key, entry) Hashtbl.t = Hashtbl.create 64
 let tick = ref 0
@@ -75,13 +82,21 @@ let evict_lru () =
     Hashtbl.remove table k;
     M.incr c_evict
 
-let store key plan =
+let drop_older_epochs key =
+  Hashtbl.filter_map_inplace
+    (fun k e ->
+      if k.cat_id = key.cat_id && k.epoch < key.epoch then None else Some e)
+    table
+
+let store cat key plan =
   if !capacity > 0 then begin
+    drop_older_epochs key;
     while Hashtbl.length table >= !capacity do
       evict_lru ()
     done;
     incr tick;
-    Hashtbl.replace table key { plan; stamp = !tick }
+    Hashtbl.replace table key
+      { plan = Ephemeron.K1.make cat plan; stamp = !tick }
   end
 
 let find_or_derive (cat : Catalog.t) ?(options = "") text
@@ -91,14 +106,19 @@ let find_or_derive (cat : Catalog.t) ?(options = "") text
       domains = Pool.domains (); budget = !Memory.budget; options;
       text = normalize text }
   in
-  match Hashtbl.find_opt table key with
-  | Some e ->
+  let cached =
+    match Hashtbl.find_opt table key with
+    | Some e -> Option.map (fun plan -> (e, plan)) (Ephemeron.K1.query e.plan cat)
+    | None -> None
+  in
+  match cached with
+  | Some (e, plan) ->
     M.incr c_hit;
     incr tick;
     e.stamp <- !tick;
-    (e.plan, true)
+    (plan, true)
   | None ->
     M.incr c_miss;
     let plan = derive () in
-    store key plan;
+    store cat key plan;
     (plan, false)

@@ -5,7 +5,9 @@
     text.  A hit skips the whole derivation pipeline; the caller supplies
     it as the [derive] closure, so the engine never depends on the
     frontend.  Catalog changes bump the epoch ({!Catalog.epoch}), making
-    stale entries unaddressable — they age out through the LRU.
+    stale entries unaddressable: a miss drops the catalog's entries for
+    older epochs, and each plan is held through an ephemeron keyed on its
+    catalog, so a catalog nothing else references frees its plans.
     Process-global, main-domain only.  Hits/misses/evictions are the
     ["plancache_hit"/"plancache_miss"/"plancache_evict"] metrics. *)
 

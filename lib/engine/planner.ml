@@ -504,6 +504,7 @@ let plan ?force ?cat e =
    with [~optimize:false]), hoist closed subqueries to constants, and plan
    against the catalog. *)
 let derive ?(optimize = true) ?options cat e =
+  Expr.restart_fresh e;
   let report =
     if optimize then Njq_core.Strategy.rewrite ?options cat e
     else { Njq_core.Strategy.input = e; output = e; phases = [] }

@@ -47,7 +47,9 @@ val plan : ?force:Plan.join_algo -> ?cat:Catalog.t -> Expr.t -> Plan.t
     ({!Njq_core.Strategy.rewrite}; skipped with [~optimize:false], which
     returns a report with no phases), hoist closed subqueries to constants
     ({!Consthoist.hoist}), and {!plan} against [cat].  Returns the rewrite
-    report with the plan. *)
+    report with the plan.  Fresh names are numbered from the start of each
+    derivation ({!Njq_adl.Expr.restart_fresh}), so one expression always
+    gets the same plan fingerprint. *)
 val derive :
   ?optimize:bool ->
   ?options:Njq_core.Strategy.options ->

@@ -29,8 +29,9 @@
 
    The decoder trusts its input to be canonical (it was produced from
    canonical values by this module): tuples are rebuilt with the unchecked
-   [Value.of_sorted_fields], sets through [Value.set].  Corrupt or
-   truncated input raises {!Corrupt}. *)
+   [Value.of_sorted_fields], sets through [Value.set], whose linear check
+   keeps a set written in canonical order as it is.  Corrupt or truncated
+   input raises {!Corrupt}. *)
 
 open Njq_adl
 

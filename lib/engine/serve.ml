@@ -82,13 +82,15 @@ let plan_one h =
     ~derive:(fun () -> snd (Planner.derive h.cat (h.translate h.text)))
 
 (* The batched plan over the handle's parameter table, derived the same
-   way and cached under its own options key. *)
+   way and cached under its own options key.  Its derivation begins at
+   [B.batched], whose binder is a fresh name. *)
 let plan_batched h =
   Plancache.find_or_derive h.cat
     ~options:(h.options ^ ";serve-batch;" ^ h.params_table)
     h.text
     ~derive:(fun () ->
       let body = h.translate h.text in
+      Expr.restart_fresh body;
       snd
         (Planner.derive h.cat
            (B.batched ~params_table:h.params_table ~nparams:h.nparams body)))

@@ -429,6 +429,69 @@ let test_keyed_by_exact_text () =
   Alcotest.check Util.value "variant of threshold 20" v20 v20';
   Alcotest.check Util.value "threshold 7" (pnames [ "nut" ]) v7
 
+(* Fresh names are numbered per derivation, so a text's plan, and its
+   fingerprint, do not depend on what the process derived before. *)
+let test_fingerprint_ignores_history () =
+  let cat = Util.small_catalog () in
+  let fingerprint text =
+    Njq_engine.Plan.fingerprint (snd (Planner.derive cat (translate text)))
+  in
+  let q =
+    "select (sname = s.sname, pnames = select p.pname from p in PART where \
+     p.oid in s.parts_supplied) from s in SUPPLIER"
+  in
+  let first = fingerprint q in
+  List.iter
+    (fun text -> ignore (fingerprint text))
+    [ q;
+      "select s.sname from s in SUPPLIER where exists z in s.parts_supplied \
+       : exists p in PART : z = p.oid and p.color = \"red\"";
+      "select (n = s.sname, c = count(select p from p in PART where p.oid \
+       in s.parts_supplied)) from s in SUPPLIER" ];
+  Alcotest.(check string) "same fingerprint after other derivations" first
+    (fingerprint q)
+
+(* ------------------------------------------------------------------ *)
+(* No cache entry pins what no lookup can reach                        *)
+(* ------------------------------------------------------------------ *)
+
+let price_query = "select p.pname from p in PART where p.price < 20"
+
+(* A miss drops the catalog's entries for older epochs. *)
+let test_older_epochs_dropped () =
+  let cat = Util.small_catalog () in
+  Plancache.clear ();
+  let derived = ref 0 in
+  let lookup () =
+    ignore
+      (Plancache.find_or_derive cat price_query
+         ~derive:(derive_for cat derived price_query))
+  in
+  lookup ();
+  Alcotest.(check int) "one entry" 1 (Plancache.size ());
+  Catalog.set_rows cat "PART" (Catalog.rows cat "PART");
+  lookup ();
+  Alcotest.(check int) "re-derived at the new epoch" 2 !derived;
+  Alcotest.(check int) "still one entry" 1 (Plancache.size ())
+
+(* Plans are held through an ephemeron keyed on their catalog: once
+   nothing else references the catalog, its cached plan is collected. *)
+let test_dropped_catalog_frees_plan () =
+  Plancache.clear ();
+  let weak = Weak.create 1 in
+  let[@inline never] cache_a_plan () =
+    let cat = Util.small_catalog () in
+    let plan, _ =
+      Plancache.find_or_derive cat price_query
+        ~derive:(derive_for cat (ref 0) price_query)
+    in
+    Weak.set weak 0 (Some plan)
+  in
+  cache_a_plan ();
+  Gc.full_major ();
+  Alcotest.(check int) "entry kept" 1 (Plancache.size ());
+  Alcotest.(check bool) "plan collected" true (Option.is_none (Weak.get weak 0))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -451,9 +514,15 @@ let () =
             test_driver_routes_replies ] );
       ( "invalidation",
         [ Alcotest.test_case "epoch bump under pool at 1/2/4 domains" `Quick
-            test_epoch_invalidation_under_pool ] );
+            test_epoch_invalidation_under_pool;
+          Alcotest.test_case "older epochs dropped" `Quick
+            test_older_epochs_dropped;
+          Alcotest.test_case "dropped catalog frees its plans" `Quick
+            test_dropped_catalog_frees_plan ] );
       ( "exact text",
         [ Alcotest.test_case "serve derives like the CLI" `Quick
             test_serve_derives_like_cli;
           Alcotest.test_case "one entry per text" `Quick
-            test_keyed_by_exact_text ] ) ]
+            test_keyed_by_exact_text;
+          Alcotest.test_case "fingerprint ignores history" `Quick
+            test_fingerprint_ignores_history ] ) ]

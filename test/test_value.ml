@@ -79,6 +79,26 @@ let prop_set_idempotent =
       let s = Value.set [ a; b; a ] in
       Value.equal s (Value.set (Value.as_set s)))
 
+(* [Value.set] sorts only a list that is out of order: the result always
+   equals the sorted, deduplicated list, and a strictly ascending list
+   comes back as the very list. *)
+let prop_set_sorts_only_when_needed =
+  Util.qcheck ~count:1000 "set sorts only what is out of order"
+    QCheck.(pair bool (small_list Util.arbitrary_value))
+    (fun (presort, xs) ->
+      let xs = if presort then List.sort_uniq Value.compare xs else xs in
+      let sorted = List.sort_uniq Value.compare xs in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> Value.compare a b < 0 && ascending rest
+        | _ -> true
+      in
+      match Value.set xs with
+      | Value.VSet ys as s ->
+        Value.equal s (Value.VSet sorted)
+        && List.length ys = List.length sorted
+        && ((not (ascending xs)) || ys == xs)
+      | _ -> false)
+
 let prop_union_commutative =
   Util.qcheck "union commutative"
     QCheck.(pair Util.arbitrary_int_set Util.arbitrary_int_set)
@@ -261,6 +281,7 @@ let () =
         [ prop_compare_reflexive;
           prop_name_lookups;
           prop_set_idempotent;
+          prop_set_sorts_only_when_needed;
           prop_union_commutative;
           prop_union_associative;
           prop_inter_absorption;

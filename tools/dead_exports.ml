@@ -21,11 +21,17 @@ let short name =
     String.sub name (i + 1) (String.length name - i - 1)
   | _ -> name
 
+(* Dune may relink an executable while the walk runs, so an entry
+   [Sys.readdir] listed can be gone by the time it is examined: a vanished
+   entry counts as absent. *)
 let rec walk dir acc =
   Array.fold_left
     (fun acc entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk path acc else path :: acc)
+      match Sys.is_directory path with
+      | true -> walk path acc
+      | false -> path :: acc
+      | exception Sys_error _ -> acc)
     acc
     (try Sys.readdir dir with Sys_error _ -> [||])
 
