@@ -68,12 +68,12 @@ let no_opt_arg =
 
 let domains_arg =
   let doc =
-    "Execute with this many domains: the planner partitions large hash \
-     joins and nestjoins and runs large filters and maps as morsels, and \
-     those partitions, PNHL segments and spilled partitions run as tasks \
-     on the engine's domain pool.  Results and work counters are the same \
-     at every domain count.  0 (the default) defers to the NJQ_DOMAINS \
-     environment variable; 1 is the sequential engine."
+    "Execute with this many domains: the planner runs filters and maps \
+     over large inputs as morsels, and those morsels and the partitions \
+     of a join partitioned by --mem-budget run as tasks on the engine's \
+     domain pool.  Results and work counters are the same at every domain \
+     count.  0 (the default) defers to the NJQ_DOMAINS environment \
+     variable; 1 is the sequential engine."
   in
   Arg.(value & opt int 0 & info [ "domains" ] ~docv:"K" ~doc)
 
@@ -82,12 +82,11 @@ let apply_domains k = if k > 0 then Njq_engine.Pool.set_domains k
 let mem_budget_arg =
   let doc =
     "Engine memory budget in build-side rows, with an optional k or m \
-     suffix (e.g. 1k = 1024 rows).  A hash-join build side estimated past \
-     the budget is Grace-partitioned to temp files under NJQ_TMPDIR and \
-     processed one resident partition at a time, and PNHL splits its \
-     build table into segments of at most this many rows.  Results are \
-     identical at every budget.  Unset means unlimited (everything stays \
-     resident)."
+     suffix (e.g. 1k = 1024 rows).  An inner, semi or anti hash join whose \
+     build side is estimated past the budget is Grace-partitioned to temp \
+     files under NJQ_TMPDIR and processed one resident partition at a \
+     time.  Results are identical at every budget.  Unset means unlimited \
+     (everything stays resident)."
   in
   Arg.(value & opt (some string) None
        & info [ "mem-budget" ] ~docv:"N[k|m]" ~doc)

@@ -8,8 +8,9 @@
    2. deliveries including red parts (Example Query 3.2) — an existential
       over the set-valued 'supply' attribute, kept nested per the paper's
       goal (set-valued attributes are stored clustered);
-   3. materializing supplier objects into delivery rows: value-based join
-      vs the assembly operator, comparing work counters.
+   3. materializing supplier objects into delivery rows: the pointer-based
+      materialize (a map over a compiled deref, one oid-index lookup per
+      delivery) vs a value-based hash join, comparing work counters.
 
    Run with: dune exec examples/delivery_audit.exe *)
 
@@ -53,41 +54,36 @@ let () =
   Fmt.pr "Q2 rows: %d@.@."
     (Value.set_size (Njq_engine.Exec.run cat (Njq_engine.Planner.plan out2)));
 
-  (* 3. Materializing the supplier reference: assembly vs value join. *)
-  let assembly_plan =
-    Njq_engine.Plan.Assembly
-      { cls = "SUPPLIER"; ref_attr = "supplier"; into = "supplier";
-        input = Njq_engine.Plan.Scan "DELIVERY" }
-  in
-  Metrics.reset_counters ();
-  let via_assembly = Njq_engine.Exec.run cat assembly_plan in
-  let assembly_work = Metrics.counter_snapshot () in
-
-  (* The equivalent value-based formulation: a nestjoin on oid equality and
-     a repack (each delivery has exactly one supplier). *)
+  (* 3. Materializing the supplier reference: pointers vs values. *)
   let open Dsl in
-  let value_join =
-    map_ "z"
-      (nestjoin ~x:"d" ~y:"s" ~attr:"sset"
-         (eq (var "d" $. "supplier") (var "s" $. "oid"))
-         (table "DELIVERY") (table "SUPPLIER"))
-      (except (proj (var "z") [ "oid"; "supply"; "date"; "supplier" ])
-         [ ("supplier", min_ (map_ "w" (var "z" $. "sset") (var "w" $. "oid")) ) ])
+  let run_counted q =
+    let plan = Njq_engine.Planner.plan ~cat q in
+    Metrics.reset_counters ();
+    let v = Njq_engine.Exec.run cat plan in
+    (v, Metrics.counter_snapshot ())
   in
-  ignore value_join;
-  let join_plan =
-    Njq_engine.Planner.plan
+  let via_pointer, pointer_work =
+    run_counted
       (map_ "d" (table "DELIVERY")
-         (except (var "d")
-            [ ("supplier", deref "SUPPLIER" (var "d" $. "supplier")) ]))
+         (except (var "d") [ ("supplier", deref "SUPPLIER" (var "d" $. "supplier")) ]))
   in
-  Metrics.reset_counters ();
-  let via_join = Njq_engine.Exec.run cat join_plan in
-  let join_work = Metrics.counter_snapshot () in
+  (* The value-based formulation: hash SUPPLIER on its oid, probe it with
+     each delivery's reference, and put the matched object in its place. *)
+  let via_join, join_work =
+    run_counted
+      (map_ "z"
+         (join ~x:"d" ~y:"s"
+            (eq (var "d" $. "supplier") (var "s" $. "soid"))
+            (table "DELIVERY")
+            (map_ "s" (table "SUPPLIER")
+               (tuple [ ("soid", var "s" $. "oid"); ("sobj", var "s") ])))
+         (except
+            (proj (var "z") [ "oid"; "supply"; "date"; "supplier" ])
+            [ ("supplier", var "z" $. "sobj") ]))
+  in
   Fmt.pr "Q3 materialize supplier into deliveries:@.";
-  Fmt.pr "  assembly operator : %d rows, work %a@." (Value.set_size via_assembly)
-    Metrics.pp_counts assembly_work;
-  Fmt.pr "  per-tuple deref   : %d rows, work %a@." (Value.set_size via_join)
+  Fmt.pr "  pointer (deref map) : %d rows, work %a@." (Value.set_size via_pointer)
+    Metrics.pp_counts pointer_work;
+  Fmt.pr "  value (hash join)   : %d rows, work %a@." (Value.set_size via_join)
     Metrics.pp_counts join_work;
-  (* Results agree modulo the attribute holding the object. *)
-  assert (Value.set_size via_assembly = Value.set_size via_join)
+  assert (Value.equal via_pointer via_join)

@@ -25,9 +25,17 @@ let hoistable e =
   | Const _ | Table _ -> false
   | _ -> Analysis.uses_base_table e && Analysis.is_closed e
 
-(* Replace maximal hoistable subexpressions of a parameter expression. *)
+(* Replace maximal hoistable subexpressions of a parameter expression.  A
+   subexpression whose evaluation fails stays as it is: the reference
+   evaluator fails only where it reaches one (it may sit in a
+   short-circuited conjunct, an untaken [if] branch or the body of an
+   empty extent's iterator), and so does the compiled plan, which defers
+   the failure to its first use ([Compile.fold_closed]). *)
 let rec hoist_in_param cat (e : Expr.t) : Expr.t =
-  if hoistable e then Const (Eval.run cat e)
+  if hoistable e then
+    match Eval.run cat e with
+    | v -> Const v
+    | exception (Eval.Eval_error _ | Value.Type_error _ | Catalog.Unknown_table _) -> e
   else map_children (hoist_in_param cat) e
 
 (* Walk the operator tree: operands recurse structurally, parameter

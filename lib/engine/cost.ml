@@ -293,7 +293,6 @@ let rec rows_out ?stats (cat : Catalog.t) (p : Plan.t) : float =
   | Plan.NestOp { input; _ } -> 0.5 *. rows_out cat input
   | Plan.DivideOp (a, _) -> Float.max 1.0 (0.1 *. rows_out cat a)
   | Plan.Pnhl { left; _ } -> rows_out cat left
-  | Plan.Assembly { input; _ } -> rows_out cat input
   | Plan.EvalOp _ -> 1.0
   | Plan.Materialized rows -> float_of_int (List.length rows)
 
@@ -401,6 +400,5 @@ let rec cost ?stats (cat : Catalog.t) (p : Plan.t) : float =
     cost cat left +. cost cat right +. r
     +. (partitions *. l *. assumed_fanout)
     +. spill
-  | Plan.Assembly { input; _ } -> cost cat input +. (2.0 *. rows_out cat input)
   | Plan.EvalOp _ -> 1000.0
   | Plan.Materialized rows -> float_of_int (List.length rows)

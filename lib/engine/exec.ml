@@ -2,8 +2,9 @@
 
    The engine's contribution is the set-oriented organization of the
    iteration: hash tables for equi-joins, semijoins, antijoins and
-   nestjoins, a sort-merge alternative, the PNHL algorithm for set-valued
-   attribute materialization, and assembly for pointer dereferencing.
+   nestjoins, a sort-merge alternative, member joins that probe an
+   extent's oid index (pointer-based) or a hash table (value-based), and
+   the PNHL algorithm for set-valued attribute materialization.
 
    Parameter expressions (join keys, filter predicates, residuals, map and
    nestjoin bodies) are compiled once per operator into closures
@@ -14,8 +15,8 @@
    create duplicates from duplicate-free inputs pay for a hash-set dedup
    (over the memoized [Value.hash], not a full sort): maps, projections,
    flatten and union; unnests whose input has no key apart from the
-   unnested attribute ([key_attr]); PNHL and assembly when what they
-   write may overwrite an attribute no such key covers; member joins
+   unnested attribute ([key_attr]); PNHL when what it writes may
+   overwrite an attribute no such key covers; member joins
    whose element key is not the element itself; division's candidate
    quotients.  Joins emit each pair once, so they never dedup, and the
    root skips its dedup because [run] canonicalizes its rows with
@@ -151,12 +152,11 @@ let renamer pairs = if pairs = [] then Fun.id else Value.rename pairs
    proves one.  Keys start at the scans of extents keyed on "oid"
    ([Catalog.oid_key]) and survive the operators that keep a subset of
    their input rows (filters, index scans, semi- and antijoins) or extend
-   each input row exactly once (nestjoins, member nestjoins, PNHL,
-   assembly) — unless the extension overwrites the key — and renames,
-   under the new name.  [UnnestOp] uses it to skip its dedup. *)
+   each input row exactly once (nestjoins, member nestjoins, PNHL) —
+   unless the extension overwrites the key — and renames, under the new
+   name.  [UnnestOp] uses it to skip its dedup. *)
 let rec key_attr cat (p : Plan.t) =
   let renamed pairs k = Option.value ~default:k (List.assoc_opt k pairs) in
-  let unless_into into k = if String.equal into k then None else Some k in
   match p with
   | Plan.Scan table -> if Catalog.oid_key cat table then Some "oid" else None
   | Plan.IndexScan { table; rename; _ } ->
@@ -169,14 +169,13 @@ let rec key_attr cat (p : Plan.t) =
   | Plan.NestjoinOp { left; _ } ->
     key_attr cat left
   | Plan.Pnhl { into; left; _ } ->
-    Option.bind (key_attr cat left) (unless_into into)
-  | Plan.Assembly { into; input; _ } ->
-    Option.bind (key_attr cat input) (unless_into into)
+    Option.bind (key_attr cat left) (fun k ->
+        if String.equal into k then None else Some k)
   | _ -> None
 
 (* Does [input] have a key other than attribute [a]?  Then no two of its
    rows differ only in [a], so an operator that replaces or removes [a]
-   (unnest, and PNHL or assembly overwriting [a]) cannot merge rows. *)
+   (unnest, and PNHL overwriting [a]) cannot merge rows. *)
 let keyed_apart_from cat a input =
   match key_attr cat input with
   | Some k -> not (String.equal k a)
@@ -608,8 +607,7 @@ let rec exec_node ?(root = false) (cat : Catalog.t) (p : Plan.t) :
     exec_pnhl cat ~root ~attr ~elem_key ~row_key ~into ~mem_budget ~left ~right
   | Plan.Filter _ | Plan.MapOp _ | Plan.ProjectOp _ | Plan.FlattenOp _
   | Plan.UnionOp _ | Plan.InterOp _ | Plan.DiffOp _ | Plan.ProductOp _
-  | Plan.MemberJoin _ | Plan.RenameOp _ | Plan.UnnestOp _ | Plan.Assembly _
-  | Plan.IndexJoin _
+  | Plan.MemberJoin _ | Plan.RenameOp _ | Plan.UnnestOp _ | Plan.IndexJoin _
   | Plan.JoinOp { algo = Plan.Hash | Plan.Nested_loop; _ }
   | Plan.NestjoinOp { algo = Plan.Hash | Plan.Nested_loop; _ } ->
     gather ~root cat p
@@ -754,17 +752,6 @@ and bpush_op ?(root = false) cat (p : Plan.t) (bsink : Batch.t -> unit) :
         List.iter
           (fun inner -> add (Value.concat (as_row inner) rest))
           (Value.as_set (Value.field row a)));
-    flush ()
-  | Plan.Assembly { cls; ref_attr; into; input } ->
-    (* Writing back into [ref_attr] stays injective: distinct oids
-       dereference to distinct objects. *)
-    let dedup =
-      not (root || String.equal into ref_attr || keyed_apart_from cat into input)
-    in
-    let add, flush = row_builder ~dedup bsink in
-    push cat input (fun row ->
-        let obj = Catalog.deref cat cls (Value.field row ref_attr) in
-        add (Value.except row [ (into, obj) ]));
     flush ()
   | Plan.UnionOp (a, b) when root ->
     bpush cat a bsink;

@@ -3,9 +3,9 @@
     Parameter expressions (join keys, filter predicates, residuals, map and
     nestjoin bodies) are compiled once per operator into closures
     ({!Njq_adl.Compile}) before iterating; the engine organizes the
-    iteration set-oriented: hash tables for equi/member/nest joins, a
-    sort-merge alternative, PNHL with memory-budget partitioning, and
-    assembly for pointer dereferencing.
+    iteration set-oriented: hash tables for equi/member/nest joins, member
+    joins that probe an extent's oid index instead (pointer-based), a
+    sort-merge alternative, and PNHL with memory-budget partitioning.
 
     There is one executor: batched push.  Operators for which
     {!Plan.streams_output} holds push {!Batch} column batches into their

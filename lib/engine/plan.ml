@@ -3,18 +3,17 @@
    A plan mirrors the top-level iterator structure of an ADL expression but
    fixes an algorithm for each join-family operator: nested loop, hash (on
    extracted equi-join keys), or sort-merge.  Parameter expressions inside
-   operators (predicates, map bodies) are ADL expressions evaluated per
-   tuple with the reference evaluator; what the engine changes is how the
-   *iteration* is organized — which is exactly the paper's point: the same
-   logical join admits many set-oriented implementations, while a nested
-   subquery forces nested loops.
+   operators (predicates, map bodies) stay ADL expressions, which the
+   executor compiles once per operator into closures ([Compile]); what the
+   engine changes is how the *iteration* is organized — which is exactly
+   the paper's point: the same logical join admits many set-oriented
+   implementations, while a nested subquery forces nested loops.
 
-   Two operators implement Section 6.2:
-   - [Pnhl]: the Partitioned Nested-Hashed-Loops algorithm of [DeLa92] for
-     joining a set-valued attribute with a base table under a memory budget;
-   - [Assembly]: the pointer-based implementation of the materialize
-     operator of [BlMG93], dereferencing oid attributes through the extent's
-     oid index. *)
+   Section 6.2's two ways of joining a set of oids with an extent are a
+   member join's two right sides: [Oid_index] follows the pointers
+   (assembly), [Build] hashes the extent (value-based).  [Pnhl], the
+   Partitioned Nested-Hashed-Loops algorithm of [DeLa92], joins a
+   set-valued attribute with a base table under a memory budget. *)
 
 open Njq_adl
 
@@ -142,13 +141,8 @@ type t =
       right : t;
     }
       (* Segments of at most [mem_budget] right rows run as pool tasks;
-         past one segment they are spill files. *)
-  | Assembly of {
-      cls : string; (* extent the references point into *)
-      ref_attr : string; (* oid-valued attribute to dereference *)
-      into : string; (* attribute receiving the referenced object *)
-      input : t;
-    }
+         past one segment they are spill files.  Built by hand, never
+         planned. *)
   | EvalOp of Expr.t (* fallback: reference (nested-loop) evaluation *)
   | Materialized of Value.t list
       (* an already-computed, duplicate-free row list; the serving layer
@@ -257,8 +251,6 @@ let rec pp ppf = function
   | Pnhl { attr; into; mem_budget; left; right; _ } ->
     Fmt.pf ppf "@[<2>pnhl[%s→%s, mem=%d](@,%a,@ %a)@]" attr into mem_budget pp
       left pp right
-  | Assembly { cls; ref_attr; into; input } ->
-    Fmt.pf ppf "@[<2>assembly[%s.%s→%s](@,%a)@]" cls ref_attr into pp input
   | EvalOp e -> Fmt.pf ppf "@[<2>eval(@,%a)@]" Pretty.pp e
   | Materialized rows -> Fmt.pf ppf "materialized(%d rows)" (List.length rows)
 
@@ -294,7 +286,6 @@ let node_label = function
   | NestOp { into; _ } -> "nest →" ^ into
   | DivideOp _ -> "divide"
   | Pnhl _ -> "pnhl"
-  | Assembly { cls; _ } -> "assembly " ^ cls
   | EvalOp _ -> "eval"
   | Materialized _ -> "materialized"
 
@@ -304,7 +295,7 @@ let children = function
   | IndexJoin { left; _ } -> [ left ]
   | Filter { input; _ } | MapOp { input; _ } | ProjectOp (_, input)
   | FlattenOp input | RenameOp (_, input) | UnnestOp (_, input)
-  | NestOp { input; _ } | Assembly { input; _ } -> [ input ]
+  | NestOp { input; _ } -> [ input ]
   | UnionOp (a, b) | InterOp (a, b) | DiffOp (a, b) | ProductOp (a, b)
   | DivideOp (a, b) -> [ a; b ]
   | MemberJoin { left; right = Build right; _ } -> [ left; right ]
@@ -340,8 +331,7 @@ let rec iter_nodes f p =
 let streams_output = function
   | Scan _ | Filter _ | MapOp _ | ProjectOp _ | FlattenOp _ | UnionOp _
   | InterOp _ | DiffOp _ | ProductOp _ | MemberJoin _ | RenameOp _
-  | UnnestOp _ | Assembly _ | EvalOp _ | Materialized _ | IndexScan _
-  | IndexJoin _ ->
+  | UnnestOp _ | EvalOp _ | Materialized _ | IndexScan _ | IndexJoin _ ->
     true
   | JoinOp { algo = Nested_loop | Hash; _ }
   | NestjoinOp { algo = Nested_loop | Hash; _ } ->
@@ -360,7 +350,7 @@ let streamed_inputs = function
   | Scan _ | EvalOp _ | Materialized _ | IndexScan _ -> []
   | Filter { morsel; _ } | MapOp { morsel; _ } -> [ not morsel ]
   | ProjectOp (_, _) | FlattenOp _ | RenameOp (_, _) | UnnestOp (_, _)
-  | NestOp _ | Assembly _ | IndexJoin _ ->
+  | NestOp _ | IndexJoin _ ->
     [ true ]
   | UnionOp (_, _) -> [ true; true ]
   | InterOp (_, _) | DiffOp (_, _) | ProductOp (_, _) -> [ true; false ]
@@ -433,7 +423,6 @@ let rec map_exprs f p =
   | RenameOp (pairs, input) -> RenameOp (pairs, recur input)
   | UnnestOp (a, input) -> UnnestOp (a, recur input)
   | NestOp n -> NestOp { n with input = recur n.input }
-  | Assembly a -> Assembly { a with input = recur a.input }
   | JoinOp j ->
     JoinOp
       { j with keys = List.map (fun (a, b) -> (f a, f b)) j.keys;
@@ -474,7 +463,6 @@ let with_children p cs =
   | RenameOp (pairs, _), [ c ] -> RenameOp (pairs, c)
   | UnnestOp (a, _), [ c ] -> UnnestOp (a, c)
   | NestOp n, [ c ] -> NestOp { n with input = c }
-  | Assembly a, [ c ] -> Assembly { a with input = c }
   | UnionOp _, [ a; b ] -> UnionOp (a, b)
   | InterOp _, [ a; b ] -> InterOp (a, b)
   | DiffOp _, [ a; b ] -> DiffOp (a, b)

@@ -2,16 +2,22 @@
 
     A plan mirrors the iterator structure of an ADL expression but fixes an
     algorithm per join-family operator.  Parameter expressions (predicates,
-    map bodies) stay as ADL, evaluated per tuple; the engine's contribution
-    is the organization of the iteration — the paper's point that a logical
-    join admits many set-oriented implementations while a nested subquery
-    forces nested loops.  [Pnhl] and [Assembly] implement Section 6.2.
+    map bodies) stay as ADL, compiled once per operator by the executor
+    ({!Njq_adl.Compile}); the engine's contribution is the organization of
+    the iteration — the paper's point that a logical join admits many
+    set-oriented implementations while a nested subquery forces nested
+    loops.  Section 6.2's pointer-based and value-based joins of a set of
+    oids with an extent are a {!MemberJoin}'s two right sides
+    ({!Oid_index} and {!Build}); [Pnhl] is its memory-bounded
+    set-valued-attribute join.
 
     Each algorithm is one constructor with one executor path; how it runs
     is a policy value on the node, not another plan shape: a hash join or
     nestjoin partitions ({!Partitioned}), a filter or map runs its batches
     as pool tasks ([morsel]), PNHL segments its build side ([mem_budget]).
-    The planner sets these from {!Memory.budget} and {!Pool.domains}. *)
+    The planner sets two of them: {!Memory.budget} partitions an
+    over-budget hash join, and {!Pool.domains} sets [morsel]
+    ({!Planner.plan}). *)
 
 open Njq_adl
 
@@ -139,14 +145,9 @@ type t =
     }
       (** Partitioned Nested-Hashed-Loops (Section 6.2, [DeLa92]): the right
           side splits into segments of at most [mem_budget] rows, run as
-          {!Pool.run} tasks; past one segment they are spill files. *)
-  | Assembly of {
-      cls : string;
-      ref_attr : string;  (** oid-valued attribute to dereference *)
-      into : string;  (** attribute receiving the referenced object *)
-      input : t;
-    }
-      (** Pointer-based materialize (Section 6.2, [BlMG93]/[ShCa90]). *)
+          {!Pool.run} tasks; past one segment they are spill files.  The
+          planner never emits it (queries reach the member nestjoin); it
+          is the memory-bounded operator plans build by hand. *)
   | EvalOp of Expr.t  (** fallback: reference (nested-loop) evaluation *)
   | Materialized of Value.t list
       (** an already-computed row list, which must be duplicate-free like

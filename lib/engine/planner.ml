@@ -5,7 +5,8 @@
    equi-key pairs f(x) = g(y) (f referencing only the left variable, g only
    the right) and picks a hash implementation when at least one pair exists,
    falling back to nested loops otherwise.  Scalar expressions and iterator
-   parameter expressions stay as ADL and are evaluated per tuple.
+   parameter expressions stay as ADL, which the executor compiles once per
+   operator.
 
    [plan ~force] overrides the choice, which the benches use to compare
    algorithms on identical logical plans. *)
@@ -70,34 +71,14 @@ let choose force keys =
   | _, Some a -> a
   | _, None -> Plan.Hash
 
-(* Recognize the Section 6.2 materialization pattern — each row's set-valued
-   attribute joined with a base table:
-
-     map[s : s except (into = map[p : p](select[p : g(p) 'in' s.attr](@T)))](src)
-
-   and return (attr, into, row variable, row key g, table) for a PNHL plan. *)
-let pnhl_shape (e : Expr.t) =
-  match e with
-  | Map { var = s;
-          body = Except (Var s2, [ (into, inner) ]);
-          src }
-    when String.equal s s2 ->
-    let stripped =
-      match inner with
-      | Map { var = p; body = Var p2; src = inner_sel } when String.equal p p2 ->
-        Some inner_sel
-      | Select _ -> Some inner
-      | _ -> None
-    in
-    (match stripped with
-     | Some (Select { var = p; pred = SetCmp (Mem, g, Field (Var sv, attr));
-                      src = Table t })
-       when String.equal sv s
-            && (let fv = Analysis.free_vars g in
-                Analysis.S.subset fv (Analysis.S.singleton p)) ->
-       Some (src, attr, into, p, g, t)
-     | _ -> None)
-  | _ -> None
+(* [choose] for a join of [kind], falling back to hash where [Exec] has
+   no path for the forced algorithm: sort-merge emits only inner joins
+   (and nestjoin groups), a partitioned join no outer join. *)
+let join_algo force kind keys =
+  match choose force keys, kind with
+  | Plan.Sort_merge, (Semi | Anti | LeftOuter _) | Plan.Partitioned _, LeftOuter _ ->
+    Plan.Hash
+  | algo, _ -> algo
 
 (* Is this expression a set-producing operator we can plan, or a scalar /
    parameter expression that must stay in ADL? *)
@@ -107,20 +88,6 @@ let rec plan_with force (e : Expr.t) : Plan.t =
   | Table name -> Plan.Scan name
   | Select { var; pred; src } ->
     Plan.Filter { var; pred; input = plan src; morsel = false }
-  | Map _ when pnhl_shape e <> None ->
-    (* Section 6.2: materialize a set-valued attribute against a base table
-       with the PNHL algorithm rather than per-tuple nested evaluation.  The
-       build table is one resident segment unless the engine budget binds
-       ([set_policies]). *)
-    let src, attr, into, p, g, t = Option.get (pnhl_shape e) in
-    Plan.Pnhl
-      { attr;
-        elem_key = Var "elem";
-        row_key = Analysis.subst1 p (Var "row") g;
-        into;
-        mem_budget = max_int;
-        left = plan src;
-        right = Plan.Scan t }
   | Map { var; body; src } ->
     Plan.MapOp { var; body; input = plan src; morsel = false }
   | Project (attrs, src) -> Plan.ProjectOp (attrs, plan src)
@@ -152,7 +119,7 @@ let rec plan_with force (e : Expr.t) : Plan.t =
      | _ ->
        let lp = plan left and rp = plan right in
        Plan.JoinOp
-         { algo = choose force keys; kind; xvar; yvar; keys; residual;
+         { algo = join_algo force kind keys; kind; xvar; yvar; keys; residual;
            left = lp; right = rp })
   | Nestjoin { xvar; yvar; pred; body; attr; left; right } ->
     let keys, residual = extract_keys xvar yvar pred in
@@ -397,33 +364,24 @@ let pointer_joins cat p =
 (* Execution policies                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimum estimated input rows before an operator is worth fanning out to
-   the domain pool: below it, partitioning and task hand-off cost more
-   than they save. *)
+(* Minimum estimated input rows before a filter or map is worth running as
+   morsels on the domain pool: below it, task hand-off costs more than it
+   saves. *)
 let par_threshold = 256.0
 
-(* Ceiling on the partition count of one parallel join, so the plan never
-   schedules more buckets than a realistic pool can use at once. *)
-let max_par_partitions = 16
-
-let partitions_for l r =
-  let parts = int_of_float (Float.ceil (Float.max l r /. par_threshold)) in
-  max 2 (min max_par_partitions parts)
-
 (* Set each operator's execution policy, bottom-up, from the engine
-   budget ({!Memory.budget}) and the pool size.  The budget applies first,
-   to inner, semi and anti hash joins only — nestjoins stay resident,
-   although their partitioned path could spill: one whose build side is
-   estimated past the budget is partitioned by the budget alone, and a
-   PNHL's budget is clamped to it, so their executors spill.  Without a
-   catalog there are no estimates, so every such hash join is
-   partitioned — the conservative reading of a binding budget.
-   Then, with a catalog and a pool of at least 2 domains, a resident hash
-   join or nestjoin, a filter or a map with at least [par_threshold]
-   estimated input rows gets its parallel policy.  The partition count is
-   fixed here, in the plan: execution only decides which domain runs which
-   partition, so results and counter totals cannot depend on the pool
-   size, and a 1-domain run keeps every sequential policy. *)
+   budget ({!Memory.budget}) and the pool size.  Two rules:
+   - the budget: an inner, semi or anti hash join whose build side is
+     estimated past it is partitioned by the budget alone, so its
+     executor spills.  Without a catalog there are no estimates, so every
+     such hash join is partitioned — the conservative reading of a
+     binding budget.  Nestjoins stay resident;
+   - morsels: with a catalog and a pool of at least 2 domains, a filter
+     or a map with at least [par_threshold] estimated input rows runs its
+     batches as pool tasks.
+   A resident join is never partitioned for the pool alone: [Cost] prices
+   a partitioned join above the resident one, and so did EQ4 at 2 domains
+   (EXPERIMENTS.md P12).  A 1-domain run keeps every sequential policy. *)
 let set_policies cat p =
   let budget = !Memory.budget in
   let parallel = Option.is_some cat && Pool.domains () >= 2 in
@@ -433,51 +391,21 @@ let set_policies cat p =
       Cost.rows_out ~stats:(Stats.cached c) c
     | _ -> fun _ -> infinity
   in
-  let budgeted (p : Plan.t) =
+  let policy (p : Plan.t) =
     match p with
     | Plan.JoinOp
         ({ algo = Plan.Hash; kind = Expr.Inner | Expr.Semi | Expr.Anti;
            keys = _ :: _; right; _ } as j)
-      when est right > float_of_int budget ->
+      when budget < max_int && est right > float_of_int budget ->
       let algo = Plan.Partitioned { partitions = 1; mem_budget = budget } in
       Plan.JoinOp { j with algo }
-    | Plan.Pnhl ({ mem_budget; _ } as g) when mem_budget > budget ->
-      Plan.Pnhl { g with mem_budget = budget }
-    | p -> p
-  in
-  let parallelized (p : Plan.t) =
-    let above input = est input >= par_threshold in
-    let partitioned left right =
-      let l = est left and r = est right in
-      if l >= par_threshold || r >= par_threshold then
-        Some
-          (Plan.Partitioned
-             { partitions = partitions_for l r; mem_budget = max_int })
-      else None
-    in
-    match p with
-    | Plan.JoinOp
-        ({ algo = Plan.Hash; kind = Expr.Inner | Expr.Semi | Expr.Anti;
-           keys = _ :: _; left; right; _ } as j) ->
-      (match partitioned left right with
-       | Some algo -> Plan.JoinOp { j with algo }
-       | None -> p)
-    | Plan.NestjoinOp
-        ({ algo = Plan.Hash; keys = _ :: _; left; right; _ } as j) ->
-      (match partitioned left right with
-       | Some algo -> Plan.NestjoinOp { j with algo }
-       | None -> p)
-    | Plan.Filter ({ input; _ } as f) when above input ->
+    | Plan.Filter ({ input; _ } as f) when parallel && est input >= par_threshold ->
       Plan.Filter { f with morsel = true }
-    | Plan.MapOp ({ input; _ } as m) when above input ->
+    | Plan.MapOp ({ input; _ } as m) when parallel && est input >= par_threshold ->
       Plan.MapOp { m with morsel = true }
     | p -> p
   in
-  let rec go p =
-    let p = Plan.with_children p (List.map go (Plan.children p)) in
-    let p = if budget = max_int then p else budgeted p in
-    if parallel then parallelized p else p
-  in
+  let rec go p = policy (Plan.with_children p (List.map go (Plan.children p))) in
   if budget = max_int && not parallel then p else go p
 
 let plan ?force ?cat e =

@@ -29,17 +29,18 @@ val extract_keys :
     ablations on identical logical plans) and skips the catalog passes, so
     [~force:Plan.Hash] is the plan as the rewriter wrote it.  A join
     without keys runs nested loops whatever is forced, and forcing nested
-    loops also keeps membership joins nested.
+    loops also keeps membership joins nested.  A forced algorithm the
+    executor cannot run for the join's kind — sort-merge for a semi-,
+    anti- or outer join, {!Plan.Partitioned} for an outer join — plans
+    hash instead.
 
     Last, one bottom-up pass sets each operator's execution policy.  With
     a bounded {!Memory.budget}, an inner, semi or anti hash join whose
     build side is estimated past it (every one, without [cat]) becomes
-    {!Plan.Partitioned} with that budget, and PNHL's budget is clamped to
-    it; PNHL otherwise keeps one resident segment.  Then,
-    given [cat] and a pool of at least 2 domains ({!Pool.domains}), each
-    resident hash join or nestjoin, filter and map with at least 256
-    estimated input rows gets its parallel policy: a fixed partition
-    count (2 to 16) or the morsel flag. *)
+    {!Plan.Partitioned} with that budget.  Given [cat] and a pool of at
+    least 2 domains ({!Pool.domains}), each filter and map with at least
+    256 estimated input rows gets the morsel flag.  No join is partitioned
+    for the pool alone, and no plan holds {!Plan.Pnhl}. *)
 val plan : ?force:Plan.join_algo -> ?cat:Catalog.t -> Expr.t -> Plan.t
 
 (** The one derivation of a query's plan, shared by every command, the

@@ -95,8 +95,8 @@ let test_workload_modes_agree () =
    batched input.  Every probing join runs through one match-and-emit
    loop, so each probe (hash with one key and with two, nested loops,
    index, member over a build and over the oid index) appears with each
-   join kind it serves, over a filtered left input; unnest and assembly
-   appear with the dedup their inputs need.  Each comes with the ADL it
+   join kind it serves, over a filtered left input; unnest and the
+   pointer-based materialize appear with the dedup their inputs need.  Each comes with the ADL it
    implements. *)
 
 let price_above k p = gt (var p $. "price") (int k)
@@ -324,8 +324,8 @@ let fused_plans () =
   in
   let supplied = exists "z" (var "d" $. "supply") (eq (var "z" $. "part") (var "p" $. "oid")) in
   let red_adl = select "p" (table "PART") (red "p") in
-  (* An unnest whose input has no key, and an assembly over one: both
-     dedup. *)
+  (* An unnest whose input has no key, and the pointer-based materialize
+     (a map over a compiled deref) over one: both dedup. *)
   let supplier_supply =
     Plan.MapOp
       { morsel = false; var = "d";
@@ -336,13 +336,11 @@ let fused_plans () =
     map_ "d" (table "DELIVERY")
       (tuple [ ("supplier", var "d" $. "supplier"); ("supply", var "d" $. "supply") ])
   in
-  let assembly =
-    Plan.Assembly
-      { cls = "SUPPLIER"; ref_attr = "supplier"; into = "by"; input = supplier_supply }
+  let by_supplier =
+    except (var "r") [ ("by", Expr.Deref ("SUPPLIER", var "r" $. "supplier")) ]
   in
-  let assembly_adl =
-    map_ "r" supplier_supply_adl
-      (except (var "r") [ ("by", Expr.Deref ("SUPPLIER", var "r" $. "supplier")) ])
+  let deref_map =
+    Plan.MapOp { morsel = false; var = "r"; body = by_supplier; input = supplier_supply }
   in
   let rename_plan =
     Plan.RenameOp
@@ -409,7 +407,7 @@ let fused_plans () =
         deliveries_adl red_adl );
     ("unnest", Plan.UnnestOp ("supply", supplier_supply),
      unnest "supply" supplier_supply_adl);
-    ("assembly", assembly, assembly_adl);
+    ("deref_map", deref_map, map_ "r" supplier_supply_adl by_supplier);
     ("rename", rename_plan, rename_adl);
     (* A breaker downstream of batched inputs: sort-merge buffers both
        sides, so batches must materialize correctly at the boundary. *)

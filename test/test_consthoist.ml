@@ -127,6 +127,36 @@ let test_cache_stores_hoisted_plan () =
     true
     (has_substring ~sub:"q.price > ?0](PART)" template)
 
+(* A closed subquery that fails when evaluated — every price divided by
+   zero — stays in place: hoisting must not fail where the reference
+   evaluator does not reach it.  Each query, hoisted, planned and run,
+   equals [Eval] of the query itself. *)
+let failing =
+  count (map_ "p" (table "PART") (Expr.Arith (Expr.Div, var "p" $. "price", int 0)))
+
+let check_unreached name cat q =
+  let hoisted = Consthoist.hoist cat q in
+  Alcotest.check Util.value name (Eval.run cat q)
+    (Njq_engine.Exec.run cat (Njq_engine.Planner.plan ~cat hoisted))
+
+let test_failing_short_circuit () =
+  let cat = cat () in
+  check_unreached "short-circuited conjunct" cat
+    (select "s" (table "SUPPLIER")
+       (eq (var "s" $. "sname") (str "zzz") &&& gt failing (int 0)))
+
+let test_failing_untaken_if () =
+  let cat = cat () in
+  check_unreached "untaken if branch" cat
+    (map_ "s" (table "SUPPLIER")
+       (if_ (eq (var "s" $. "sname") (str "zzz")) failing (int 0)))
+
+let test_failing_empty_extent () =
+  let cat = cat () in
+  Catalog.set_rows cat "SUPPLIER" [];
+  check_unreached "empty outer extent" cat
+    (map_ "s" (table "SUPPLIER") (add (count (var "s" $. "parts_supplied")) failing))
+
 let prop_hoist_sound =
   Util.qcheck ~count:200 "hoisting preserves semantics"
     Util.arbitrary_xy_pred_and_tables
@@ -143,5 +173,11 @@ let () =
           Alcotest.test_case "cache stores the hoisted plan" `Quick
             test_cache_stores_hoisted_plan;
           Alcotest.test_case "operands untouched" `Quick test_operands_untouched;
-          Alcotest.test_case "work reduction" `Quick test_work_reduction ] );
+          Alcotest.test_case "work reduction" `Quick test_work_reduction;
+          Alcotest.test_case "failing subquery in a short-circuited conjunct"
+            `Quick test_failing_short_circuit;
+          Alcotest.test_case "failing subquery in an untaken if" `Quick
+            test_failing_untaken_if;
+          Alcotest.test_case "failing subquery over an empty extent" `Quick
+            test_failing_empty_extent ] );
       ("properties", [ prop_hoist_sound ]) ]

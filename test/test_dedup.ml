@@ -80,8 +80,9 @@ let test_unnest_unkeyed () =
     [ "SHARED"; "NOOID" ]
 
 (* An extension that overwrites the key attribute ends the key: after
-   assembly into [oid], both rows carry the same referenced object as
-   their oid and differ only in [s]. *)
+   the pointer-based materialize into [oid] (a map over a compiled deref),
+   both rows carry the same referenced object as their oid and differ only
+   in [s]. *)
 let test_unnest_after_key_overwrite () =
   let cat = Catalog.create () in
   Catalog.add_table cat ~name:"OBJ"
@@ -95,6 +96,7 @@ let test_unnest_after_key_overwrite () =
     [ row [ ("oid", Value.oid 1); ("ref", Value.oid 5); ("s", ints [ 1; 2 ]) ];
       row [ ("oid", Value.oid 2); ("ref", Value.oid 5); ("s", ints [ 2 ]) ] ];
   Alcotest.(check bool) "REF is keyed on oid" true (Catalog.oid_key cat "REF");
+  let into_oid = except (var "r") [ ("oid", Expr.Deref ("OBJ", var "r" $. "ref")) ] in
   let plan =
     Plan.MapOp
       { morsel = false; var = "t";
@@ -102,19 +104,14 @@ let test_unnest_after_key_overwrite () =
         input =
           Plan.UnnestOp
             ( "s",
-              Plan.Assembly
-                { cls = "OBJ"; ref_attr = "ref"; into = "oid";
+              Plan.MapOp
+                { morsel = false; var = "r"; body = into_oid;
                   input = Plan.Scan "REF" } ) }
   in
   let adl =
-    map_ "t"
-      (unnest "s"
-         (map_ "r" (table "REF")
-            (except (var "r")
-               [ ("oid", Expr.Deref ("OBJ", var "r" $. "ref")) ])))
-      (var "t" $. "s")
+    map_ "t" (unnest "s" (map_ "r" (table "REF") into_oid)) (var "t" $. "s")
   in
-  check_plan "unnest after assembly into oid" cat ~adl plan
+  check_plan "unnest after a deref into oid" cat ~adl plan
 
 (* A member join whose element key is not the element: the two supply
    entries of delivery 1 name the same part, so their probes hit the same
@@ -193,8 +190,9 @@ let test_map_project_below_join () =
    Y(d, e).  Every shape unnests [c] above one operator the key rule
    covers — kept, renamed, ended by an overwrite, or never started (an
    inner join) — and must agree with [Eval] with every node distinct.
-   PNHL and assembly writing into an existing attribute ([oid], [a]) can
-   merge rows themselves, so they are held to the same check. *)
+   PNHL and the pointer-based materialize (a map over a compiled deref)
+   writing into an existing attribute ([oid], [a]) can merge rows
+   themselves, so they are held to the same check. *)
 
 let x_row_type =
   Vtype.tuple [ ("oid", Vtype.TOid); ("a", Vtype.TInt); ("c", Vtype.TSet Vtype.TInt) ]
@@ -234,10 +232,10 @@ let pnhl into =
       mem_budget = 2; left = Plan.Scan "X"; right = Plan.Scan "Y" }
 
 (* Each row's own object, written into [into]. *)
-let assembly into =
-  ( Plan.Assembly { cls = "X"; ref_attr = "oid"; into; input = Plan.Scan "X" },
-    map_ "x" (table "X")
-      (except (var "x") [ (into, Expr.Deref ("X", var "x" $. "oid")) ]) )
+let deref_map into =
+  let body = except (var "x") [ (into, Expr.Deref ("X", var "x" $. "oid")) ] in
+  (Plan.MapOp { morsel = false; var = "x"; body; input = Plan.Scan "X" },
+   map_ "x" (table "X") body)
 
 (* (name, plan under the unnest, its ADL) *)
 let key_shapes =
@@ -277,8 +275,8 @@ let key_shapes =
       Expr.Rename ([ ("oid", "k") ], join on_a (table "X") (table "Y")) ) ]
   @ List.map
       (fun into ->
-        let plan, adl = assembly into in
-        ("assembly into " ^ into, plan, adl))
+        let plan, adl = deref_map into in
+        ("deref map into " ^ into, plan, adl))
       [ "obj"; "a"; "oid" ]
 
 let prop_key_shapes =

@@ -1,6 +1,7 @@
 (* Tests for the physical engine: every algorithm must agree with the
    reference evaluator (differential testing on random tables), plus
-   dedicated tests for the member join, PNHL and assembly operators. *)
+   dedicated tests for the member join, PNHL and the pointer-based
+   materialize, and the planner's derived plans pinned. *)
 
 open Njq_adl
 module Metrics = Njq_obs.Metrics
@@ -99,6 +100,27 @@ let prop_member_nestjoin =
       (match planned with Plan.MemberJoin { kind = Plan.MNest _; _ } -> true | _ -> false)
       && Value.equal (Eval.run cat e) (Exec.run cat planned))
 
+(* Every algorithm [~force] can name runs every join kind, and the
+   nestjoin, as the reference evaluator does: where the executor has no
+   path for it (a sort-merge semi-, anti- or outer join, a partitioned
+   outer join) the planner falls back to hash. *)
+let prop_forced_algos =
+  Util.qcheck ~count:100 "forced algorithms match reference on every kind"
+    Util.arbitrary_xy (fun tables ->
+      let cat = Util.xy_catalog tables in
+      let nj =
+        nestjoin ~x:"x" ~y:"y" ~attr:"g" ~body:(var "y" $. "e") join_pred
+          (table "X") (table "Y")
+      in
+      List.for_all
+        (fun force ->
+          List.for_all
+            (fun e -> Value.equal (Eval.run cat e) (Exec.run cat (Planner.plan ~force e)))
+            (nj :: List.map (fun (_, kind) -> join_expr kind) all_kinds))
+        [ Plan.Nested_loop; Plan.Hash; Plan.Sort_merge;
+          Plan.Partitioned { partitions = 4; mem_budget = max_int };
+          Plan.Partitioned { partitions = 1; mem_budget = 2 } ])
+
 (* Other operators through the planner. *)
 let prop_structural_ops =
   Util.qcheck ~count:150 "structural operators match reference" Util.arbitrary_xy
@@ -138,6 +160,81 @@ let test_key_extraction () =
       Alcotest.(check bool) "ky over y" true
         (Analysis.S.subset (Analysis.free_vars ky) (Analysis.S.singleton "y")))
     keys
+
+(* The planner's output, pinned: the derived plan of every corpus query
+   and of the Section 6.2 materialization, under every grouping mode with
+   and without division, at 1 and 2 domains, with and without a memory
+   budget, equals [Eval] and holds neither PNHL nor a join partitioned
+   without a budget — the planner partitions a join only for its budget.
+   Planned unrewritten ([Planner.plan], as [--no-opt] runs it), the
+   materialization stays the nested map it is written as. *)
+let test_derived_plans () =
+  let module Gen = Njq_workload.Generator in
+  let module Queries = Njq_workload.Queries in
+  let module Strategy = Njq_core.Strategy in
+  let module Pool = Njq_engine.Pool in
+  let module Memory = Njq_engine.Memory in
+  let cat = Gen.catalog { (Gen.scaled ~seed:5 300) with Gen.dangling_rate = 0.0 } in
+  let queries =
+    ("materialize", Queries.materialize_parts_query)
+    :: List.map
+         (fun (q : Queries.query) -> (q.Queries.id, Queries.to_adl q))
+         (Queries.all @ Queries.extended)
+  in
+  let expected = List.map (fun (id, q) -> (id, Eval.run cat q)) queries in
+  let options =
+    List.concat_map
+      (fun grouping_mode ->
+        List.map
+          (fun enable_division -> { Strategy.grouping_mode; enable_division })
+          [ false; true ])
+      [ Strategy.Nestjoin_always; Strategy.Flat_join_when_safe; Strategy.Outerjoin ]
+  in
+  let unwanted (p : Plan.t) =
+    match p with
+    | Plan.Pnhl _ -> true
+    | Plan.JoinOp { algo = Plan.Partitioned { mem_budget; _ }; _ }
+    | Plan.NestjoinOp { algo = Plan.Partitioned { mem_budget; _ }; _ } ->
+      mem_budget = max_int
+    | _ -> false
+  in
+  let prev_domains = Pool.domains () and prev_budget = !Memory.budget in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_domains prev_domains;
+      Memory.budget := prev_budget)
+  @@ fun () ->
+  List.iter
+    (fun (domains, budget) ->
+      Pool.set_domains domains;
+      Memory.budget := budget;
+      List.iter
+        (fun options ->
+          List.iter
+            (fun (id, q) ->
+              let name =
+                Printf.sprintf "%s at %d domains, budget %d" id domains budget
+              in
+              let _, plan = Planner.derive ~options cat q in
+              Plan.iter_nodes
+                (fun node ->
+                  if unwanted node then
+                    Alcotest.failf "%s: planned %s" name (Plan.node_label node))
+                plan;
+              Alcotest.check Util.value name (List.assoc id expected)
+                (Exec.run cat plan))
+            queries)
+        options)
+    [ (1, max_int); (1, 30); (2, max_int); (2, 30) ];
+  Pool.set_domains 1;
+  Memory.budget := max_int;
+  let q = Njq_workload.Queries.materialize_parts_query in
+  let plan = Planner.plan ~cat q in
+  (match plan with
+   | Plan.MapOp _ -> ()
+   | p -> Alcotest.failf "expected the nested map, got %a" Plan.pp p);
+  Alcotest.check Util.value "unrewritten materialization" (List.assoc "materialize" expected)
+    (Exec.run cat plan)
 
 (* ---------------- PNHL ---------------- *)
 
@@ -208,80 +305,33 @@ let test_pnhl_keeps_empty_sets () =
   Alcotest.(check int) "pnhl keeps all suppliers" suppliers via_pnhl;
   Alcotest.(check bool) "unnest-join-nest drops empty ones" true (via_ujn < suppliers)
 
-(* The planner recognizes the Section 6.2 materialization pattern and plans
-   it as PNHL instead of per-tuple nested evaluation. *)
-let test_pnhl_autoplan () =
-  let cfg = { Njq_workload.Generator.default_config with dangling_rate = 0.0 } in
-  let cat = Njq_workload.Generator.catalog cfg in
-  let q = Njq_workload.Queries.materialize_parts_query in
-  let plan = Planner.plan q in
-  (match plan with
-   | Plan.Pnhl { attr = "parts_supplied"; into = "parts_supplied";
-                 right = Plan.Scan "PART"; _ } -> ()
-   | p -> Alcotest.failf "expected a PNHL plan, got %a" Plan.pp p);
-  Alcotest.check Util.value "pnhl plan result" (Eval.run cat q) (Exec.run cat plan);
-  (* and it does far less parameter-evaluation work *)
-  let work f =
-    Metrics.reset_counters ();
-    ignore (f ());
-    List.fold_left (fun acc (_, v) -> acc + v) 0 (Metrics.counter_snapshot ())
-  in
-  let nested = work (fun () -> Eval.run cat q) in
-  let pnhl = work (fun () -> Exec.run cat plan) in
-  Alcotest.(check bool)
-    (Printf.sprintf "pnhl %d << nested %d" pnhl nested)
-    true (pnhl * 4 < nested)
+(* ---------------- Pointer-based materialize ---------------- *)
 
-(* With no memory budget the planned PNHL keeps its build table as one
-   resident segment, however large the extent; a budget segments (and
-   spills) it, with the same result. *)
-let test_pnhl_planner_budget () =
-  let cfg =
-    { Njq_workload.Generator.default_config with
-      parts = 5000; suppliers = 500; deliveries = 50; dangling_rate = 0.0 }
-  in
-  let cat = Njq_workload.Generator.catalog cfg in
-  let q = Njq_workload.Queries.materialize_parts_query in
-  let run () =
-    Metrics.reset_counters ();
-    let v = Exec.run cat (Planner.plan ~cat q) in
-    (v, Metrics.get "spill_part", Metrics.get "pnhl_partition")
-  in
-  let v, spills, segments = run () in
-  Alcotest.(check int) "no spill without a budget" 0 spills;
-  Alcotest.(check int) "one resident segment" 1 segments;
-  let module Memory = Njq_engine.Memory in
-  let prev = !Memory.budget in
-  Fun.protect
-    ~finally:(fun () -> Memory.budget := prev)
-    (fun () ->
-      Memory.budget := 1000;
-      let v', spills', segments' = run () in
-      Alcotest.check Util.value "same value under a budget" v v';
-      Alcotest.(check int) "ceil(5000/1000) segments" 5 segments';
-      Alcotest.(check int) "each segment spilled" 5 spills')
-
-(* ---------------- Assembly ---------------- *)
-
+(* Section 6.2's pointer-based materialize is a map over a compiled
+   [deref]: each delivery's supplier reference becomes the supplier object,
+   one "oid_lookup" per delivery in SUPPLIER's oid index. *)
 let test_assembly () =
   let cfg = { Njq_workload.Generator.default_config with dangling_rate = 0.0 } in
   let cat = Njq_workload.Generator.catalog cfg in
-  let plan =
-    Plan.Assembly
-      { cls = "SUPPLIER"; ref_attr = "supplier"; into = "supplier_obj";
-        input = Plan.Scan "DELIVERY" }
+  let q =
+    map_ "d" (table "DELIVERY")
+      (except (var "d")
+         [ ("supplier_obj", deref "SUPPLIER" (var "d" $. "supplier")) ])
   in
-  let expected =
-    Eval.run cat
-      (map_ "d" (table "DELIVERY")
-         (except (var "d")
-            [ ("supplier_obj", deref "SUPPLIER" (var "d" $. "supplier")) ]))
-  in
-  Alcotest.check Util.value "assembly materializes references" expected
-    (Exec.run cat plan)
+  let plan = Planner.plan ~cat q in
+  (match plan with
+   | Plan.MapOp { input = Plan.Scan "DELIVERY"; _ } -> ()
+   | p -> Alcotest.failf "expected a map over DELIVERY, got %a" Plan.pp p);
+  let expected = Eval.run cat q in
+  Metrics.reset_counters ();
+  Alcotest.check Util.value "deref map materializes references" expected
+    (Exec.run cat plan);
+  Alcotest.(check int) "one oid lookup per delivery"
+    (Catalog.cardinality cat "DELIVERY") (Metrics.get "oid_lookup")
 
-(* Error paths: assembly must fail loudly on dangling references and non-oid reference attributes, and [set_rows]
-   must invalidate the lazy oid index so later derefs see the new extent. *)
+(* Error paths: the deref map must fail loudly on dangling references and
+   non-oid reference attributes, and [set_rows] must invalidate the lazy
+   oid index so later derefs see the new extent. *)
 
 let ref_row_type =
   Vtype.TTuple [ ("part", Vtype.TRef "PART"); ("tag", Vtype.TString) ]
@@ -293,9 +343,9 @@ let ref_catalog rows =
 
 let assemble_refs cat =
   Exec.run cat
-    (Plan.Assembly
-       { cls = "PART"; ref_attr = "part"; into = "part_obj";
-         input = Plan.Scan "REF" })
+    (Planner.plan
+       (map_ "r" (table "REF")
+          (except (var "r") [ ("part_obj", deref "PART" (var "r" $. "part")) ])))
 
 let check_type_error name f =
   match f () with
@@ -437,15 +487,15 @@ let () =
   Alcotest.run "engine"
     [ ( "differential",
         [ prop_join_algos; prop_sort_merge; prop_nestjoin_algos;
-          prop_member_join; prop_member_nestjoin; prop_structural_ops ] );
+          prop_forced_algos; prop_member_join; prop_member_nestjoin;
+          prop_structural_ops ] );
       ( "planner",
-        [ Alcotest.test_case "key extraction" `Quick test_key_extraction ] );
+        [ Alcotest.test_case "key extraction" `Quick test_key_extraction;
+          Alcotest.test_case "derived plans" `Quick test_derived_plans ] );
       ( "pnhl",
         [ Alcotest.test_case "correctness" `Quick test_pnhl_correct;
           Alcotest.test_case "partitioning invariant" `Quick test_pnhl_partitioning_invariant;
-          Alcotest.test_case "keeps empty sets" `Quick test_pnhl_keeps_empty_sets;
-          Alcotest.test_case "planner auto-PNHL" `Quick test_pnhl_autoplan;
-          Alcotest.test_case "planner budget" `Quick test_pnhl_planner_budget ] );
+          Alcotest.test_case "keeps empty sets" `Quick test_pnhl_keeps_empty_sets ] );
       ( "assembly",
         [ Alcotest.test_case "pointer materialization" `Quick test_assembly;
           Alcotest.test_case "dangling oid raises" `Quick

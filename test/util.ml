@@ -240,8 +240,9 @@ let same_run a b =
 (* [plan] with the parallel policy set on every operator that has one,
    whatever its size: hash joins (inner, semi, anti) and hash nestjoins
    with keys run over 4 resident partitions, filters and maps as morsels.
-   The planner sets the same policies on inputs past its 256-row
-   threshold when the pool has two or more domains. *)
+   The planner sets only the morsel flag, on inputs past its 256-row
+   threshold when the pool has two or more domains: this is how tests
+   reach the resident parallel join paths. *)
 let rec parallel plan =
   let module Plan = Njq_engine.Plan in
   let plan = Plan.with_children plan (List.map parallel (Plan.children plan)) in
