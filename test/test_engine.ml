@@ -165,9 +165,7 @@ let test_key_extraction () =
    and of the Section 6.2 materialization, under every grouping mode with
    and without division, at 1 and 2 domains, with and without a memory
    budget, equals [Eval] and holds neither PNHL nor a join partitioned
-   without a budget — the planner partitions a join only for its budget.
-   Planned unrewritten ([Planner.plan], as [--no-opt] runs it), the
-   materialization stays the nested map it is written as. *)
+   without a budget — the planner partitions a join only for its budget. *)
 let test_derived_plans () =
   let module Gen = Njq_workload.Generator in
   let module Queries = Njq_workload.Queries in
@@ -225,16 +223,7 @@ let test_derived_plans () =
                 (Exec.run cat plan))
             queries)
         options)
-    [ (1, max_int); (1, 30); (2, max_int); (2, 30) ];
-  Pool.set_domains 1;
-  Memory.budget := max_int;
-  let q = Njq_workload.Queries.materialize_parts_query in
-  let plan = Planner.plan ~cat q in
-  (match plan with
-   | Plan.MapOp _ -> ()
-   | p -> Alcotest.failf "expected the nested map, got %a" Plan.pp p);
-  Alcotest.check Util.value "unrewritten materialization" (List.assoc "materialize" expected)
-    (Exec.run cat plan)
+    [ (1, max_int); (1, 30); (2, max_int); (2, 30) ]
 
 (* ---------------- PNHL ---------------- *)
 
@@ -304,6 +293,78 @@ let test_pnhl_keeps_empty_sets () =
   let via_ujn = Value.set_size (Exec.run cat (unnest_join_nest_plan ())) in
   Alcotest.(check int) "pnhl keeps all suppliers" suppliers via_pnhl;
   Alcotest.(check bool) "unnest-join-nest drops empty ones" true (via_ujn < suppliers)
+
+(* The planner plans no PNHL of its own.  Unrewritten, the Section 6.2
+   materialization is the nested map it is written as (--no-opt's pure
+   nested-loop execution); derived, it is the member nestjoin that probes
+   PART's oid index, and that does far less work than the nested map. *)
+let test_pnhl_autoplan () =
+  let cfg = { Njq_workload.Generator.default_config with dangling_rate = 0.0 } in
+  let cat = Njq_workload.Generator.catalog cfg in
+  let q = Njq_workload.Queries.materialize_parts_query in
+  let expected = Eval.run cat q in
+  let nested = Planner.plan ~cat q in
+  (match nested with
+   | Plan.MapOp _ -> ()
+   | p -> Alcotest.failf "expected the nested map, got %a" Plan.pp p);
+  let _, derived = Planner.derive cat q in
+  Plan.iter_nodes
+    (function
+      | Plan.Pnhl _ -> Alcotest.failf "derived plan holds PNHL: %a" Plan.pp derived
+      | _ -> ())
+    derived;
+  let rec onto_oid_index (p : Plan.t) =
+    (match p with
+     | Plan.MemberJoin { right = Plan.Oid_index "PART"; _ } -> true
+     | _ -> false)
+    || List.exists onto_oid_index (Plan.children p)
+  in
+  Alcotest.(check bool) "derived onto PART's oid index" true (onto_oid_index derived);
+  let work f =
+    Metrics.reset_counters ();
+    let v = f () in
+    (v, List.fold_left (fun acc (_, n) -> acc + n) 0 (Metrics.counter_snapshot ()))
+  in
+  let _, w_nested = work (fun () -> Eval.run cat q) in
+  let v_derived, w_derived = work (fun () -> Exec.run cat derived) in
+  Alcotest.check Util.value "nested map = Eval" expected (Exec.run cat nested);
+  Alcotest.check Util.value "derived plan = Eval" expected v_derived;
+  Alcotest.(check bool)
+    (Printf.sprintf "derived %d << nested %d" w_derived w_nested)
+    true (w_derived * 4 < w_nested)
+
+(* A memory budget leaves the planned materialization as it is: the
+   derived plan reads PART through its oid index, so it holds no build
+   table to segment or spill, and no PNHL appears under the budget. *)
+let test_pnhl_planner_budget () =
+  let cfg =
+    { Njq_workload.Generator.default_config with
+      parts = 5000; suppliers = 500; deliveries = 50; dangling_rate = 0.0 }
+  in
+  let cat = Njq_workload.Generator.catalog cfg in
+  let q = Njq_workload.Queries.materialize_parts_query in
+  let run () =
+    Metrics.reset_counters ();
+    let _, plan = Planner.derive cat q in
+    let v = Exec.run cat plan in
+    (plan, v, Metrics.get "spill_part", Metrics.get "pnhl_partition")
+  in
+  let plan, v, spills, segments = run () in
+  Alcotest.check Util.value "derived plan = Eval" (Eval.run cat q) v;
+  Alcotest.(check int) "no spill without a budget" 0 spills;
+  Alcotest.(check int) "no PNHL segment" 0 segments;
+  let module Memory = Njq_engine.Memory in
+  let prev = !Memory.budget in
+  Fun.protect
+    ~finally:(fun () -> Memory.budget := prev)
+    (fun () ->
+      Memory.budget := 1000;
+      let plan', v', spills', segments' = run () in
+      Alcotest.(check string) "same plan under a budget" (Plan.to_string plan)
+        (Plan.to_string plan');
+      Alcotest.check Util.value "same value under a budget" v v';
+      Alcotest.(check int) "no spill under a budget" 0 spills';
+      Alcotest.(check int) "no PNHL segment under a budget" 0 segments')
 
 (* ---------------- Pointer-based materialize ---------------- *)
 
@@ -495,7 +556,9 @@ let () =
       ( "pnhl",
         [ Alcotest.test_case "correctness" `Quick test_pnhl_correct;
           Alcotest.test_case "partitioning invariant" `Quick test_pnhl_partitioning_invariant;
-          Alcotest.test_case "keeps empty sets" `Quick test_pnhl_keeps_empty_sets ] );
+          Alcotest.test_case "keeps empty sets" `Quick test_pnhl_keeps_empty_sets;
+          Alcotest.test_case "planner auto-PNHL" `Quick test_pnhl_autoplan;
+          Alcotest.test_case "planner budget" `Quick test_pnhl_planner_budget ] );
       ( "assembly",
         [ Alcotest.test_case "pointer materialization" `Quick test_assembly;
           Alcotest.test_case "dangling oid raises" `Quick
